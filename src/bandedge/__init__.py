@@ -69,6 +69,7 @@ from .dynamics import (
     intermediate_amplitude,
     kn_closed_form,
     kn_quadrature,
+    longtime_amplitude,
     survival_bessel_sum,
     survival_intermediate_law,
     survival_lattice_oracle,

@@ -7,20 +7,43 @@ keys are rejected with their line number.  All CSV output uses fixed
 17-significant-digit scientific notation so repeated runs are byte-identical
 and doubles round-trip exactly.
 
-The environment variable BANDEDGE_NUM_THREADS, if set, caps the BLAS thread
-pools (it must be read before numpy spins them up, hence the early hook in
-``main``).
+The BLAS thread cap (environment variable BANDEDGE_NUM_THREADS) is applied
+by the package ``__init__``, which runs before this module loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import cmath
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from .dynamics import (
+    LatticeConfig,
+    Method,
+    SurvivalTrace,
+    asymptotic_plateau,
+    intermediate_amplitude,
+    longtime_amplitude,
+    survival_bessel_sum,
+    survival_intermediate_law,
+    survival_lattice_oracle,
+    survival_longtime_law,
+)
+from .ep import all_ep_locations, complex_parameter_sheet, scan_consistency_rows
 from .errors import BandEdgeError, ConfigError
+from .generic import make_model, self_energy_quadrature, sigma_closed_form
+from .jordan import (
+    eigenvalue_one_defect,
+    jordan_chain_check,
+    limit_matrix,
+    verify_jordan_form,
+)
+from .model import ModelParams
+from .spectrum import discrete_spectrum, spectrum_scan
 
 _UNSET = object()
 
@@ -68,8 +91,6 @@ _SCHEMAS = {
         "eps_min": (float, None, None),
         "eps_max": (float, None, None),
         "step": (float, 0.001, _positive("step")),
-        # extended-precision root polish ("high") or vectorized double ("fast")
-        "precision": (str, "high", None),
     },
     "ep": {
         "g": (float, 0.1, _nonneg("g")),
@@ -172,8 +193,6 @@ def parse_config(argv, schema_lookup=None) -> RunConfig:
         v = merged.get(key)
         if v is not None and check is not None:
             check(v)
-    if name == "spectrum" and merged["precision"] not in ("high", "fast"):
-        raise ConfigError("precision must be 'high' or 'fast'")
     if name == "spectrum" and (merged["eps_min"] is None) != (merged["eps_max"] is None):
         raise ConfigError("scan mode needs both eps_min and eps_max")
     if name == "dynamics" and merged["method"] not in _METHODS:
@@ -186,14 +205,10 @@ def parse_config(argv, schema_lookup=None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners (import numerical modules lazily so that the thread-cap
-# environment hook in main() runs before numpy loads BLAS)
+# Subcommand runners
 # ---------------------------------------------------------------------------
 
 def _run_spectrum(cfg: RunConfig) -> int:
-    from .model import ModelParams
-    from .spectrum import discrete_spectrum, spectrum_scan
-
     p = cfg.params
     if p["eps_min"] is not None and p["eps_max"] is not None:
         rows = spectrum_scan(p["g"], p["eps_min"], p["eps_max"], p["step"])
@@ -212,7 +227,7 @@ def _run_spectrum(cfg: RunConfig) -> int:
         print(f"wrote {out} ({len(rows)} rows)")
         return 0
     params = ModelParams(epsilon_d=p["eps_d"], g=p["g"])
-    states = discrete_spectrum(params, polish="mp" if p["precision"] == "high" else "fast")
+    states = discrete_spectrum(params)
     states.sort(key=lambda s: s.energy.real)
     print(f"discrete spectrum at eps_d = {p['eps_d']}, g = {p['g']}:")
     for s in states:
@@ -237,10 +252,6 @@ def _run_spectrum(cfg: RunConfig) -> int:
 
 
 def _run_ep(cfg: RunConfig) -> int:
-    import numpy as np
-
-    from .ep import all_ep_locations, complex_parameter_sheet, scan_consistency_rows
-
     p = cfg.params
     locs = all_ep_locations(p["g"])
     print(f"exceptional points at g = {p['g']}:")
@@ -265,13 +276,6 @@ def _run_ep(cfg: RunConfig) -> int:
 
 
 def _run_jordan(cfg: RunConfig) -> int:
-    from .jordan import (
-        eigenvalue_one_defect,
-        jordan_chain_check,
-        limit_matrix,
-        verify_jordan_form,
-    )
-
     print("limit matrix B^{-1}A (g = 0, eps_d = -2):")
     print(limit_matrix())
     ok, J = verify_jordan_form()
@@ -293,17 +297,6 @@ def _run_jordan(cfg: RunConfig) -> int:
 
 
 def _run_dynamics(cfg: RunConfig) -> int:
-    import numpy as np
-
-    from .dynamics import (
-        LatticeConfig,
-        survival_bessel_sum,
-        survival_intermediate_law,
-        survival_lattice_oracle,
-        survival_longtime_law,
-    )
-    from .model import ModelParams
-
     p = cfg.params
     params = ModelParams(epsilon_d=p["eps_d"], g=p["g"])
     times = np.arange(0.0, p["t_max"] + 1e-9, p["dt"])
@@ -317,19 +310,18 @@ def _run_dynamics(cfg: RunConfig) -> int:
     if method in ("bessel", "all"):
         traces.append(survival_bessel_sum(params, times))
     if method in ("intermediate", "all"):
-        P = survival_intermediate_law(p["g"], times)
-        traces.append(_law_trace(times, P, "IntermediateLaw"))
+        ti = _intermediate_window(p["g"], times)
+        traces.append(SurvivalTrace.from_amplitude(
+            ti, intermediate_amplitude(p["g"], ti), Method.INTERMEDIATE_LAW))
     if method in ("longtime", "all"):
         tl = times[times > 0]
-        P = survival_longtime_law(params, tl)
-        traces.append(_law_trace(tl, P, "LongTimeLaw"))
+        traces.append(SurvivalTrace.from_amplitude(
+            tl, longtime_amplitude(params, tl), Method.LONG_TIME_LAW))
     out = cfg.output or "dynamics.csv"
     rows = []
     for tr in traces:
-        name = tr.method.value if hasattr(tr.method, "value") else tr.method
-        for i, t in enumerate(tr.times):
-            a = tr.amplitude[i]
-            rows.append((t, a.real, a.imag, tr.probability[i], name))
+        for t, a, P in zip(tr.times, tr.amplitude, tr.probability):
+            rows.append((t, a.real, a.imag, P, tr.method.value))
     write_csv(out, ["t", "re_A", "im_A", "P", "method"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     if p["gnuplot"]:
@@ -339,18 +331,9 @@ def _run_dynamics(cfg: RunConfig) -> int:
     return 0
 
 
-def _law_trace(times, P, name):
-    import numpy as np
-
-    from .dynamics import Method, SurvivalTrace
-
-    amp = np.sqrt(np.clip(P, 0.0, None)).astype(complex)
-    return SurvivalTrace(
-        times=np.asarray(times, dtype=float),
-        amplitude=amp,
-        probability=np.asarray(P, dtype=float),
-        method=Method(name),
-    )
+def _intermediate_window(g: float, times: np.ndarray) -> np.ndarray:
+    """The times inside the t^{3/2} law's window t <= g^(-4/3)."""
+    return times[g ** (4.0 / 3.0) * times <= 1.0]
 
 
 def _gnuplot_dynamics(csv_name: str) -> str:
@@ -363,10 +346,6 @@ def _gnuplot_dynamics(csv_name: str) -> str:
 
 
 def _run_generic(cfg: RunConfig) -> int:
-    import numpy as np
-
-    from .generic import make_model, self_energy_quadrature, sigma_closed_form
-
     p = cfg.params
     model = make_model(p["model"], p["g"])
     e_min = p["e_min"] if p["e_min"] is not None else model.e_th - 4.0
@@ -401,11 +380,6 @@ def _run_figures(cfg: RunConfig) -> int:
 
 def _fig1(outdir: Path) -> None:
     """Four discrete eigenvalues in the E and k planes at g = 0.5, eps_d = -2."""
-    import cmath
-
-    from .model import ModelParams
-    from .spectrum import discrete_spectrum
-
     states = discrete_spectrum(ModelParams(epsilon_d=-2.0, g=0.5))
     states.sort(key=lambda s: (s.energy.real, s.energy.imag))
     rows = []
@@ -428,21 +402,10 @@ def _fig1(outdir: Path) -> None:
 
 def _fig3(outdir: Path) -> None:
     """Near-edge spectrum vs eps_d in [-2.15, -1.85] at g = 0.1."""
-    from .spectrum import spectrum_scan
-
-    rows = spectrum_scan(0.1, -2.15, -1.85, 0.001)
     csv = outdir / "fig3_scan.csv"
-    write_csv(
-        csv,
-        ["eps_d", "class", "re_E", "im_E", "re_lambda", "im_lambda",
-         "re_psid_sq", "im_psid_sq"],
-        [
-            (r.eps_d, r.state.state_class.value, r.state.energy.real,
-             r.state.energy.imag, r.state.lam.real, r.state.lam.imag,
-             r.state.psid_sq.real, r.state.psid_sq.imag)
-            for r in rows
-        ],
-    )
+    _run_spectrum(parse_config([
+        "spectrum", "--g", "0.1", "--eps-min", "-2.15", "--eps-max", "-1.85",
+        "--step", "0.001", "-o", str(csv)]))
     (outdir / "fig3.gp").write_text(
         "set datafile separator ','\nset multiplot layout 2,1\n"
         "set xlabel 'eps_d'; set ylabel 'Re E'\n"
@@ -455,19 +418,8 @@ def _fig3(outdir: Path) -> None:
 
 def _fig4(outdir: Path) -> None:
     """Eigenvalue sheets over the complex eps_d plane at g = 0.1."""
-    import numpy as np
-
-    from .ep import complex_parameter_sheet, scan_consistency_rows
-
-    re = np.linspace(-2.15, -1.85, 61)
-    im = np.linspace(-0.08, 0.08, 33)
-    cells = complex_parameter_sheet(0.1, re, im)
     csv = outdir / "fig4_sheet.csv"
-    write_csv(
-        csv,
-        ["re_eps", "im_eps", "branch_id", "re_E", "im_E"],
-        [(a, b, str(c), d, e) for a, b, c, d, e in scan_consistency_rows(cells)],
-    )
+    _run_ep(parse_config(["ep", "--g", "0.1", "--sheet", "--n-im", "33", "-o", str(csv)]))
     (outdir / "fig4.gp").write_text(
         "set datafile separator ','\n"
         "set xlabel 'Re eps_d'; set ylabel 'Im eps_d'; set zlabel 'Re E'\n"
@@ -477,25 +429,14 @@ def _fig4(outdir: Path) -> None:
 
 def _fig5(outdir: Path) -> None:
     """Survival probability panels at g = 0.02, eps_d = -2."""
-    import numpy as np
-
-    from .dynamics import (
-        LatticeConfig,
-        asymptotic_plateau,
-        survival_intermediate_law,
-        survival_lattice_oracle,
-        survival_longtime_law,
-    )
-    from .model import ModelParams
-
     params = ModelParams(epsilon_d=-2.0, g=0.02)
     times = np.arange(0.0, 600.0 + 1e-9, 0.5)
     oracle = survival_lattice_oracle(params, LatticeConfig(1500, 600.0), times)
+    ti = _intermediate_window(0.02, times)
     t_pos = times[times > 0]
     rows = [(t, p, "oracle") for t, p in zip(times, oracle.probability)]
     rows += [
-        (t, p, "intermediate")
-        for t, p in zip(times, survival_intermediate_law(0.02, times))
+        (t, p, "intermediate") for t, p in zip(ti, survival_intermediate_law(0.02, ti))
     ]
     rows += [
         (t, p, "longtime") for t, p in zip(t_pos, survival_longtime_law(params, t_pos))
@@ -535,10 +476,6 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("BANDEDGE_NUM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
         return _RUNNERS[cfg.subcommand](cfg)

@@ -82,14 +82,15 @@ class SurvivalTrace:
     probability: np.ndarray
     method: Method
 
-
-def _trace(times, amplitude, method) -> SurvivalTrace:
-    return SurvivalTrace(
-        times=np.asarray(times, dtype=float),
-        amplitude=np.asarray(amplitude, dtype=complex),
-        probability=np.abs(np.asarray(amplitude)) ** 2,
-        method=method,
-    )
+    @classmethod
+    def from_amplitude(cls, times, amplitude, method: Method) -> SurvivalTrace:
+        """Trace with P = |A|^2 from the amplitude A on the given times."""
+        return cls(
+            times=np.asarray(times, dtype=float),
+            amplitude=np.asarray(amplitude, dtype=complex),
+            probability=np.abs(np.asarray(amplitude)) ** 2,
+            method=method,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def survival_lattice_oracle(
         amp[i : i + chunk] = (
             np.exp(-1j * np.outer(times[i : i + chunk], evals)) @ weights
         )
-    return _trace(times, amp, Method.LATTICE_ORACLE)
+    return SurvivalTrace.from_amplitude(times, amp, Method.LATTICE_ORACLE)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,7 @@ def survival_bessel_sum(params: ModelParams, times, verify: bool = False) -> Sur
     tri = near_edge_triplet(params)
     terms = _bessel_sum_terms(tri, times, verify=verify)
     amp = sum(terms.values())
-    return _trace(times, amp, Method.BESSEL_SUM)
+    return SurvivalTrace.from_amplitude(times, amp, Method.BESSEL_SUM)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +306,8 @@ def survival_intermediate_law(g: float, t):
 INTERMEDIATE_LAW_COEFF = 4.0 / (3.0 * np.sqrt(2.0 * np.pi))
 
 
-def survival_longtime_law(params: ModelParams, t):
-    """Near-edge survival probability P = |A(t)|^2 in closed form,
+def longtime_amplitude(params: ModelParams, t):
+    """Near-edge survival amplitude in closed form,
 
         A(t) = e^{2it} sum_k c_k w(e^{3 i pi/4} y_k sqrt(t)),
         c_k  = y_k^2 / (3 y_k^2 + delta),
@@ -350,8 +351,12 @@ def survival_longtime_law(params: ModelParams, t):
     y = np.roots([2.0, 0.0, 2.0 * delta, params.g**2])
     c = y**2 / (3.0 * y**2 + delta)
     z = np.exp(0.75j * np.pi) * np.multiply.outer(np.sqrt(t), y)
-    amp = np.exp(2j * t) * (wofz(z) @ c)
-    return np.abs(amp) ** 2
+    return np.exp(2j * t) * (wofz(z) @ c)
+
+
+def survival_longtime_law(params: ModelParams, t):
+    """Near-edge survival probability |A(t)|^2 from ``longtime_amplitude``."""
+    return np.abs(longtime_amplitude(params, t)) ** 2
 
 
 def asymptotic_plateau(params: ModelParams) -> float:
@@ -392,6 +397,8 @@ def dominant_frequency(times, signal, flatten_power: float = 0.0) -> float:
     """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
+    if times.size < 2:
+        raise DomainError(f"dominant_frequency needs at least 2 samples, got {times.size}")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9):
         raise DomainError("dominant_frequency needs a uniform time grid")

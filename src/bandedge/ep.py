@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .spectrum import energy_quartic_coeffs, solve_quartic_lambda_raw
+from .spectrum import energy_quartic_coeffs, near_edge_roots, solve_quartic_lambda_raw
 
 DOUBLE_ROOT_TOL = 1e-8
 EP_GAP_TOL = 1e-6
@@ -79,8 +79,7 @@ def verify_ep_by_discriminant(g: float, eps_d: complex) -> tuple[float, float]:
     A genuine EP needs both gaps small: an energy near-degeneracy with
     distinct lam roots is a first/second sheet accident, not a coalescence.
     """
-    lams = solve_quartic_lambda_raw(eps_d, g, polish="mp")
-    Es = -lams - 1.0 / lams
+    lams, Es = solve_quartic_lambda_raw(eps_d, g)
     best = None
     for i in range(4):
         for j in range(i + 1, 4):
@@ -130,15 +129,6 @@ class SheetCell:
     energies: tuple[complex, complex, complex]  # continuity-tracked branches
 
 
-def _near_edge_energies(eps_d: complex, g: float):
-    """Three near-lower-edge eigenvalues for a possibly complex eps_d."""
-    lams = solve_quartic_lambda_raw(eps_d, g, polish="fast")
-    Es = -lams - 1.0 / lams
-    # drop the continuation of the upper-edge bound state
-    keep = np.argsort(Es.real)[:3]
-    return Es[np.sort(keep)], lams[np.sort(keep)]
-
-
 def _match_to(
     prev: np.ndarray, prev_lams: np.ndarray, Es: np.ndarray, lams: np.ndarray
 ) -> np.ndarray:
@@ -163,18 +153,22 @@ def complex_parameter_sheet(
     Branches are continuity-tracked: within each constant-Im scan line the
     eigenvalues are matched to the previous cell by nearest energy, and the
     first cell of each line is matched to the line below, so the branch_id
-    of the output is continuous wherever the sheets do not intersect.
+    of the output is continuous wherever the sheets do not intersect.  The
+    first cell of the grid numbers its branches by ascending Re E.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
+    grid = re_grid[None, :] + 1j * im_grid[:, None]
+    # drop the continuation of the upper-edge bound state
+    grid_lams, grid_Es, _ = near_edge_roots(grid, g)
     cells: list[SheetCell] = []
     prev_line_first = None
-    for im in im_grid:
+    for i in range(im_grid.size):
         prev = prev_line_first
         line_first = None
-        for re in re_grid:
-            eps = complex(re, im)
-            Es, lams = _near_edge_energies(eps, g)
+        for j in range(re_grid.size):
+            eps = complex(grid[i, j])
+            Es, lams = grid_Es[i, j], grid_lams[i, j]
             if prev is not None:
                 order = _match_to(prev[0], prev[1], Es, lams)
                 Es, lams = Es[order], lams[order]

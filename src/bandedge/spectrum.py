@@ -5,10 +5,11 @@ The four discrete states are the roots of the lam-plane quartic
     f(lam) = -lam^4 - eps_d lam^3 - g^2 lam^2 + eps_d lam + 1,
 
 equivalent to the energy quartic p(E) = (E - eps_d)^2 (E^2 - 4) - g^4 under
-E = -lam - 1/lam.  Roots are found from the companion matrix and polished by
-Newton iteration in extended precision (mpmath), since the three roots that
-cluster at lam = 1 for small g at threshold lose about two thirds of their
-digits in double precision.
+E = -lam - 1/lam.  Both are solved in double precision about the threshold
+(y = lam - 1, u = E + 2), where the three roots that cluster at lam = 1 for
+small g form the well-scaled cubic y^3 ~ -g^2/2 instead of losing two thirds
+of their digits to the shift; one batched companion eigensolve plus three
+Newton steps (``_quartic_roots``) serves every solve in the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import cmath
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -27,13 +27,11 @@ from .errors import (
     LabelMatchingError,
     NumericalError,
 )
-from .model import CUT_TOL, ModelParams, energy_from_lambda
+from .model import CUT_TOL, ModelParams
 
 QUARTIC_RESIDUAL_TOL = 1e-12
 # a root counts as real when |Im lam| < REAL_TOL * (1 + |lam|)
 REAL_TOL = 1e-9
-
-_POLISH_DPS = 40
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 
@@ -79,80 +77,92 @@ def energy_quartic_coeffs(eps_d: complex, g: float) -> np.ndarray:
     )
 
 
-def _polish_roots_mp(coeffs, roots, tol):
-    """Newton-polish roots of a polynomial in extended precision."""
-    co = [mp.mpc(c) for c in coeffs]
-    dco = [c * (len(co) - 1 - i) for i, c in enumerate(co[:-1])]
-    scale = max(abs(c) for c in co)
-    out = []
-    with mp.workdps(_POLISH_DPS):
-        for r in roots:
-            z = mp.mpc(r)
-            for _ in range(60):
-                fz = mp.polyval(co, z)
-                if abs(fz) < mp.mpf("1e-35") * scale:
-                    break
-                dfz = mp.polyval(dco, z)
-                if dfz == 0:
-                    break
-                step = fz / dfz
-                z = z - step
-                if abs(step) < mp.mpf("1e-35") * (1 + abs(z)):
-                    break
-            res = abs(mp.polyval(co, z))
-            out.append((complex(z), float(res)))
-    worst = max(r for _, r in out)
-    if worst > tol * float(scale):
+def _quartic_roots(lower: np.ndarray) -> np.ndarray:
+    """Roots of the monic quartics z^4 + lower[..., 0] z^3 + ... + lower[..., 3].
+
+    The one root solver of the package: the (..., 4, 4) companion matrices
+    go through a single batched eigensolve, and each eigenvalue takes three
+    Newton steps, each kept only if it lowers |p|.  Real coefficient rows
+    stay real, so their complex roots come out as exactly conjugate pairs.
+    Raises NumericalError if a normwise residual
+    |p(z)| / (max|c| max(1, |z|)^4) exceeds QUARTIC_RESIDUAL_TOL.
+    """
+    comp = np.zeros(lower.shape[:-1] + (4, 4), dtype=lower.dtype)
+    comp[..., 0, :] = -lower
+    comp[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    z = np.linalg.eigvals(comp).astype(complex)
+    p, dp = _horner(lower, z)
+    for _ in range(3):
+        z_new = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+        p_new, dp_new = _horner(lower, z_new)
+        # at a near-double root dp is rounding noise, and an unchecked step
+        # can throw the root far off (seen in the energy quartic at g ~ 1e-4)
+        better = np.abs(p_new) < np.abs(p)
+        z = np.where(better, z_new, z)
+        p = np.where(better, p_new, p)
+        dp = np.where(better, dp_new, dp)
+    scale = np.maximum(1.0, np.max(np.abs(lower), axis=-1, keepdims=True))
+    worst = np.max(np.abs(p) / (scale * np.maximum(1.0, np.abs(z)) ** 4))
+    if not worst <= QUARTIC_RESIDUAL_TOL:
         raise NumericalError(
-            f"root polish did not converge; worst residual {worst:.3e}",
-            residual=worst,
+            f"quartic roots did not converge; worst residual {worst:.3e}",
+            residual=float(worst),
         )
-    return np.array([z for z, _ in out], dtype=complex)
-
-
-def _polish_roots_fast(coeffs, roots, iterations=3):
-    """Vectorized double-precision Newton polish (bulk scan paths)."""
-    dco = np.polyder(coeffs)
-    z = roots.astype(complex)
-    for _ in range(iterations):
-        dfz = np.polyval(dco, z)
-        dfz = np.where(dfz == 0, 1.0, dfz)
-        z = z - np.polyval(coeffs, z) / dfz
     return z
 
 
-def solve_quartic_lambda_raw(eps_d: complex, g: float, polish: str = "mp") -> np.ndarray:
-    """All four roots of f(lam) for a possibly complex eps_d.
+def _horner(lower, z):
+    """Monic quartic and its derivative at z, coefficient rows broadcast over roots."""
+    p, dp = np.ones_like(z), np.zeros_like(z)
+    for k in range(4):
+        dp = dp * z + p
+        p = p * z + lower[..., k : k + 1]
+    return p, dp
 
-    polish: "mp" for extended-precision Newton (default), "fast" for
-    double-precision Newton (grid sweeps).
+
+def _real_if_real(x) -> np.ndarray:
+    x = np.asarray(x)
+    return x.real if not np.any(np.imag(x)) else x.astype(complex)
+
+
+def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, E) for all four roots of f(lam), batched over eps_d (complex allowed).
+
+    Solved for y = lam - 1 with delta = eps_d + 2, where f becomes
+
+        f = -y^4 - (2 + delta) y^3 - (3 delta + g^2) y^2 - 2 (delta + g^2) y - g^2,
+
+    so the threshold triplet is the well-scaled cluster y^3 ~ -g^2/2 and no
+    digits are lost to the shift.  E = -2 - y^2 / (1 + y) avoids the
+    cancellation in -lam - 1/lam.  Output arrays have shape eps_d.shape + (4,).
     """
-    co = lambda_quartic_coeffs(eps_d, g)
-    seeds = np.roots(co)
-    if polish == "mp":
-        return _polish_roots_mp(co, seeds, QUARTIC_RESIDUAL_TOL)
-    roots = _polish_roots_fast(co, seeds)
-    res = np.abs(np.polyval(co, roots))
-    scale = np.max(np.abs(co))
-    if np.max(res) > 1e-9 * scale:
-        # fall back to the slow path before giving up
-        return _polish_roots_mp(co, seeds, QUARTIC_RESIDUAL_TOL)
-    return roots
+    d = _real_if_real(np.asarray(eps_d) + 2.0)
+    g2 = g * g
+    lower = np.stack(
+        np.broadcast_arrays(2.0 + d, 3.0 * d + g2, 2.0 * (d + g2), g2), axis=-1
+    )
+    y = _quartic_roots(lower)
+    return 1.0 + y, -2.0 - y * y / (1.0 + y)
 
 
-def solve_lambda_quartic(params: ModelParams, polish: str = "mp") -> list[DiscreteState]:
+def solve_lambda_quartic(params: ModelParams) -> list[DiscreteState]:
     """Four unnormalized discrete states (lam and E only), unordered."""
-    roots = solve_quartic_lambda_raw(params.epsilon_d, params.g, polish=polish)
-    return [DiscreteState(lam=z, energy=energy_from_lambda(z)) for z in roots]
+    lams, Es = solve_quartic_lambda_raw(params.epsilon_d, params.g)
+    return [DiscreteState(lam=complex(z), energy=complex(E)) for z, E in zip(lams, Es)]
 
 
-def solve_energy_quartic(params: ModelParams, polish: str = "mp") -> np.ndarray:
-    """Four roots of the energy quartic p(E), solved independently of f(lam)."""
-    co = energy_quartic_coeffs(params.epsilon_d, params.g)
-    seeds = np.roots(co)
-    if polish == "mp":
-        return _polish_roots_mp(co, seeds, QUARTIC_RESIDUAL_TOL)
-    return _polish_roots_fast(co, seeds)
+def solve_energy_quartic(params: ModelParams) -> np.ndarray:
+    """Four roots of the energy quartic p(E), solved independently of f(lam).
+
+    With u = E + 2 and delta = eps_d + 2,
+    p = u^4 - (4 + 2 delta) u^3 + (delta^2 + 8 delta) u^2 - 4 delta^2 u - g^4.
+    Its two roots near the dot level E ~ eps_d, split by ~g^2 / sqrt(eps_d^2 - 4),
+    form a near-double root that double precision resolves only to ~1e-7
+    (measured 9.2e-8 for g >= 1e-5); the lam route has no such cluster.
+    """
+    d = _real_if_real(params.epsilon_d + 2.0)
+    lower = np.array([-(4.0 + 2.0 * d), d * d + 8.0 * d, -4.0 * d * d, -params.g**4])
+    return _quartic_roots(lower) - 2.0
 
 
 def is_real_root(lam: complex) -> bool:
@@ -209,22 +219,50 @@ def classify_and_normalize(params: ModelParams, states) -> list[DiscreteState]:
     return out
 
 
-def discrete_spectrum(params: ModelParams, polish: str = "mp") -> list[DiscreteState]:
+def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     """All four discrete states, classified and normalized."""
-    return classify_and_normalize(params, solve_lambda_quartic(params, polish=polish))
+    return classify_and_normalize(params, solve_lambda_quartic(params))
 
 
-def near_edge_triplet(params: ModelParams, polish: str = "mp") -> list[DiscreteState]:
-    """The three states near the lower band edge (the fourth, the bound state
-    above the upper edge, is dropped)."""
-    states = discrete_spectrum(params, polish=polish)
-    tri = [s for s in states if s.state_class is not StateClass.BOUND_UPPER]
-    if len(tri) != 3:
+def near_edge_roots(eps_d, g: float):
+    """(lam, E, lam_dropped): the three roots of smallest Re E, in ascending
+    Re E, and the fourth root, batched over eps_d like ``solve_quartic_lambda_raw``.
+
+    For real eps_d the dropped root is the bound state above the upper band
+    edge; for complex eps_d it is that state's continuation.
+    """
+    lams, Es = solve_quartic_lambda_raw(eps_d, g)
+    order = np.argsort(Es.real, axis=-1, kind="stable")
+    keep = order[..., :3]
+    return (
+        np.take_along_axis(lams, keep, axis=-1),
+        np.take_along_axis(Es, keep, axis=-1),
+        np.take_along_axis(lams, order[..., 3:], axis=-1)[..., 0],
+    )
+
+
+def _classified_triplet(params: ModelParams, lams, Es, dropped) -> list[DiscreteState]:
+    dropped = complex(dropped)
+    if not (is_real_root(dropped) and -1.0 < dropped.real < 0.0):
         raise LabelMatchingError(
-            f"expected exactly one upper bound state, got classes "
-            f"{[s.state_class for s in states]}"
+            f"the root of largest Re E, lam = {dropped}, is not a bound state "
+            f"above the band (need real -1 < lam < 0)"
         )
-    return tri
+    states = [DiscreteState(lam=complex(z), energy=complex(E)) for z, E in zip(lams, Es)]
+    return classify_and_normalize(params, states)
+
+
+def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
+    """The three states near the lower band edge, classified and normalized.
+
+    The three roots of smallest Re E are kept before anything is classified,
+    so the dropped bound state above the band never reaches the branch-cut
+    test (at eps_d = -2 its 1 - |lam| ~ g^2/8 falls inside CUT_TOL for
+    g < 2.84e-5).  Raises LabelMatchingError unless the dropped root is real
+    with -1 < lam < 0.
+    """
+    lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
+    return _classified_triplet(params, lams, Es, dropped)
 
 
 # Phase index alpha for the threshold triplet: 0 bound, -1 resonance,
@@ -400,7 +438,6 @@ _CLASS_ORDER = {
     StateClass.VIRTUAL: 1,
     StateClass.RESONANCE: 2,
     StateClass.ANTI_RESONANCE: 3,
-    StateClass.BOUND_UPPER: 4,
 }
 
 
@@ -414,17 +451,17 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> l
     """Classified near-edge triplet for each eps_d on a uniform grid.
 
     Output ordering is deterministic: ascending eps_d, then class order
-    (bound, virtual, resonance, anti-resonance).
+    (bound, virtual, resonance, anti-resonance), then Im E and Re E.
     """
     if step <= 0:
         raise DomainError("step must be positive")
     n = int(np.floor((eps_stop - eps_start) / step + 1e-9))
+    eps = eps_start + np.arange(n + 1) * step
+    lams, Es, dropped = near_edge_roots(eps, g)
     rows: list[ScanRow] = []
-    for i in range(n + 1):
-        eps = eps_start + i * step
-        params = ModelParams(epsilon_d=eps, g=g)
-        tri = near_edge_triplet(params, polish="fast")
-        tri.sort(key=lambda s: (_CLASS_ORDER[s.state_class], s.energy.imag))
+    for i, e in enumerate(eps.tolist()):
+        tri = _classified_triplet(ModelParams(epsilon_d=e, g=g), lams[i], Es[i], dropped[i])
+        tri.sort(key=lambda s: (_CLASS_ORDER[s.state_class], s.energy.imag, s.energy.real))
         for s in tri:
-            rows.append(ScanRow(eps_d=eps, state=s))
+            rows.append(ScanRow(eps_d=e, state=s))
     return rows

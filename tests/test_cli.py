@@ -48,12 +48,14 @@ class TestParsing:
     def test_jordan_alias(self):
         assert parse_config(["jordan-check"]).subcommand == "jordan"
 
-    def test_precision_flag(self):
-        assert parse_config(["spectrum", "--precision", "fast"]).params[
-            "precision"
-        ] == "fast"
-        with pytest.raises(ConfigError, match="precision"):
-            parse_config(["spectrum", "--precision", "extreme"])
+    def test_precision_flag(self, tmp_path):
+        # there is a single double-precision root solver and no knob for it
+        with pytest.raises(SystemExit):
+            parse_config(["spectrum", "--precision", "fast"])
+        f = tmp_path / "run.cfg"
+        f.write_text("precision = high\n")
+        with pytest.raises(ConfigError, match="line 1: unknown key 'precision'"):
+            parse_config(["spectrum", "--config", str(f)])
 
     def test_half_specified_scan_rejected(self):
         with pytest.raises(ConfigError, match="eps_min and eps_max"):
@@ -125,15 +127,23 @@ class TestRunners:
         assert lines[1].endswith(",BesselSum")
 
     def test_dynamics_all_law_rows_are_probabilities(self, tmp_path):
+        # t_max = 200 runs past 2.42 g^(-4/3) = 131, where the t^{3/2} law
+        # would pass P = 1; its rows stop at the window edge g^(-4/3) = 54.3
         out = tmp_path / "dyn.csv"
         assert main([
-            "dynamics", "--g", "0.05", "--eps-d", "-2", "--t-max", "20",
+            "dynamics", "--g", "0.05", "--eps-d", "-2", "--t-max", "200",
             "--dt", "0.5", "--method", "all", "-o", str(out),
         ]) == 0
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
-        law_p = [float(r[3]) for r in rows if r[4] == "LongTimeLaw"]
-        assert len(law_p) == 40
-        assert max(law_p) <= 1.0
+        law = {m: [r for r in rows if r[4] == m]
+               for m in ("IntermediateLaw", "LongTimeLaw")}
+        assert len(law["LongTimeLaw"]) == 400
+        assert len(law["IntermediateLaw"]) == 109
+        assert float(law["IntermediateLaw"][-1][0]) <= 0.05 ** (-4.0 / 3.0)
+        for r in law["IntermediateLaw"] + law["LongTimeLaw"]:
+            re_a, im_a, P = float(r[1]), float(r[2]), float(r[3])
+            assert P <= 1.0
+            assert re_a**2 + im_a**2 == pytest.approx(P, rel=1e-14, abs=1e-15)
 
     def test_dynamics_oracle_with_gnuplot(self, tmp_path):
         out = tmp_path / "dyn.csv"
@@ -164,6 +174,17 @@ class TestRunners:
         a = (tmp_path / "fig1_states.csv").read_bytes()
         assert main(["figures", "--name", "fig1", "-o", str(tmp_path)]) == 0
         assert (tmp_path / "fig1_states.csv").read_bytes() == a
+
+    def test_figure_presets_match_cli_output(self, tmp_path):
+        # fig3 and fig4 are the spectrum scan and the EP sheet at fixed flags
+        assert main(["figures", "--name", "fig3", "-o", str(tmp_path)]) == 0
+        assert main(["figures", "--name", "fig4", "-o", str(tmp_path)]) == 0
+        scan, sheet = tmp_path / "scan.csv", tmp_path / "sheet.csv"
+        assert main(["spectrum", "--g", "0.1", "--eps-min", "-2.15", "--eps-max",
+                     "-1.85", "--step", "0.001", "-o", str(scan)]) == 0
+        assert main(["ep", "--g", "0.1", "--sheet", "--n-im", "33", "-o", str(sheet)]) == 0
+        assert (tmp_path / "fig3_scan.csv").read_bytes() == scan.read_bytes()
+        assert (tmp_path / "fig4_sheet.csv").read_bytes() == sheet.read_bytes()
 
     def test_figure_survival_preset_deterministic(self, tmp_path):
         assert main(["figures", "--name", "fig5", "-o", str(tmp_path)]) == 0

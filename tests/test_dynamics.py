@@ -317,3 +317,8 @@ class TestDominantFrequency:
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(DomainError):
             dominant_frequency(np.array([0.0, 1.0, 3.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_samples_rejected(self, n):
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            dominant_frequency(np.arange(float(n)), np.zeros(n))

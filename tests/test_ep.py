@@ -191,8 +191,7 @@ def test_complex_ep_pairing_structure():
     loc = ep_parameter(g, 1)
     from bandedge.spectrum import solve_quartic_lambda_raw
 
-    lams = solve_quartic_lambda_raw(loc.eps_d, g, polish="mp")
-    Es = -lams - 1.0 / lams
+    lams, Es = solve_quartic_lambda_raw(loc.eps_d, g)
     near = sorted(range(4), key=lambda i: abs(Es[i] - loc.energy))
     pair, third = near[:2], near[2]
     assert abs(Es[pair[0]] - Es[pair[1]]) < 1e-6

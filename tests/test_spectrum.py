@@ -1,12 +1,16 @@
 import cmath
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandedge.errors import (
     BranchCutError,
     DegenerateNormalizationError,
     DomainError,
+    LabelMatchingError,
 )
 from bandedge.model import ModelParams
 from bandedge.spectrum import (
@@ -23,6 +27,7 @@ from bandedge.spectrum import (
     puiseux_norm_d,
     solve_energy_quartic,
     solve_lambda_quartic,
+    solve_quartic_lambda_raw,
     spectrum_scan,
     threshold_labels,
 )
@@ -102,17 +107,116 @@ class TestLambdaQuartic:
             assert np.prod(lams) == pytest.approx(-1.0, abs=1e-9)
 
     def test_complex_detuning_residuals(self):
-        from bandedge.spectrum import solve_quartic_lambda_raw
-
         rng = np.random.default_rng(17)
-        for polish in ("mp", "fast"):
-            for _ in range(10):
-                eps = complex(rng.uniform(-2.5, -1.5), rng.uniform(-0.1, 0.1))
-                g = float(rng.uniform(0.02, 0.3))
-                roots = solve_quartic_lambda_raw(eps, g, polish=polish)
-                co = lambda_quartic_coeffs(eps, g)
-                assert np.max(np.abs(np.polyval(co, roots))) < 1e-10
-                assert sum(roots) == pytest.approx(-eps, abs=1e-9)
+        for _ in range(20):
+            eps = complex(rng.uniform(-2.5, -1.5), rng.uniform(-0.1, 0.1))
+            g = float(rng.uniform(0.02, 0.3))
+            roots, _ = solve_quartic_lambda_raw(eps, g)
+            co = lambda_quartic_coeffs(eps, g)
+            assert np.max(np.abs(np.polyval(co, roots))) < 1e-10
+            assert sum(roots) == pytest.approx(-eps, abs=1e-9)
+
+
+def _mp_roots(eps_d: complex, g: float) -> list:
+    """60-digit roots of f(lam), the oracle for the double-precision solver."""
+    with mp.workdps(60):
+        e, gg = mp.mpmathify(eps_d), mp.mpf(g)
+        return list(mp.polyroots([-1, -e, -gg * gg, e, 1], maxsteps=400, extraprec=400))
+
+
+def _nearest(z: complex, refs: list):
+    return min(refs, key=lambda r: abs(z - complex(r)))
+
+
+# the solver's domain: from weak coupling at threshold to g = 1, detunings
+# from below the real EP to well inside the band
+_COUPLINGS = st.floats(-5.0, 0.0).map(lambda x: 10.0**x)
+_DETUNINGS = st.floats(-2.05, 0.5)
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestQuarticSolverProperties:
+    @_PROPERTY
+    @given(g=_COUPLINGS, eps_d=_DETUNINGS)
+    def test_roots_match_60_digit_oracle(self, g, eps_d):
+        lams, Es = solve_quartic_lambda_raw(eps_d, g)
+        refs = _mp_roots(eps_d, g)
+        for lam, E in zip(lams, Es):
+            ref = _nearest(lam, refs)
+            assert abs(lam - complex(ref)) <= 1e-14 * abs(complex(ref))
+            # E + 2 to 1e-14, up to the rounding of the stored E near -2
+            with mp.workdps(60):
+                E_ref = -ref - 1 / ref
+                err = float(abs(E - E_ref))
+                assert err <= 1e-14 * float(abs(E_ref + 2)) + 2.0**-52 * float(abs(E_ref))
+
+    def test_newton_steps_reach_rounding_on_scan_domain(self):
+        # the companion eigenvalues alone are good to ~4e-15 here; the
+        # Newton steps bring the lam roots to ~3e-16
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(60):
+            g, eps_d = float(rng.uniform(0.05, 0.2)), float(rng.uniform(-2.15, -1.85))
+            refs = _mp_roots(eps_d, g)
+            for lam in solve_quartic_lambda_raw(eps_d, g)[0]:
+                ref = complex(_nearest(lam, refs))
+                worst = max(worst, abs(lam - ref) / abs(ref))
+        assert worst <= 1e-15
+
+    @_PROPERTY
+    @given(g=_COUPLINGS, eps_d=_DETUNINGS)
+    def test_real_detuning_gives_exact_conjugate_pairs(self, g, eps_d):
+        lams, Es = solve_quartic_lambda_raw(eps_d, g)
+        for z in (lams, Es):
+            cplx = [w for w in z if w.imag != 0]
+            assert sorted(cplx, key=lambda w: (w.real, w.imag)) == sorted(
+                (w.conjugate() for w in cplx), key=lambda w: (w.real, w.imag)
+            )
+
+    @_PROPERTY
+    @given(g=_COUPLINGS, eps_d=_DETUNINGS, im=st.floats(-0.1, 0.1).filter(lambda x: x != 0))
+    def test_conjugate_detuning_gives_conjugate_roots(self, g, eps_d, im):
+        lams, _ = solve_quartic_lambda_raw(complex(eps_d, im), g)
+        lams_c, _ = solve_quartic_lambda_raw(complex(eps_d, -im), g)
+        for z in lams:
+            assert min(abs(z.conjugate() - w) for w in lams_c) <= 1e-14 * abs(z)
+
+    @_PROPERTY
+    @given(g=_COUPLINGS, eps_d=_DETUNINGS)
+    def test_biorthogonal_normalization(self, g, eps_d):
+        p = ModelParams(epsilon_d=eps_d, g=g)
+        for s in solve_lambda_quartic(p):
+            psi0_sq, psid_sq = normalize_state(p, s.lam)
+            val = (1 + s.lam**2) * psi0_sq + (1 - s.lam**2) * psid_sq
+            assert abs(val - 1.0) <= 1e-9
+
+    @_PROPERTY
+    @given(g=_COUPLINGS, eps_d=_DETUNINGS)
+    def test_lambda_and_energy_quartics_agree(self, g, eps_d):
+        p = ModelParams(epsilon_d=eps_d, g=g)
+        from_l = [s.energy for s in solve_lambda_quartic(p)]
+        # the energy quartic has a near-double root at E ~ eps_d (split
+        # ~g^2 / sqrt(eps_d^2 - 4)) that double precision resolves to sqrt(ulp)
+        for E in solve_energy_quartic(p):
+            assert min(abs(E - w) for w in from_l) <= 2e-7
+
+
+class TestNearEdgeTripletAtWeakCoupling:
+    @pytest.mark.parametrize("g", [1e-5, 2e-5, 2.8e-5])
+    def test_dropped_upper_bound_state_inside_cut_tolerance(self, g):
+        # the upper bound state has 1 - |lam| ~ g^2/8 < CUT_TOL here; it is
+        # dropped before classification, so it cannot raise BranchCutError
+        classes = {s.state_class for s in near_edge_triplet(ModelParams(-2.0, g))}
+        assert classes == {
+            StateClass.BOUND_LOWER,
+            StateClass.RESONANCE,
+            StateClass.ANTI_RESONANCE,
+        }
+
+    def test_missing_upper_bound_state_rejected(self):
+        # at g = 0 the fourth root sits on the band edge lam = -1
+        with pytest.raises(LabelMatchingError):
+            near_edge_triplet(ModelParams(-2.5, 0.0))
 
 
 class TestEnergyQuartic:
