@@ -158,16 +158,15 @@ def parse_config_file(path: str, schema: dict) -> dict:
     return values
 
 
-def parse_config(argv, schema_lookup=None) -> RunConfig:
+def parse_config(argv) -> RunConfig:
     """argparse front end; flags override config-file values."""
-    schemas = schema_lookup or _SCHEMAS
     parser = argparse.ArgumentParser(
         prog="bandedge",
         description="Spectral structure and decay dynamics of a quantum "
         "emitter at a 1-D band edge",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, schema in schemas.items():
+    for name, schema in _SCHEMAS.items():
         aliases = ["jordan-check"] if name == "jordan" else []
         p = sub.add_parser(name, aliases=aliases)
         p.add_argument("--config", default=None)
@@ -181,7 +180,7 @@ def parse_config(argv, schema_lookup=None) -> RunConfig:
                 p.add_argument(flag, type=typ, default=_UNSET, dest=key)
     ns = parser.parse_args(argv)
     name = "jordan" if ns.subcommand == "jordan-check" else ns.subcommand
-    schema = schemas[name]
+    schema = _SCHEMAS[name]
     merged = {k: d for k, (t, d, c) in schema.items()}
     if ns.config is not None:
         merged.update(parse_config_file(ns.config, schema))

@@ -43,7 +43,7 @@ from .bessel import bessel_j, j1_over_t
 from .errors import DomainError, LatticeTruncationError, QuadratureError
 from .model import ModelParams
 from .quadrature import adaptive_quad, panel_nodes, refine_edges
-from .spectrum import DiscreteState, StateClass, near_edge_triplet
+from .spectrum import DiscreteState, StateClass, _monic_roots, near_edge_triplet
 
 WAVEFRONT_MARGIN = 10.0
 # growing-state tail is truncated once e^{-Im E * L} < ~1e-16
@@ -163,14 +163,16 @@ def _verify_panels(E, refs, a, b, panel_vals):
     QuadratureError with the achieved tolerance if any sampled panel
     disagrees with its two-half refinement beyond the per-panel budget.
     """
-    stride = max(1, a.size // _VERIFY_PANELS)
-    sel = np.arange(0, a.size, stride)
-    halves = np.empty(sel.size, dtype=complex)
-    for out_i, k in enumerate(sel):
-        sub_edges = np.array([a[k], 0.5 * (a[k] + b[k]), b[k]])
-        nodes, wts = panel_nodes(sub_edges)
-        vals = wts * np.exp(1j * E * (nodes - refs[k])) * j1_over_t(nodes)
-        halves[out_i] = vals.sum()
+    sel = np.arange(0, a.size, max(1, a.size // _VERIFY_PANELS))
+    # edges (a, mid, b) of every sampled panel in a row; every third panel of
+    # that grid spans the gap to the next sample and is dropped
+    a, b = a[sel], b[sel]
+    nodes, wts = panel_nodes(np.stack([a, 0.5 * (a + b), b], axis=1).ravel())
+    keep = np.arange(nodes.shape[0]) % 3 != 2
+    nodes, wts = nodes[keep], wts[keep]
+    ref = np.repeat(refs[sel], 2)[:, None]
+    vals = wts * np.exp(1j * E * (nodes - ref)) * j1_over_t(nodes)
+    halves = vals.reshape(sel.size, -1).sum(axis=1)
     achieved = float(np.max(np.abs(halves - panel_vals[sel])))
     if achieved > _PANEL_TOL:
         raise QuadratureError(
@@ -178,8 +180,11 @@ def _verify_panels(E, refs, a, b, panel_vals):
         )
 
 
-def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray, verify=False):
-    """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)) on the grid."""
+def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
+    """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)) on the grid.
+
+    A sample of panels of every state is re-checked by ``_verify_panels``.
+    """
     t_max = float(times.max()) if times.size else 0.0
     growing = [s for s in states if s.energy.imag > 1e-12]
     tail = 0.0
@@ -203,8 +208,7 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray, verify=Fal
         if E.imag > 1e-12:
             # backward tail accumulation, all factors contractive
             Q = np.sum(wts * np.exp(1j * E * (nodes - a_edges[:, None])) * f_nodes, axis=1)
-            if verify:
-                _verify_panels(E, a_edges, a_edges, b_edges, Q)
+            _verify_panels(E, a_edges, a_edges, b_edges, Q)
             step = np.exp(1j * E * (b_edges - a_edges))
             W = np.zeros(edges.size, dtype=complex)
             for k in range(a_edges.size - 1, -1, -1):
@@ -213,8 +217,7 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray, verify=Fal
         else:
             # forward accumulation; |e^{-iE dt}| <= 1 for Im E <= 0
             P = np.sum(wts * np.exp(-1j * E * (b_edges[:, None] - nodes)) * f_nodes, axis=1)
-            if verify:
-                _verify_panels(E, b_edges, a_edges, b_edges, P)
+            _verify_panels(E, b_edges, a_edges, b_edges, P)
             step = np.exp(-1j * E * (b_edges - a_edges))
             u = np.zeros(n_main_edges, dtype=complex)
             u[0] = 1.0
@@ -224,14 +227,15 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray, verify=Fal
     return contributions
 
 
-def survival_bessel_sum(params: ModelParams, times, verify: bool = False) -> SurvivalTrace:
+def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
     """Exact three-state survival amplitude from the Bessel representation.
 
     Sums the bound state below the band and the second-sheet pair; the upper
     bound state is omitted, which caps the accuracy at its residue (~1e-5 at
-    g = 0.02, eps_d = -2) plus quadrature error.  With verify=True a sample
-    of panels is re-integrated at half step and a QuadratureError carrying
-    the achieved tolerance is raised on disagreement beyond 1e-10.
+    g = 0.02, eps_d = -2) plus quadrature error.  On every call a sample of
+    panels (at least 512 per state, or all of them) is re-integrated at half
+    step, and a QuadratureError carrying the achieved tolerance is raised on
+    disagreement beyond 1e-10.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
@@ -239,7 +243,7 @@ def survival_bessel_sum(params: ModelParams, times, verify: bool = False) -> Sur
     if np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing")
     tri = near_edge_triplet(params)
-    terms = _bessel_sum_terms(tri, times, verify=verify)
+    terms = _bessel_sum_terms(tri, times)
     amp = sum(terms.values())
     return SurvivalTrace.from_amplitude(times, amp, Method.BESSEL_SUM)
 
@@ -348,7 +352,7 @@ def longtime_amplitude(params: ModelParams, t):
             "the oscillatory late-time law does not apply"
         )
     delta = params.epsilon_d + 2.0
-    y = np.roots([2.0, 0.0, 2.0 * delta, params.g**2])
+    y = _monic_roots(np.array([0.0, delta, 0.5 * params.g**2]))
     c = y**2 / (3.0 * y**2 + delta)
     z = np.exp(0.75j * np.pi) * np.multiply.outer(np.sqrt(t), y)
     return np.exp(2j * t) * (wofz(z) @ c)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, NumericalError
 from .quadrature import adaptive_quad
+from .spectrum import _monic_roots
 
 _HALF_PI = 0.5 * np.pi
 
@@ -95,12 +96,8 @@ def sigma_closed_form(model: GenericSelfEnergyModel, E: float) -> float:
 
 
 def _cubic_roots(delta0: complex, lam0: complex, g: float) -> np.ndarray:
-    r = np.roots([1.0, 0.0, g**2 * delta0, g**2 * lam0])
-    # one Newton pass tightens the companion roots
-    co = np.array([1.0, 0.0, g**2 * delta0, g**2 * lam0], dtype=complex)
-    dco = np.polyder(co)
-    r = r - np.polyval(co, r) / np.polyval(dco, r)
-    return r
+    """Roots x of x^3 + g^2 Delta x + g^2 Lam = 0."""
+    return _monic_roots(np.array([0.0, g**2 * delta0, g**2 * lam0]))
 
 
 def threshold_roots(

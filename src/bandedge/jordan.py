@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import ModelParams
-from .spectrum import near_edge_triplet, threshold_labels
+from .spectrum import lambda_quartic_coeffs, near_edge_triplet, threshold_labels
 
 Mat = tuple[tuple[Fraction, ...], ...]
 
@@ -141,15 +141,15 @@ def verify_jordan_form() -> tuple[bool, np.ndarray]:
 
 
 def eigenvalue_one_defect() -> tuple[int, int]:
-    """(algebraic, geometric) multiplicity of eigenvalue 1 of the limit matrix."""
+    """(algebraic, geometric) multiplicity of eigenvalue 1 of the limit matrix.
+
+    Exact: with N = M - I, the geometric multiplicity is 4 - rank(N) and the
+    algebraic one 4 - rank(N^4), the dimension of the generalized eigenspace.
+    """
     M = _frac_mat(limit_matrix())
-    I = _frac_mat(np.eye(4, dtype=int))
-    MI = tuple(
-        tuple(M[i][j] - I[i][j] for j in range(4)) for i in range(4)
-    )
-    geo = 4 - _rank(MI)
-    # char poly is -(lam-1)^3 (lam+1): algebraic multiplicity 3
-    return 3, geo
+    N = tuple(tuple(M[i][j] - (i == j) for j in range(4)) for i in range(4))
+    N2 = _matmul(N, N)
+    return 4 - _rank(_matmul(N2, N2)), 4 - _rank(N)
 
 
 def jordan_chain_check() -> dict[str, tuple[Fraction, ...]]:
@@ -247,7 +247,4 @@ def pencil_determinant_ratio(params: ModelParams, lam: complex) -> complex:
     """det(A - lam B) / f(lam); equals +/-1 for every lam (pencil <-> quartic)."""
     P = build_pencil(params)
     det = np.linalg.det(P.A - lam * P.B)
-    f = np.polyval(
-        [-1.0, -params.epsilon_d, -params.g**2, params.epsilon_d, 1.0], lam
-    )
-    return det / f
+    return det / np.polyval(lambda_quartic_coeffs(params.epsilon_d, params.g), lam)

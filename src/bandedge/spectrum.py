@@ -9,7 +9,7 @@ E = -lam - 1/lam.  Both are solved in double precision about the threshold
 (y = lam - 1, u = E + 2), where the three roots that cluster at lam = 1 for
 small g form the well-scaled cubic y^3 ~ -g^2/2 instead of losing two thirds
 of their digits to the shift; one batched companion eigensolve plus three
-Newton steps (``_quartic_roots``) serves every solve in the package.
+Newton steps (``_monic_roots``) serves every polynomial solve in the package.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import CUT_TOL, ModelParams
 
-QUARTIC_RESIDUAL_TOL = 1e-12
+ROOT_RESIDUAL_TOL = 1e-12
 # a root counts as real when |Im lam| < REAL_TOL * (1 + |lam|)
 REAL_TOL = 1e-9
 
@@ -77,19 +77,21 @@ def energy_quartic_coeffs(eps_d: complex, g: float) -> np.ndarray:
     )
 
 
-def _quartic_roots(lower: np.ndarray) -> np.ndarray:
-    """Roots of the monic quartics z^4 + lower[..., 0] z^3 + ... + lower[..., 3].
+def _monic_roots(lower: np.ndarray) -> np.ndarray:
+    """Roots of z^n + lower[..., 0] z^(n-1) + ... + lower[..., n-1] (monic rows).
 
-    The one root solver of the package: the (..., 4, 4) companion matrices
-    go through a single batched eigensolve, and each eigenvalue takes three
-    Newton steps, each kept only if it lowers |p|.  Real coefficient rows
-    stay real, so their complex roots come out as exactly conjugate pairs.
-    Raises NumericalError if a normwise residual
-    |p(z)| / (max|c| max(1, |z|)^4) exceeds QUARTIC_RESIDUAL_TOL.
+    The one root solver of the package, for any degree n = lower.shape[-1]:
+    the (..., n, n) companion matrices go through a single batched
+    eigensolve, and each eigenvalue takes three Newton steps, each kept only
+    if it lowers |p|.  Real coefficient rows stay real, so their complex
+    roots come out as exactly conjugate pairs.  Raises NumericalError if a
+    normwise residual |p(z)| / (max|c| max(1, |z|)^n) exceeds
+    ROOT_RESIDUAL_TOL.
     """
-    comp = np.zeros(lower.shape[:-1] + (4, 4), dtype=lower.dtype)
+    n = lower.shape[-1]
+    comp = np.zeros(lower.shape[:-1] + (n, n), dtype=lower.dtype)
     comp[..., 0, :] = -lower
-    comp[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
     z = np.linalg.eigvals(comp).astype(complex)
     p, dp = _horner(lower, z)
     for _ in range(3):
@@ -102,19 +104,19 @@ def _quartic_roots(lower: np.ndarray) -> np.ndarray:
         p = np.where(better, p_new, p)
         dp = np.where(better, dp_new, dp)
     scale = np.maximum(1.0, np.max(np.abs(lower), axis=-1, keepdims=True))
-    worst = np.max(np.abs(p) / (scale * np.maximum(1.0, np.abs(z)) ** 4))
-    if not worst <= QUARTIC_RESIDUAL_TOL:
+    worst = np.max(np.abs(p) / (scale * np.maximum(1.0, np.abs(z)) ** n))
+    if not worst <= ROOT_RESIDUAL_TOL:
         raise NumericalError(
-            f"quartic roots did not converge; worst residual {worst:.3e}",
+            f"polynomial roots did not converge; worst residual {worst:.3e}",
             residual=float(worst),
         )
     return z
 
 
 def _horner(lower, z):
-    """Monic quartic and its derivative at z, coefficient rows broadcast over roots."""
+    """Monic polynomial and its derivative at z, coefficient rows broadcast over roots."""
     p, dp = np.ones_like(z), np.zeros_like(z)
-    for k in range(4):
+    for k in range(lower.shape[-1]):
         dp = dp * z + p
         p = p * z + lower[..., k : k + 1]
     return p, dp
@@ -141,7 +143,7 @@ def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
     lower = np.stack(
         np.broadcast_arrays(2.0 + d, 3.0 * d + g2, 2.0 * (d + g2), g2), axis=-1
     )
-    y = _quartic_roots(lower)
+    y = _monic_roots(lower)
     return 1.0 + y, -2.0 - y * y / (1.0 + y)
 
 
@@ -162,7 +164,7 @@ def solve_energy_quartic(params: ModelParams) -> np.ndarray:
     """
     d = _real_if_real(params.epsilon_d + 2.0)
     lower = np.array([-(4.0 + 2.0 * d), d * d + 8.0 * d, -4.0 * d * d, -params.g**4])
-    return _quartic_roots(lower) - 2.0
+    return _monic_roots(lower) - 2.0
 
 
 def is_real_root(lam: complex) -> bool:

@@ -1,6 +1,6 @@
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import j0 as sp_j0, j1 as sp_j1
 
 from bandedge.bessel import bessel_j, bessel_j_asymptotic, j1_over_t
 from bandedge.errors import DomainError
@@ -20,18 +20,15 @@ def test_reference_values():
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_absolute_accuracy_dense_grid(order):
-    ref = sp_j0 if order == 0 else sp_j1
-    x = np.linspace(0.0, 200.0, 200001)
-    assert np.max(np.abs(bessel_j(order, x) - ref(x))) < 1e-12
-
-
-@pytest.mark.parametrize("order", [0, 1])
-def test_continuity_at_method_switch(order):
-    x = np.linspace(15.999, 16.001, 2001)
-    vals = bessel_j(order, x)
-    assert np.max(np.abs(np.diff(vals))) < 1e-5  # no jump at the branch switch
-    ref = sp_j0 if order == 0 else sp_j1
-    assert np.max(np.abs(vals - ref(x))) < 1e-12
+    # 40-digit references at the exact double arguments, 300 seeded points per
+    # range; the tail reaches the x ~ 1e6 that the longest Bessel grids use,
+    # where reducing the phase x - pi/4 in double precision sets the error
+    rng = np.random.default_rng(20 + order)
+    for lo, hi, bound in [(0.0, 16.0, 1e-14), (16.0, 2e4, 1e-14), (2e4, 1.2e6, 2e-13)]:
+        x = rng.uniform(lo, hi, 300)
+        with mp.workdps(40):
+            ref = np.array([float(mp.besselj(order, mp.mpf(float(v)))) for v in x])
+        assert np.max(np.abs(bessel_j(order, x) - ref)) < bound, (lo, hi)
 
 
 def test_asymptotic_form_agreement():

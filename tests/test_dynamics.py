@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
+from bandedge import dynamics
 from bandedge.dynamics import (
     LatticeConfig,
     asymptotic_plateau,
@@ -18,7 +19,7 @@ from bandedge.dynamics import (
     survival_lattice_oracle,
     survival_longtime_law,
 )
-from bandedge.errors import DomainError, LatticeTruncationError
+from bandedge.errors import DomainError, LatticeTruncationError, QuadratureError
 from bandedge.model import ModelParams
 from bandedge.quadrature import adaptive_quad
 
@@ -133,13 +134,15 @@ class TestBesselSum:
         with pytest.raises(DomainError):
             survival_bessel_sum(params, np.array([0.0, 0.0]))
 
-    def test_panel_verification_clean(self):
-        # half-step refinement of sampled panels agrees to the panel budget
+    def test_panel_check_runs_on_every_call(self, monkeypatch):
+        # a plain call re-checks sampled panels at half step; below any
+        # achievable budget it must fail loudly with the achieved tolerance
         params = ModelParams(epsilon_d=-2.0, g=0.05)
         times = np.arange(0.5, 40.0, 0.5)
-        a = survival_bessel_sum(params, times, verify=True)
-        b = survival_bessel_sum(params, times, verify=False)
-        assert np.array_equal(a.amplitude, b.amplitude)
+        monkeypatch.setattr(dynamics, "_PANEL_TOL", 1e-30)
+        with pytest.raises(QuadratureError) as info:
+            survival_bessel_sum(params, times)
+        assert 0.0 < info.value.residual < 1e-10
 
     def test_resonance_lifetime_scale(self):
         # the exact-quartic lifetime 1/(2 |Im E_R|) sits in the high 160s at

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bandedge import jordan
 from bandedge.jordan import (
     PHI_D,
     PHI_D_PRIME,
@@ -80,6 +81,11 @@ class TestJordanForm:
     def test_defective_multiplicities(self):
         alg, geo = eigenvalue_one_defect()
         assert (alg, geo) == (3, 2)
+
+    def test_multiplicities_are_computed(self, monkeypatch):
+        # a diagonalizable stand-in with eigenvalue 1 twice gives (2, 2)
+        monkeypatch.setattr(jordan, "limit_matrix", lambda: np.diag([-1, 1, 1, 2]))
+        assert eigenvalue_one_defect() == (2, 2)
 
     def test_psi_plus_eigenvector(self):
         M = limit_matrix()

@@ -15,6 +15,7 @@ from bandedge.errors import (
 from bandedge.model import ModelParams
 from bandedge.spectrum import (
     ExpansionKind,
+    _monic_roots,
     StateClass,
     classify_state,
     discrete_spectrum,
@@ -199,6 +200,34 @@ class TestQuarticSolverProperties:
         # ~g^2 / sqrt(eps_d^2 - 4)) that double precision resolves to sqrt(ulp)
         for E in solve_energy_quartic(p):
             assert min(abs(E - w) for w in from_l) <= 2e-7
+
+
+# threshold-cubic coefficients Delta, Lam of x^3 + g^2 Delta x + g^2 Lam
+_CUBIC_COEFFS = st.floats(-3.0, 3.0)
+
+
+class TestCubicRowsThroughTheCore:
+    @_PROPERTY
+    @given(
+        g=_COUPLINGS, delta=_CUBIC_COEFFS, lam=_CUBIC_COEFFS.filter(lambda x: abs(x) > 1e-3)
+    )
+    def test_cubic_roots_match_60_digit_oracle(self, g, delta, lam):
+        # the rows of generic.threshold_roots and, with Delta = delta/g^2 and
+        # Lam = 1/2, of the late-time law; the bound scales with each root's
+        # condition number, which diverges only at the double root
+        row = np.array([0.0, g * g * delta, g * g * lam])
+        roots = _monic_roots(row)
+        assert roots.shape == (3,)
+        with mp.workdps(60):
+            refs = mp.polyroots(
+                [1, 0, mp.mpf(row[1]), mp.mpf(row[2])], maxsteps=400, extraprec=400
+            )
+        for z in roots:
+            ref = complex(_nearest(z, refs))
+            size = abs(ref) ** 3 + abs(row[1] * ref) + abs(row[2])
+            assert abs(z - ref) <= 1e-14 * size / abs(3.0 * ref * ref + row[1])
+        cplx = sorted((z for z in roots if z.imag != 0), key=lambda w: (w.real, w.imag))
+        assert cplx == sorted((z.conjugate() for z in cplx), key=lambda w: (w.real, w.imag))
 
 
 class TestNearEdgeTripletAtWeakCoupling:
