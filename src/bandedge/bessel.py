@@ -1,5 +1,5 @@
-"""Bessel functions J0, J1 with the package's domain checks, plus the
-two-term large-argument forms used by the analytic decay laws.
+"""Bessel functions J0, J1 with the package's domain checks, plus their
+leading large-argument form, kept as a public reference (no route uses it).
 
 The values come from ``scipy.special.j0``/``j1``: within 3.3e-16 absolute
 of 40-digit references on [0, 16], 7.9e-15 up to x = 2e4 and
@@ -32,8 +32,8 @@ def bessel_j(order: int, x):
 def bessel_j_asymptotic(order: int, x):
     """Leading large-x form sqrt(2/(pi x)) cos(x - pi/4 - order pi/2).
 
-    For order 1 this equals sqrt(2/(pi x)) sin(x - pi/4), the form the decay
-    laws use with x = 2t.
+    For order 1 this equals sqrt(2/(pi x)) sin(x - pi/4); with x = 2t it is
+    the large-t behaviour of the J1(2t) in the branch-cut integrals.
     """
     if order not in _J:
         raise DomainError(f"only orders 0 and 1 are implemented, got {order}")

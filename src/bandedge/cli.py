@@ -29,9 +29,7 @@ from .dynamics import (
     intermediate_amplitude,
     longtime_amplitude,
     survival_bessel_sum,
-    survival_intermediate_law,
     survival_lattice_oracle,
-    survival_longtime_law,
 )
 from .ep import all_ep_locations, complex_parameter_sheet, scan_consistency_rows
 from .errors import BandEdgeError, ConfigError
@@ -207,22 +205,22 @@ def parse_config(argv) -> RunConfig:
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
+_STATE_HEADER = ["class", "re_E", "im_E", "re_lambda", "im_lambda",
+                 "re_psid_sq", "im_psid_sq"]
+
+
+def _state_cells(s) -> tuple:
+    return (s.state_class.value, s.energy.real, s.energy.imag,
+            s.lam.real, s.lam.imag, s.psid_sq.real, s.psid_sq.imag)
+
+
 def _run_spectrum(cfg: RunConfig) -> int:
     p = cfg.params
     if p["eps_min"] is not None and p["eps_max"] is not None:
         rows = spectrum_scan(p["g"], p["eps_min"], p["eps_max"], p["step"])
         out = cfg.output or "spectrum_scan.csv"
-        write_csv(
-            out,
-            ["eps_d", "class", "re_E", "im_E", "re_lambda", "im_lambda",
-             "re_psid_sq", "im_psid_sq"],
-            [
-                (r.eps_d, r.state.state_class.value, r.state.energy.real,
-                 r.state.energy.imag, r.state.lam.real, r.state.lam.imag,
-                 r.state.psid_sq.real, r.state.psid_sq.imag)
-                for r in rows
-            ],
-        )
+        write_csv(out, ["eps_d"] + _STATE_HEADER,
+                  [(r.eps_d, *_state_cells(r.state)) for r in rows])
         print(f"wrote {out} ({len(rows)} rows)")
         return 0
     params = ModelParams(epsilon_d=p["eps_d"], g=p["g"])
@@ -236,16 +234,7 @@ def _run_spectrum(cfg: RunConfig) -> int:
             f"{s.lam.imag:+.12f}i"
         )
     if cfg.output:
-        write_csv(
-            cfg.output,
-            ["class", "re_E", "im_E", "re_lambda", "im_lambda",
-             "re_psid_sq", "im_psid_sq"],
-            [
-                (s.state_class.value, s.energy.real, s.energy.imag,
-                 s.lam.real, s.lam.imag, s.psid_sq.real, s.psid_sq.imag)
-                for s in states
-            ],
-        )
+        write_csv(cfg.output, _STATE_HEADER, [_state_cells(s) for s in states])
         print(f"wrote {cfg.output}")
     return 0
 
@@ -299,23 +288,9 @@ def _run_dynamics(cfg: RunConfig) -> int:
     p = cfg.params
     params = ModelParams(epsilon_d=p["eps_d"], g=p["g"])
     times = np.arange(0.0, p["t_max"] + 1e-9, p["dt"])
-    method = p["method"]
-    traces = []
-    if method in ("oracle", "all"):
-        n = p["n_sites"] or int(2 * p["t_max"] + 50)
-        traces.append(
-            survival_lattice_oracle(params, LatticeConfig(n, p["t_max"]), times)
-        )
-    if method in ("bessel", "all"):
-        traces.append(survival_bessel_sum(params, times))
-    if method in ("intermediate", "all"):
-        ti = _intermediate_window(p["g"], times)
-        traces.append(SurvivalTrace.from_amplitude(
-            ti, intermediate_amplitude(p["g"], ti), Method.INTERMEDIATE_LAW))
-    if method in ("longtime", "all"):
-        tl = times[times > 0]
-        traces.append(SurvivalTrace.from_amplitude(
-            tl, longtime_amplitude(params, tl), Method.LONG_TIME_LAW))
+    want = _METHODS if p["method"] == "all" else {p["method"]}
+    n_sites = p["n_sites"] or int(2 * p["t_max"] + 50)
+    traces = _survival_traces(params, times, want, n_sites, p["t_max"])
     out = cfg.output or "dynamics.csv"
     rows = []
     for tr in traces:
@@ -330,9 +305,25 @@ def _run_dynamics(cfg: RunConfig) -> int:
     return 0
 
 
-def _intermediate_window(g: float, times: np.ndarray) -> np.ndarray:
-    """The times inside the t^{3/2} law's window t <= g^(-4/3)."""
-    return times[g ** (4.0 / 3.0) * times <= 1.0]
+def _survival_traces(params, times, want, n_sites: int, t_max: float):
+    """Survival traces of the routes named in want, in the order oracle,
+    bessel, intermediate, longtime.  The lattice of n_sites is trusted up to
+    t_max; the t^{3/2} law keeps to its window t <= g^(-4/3)."""
+    traces = []
+    if "oracle" in want:
+        lattice = LatticeConfig(n_sites, t_max)
+        traces.append(survival_lattice_oracle(params, lattice, times))
+    if "bessel" in want:
+        traces.append(survival_bessel_sum(params, times))
+    if "intermediate" in want:
+        ti = times[params.g ** (4.0 / 3.0) * times <= 1.0]
+        traces.append(SurvivalTrace.from_amplitude(
+            ti, intermediate_amplitude(params.g, ti), Method.INTERMEDIATE_LAW))
+    if "longtime" in want:
+        tl = times[times > 0]
+        traces.append(SurvivalTrace.from_amplitude(
+            tl, longtime_amplitude(params, tl), Method.LONG_TIME_LAW))
+    return traces
 
 
 def _gnuplot_dynamics(csv_name: str) -> str:
@@ -430,16 +421,11 @@ def _fig5(outdir: Path) -> None:
     """Survival probability panels at g = 0.02, eps_d = -2."""
     params = ModelParams(epsilon_d=-2.0, g=0.02)
     times = np.arange(0.0, 600.0 + 1e-9, 0.5)
-    oracle = survival_lattice_oracle(params, LatticeConfig(1500, 600.0), times)
-    ti = _intermediate_window(0.02, times)
-    t_pos = times[times > 0]
-    rows = [(t, p, "oracle") for t, p in zip(times, oracle.probability)]
-    rows += [
-        (t, p, "intermediate") for t, p in zip(ti, survival_intermediate_law(0.02, ti))
-    ]
-    rows += [
-        (t, p, "longtime") for t, p in zip(t_pos, survival_longtime_law(params, t_pos))
-    ]
+    labels = {Method.LATTICE_ORACLE: "oracle", Method.LONG_TIME_LAW: "longtime",
+              Method.INTERMEDIATE_LAW: "intermediate"}
+    traces = _survival_traces(params, times, set(labels.values()), 1500, 600.0)
+    rows = [(t, P, labels[tr.method]) for tr in traces
+            for t, P in zip(tr.times, tr.probability)]
     csv = outdir / "fig5_survival.csv"
     write_csv(csv, ["t", "P", "method"], rows)
     plateau = asymptotic_plateau(params)

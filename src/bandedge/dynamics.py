@@ -19,15 +19,15 @@ Routes
    t^{3/2} law at small t and to the pole-plus-t^{-3/2}-tail form at large t,
    and the exact asymptotic plateau.
 
-Numerical stability of route 2: the running integrals are accumulated
-panel-by-panel with phase referencing, so no exponentially large intermediate
-ever appears.  States with Im E > 0 (anti-resonances, where e^{-iEt} grows)
-are rewritten through the tail integral
+Numerical stability of route 2: each state integrates the requested window
+only, panel by panel with phase referencing, so no exponentially large
+intermediate ever appears.  States with Im E > 0 (anti-resonances, where
+e^{-iEt} grows) are rewritten through the tail integral
 
     e^{-iEt} (1 - i lam I(t)) = i lam e^{-iEt} int_t^inf e^{iEt'} J1(2t')/t' dt'
 
 (the infinite-time bracket vanishes identically, a closed-form Laplace
-identity) and accumulated backwards, where every factor is contractive.
+identity) and accumulated backwards from one contractive sum over the tail.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ _TAIL_DECADES = 38.0
 _H_MAX = 0.25
 _PANEL_TOL = 1e-10
 _VERIFY_PANELS = 512
+_BLOCK_PANELS = 4096  # panels per vectorized block, so temporaries do not grow with the tail
 
 
 class Method(Enum):
@@ -163,6 +164,8 @@ def _verify_panels(E, refs, a, b, panel_vals):
     QuadratureError with the achieved tolerance if any sampled panel
     disagrees with its two-half refinement beyond the per-panel budget.
     """
+    if a.size == 0:  # a window that ends at t = 0 has no panels
+        return
     sel = np.arange(0, a.size, max(1, a.size // _VERIFY_PANELS))
     # edges (a, mid, b) of every sampled panel in a row; every third panel of
     # that grid spans the gap to the next sample and is dropped
@@ -180,49 +183,51 @@ def _verify_panels(E, refs, a, b, panel_vals):
         )
 
 
-def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
-    """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)) on the grid.
+def _panel_integrals(E, edges):
+    """Checked int_a^b e^{iE(t' - ref)} J1(2t')/t' dt' per panel, with ref the
+    contractive edge: the right one for Im E <= 0, the left one for Im E > 0."""
+    ref = edges[:-1] if E.imag > 1e-12 else edges[1:]
+    vals = np.empty(ref.size, dtype=complex)
+    for i in range(0, ref.size, _BLOCK_PANELS):
+        nodes, wts = panel_nodes(edges[i : i + _BLOCK_PANELS + 1])
+        phase = np.exp(1j * E * (nodes - ref[i : i + _BLOCK_PANELS, None]))
+        vals[i : i + _BLOCK_PANELS] = np.sum(wts * phase * j1_over_t(nodes), axis=1)
+    _verify_panels(E, ref, edges[:-1], edges[1:], vals)
+    return vals
 
-    A sample of panels of every state is re-checked by ``_verify_panels``.
+
+def _recurrence(start, step, inc):
+    """x[0] = start, x[k+1] = step[k] x[k] + inc[k]; reversed arrays run it backward."""
+    x = np.full(step.size + 1, start, dtype=complex)
+    for k in range(step.size):
+        x[k + 1] = step[k] * x[k] + inc[k]
+    return x
+
+
+def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
+    """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)) on the times.
+
+    Every state reads the window [0, max(times)] only; a growing state's tail
+    beyond it is the start value of its backward pass.
     """
-    t_max = float(times.max()) if times.size else 0.0
-    growing = [s for s in states if s.energy.imag > 1e-12]
-    tail = 0.0
-    if growing:
-        b_min = min(s.energy.imag for s in growing)
-        tail = min(_TAIL_DECADES / b_min, 5e5)
     edges = refine_edges(times, _H_MAX)
-    n_main_edges = edges.size
-    if tail > 0.0:
-        tail_edges = refine_edges(np.array([t_max + tail]), _H_MAX, start=t_max)
-        edges = np.concatenate([edges, tail_edges[1:]])
-    nodes, wts = panel_nodes(edges)
-    f_nodes = j1_over_t(nodes)
-    a_edges, b_edges = edges[:-1], edges[1:]
+    t_max, h = edges[-1], np.diff(edges)
     # grid times are panel edges by construction; the epsilon keeps requested
     # times that collide within the refinement guard on the left edge
     idx = np.searchsorted(edges, times - 1e-12)
     contributions = {}
     for s in states:
         E, lam, nd = s.energy, s.lam, s.psid_sq
+        vals = _panel_integrals(E, edges)
         if E.imag > 1e-12:
-            # backward tail accumulation, all factors contractive
-            Q = np.sum(wts * np.exp(1j * E * (nodes - a_edges[:, None])) * f_nodes, axis=1)
-            _verify_panels(E, a_edges, a_edges, b_edges, Q)
-            step = np.exp(1j * E * (b_edges - a_edges))
-            W = np.zeros(edges.size, dtype=complex)
-            for k in range(a_edges.size - 1, -1, -1):
-                W[k] = Q[k] + step[k] * W[k + 1]
+            end = np.array([t_max + min(_TAIL_DECADES / E.imag, 5e5)])
+            tail_edges = refine_edges(end, _H_MAX, start=t_max)
+            tail = _panel_integrals(E, tail_edges)
+            w_end = np.exp(1j * E * (tail_edges[:-1] - t_max)) @ tail
+            W = _recurrence(w_end, np.exp(1j * E * h)[::-1], vals[::-1])[::-1]
             contributions[s] = nd * 1j * lam * W[idx]
         else:
-            # forward accumulation; |e^{-iE dt}| <= 1 for Im E <= 0
-            P = np.sum(wts * np.exp(-1j * E * (b_edges[:, None] - nodes)) * f_nodes, axis=1)
-            _verify_panels(E, b_edges, a_edges, b_edges, P)
-            step = np.exp(-1j * E * (b_edges - a_edges))
-            u = np.zeros(n_main_edges, dtype=complex)
-            u[0] = 1.0
-            for k in range(n_main_edges - 1):
-                u[k + 1] = step[k] * u[k] - 1j * lam * P[k]
+            u = _recurrence(1.0, np.exp(-1j * E * h), -1j * lam * vals)
             contributions[s] = nd * u[idx]
     return contributions
 
@@ -233,18 +238,16 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
     Sums the bound state below the band and the second-sheet pair; the upper
     bound state is omitted, which caps the accuracy at its residue (~1e-5 at
     g = 0.02, eps_d = -2) plus quadrature error.  On every call a sample of
-    panels (at least 512 per state, or all of them) is re-integrated at half
-    step, and a QuadratureError carrying the achieved tolerance is raised on
-    disagreement beyond 1e-10.
+    every state's window panels and of the tail panels (at least 512 each,
+    or all of them) is re-integrated at half step, and a QuadratureError
+    carrying the achieved tolerance is raised on disagreement beyond 1e-10.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise DomainError("times must be >= 0")
     if np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing")
-    tri = near_edge_triplet(params)
-    terms = _bessel_sum_terms(tri, times)
-    amp = sum(terms.values())
+    amp = sum(_bessel_sum_terms(near_edge_triplet(params), times).values())
     return SurvivalTrace.from_amplitude(times, amp, Method.BESSEL_SUM)
 
 
@@ -365,8 +368,7 @@ def survival_longtime_law(params: ModelParams, t):
 
 def asymptotic_plateau(params: ModelParams) -> float:
     """P(inf) = |<d|psi_B>^2 (1 - lam_B^2)|^2, the trapped bound-state weight."""
-    tri = near_edge_triplet(params)
-    bound = next(s for s in tri if s.state_class is StateClass.BOUND_LOWER)
+    bound = next(s for s in near_edge_triplet(params) if s.state_class is StateClass.BOUND_LOWER)
     return float(abs(bound.psid_sq * (1.0 - bound.lam**2)) ** 2)
 
 
@@ -382,9 +384,7 @@ def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, compl
     t = float(t)
     tri = near_edge_triplet(params)
     pole_sum = sum(s.psid_sq * np.exp(-1j * s.energy * t) for s in tri)
-    times = np.array([0.0, t]) if t > 0 else np.array([0.0])
-    terms = _bessel_sum_terms(tri, times)
-    total = sum(v[-1] for v in terms.values())
+    total = sum(v[0] for v in _bessel_sum_terms(tri, np.array([t])).values())
     return complex(pole_sum), complex(total - pole_sum)
 
 

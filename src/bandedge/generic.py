@@ -95,11 +95,6 @@ def sigma_closed_form(model: GenericSelfEnergyModel, E: float) -> float:
     return model.g**2 * d + model.g**2 * l / np.sqrt(model.e_th - E)
 
 
-def _cubic_roots(delta0: complex, lam0: complex, g: float) -> np.ndarray:
-    """Roots x of x^3 + g^2 Delta x + g^2 Lam = 0."""
-    return _monic_roots(np.array([0.0, g**2 * delta0, g**2 * lam0]))
-
-
 def threshold_roots(
     model: GenericSelfEnergyModel, refine: bool = False, tol: float = 1e-10
 ):
@@ -116,37 +111,33 @@ def threshold_roots(
     d0, l0 = model.delta_at_threshold(), model.lam_at_threshold()
     if l0 == 0:
         raise DomainError("Lam(E_th) = 0: no inverse-square-root divergence")
-    xs = _cubic_roots(d0, l0, g)
+    xs = _monic_roots(np.array([0.0, g**2 * d0, g**2 * l0]))
     energies = model.e_th - xs**2
     if not refine:
         return energies, True
-    out = []
-    converged = True
-    for x0, E0 in zip(xs, energies):
-        x, E = x0, E0
-        ok = False
-        for _ in range(80):
-            d = complex(np.asarray(model.delta(np.array([E])))[0])
-            l = complex(np.asarray(model.lam_coeff(np.array([E])))[0])
-            roots = _cubic_roots(d, l, g)
-            x_new = roots[np.argmin(np.abs(roots - x))]
-            E_new = model.e_th - x_new**2
-            if abs(E_new - E) < tol * (1.0 + abs(E_new)):
-                x, E, ok = x_new, E_new, True
-                break
-            x, E = x_new, E_new
-        if not ok:
-            converged = False
-            x, E = x0, E0
-        out.append(E)
-    if not converged:
-        warnings.warn(
-            "self-consistent refinement did not converge; "
-            "returning frozen-coefficient roots",
-            stacklevel=2,
-        )
-        return energies, False
-    return np.array(out), True
+    # the three roots iterate as one row stack and a converged root stops;
+    # `energies` stays untouched as the frozen-coefficient fallback
+    x, E = xs.copy(), energies.copy()
+    done = np.zeros(x.size, dtype=bool)
+    for _ in range(80):
+        live = ~done
+        d = np.asarray(model.delta(E[live]), dtype=complex)
+        l = np.asarray(model.lam_coeff(E[live]), dtype=complex)
+        rows = np.stack([np.zeros_like(d), g**2 * d, g**2 * l], axis=1)
+        roots = _monic_roots(rows)
+        pick = np.argmin(np.abs(roots - x[live, None]), axis=1)
+        x_new = roots[np.arange(pick.size), pick]
+        E_new = model.e_th - x_new**2
+        done[live] = np.abs(E_new - E[live]) < tol * (1.0 + np.abs(E_new))
+        x[live], E[live] = x_new, E_new
+        if done.all():
+            return E, True
+    warnings.warn(
+        "self-consistent refinement did not converge; "
+        "returning frozen-coefficient roots",
+        stacklevel=2,
+    )
+    return energies, False
 
 
 def leading_root_approx(model: GenericSelfEnergyModel) -> float:

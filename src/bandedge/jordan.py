@@ -61,30 +61,17 @@ def _matvec(X: Mat, v) -> tuple[Fraction, ...]:
     return tuple(sum(X[i][k] * Fraction(v[k]) for k in range(len(v))) for i in range(len(v)))
 
 
-def _inverse(X: Mat) -> Mat:
-    n = len(X)
-    aug = [list(X[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _rref(rows) -> tuple[list[list[Fraction]], int]:
+    """Exact Gauss-Jordan reduction: the reduced rows and the rank.
+
+    Pivots are sought in the first len(rows) columns, so a square matrix
+    with the identity appended reduces to [I | X^{-1}] when X is regular.
+    """
+    rows = [list(r) for r in rows]
+    n, rank = len(rows), 0
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ConsistencyError("singular matrix in exact inverse")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _rank(X: Mat) -> int:
-    rows = [list(r) for r in X]
-    n, rank, col = len(rows), 0, 0
-    while col < n and rank < n:
         piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         p = rows[rank][col]
@@ -94,8 +81,16 @@ def _rank(X: Mat) -> int:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
-        col += 1
-    return rank
+    return rows, rank
+
+
+def _inverse(X: Mat) -> Mat:
+    n = len(X)
+    aug = [list(X[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows, rank = _rref(aug)
+    if rank < n:
+        raise ConsistencyError("singular matrix in exact inverse")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 # --- the g = 0, eps_d = -2 limit ---------------------------------------------
@@ -110,17 +105,10 @@ PSI_MINUS = (1, 0, 1, 0)   # eigenvalue +1; merged with the lower band edge
 JORDAN_FORM = _frac_mat([[-1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
-def _limit_A() -> Mat:
-    return _frac_mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, -2]])
-
-
-def _limit_B() -> Mat:
-    return _frac_mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
-
-
 def limit_matrix() -> np.ndarray:
     """B^{-1} A at g = 0, eps_d = -2 (exact integer entries)."""
-    M = _matmul(_inverse(_limit_B()), _limit_A())
+    P = build_pencil(ModelParams(epsilon_d=-2.0, g=0.0))
+    M = _matmul(_inverse(_frac_mat(P.B)), _frac_mat(P.A))
     return np.array([[int(x) for x in row] for row in M])
 
 
@@ -149,7 +137,7 @@ def eigenvalue_one_defect() -> tuple[int, int]:
     M = _frac_mat(limit_matrix())
     N = tuple(tuple(M[i][j] - (i == j) for j in range(4)) for i in range(4))
     N2 = _matmul(N, N)
-    return 4 - _rank(_matmul(N2, N2)), 4 - _rank(N)
+    return 4 - _rref(_matmul(N2, N2))[1], 4 - _rref(N)[1]
 
 
 def jordan_chain_check() -> dict[str, tuple[Fraction, ...]]:

@@ -126,6 +126,18 @@ class TestRunners:
         assert len(lines) == 22
         assert lines[1].endswith(",BesselSum")
 
+    def test_dynamics_bessel_at_zero_time_only(self, tmp_path):
+        # t_max < dt leaves t = 0 alone: a Bessel window without panels
+        out = tmp_path / "dyn.csv"
+        assert main([
+            "dynamics", "--method", "bessel", "--eps-d", "-2.1", "--g", "0.1",
+            "--t-max", "0.3", "--dt", "0.5", "-o", str(out),
+        ]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("0.0000000000000000e+00,")
+        assert lines[1].endswith(",BesselSum")
+
     def test_dynamics_all_law_rows_are_probabilities(self, tmp_path):
         # t_max = 200 runs past 2.42 g^(-4/3) = 131, where the t^{3/2} law
         # would pass P = 1; its rows stop at the window edge g^(-4/3) = 54.3

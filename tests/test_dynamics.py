@@ -22,6 +22,7 @@ from bandedge.dynamics import (
 from bandedge.errors import DomainError, LatticeTruncationError, QuadratureError
 from bandedge.model import ModelParams
 from bandedge.quadrature import adaptive_quad
+from bandedge.spectrum import near_edge_triplet
 
 # 40-digit quartic values at eps_d = -2, g = 0.02
 E_B_G002 = -2.00341897805318488
@@ -143,6 +144,52 @@ class TestBesselSum:
         with pytest.raises(QuadratureError) as info:
             survival_bessel_sum(params, times)
         assert 0.0 < info.value.residual < 1e-10
+
+    def test_panel_check_covers_the_tail(self, monkeypatch):
+        # t = 0 alone leaves the window without panels, so only the
+        # anti-resonance tail panels are there to fail the check
+        monkeypatch.setattr(dynamics, "_PANEL_TOL", 1e-30)
+        with pytest.raises(QuadratureError) as info:
+            survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=0.05), [0.0])
+        assert 0.0 < info.value.residual < 1e-10
+
+    def test_block_size_leaves_the_bits(self, monkeypatch):
+        # panels are integrated in blocks to bound the temporaries; the block
+        # boundaries, a short last block included, must not change one bit
+        params, times = ModelParams(epsilon_d=-2.0, g=0.05), np.arange(0.0, 60.0, 0.5)
+        whole = survival_bessel_sum(params, times).amplitude
+        monkeypatch.setattr(dynamics, "_BLOCK_PANELS", 7)
+        assert np.array_equal(survival_bessel_sum(params, times).amplitude, whole)
+
+    def test_only_the_growing_state_reads_past_the_window(self, monkeypatch):
+        # every state integrates [0, max t]; the anti-resonance alone adds
+        # one tail grid, which starts at max t
+        calls = []
+        real = dynamics._panel_integrals
+
+        def spy(E, edges):
+            calls.append((E.imag > 0, edges[0], edges[-1]))
+            return real(E, edges)
+
+        monkeypatch.setattr(dynamics, "_panel_integrals", spy)
+        params = ModelParams(epsilon_d=-2.0, g=0.05)
+        survival_bessel_sum(params, np.arange(0.0, 40.0, 0.5))
+        assert calls.count((False, 0.0, 39.5)) == 2
+        assert calls.count((True, 0.0, 39.5)) == 1
+        tail = [c for c in calls if c[2] > 39.5]
+        assert len(tail) == 1 and tail[0][:2] == (True, 39.5)
+
+    def test_window_without_panels(self):
+        # no state grows at these parameters, so at t = 0 every state gives
+        # exactly its residue; no time at all gives an empty trace
+        params = ModelParams(epsilon_d=-2.1, g=0.1)
+        tri = near_edge_triplet(params)
+        assert all(s.energy.imag <= 0 for s in tri)
+        residues = sum(s.psid_sq for s in tri)
+        tr = survival_bessel_sum(params, [0.0])
+        assert tr.amplitude[0] == pytest.approx(residues, abs=1e-15)
+        empty = survival_bessel_sum(params, [])
+        assert empty.amplitude.size == 0 and empty.probability.size == 0
 
     def test_resonance_lifetime_scale(self):
         # the exact-quartic lifetime 1/(2 |Im E_R|) sits in the high 160s at
@@ -308,6 +355,14 @@ class TestExpansionTermChecks:
         t32_term = 2.0 / (3.0 * np.sqrt(np.pi)) * g**2 * t**1.5
         assert residual == pytest.approx(t32_term, rel=5e-2)
         assert abs(total - intermediate_amplitude(g, t)) < 0.05 * residual
+
+    def test_zero_time(self):
+        # at t = 0 the window has no panels and the integrals vanish
+        params = ModelParams(epsilon_d=-2.1, g=0.1)
+        pole_sum, integral_sum = expansion_term_checks(params, 0.0)
+        residues = sum(s.psid_sq for s in near_edge_triplet(params))
+        assert pole_sum == pytest.approx(residues, abs=1e-15)
+        assert integral_sum == pytest.approx(0.0, abs=1e-15)
 
 
 class TestDominantFrequency:
