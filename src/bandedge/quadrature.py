@@ -67,11 +67,31 @@ def panel_nodes(edges: np.ndarray):
 
 def refine_edges(points: np.ndarray, h_max: float, start: float = 0.0) -> np.ndarray:
     """Edge grid covering [start, points.max()] that contains every point and
-    has no panel longer than h_max."""
-    edges = [float(start)]
-    for t in np.asarray(points, dtype=float):
-        if t > edges[-1] + 1e-12:
-            n = int(np.ceil((t - edges[-1]) / h_max - 1e-12))
-            seg = np.linspace(edges[-1], t, max(n, 1) + 1)[1:]
-            edges.extend(seg.tolist())
-    return np.asarray(edges)
+    has no panel longer than h_max.
+
+    Points are taken in order; one joins the grid only if it exceeds the last
+    point joined (start at first) by more than 1e-12.  Each gap between
+    joined points is split evenly, exactly as ``np.linspace`` would split it.
+    """
+    start = float(start)
+    p = np.asarray(points, dtype=float)
+    # a point not above the largest point before it (or start) never joins
+    # and one above it by more than 1e-12 always does; only a point within
+    # 1e-12 above it depends on which of the points before it joined
+    before = np.maximum.accumulate(np.concatenate(([start], p)))[:-1]
+    joined = p > before + 1e-12
+    unsure = np.flatnonzero((p > before) & ~joined)
+    if unsure.size:
+        last = np.maximum.accumulate(np.concatenate(([start], np.where(joined, p, start))))
+        held = start
+        for i in unsure:
+            if p[i] > max(held, last[i]) + 1e-12:
+                joined[i], held = True, p[i]
+    knots = np.concatenate(([start], p[joined]))
+    gap = np.diff(knots)
+    n = np.maximum(np.ceil(gap / h_max - 1e-12).astype(int), 1)
+    first = np.cumsum(n) - n
+    k = np.arange(n.sum()) - np.repeat(first, n) + 1.0
+    edges = k * np.repeat(gap / n, n) + np.repeat(knots[:-1], n)
+    edges[first + n - 1] = knots[1:]
+    return np.concatenate(([start], edges))

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,7 +22,7 @@ from bandedge.dynamics import (
 )
 from bandedge.errors import DomainError, LatticeTruncationError, QuadratureError
 from bandedge.model import ModelParams
-from bandedge.quadrature import adaptive_quad
+from bandedge.quadrature import adaptive_quad, refine_edges
 from bandedge.spectrum import near_edge_triplet
 
 # 40-digit quartic values at eps_d = -2, g = 0.02
@@ -41,6 +42,27 @@ class TestQuadratureHelper:
     def test_oscillatory_complex(self):
         val = adaptive_quad(lambda x: np.exp(1j * x), 0.0, 20 * np.pi, tol=1e-12)
         assert abs(val) < 1e-11
+
+    def test_refine_edges_matches_sequential_loop(self):
+        def loop(points, h_max, start):
+            # the sequential rule, one np.linspace per joined point
+            edges = [start]
+            for t in points:
+                if t > edges[-1] + 1e-12:
+                    n = int(np.ceil((t - edges[-1]) / h_max - 1e-12))
+                    edges.extend(np.linspace(edges[-1], t, max(n, 1) + 1)[1:].tolist())
+            return np.asarray(edges)
+
+        rng = np.random.default_rng(7)
+        # 5 + 1.8e-12 joins only because 5 + 0.9e-12 before it does not
+        cluster = [5.0, 5.0 + 0.9e-12, 5.0 + 1.8e-12]
+        for _ in range(50):
+            base = rng.uniform(-1.0, 40.0, 30)
+            near = base[:5] + rng.uniform(0.0, 3e-12, (3, 5))
+            points = np.unique(np.concatenate([base, near.ravel(), cluster, [0.0]]))
+            for h_max, start in ((0.25, 0.0), (1.7, 2.0)):
+                expected = loop(points, h_max, start)
+                assert np.array_equal(refine_edges(points, h_max, start), expected)
 
 
 class TestLatticeOracle:
@@ -67,7 +89,79 @@ class TestLatticeOracle:
 
     def test_unitarity(self):
         _, weights = lattice_spectrum(ModelParams(epsilon_d=-2.0, g=0.3), 500)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_weights_match_secular_reference(self):
+        # 30-digit Newton solve of lam - eps_d - g^2 G(lam) = 0, with G the
+        # folded chain's site-0 Green's function summed over its N + 1 poles
+        # (each of weight 1/(N + 1)); the bound state and the 8 lowest band
+        # states, where the residues are most sensitive to lam - mu_j
+        params, n = ModelParams(epsilon_d=-2.0, g=5e-3), 250
+        evals, weights = lattice_spectrum(params, n)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        with mp.workdps(30):
+            s = n + 1
+            mu = [2 * mp.cos(j * mp.pi / (2 * s)) for j in range(1, 2 * s, 2)]
+            g2, eps = mp.mpf(params.g) ** 2, mp.mpf(params.epsilon_d)
+            for lam0, w in zip(evals[:9], weights[:9]):
+                lam = mp.mpf(lam0)
+                for _ in range(4):
+                    G = mp.fsum(1 / (lam - m) for m in mu) / s
+                    dG = -mp.fsum(1 / (lam - m) ** 2 for m in mu) / s
+                    lam -= (lam - eps - g2 * G) / (1 - g2 * dG)
+                dG = -mp.fsum(1 / (lam - m) ** 2 for m in mu) / s
+                assert abs(lam0 - lam) <= 1e-15
+                assert abs(w - 1 / (1 - g2 * dG)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "eps_d, g, n",
+        [(0.0, 0.3, 99), (1.0, 0.3, 299), (-1.7, 0.0, 40)],
+        ids=["midpoint-pi/2", "midpoint-pi/3", "decoupled"],
+    )
+    def test_hard_points_match_dense(self, eps_d, g, n):
+        # a dot level at a chain midpoint angle (2 N + 2) phi / pi even puts
+        # an eigenvalue halfway between two chain poles; at g = 0 the dot
+        # decouples
+        params = ModelParams(epsilon_d=eps_d, g=g)
+        evals, weights = lattice_spectrum(params, n)
+        w_d, v_d = eigh(dense_lattice_hamiltonian(params, n))
+        t = np.linspace(0.0, 30.0, 61)
+        a_folded = np.exp(-1j * np.outer(t, evals)) @ weights
+        a_dense = np.exp(-1j * np.outer(t, w_d)) @ v_d[-1, :] ** 2
+        assert np.max(np.abs(a_folded - a_dense)) < 1e-12
+        assert abs(weights.sum() - 1.0) <= 1e-14
+
+    def test_deep_bound_state_matches_dense(self):
+        # (N + 1) kappa = 758 > 710: sin and cos of (N + 1) psi overflow
+        params, n = ModelParams(epsilon_d=-2.0, g=1.0), 1000
+        evals, weights = lattice_spectrum(params, n)
+        w_d, v_d = eigh(dense_lattice_hamiltonian(params, n), subset_by_index=[0, 0])
+        assert (n + 1) * np.arccosh(-evals[0] / 2.0) > 710.0
+        assert evals[0] == pytest.approx(w_d[0], abs=1e-13)
+        assert weights[0] == pytest.approx(v_d[-1, 0] ** 2, abs=1e-14)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "times",
+        [np.array([37.5]), np.linspace(0.0, 100.0, 97), 13.25 + 0.5 * np.arange(150)],
+        ids=["K=1", "prime-K", "t0>0"],
+    )
+    def test_factored_sum_matches_direct(self, times):
+        params, n = ModelParams(epsilon_d=-2.0, g=0.05), 250
+        evals, weights = lattice_spectrum(params, n)
+        direct = np.exp(-1j * np.outer(times, evals)) @ weights
+        tr = survival_lattice_oracle(params, LatticeConfig(n, 100.0), times)
+        assert np.max(np.abs(tr.amplitude - direct)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "times",
+        [[-600.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]],
+        ids=["negative", "unsorted", "non-uniform"],
+    )
+    def test_rejects_times_off_a_uniform_grid(self, times):
+        cfg = LatticeConfig(n_sites=200, t_max=60.0)
+        with pytest.raises(DomainError):
+            survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=0.3), cfg, times)
 
     def test_decoupled_stays_put(self):
         cfg = LatticeConfig(n_sites=64, t_max=20.0)
