@@ -58,7 +58,7 @@ from .jordan import (
     limiting_combinations,
     verify_jordan_form,
 )
-from .bessel import bessel_j, bessel_j_asymptotic
+from .bessel import bessel_j
 from .dynamics import (
     LatticeConfig,
     Method,

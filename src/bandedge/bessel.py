@@ -1,5 +1,4 @@
-"""Bessel functions J0, J1 with the package's domain checks, plus their
-leading large-argument form, kept as a public reference (no route uses it).
+"""Bessel functions J0, J1 with the package's domain checks.
 
 The values come from ``scipy.special.j0``/``j1``: within 3.3e-16 absolute
 of 40-digit references on [0, 16], 7.9e-15 up to x = 2e4 and
@@ -27,20 +26,6 @@ def bessel_j(order: int, x):
         raise DomainError("bessel_j requires x >= 0")
     out = _J[order](x)
     return float(out[0]) if scalar else out
-
-
-def bessel_j_asymptotic(order: int, x):
-    """Leading large-x form sqrt(2/(pi x)) cos(x - pi/4 - order pi/2).
-
-    For order 1 this equals sqrt(2/(pi x)) sin(x - pi/4); with x = 2t it is
-    the large-t behaviour of the J1(2t) in the branch-cut integrals.
-    """
-    if order not in _J:
-        raise DomainError(f"only orders 0 and 1 are implemented, got {order}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("asymptotic form requires x > 0")
-    return np.sqrt(2.0 / (np.pi * x)) * np.cos(x - np.pi / 4.0 - order * np.pi / 2.0)
 
 
 def j1_over_t(t):

@@ -9,13 +9,12 @@ Routes
    N > 2 t_max + 10 keeps the wavefront (group velocity at most 2) from
    returning within the requested window.
 2. ``survival_bessel_sum``: the exact pole/branch-cut representation.  Each
-   near-edge state j contributes
+   of the four discrete states j contributes
 
        <d|psi_j>^2 e^{-i E_j t} (1 - i lam_j I_j(t)),
        I_j(t) = int_0^t e^{i E_j t'} J1(2t') / t' dt',
 
-   with the upper bound state neglected (its residue is g^2/32 + O(g^4) at
-   threshold).
+   and the four residues <d|psi_j>^2 sum to 1.
 3. Analytic laws: the t^{3/2} law of the intermediate window
    1 < t << g^(-4/3), a closed-form near-edge law (Faddeeva functions of the
    three threshold roots) that holds over the whole decay and reduces to the
@@ -30,7 +29,18 @@ e^{-iEt} grows) are rewritten through the tail integral
     e^{-iEt} (1 - i lam I(t)) = i lam e^{-iEt} int_t^inf e^{iEt'} J1(2t')/t' dt'
 
 (the infinite-time bracket vanishes identically, a closed-form Laplace
-identity) and accumulated backwards from one contractive sum over the tail.
+identity) and accumulated backwards from its value at the end of the window,
+t_m.  That start value takes checked panels on [t_m, 25] (none if t_m >= 25)
+and, from T = max(t_m, 25) on, 16 terms of the Hankel expansion of J1, each
+integrated exactly through F_a(z) = e^z E_a(z):
+
+    int_T^inf e^{iE(s - T)} J1(2s)/s ds
+        = sum_{sigma = +-1} e^{2 i sigma T} sum_k c_k^sigma T^(-1/2-k)
+          F_{3/2+k}(-i (E + 2 sigma) T),
+
+so its cost does not depend on Im E.  Its truncation (the last Hankel term
+plus the F truncation errors) must stay below 1e-16 of the tail, or a
+QuadratureError is raised.
 """
 
 from __future__ import annotations
@@ -40,21 +50,29 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import wofz
+from scipy.special import gamma, wofz
 
 from .bessel import bessel_j, j1_over_t
 from .errors import DomainError, LatticeTruncationError, QuadratureError
 from .model import ModelParams
 from .quadrature import adaptive_quad, panel_nodes, refine_edges
-from .spectrum import DiscreteState, StateClass, _monic_roots, near_edge_triplet
+from .spectrum import DiscreteState, StateClass, _monic_roots, four_states, near_edge_triplet
 
 WAVEFRONT_MARGIN = 10.0
-# growing-state tail is truncated once e^{-Im E * L} < ~1e-16
-_TAIL_DECADES = 38.0
 _H_MAX = 0.25
 _PANEL_TOL = 1e-10
 _VERIFY_PANELS = 512
-_BLOCK_PANELS = 4096  # panels per vectorized block, so temporaries do not grow with the tail
+_BLOCK_PANELS = 4096  # panels per vectorized block, so temporaries stay one size
+# a growing state's tail past max(t, _TAIL_START) is a Hankel series with
+# _HANKEL_TERMS terms; at s >= 25 the 16th is below 1e-19 of the first
+_TAIL_START = 25.0
+_HANKEL_TERMS = 16
+_TAIL_TOL = 1e-16  # truncation budget, relative to the tail
+# F_a(z): power-series terms for |z| < 1 (the last is below 1e-23), and the
+# continued fraction's relative stopping step and depth cap otherwise
+_SERIES_TERMS = 24
+_CF_STOP = 1e-18
+_CF_MAX_DEPTH = 1000
 
 
 class Method(Enum):
@@ -289,6 +307,100 @@ def _recurrence(start, step, inc):
     return x
 
 
+def _hankel_coefficients(n):
+    """c_k with J1(2s)/s ~ sum_k [c_k e^{2is} + conj(c_k) e^{-2is}] s^(-3/2-k).
+
+    The Hankel expansion of J1 (DLMF 10.17.3) at argument 2s:
+    c_k = a_k(1) 2^-k e^{-3i pi/4} i^k / (2 sqrt(pi)), with
+    a_k(1) = prod_{j <= k} (4 - (2j - 1)^2) / (8j).
+    """
+    k = np.arange(n)
+    a = np.cumprod(np.concatenate(([1.0], (4.0 - (2.0 * k[1:] - 1.0) ** 2) / (8.0 * k[1:]))))
+    i_k = np.array([1.0, 1j, -1.0, -1j])[k % 4]
+    return a * 0.5**k * i_k * np.exp(-0.75j * np.pi) / (2.0 * np.sqrt(np.pi))
+
+
+_HANKEL = _hankel_coefficients(_HANKEL_TERMS)
+_ALPHA = 1.5 + np.arange(_HANKEL_TERMS)  # the power s^-alpha of each Hankel term
+
+
+def _scaled_expint(alpha, z):
+    """F_alpha(z) = e^z E_alpha(z) for Re z > 0 and non-integer alpha, with an
+    estimate of each value's truncation error (arrays broadcast together).
+
+    For |z| < 1 the power series (DLMF §8.19)
+        E_a(z) = Gamma(1 - a) z^(a-1) - sum_j (-z)^j / (j! (1 - a + j)),
+    otherwise the even part of its continued fraction (DLMF §8.19),
+        F_a(z) = 1 / (z + a - a / (z + a + 2 - 2 (a + 1) / (z + a + 4 - ...))).
+    Its depth is found by a forward pass over the convergents' denominators,
+    in which each step |f_n - f_(n-1)| follows from the one before without
+    cancellation, and the fraction is then evaluated backward at that depth.
+    """
+    alpha, z = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(z, dtype=complex))
+    F, err = np.empty(z.shape, dtype=complex), np.empty(z.shape)
+    near = np.abs(z) < 1.0
+    a, x = alpha[near], z[near]
+    term, total = np.ones_like(x), np.zeros_like(x)
+    for j in range(_SERIES_TERMS):
+        total += term / (1.0 - a + j)
+        term *= -x / (j + 1)
+    F[near] = np.exp(x) * (gamma(1.0 - a) * x ** (a - 1.0) - total)
+    err[near] = np.abs(np.exp(x) * term / (1.0 - a + _SERIES_TERMS))
+    a, x = alpha[~near], z[~near]
+    d = 1.0 / (x + a)
+    scale = np.abs(d)
+    step, n = scale, 0
+    while n < _CF_MAX_DEPTH and np.any(step > _CF_STOP * scale):
+        n += 1
+        d_next = 1.0 / (x + a + 2.0 * n - n * (a + n - 1.0) * d)
+        step = step * np.abs(n * (a + n - 1.0) * d_next * d)
+        d = d_next
+    rest = np.zeros_like(x)
+    for m in range(n, 0, -1):
+        rest = -m * (a + m - 1.0) / (x + a + 2.0 * m + rest)
+    F[~near], err[~near] = 1.0 / (x + a + rest), step
+    return F, err
+
+
+def _hankel_tail(E, T):
+    """int_T^inf e^{iE(s - T)} J1(2s)/s ds for Im E > 0, T >= _TAIL_START.
+
+    Each Hankel term integrates exactly: with sigma = +-1 for the branch
+    e^{2 i sigma s} and alpha = 3/2 + k,
+
+        int_T^inf e^{iE(s - T)} e^{2 i sigma s} s^-alpha ds
+            = e^{2 i sigma T} T^(1 - alpha) F_alpha(-i (E + 2 sigma) T).
+
+    Raises QuadratureError, with the achieved relative residual, if the last
+    Hankel term plus the estimated F truncation errors exceed _TAIL_TOL of
+    the tail.
+    """
+    sigma = np.array([[1.0], [-1.0]])
+    coef = np.stack([_HANKEL, _HANKEL.conj()]) * np.exp(2j * sigma * T) * T ** (1.0 - _ALPHA)
+    F, err = _scaled_expint(_ALPHA, -1j * (E + 2.0 * sigma) * T)
+    terms = coef * F
+    W = terms.sum()
+    residual = float((np.abs(terms[:, -1]).sum() + np.sum(np.abs(coef) * err)) / abs(W))
+    if not residual <= _TAIL_TOL:
+        raise QuadratureError(
+            f"anti-resonance tail truncated above tolerance {_TAIL_TOL:g}", residual=residual
+        )
+    return W
+
+
+def _tail(E, t_m):
+    """W(t_m) = int_{t_m}^inf e^{iE(s - t_m)} J1(2s)/s ds of a growing state
+    (Im E > 0): checked panels on [t_m, T], T = max(t_m, _TAIL_START), then
+    the Hankel series from T."""
+    T = max(t_m, _TAIL_START)
+    W = _hankel_tail(E, T)
+    if T > t_m:
+        edges = refine_edges(np.array([T]), _H_MAX, start=t_m)
+        panels = np.exp(1j * E * (edges[:-1] - t_m)) @ _panel_integrals(E, edges)
+        W = panels + np.exp(1j * E * (T - t_m)) * W
+    return W
+
+
 def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
     """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)) on the times.
 
@@ -305,11 +417,7 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
         E, lam, nd = s.energy, s.lam, s.psid_sq
         vals = _panel_integrals(E, edges)
         if E.imag > 1e-12:
-            end = np.array([t_max + min(_TAIL_DECADES / E.imag, 5e5)])
-            tail_edges = refine_edges(end, _H_MAX, start=t_max)
-            tail = _panel_integrals(E, tail_edges)
-            w_end = np.exp(1j * E * (tail_edges[:-1] - t_max)) @ tail
-            W = _recurrence(w_end, np.exp(1j * E * h)[::-1], vals[::-1])[::-1]
+            W = _recurrence(_tail(E, t_max), np.exp(1j * E * h)[::-1], vals[::-1])[::-1]
             contributions[s] = nd * 1j * lam * W[idx]
         else:
             u = _recurrence(1.0, np.exp(-1j * E * h), -1j * lam * vals)
@@ -318,22 +426,23 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
 
 
 def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
-    """Exact three-state survival amplitude from the Bessel representation.
+    """Exact survival amplitude from the Bessel representation, summed over
+    all four discrete states.
 
-    Sums the bound state below the band and the second-sheet pair; the upper
-    bound state is omitted, which caps the accuracy at its residue (g^2/32
-    at threshold: 1.25e-5 at g = 0.02) plus quadrature error.  On every call
-    a sample of every state's window panels and of the tail panels (at least
-    512 each, or all of them) is re-integrated at half step, and a
-    QuadratureError carrying the achieved tolerance is raised on disagreement
-    beyond 1e-10.
+    The bound state below the band, the second-sheet pair and the bound state
+    above the band each contribute; their residues sum to 1, so A(0) = 1.
+    Errors are raised, never absorbed: on every call a sample of every
+    state's panels (at least 512 each, or all of them) is re-integrated at
+    half step, and a QuadratureError carrying the achieved tolerance is
+    raised on disagreement beyond 1e-10; the closed-form tail of a growing
+    state raises one if its truncation exceeds 1e-16 of the tail.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise DomainError("times must be >= 0")
     if np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing")
-    amp = sum(_bessel_sum_terms(near_edge_triplet(params), times).values())
+    amp = sum(_bessel_sum_terms(four_states(params), times).values())
     return SurvivalTrace.from_amplitude(times, amp, Method.BESSEL_SUM)
 
 
@@ -461,16 +570,16 @@ def asymptotic_plateau(params: ModelParams) -> float:
 def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, complex]:
     """The two exact pieces of the Bessel representation at one time.
 
-    Returns (pole_sum, integral_sum) with
+    Returns (pole_sum, integral_sum) over all four discrete states, with
         pole_sum     = sum_j <d|psi_j>^2 e^{-i E_j t}
         integral_sum = -i sum_j lam_j <d|psi_j>^2 e^{-i E_j t} I_j(t)
     whose t^2 threshold artifacts cancel against each other, leaving the
     t^{3/2} law of ``intermediate_amplitude``.
     """
     t = float(t)
-    tri = near_edge_triplet(params)
-    pole_sum = sum(s.psid_sq * np.exp(-1j * s.energy * t) for s in tri)
-    total = sum(v[0] for v in _bessel_sum_terms(tri, np.array([t])).values())
+    states = four_states(params)
+    pole_sum = sum(s.psid_sq * np.exp(-1j * s.energy * t) for s in states)
+    total = sum(v[0] for v in _bessel_sum_terms(states, np.array([t])).values())
     return complex(pole_sum), complex(total - pole_sum)
 
 

@@ -5,10 +5,11 @@ The four discrete states are the roots of the lam-plane quartic
     f(lam) = -lam^4 - eps_d lam^3 - g^2 lam^2 + eps_d lam + 1,
 
 equivalent to the energy quartic p(E) = (E - eps_d)^2 (E^2 - 4) - g^4 under
-E = -lam - 1/lam.  Both are solved in double precision about the threshold
-(y = lam - 1, u = E + 2), where the three roots that cluster at lam = 1 for
-small g form the well-scaled cubic y^3 ~ -g^2/2 instead of losing two thirds
-of their digits to the shift; one batched companion eigensolve plus three
+E = -lam - 1/lam.  f is solved in double precision about the threshold,
+y = lam - 1, where the three roots that cluster at lam = 1 for small g form
+the well-scaled cubic y^3 ~ -g^2/2 instead of losing two thirds of their
+digits to the shift; p is solved about the dot level, v = E - eps_d (see
+``solve_energy_quartic``).  One batched companion eigensolve plus three
 Newton steps (``_monic_roots``) serves every polynomial solve in the package.
 """
 
@@ -27,7 +28,7 @@ from .errors import (
     LabelMatchingError,
     NumericalError,
 )
-from .model import CUT_TOL, ModelParams
+from .model import CUT_TOL, ModelParams, energy_from_lambda
 
 ROOT_RESIDUAL_TOL = 1e-12
 # a root counts as real when |Im lam| < REAL_TOL * (1 + |lam|)
@@ -156,15 +157,16 @@ def solve_lambda_quartic(params: ModelParams) -> list[DiscreteState]:
 def solve_energy_quartic(params: ModelParams) -> np.ndarray:
     """Four roots of the energy quartic p(E), solved independently of f(lam).
 
-    With u = E + 2 and delta = eps_d + 2,
-    p = u^4 - (4 + 2 delta) u^3 + (delta^2 + 8 delta) u^2 - 4 delta^2 u - g^4.
-    Its two roots near the dot level E ~ eps_d, split by ~g^2 / sqrt(eps_d^2 - 4),
-    form a near-double root that double precision resolves only to ~1e-7
-    (measured 9.2e-8 for g >= 1e-5); the lam route has no such cluster.
+    Solved for v = E - eps_d, where
+    p = v^4 + 2 eps_d v^3 + (eps_d^2 - 4) v^2 - g^4 has no linear term: the
+    two roots near the dot level, split by ~2 g^2 / sqrt(eps_d^2 - 4), are
+    the well-scaled pair v^2 ~ g^4 / (eps_d^2 - 4) instead of a near-double
+    root of a shifted polynomial, and at threshold the near-edge triplet is
+    the cluster v^3 ~ -g^4 / 4 about v = 0.
     """
-    d = _real_if_real(params.epsilon_d + 2.0)
-    lower = np.array([-(4.0 + 2.0 * d), d * d + 8.0 * d, -4.0 * d * d, -params.g**4])
-    return _monic_roots(lower) - 2.0
+    e = _real_if_real(params.epsilon_d)
+    lower = np.array([2.0 * e, e * e - 4.0, 0.0, -params.g**4])
+    return _monic_roots(lower) + e
 
 
 def is_real_root(lam: complex) -> bool:
@@ -265,6 +267,27 @@ def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
     """
     lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
     return _classified_triplet(params, lams, Es, dropped)
+
+
+def four_states(params: ModelParams) -> list[DiscreteState]:
+    """``near_edge_triplet`` followed by the bound state above the band.
+
+    All four residues of the dot Green's function, for sums that must be
+    exact (they add up to 1).  The fourth root is real in (-1, 0), which
+    ``near_edge_triplet`` checks, and is classified by that sign alone: unlike
+    ``discrete_spectrum`` this takes no branch-cut test, which its
+    1 - |lam| ~ g^2/8 would fail for g < 2.84e-5 at threshold although the
+    root lies on the first sheet.
+    """
+    lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
+    triplet = _classified_triplet(params, lams, Es, dropped)
+    lam = complex(dropped.real)
+    psi0_sq, psid_sq = normalize_state(params, lam)
+    upper = DiscreteState(
+        lam=lam, energy=energy_from_lambda(lam), state_class=StateClass.BOUND_UPPER,
+        psi0_sq=psi0_sq, psid_sq=psid_sq,
+    )
+    return triplet + [upper]
 
 
 # Phase index alpha for the threshold triplet: 0 bound, -1 resonance,

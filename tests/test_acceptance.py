@@ -206,10 +206,12 @@ def test_acceptance_05_dynamics_cross_validation(request):
     )
     dev = float(np.max(np.abs(bessel.probability - oracle.probability[1:])))
     elapsed = time.perf_counter() - t0
-    ok = dev < 1e-3 and elapsed < 60.0
+    # all four states are summed, so only quadrature and rounding remain
+    # (measured 3.4e-14)
+    ok = dev < 1e-12 and elapsed < 60.0
     report("05", ok, f"max |P_lattice - P_bessel| = {dev:.2e} on t in [0, 600], "
                      f"N = 1500", t0)
-    assert dev < 1e-3
+    assert dev < 1e-12
     assert elapsed < 60.0
 
 

@@ -23,12 +23,11 @@ from bandedge.dynamics import (
 from bandedge.errors import DomainError, LatticeTruncationError, QuadratureError
 from bandedge.model import ModelParams
 from bandedge.quadrature import adaptive_quad, refine_edges
-from bandedge.spectrum import near_edge_triplet
+from bandedge.spectrum import four_states, near_edge_triplet
 
 # 40-digit quartic values at eps_d = -2, g = 0.02
 E_B_G002 = -2.00341897805318488
 E_R_G002 = -1.99829051222340756 - 0.00296260930977800234j
-PSID2_BPLUS_G002 = 1.25006249687472663e-05
 PLATEAU_G002 = 0.444191511106078
 PLATEAU_DEEP = 0.994689596106243  # eps_d = -3, g = 0.1
 
@@ -188,19 +187,18 @@ class TestLatticeOracle:
 
 
 class TestBesselSum:
-    def test_initial_value_equals_one_minus_upper_residue(self):
+    def test_initial_value_is_one(self):
+        # the four residues sum to 1, the upper bound state's g^2/32 included
         params = ModelParams(epsilon_d=-2.0, g=0.02)
         tr = survival_bessel_sum(params, np.array([0.0]))
-        assert tr.amplitude[0] == pytest.approx(
-            1.0 - PSID2_BPLUS_G002, abs=1e-12
-        )
+        assert tr.amplitude[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_oracle(self, oracle_g002_600):
         params = ModelParams(epsilon_d=-2.0, g=0.02)
         tr = survival_bessel_sum(params, oracle_g002_600.times[1:])
         diff = np.abs(tr.probability - oracle_g002_600.probability[1:])
         assert diff.max() < 1e-3
-        assert diff.max() < 5e-5  # measured headroom: the upper-state residue
+        assert diff.max() < 1e-12  # measured headroom (3.4e-14)
 
     def test_matches_oracle_at_late_times(self, oracle_g002_2000):
         # the backward-stable accumulation stays accurate far beyond the
@@ -241,7 +239,7 @@ class TestBesselSum:
 
     def test_panel_check_covers_the_tail(self, monkeypatch):
         # t = 0 alone leaves the window without panels, so only the
-        # anti-resonance tail panels are there to fail the check
+        # anti-resonance tail's panels on [0, 25] are there to fail the check
         monkeypatch.setattr(dynamics, "_PANEL_TOL", 1e-30)
         with pytest.raises(QuadratureError) as info:
             survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=0.05), [0.0])
@@ -257,7 +255,8 @@ class TestBesselSum:
 
     def test_only_the_growing_state_reads_past_the_window(self, monkeypatch):
         # every state integrates [0, max t]; the anti-resonance alone adds
-        # one tail grid, which starts at max t
+        # panels on [max t, 25] when max t < 25, and none past max(max t, 25),
+        # where its tail is the closed-form Hankel series
         calls = []
         real = dynamics._panel_integrals
 
@@ -268,22 +267,39 @@ class TestBesselSum:
         monkeypatch.setattr(dynamics, "_panel_integrals", spy)
         params = ModelParams(epsilon_d=-2.0, g=0.05)
         survival_bessel_sum(params, np.arange(0.0, 40.0, 0.5))
-        assert calls.count((False, 0.0, 39.5)) == 2
-        assert calls.count((True, 0.0, 39.5)) == 1
-        tail = [c for c in calls if c[2] > 39.5]
-        assert len(tail) == 1 and tail[0][:2] == (True, 39.5)
+        assert sorted(calls) == [(False, 0.0, 39.5)] * 3 + [(True, 0.0, 39.5)]
+        calls.clear()
+        survival_bessel_sum(params, np.arange(0.0, 10.0, 0.5))
+        assert sorted(calls) == [(False, 0.0, 9.5)] * 3 + [(True, 0.0, 9.5), (True, 9.5, 25.0)]
 
     def test_window_without_panels(self):
         # no state grows at these parameters, so at t = 0 every state gives
         # exactly its residue; no time at all gives an empty trace
         params = ModelParams(epsilon_d=-2.1, g=0.1)
-        tri = near_edge_triplet(params)
-        assert all(s.energy.imag <= 0 for s in tri)
-        residues = sum(s.psid_sq for s in tri)
+        states = four_states(params)
+        assert all(s.energy.imag <= 0 for s in states)
+        residues = sum(s.psid_sq for s in states)
         tr = survival_bessel_sum(params, [0.0])
         assert tr.amplitude[0] == pytest.approx(residues, abs=1e-15)
         empty = survival_bessel_sum(params, [])
         assert empty.amplitude.size == 0 and empty.probability.size == 0
+
+    def test_weak_coupling_matches_oracle(self):
+        # at g = 1e-4 the anti-resonance decays only over 38/Im E = 1.5e7,
+        # which the closed-form tail spans at the cost of g = 0.3
+        params = ModelParams(epsilon_d=-2.0, g=1e-4)
+        times = np.arange(0.0, 50.0 + 1e-9, 0.5)
+        oracle = survival_lattice_oracle(params, LatticeConfig(120, 50.0), times)
+        tr = survival_bessel_sum(params, times)
+        assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-10
+
+    def test_tail_truncation_is_checked(self, monkeypatch):
+        # below any achievable budget the closed-form tail fails loudly with
+        # its achieved relative truncation
+        monkeypatch.setattr(dynamics, "_TAIL_TOL", 1e-40)
+        with pytest.raises(QuadratureError) as info:
+            survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=0.05), [0.0, 30.0])
+        assert 0.0 < info.value.residual < 1e-16
 
     def test_resonance_lifetime_scale(self):
         # the exact-quartic lifetime 1/(2 |Im E_R|) sits in the high 160s at
@@ -296,6 +312,57 @@ class TestBesselSum:
         assert 0.02 ** (-4.0 / 3.0) == pytest.approx(184.2, abs=0.02)
         envelope_sq = np.exp(2.0 * E_R_G002.imag * 184.2)
         assert envelope_sq == pytest.approx(np.exp(-1.0), rel=0.1)
+
+
+def _mp_hankel_tail(E, T, terms=40):
+    """30-digit int_T^inf e^{iE(s - T)} J1(2s)/s ds from 40 Hankel terms,
+    each integrated with mpmath's generalised exponential integral."""
+    with mp.workdps(30):
+        E, T, a, total = mp.mpc(E), mp.mpf(T), mp.mpf(1), 0
+        for k in range(terms):
+            if k:
+                a *= (4 - (2 * k - 1) ** 2) / mp.mpf(8 * k)
+            alpha = mp.mpf(3) / 2 + k
+            for sg in (1, -1):
+                c = a / 2**k * mp.expjpi(-sg * mp.mpf(3) / 4) * (sg * 1j) ** k
+                z = -1j * (E + 2 * sg) * T
+                total += c * mp.expj(2 * sg * T) * T ** (1 - alpha) * mp.exp(z) * mp.expint(alpha, z)
+        return complex(total / (2 * mp.sqrt(mp.pi)))
+
+
+def _growing_energy(eps_d, g):
+    return next(s.energy for s in near_edge_triplet(ModelParams(eps_d, g)) if s.energy.imag > 0)
+
+
+class TestHankelTail:
+    def test_scaled_expint_matches_mpmath(self):
+        # |z| from 1e-3 to 1e4 at the arguments of both branches: the slow
+        # branch near arg z = -pi/6 at threshold, the fast one near the
+        # imaginary axis; every alpha = 3/2 + k of the series
+        r = np.logspace(-3.0, 4.0, 8)
+        arg = np.array([-0.5 * np.pi + 1e-3, -np.pi / 6.0, 0.0, 0.5 * np.pi - 1e-3])
+        z = (r[:, None] * np.exp(1j * arg)).ravel()
+        F, err = dynamics._scaled_expint(dynamics._ALPHA[:, None], z)
+        assert np.all(err <= 1e-17 * np.abs(F))
+        with mp.workdps(30):
+            for row, alpha in zip(F, dynamics._ALPHA):
+                for val, zz in zip(row, z):
+                    ref = complex(mp.exp(mp.mpc(zz)) * mp.expint(mp.mpf(alpha), mp.mpc(zz)))
+                    assert abs(val - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("g, T", [(1e-4, 25.0), (0.02, 2000.0), (0.3, 25.0)])
+    def test_tail_matches_mpmath(self, g, T):
+        E = _growing_energy(-2.0, g)
+        ref = _mp_hankel_tail(E, T)
+        assert abs(dynamics._hankel_tail(E, T) - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("eps_d, g", [(-2.0, 0.3), (-1.5, 0.5)])
+    def test_tail_matches_panels(self, eps_d, g):
+        # independent of the expansion: checked panels out to e^{-Im E L} < 1e-17
+        E, T = _growing_energy(eps_d, g), 25.0
+        edges = refine_edges(np.array([T + 40.0 / E.imag]), 0.25, start=T)
+        ref = np.exp(1j * E * (edges[:-1] - T)) @ dynamics._panel_integrals(E, edges)
+        assert abs(dynamics._hankel_tail(E, T) - ref) <= 1e-14 * abs(ref)
 
 
 class TestKnIntegrals:
@@ -423,7 +490,7 @@ class TestPlateau:
 
 class TestExpansionTermChecks:
     def test_pole_sum_tracks_threshold_phase(self):
-        # small-g limit: the three residues sum to the free-dot phase e^{2it}
+        # small-g limit: the four residues sum to the free-dot phase e^{2it}
         t = 20.0
         prev = None
         for g in (0.02, 0.005, 0.001):
@@ -454,7 +521,7 @@ class TestExpansionTermChecks:
         # at t = 0 the window has no panels and the integrals vanish
         params = ModelParams(epsilon_d=-2.1, g=0.1)
         pole_sum, integral_sum = expansion_term_checks(params, 0.0)
-        residues = sum(s.psid_sq for s in near_edge_triplet(params))
+        residues = sum(s.psid_sq for s in four_states(params))
         assert pole_sum == pytest.approx(residues, abs=1e-15)
         assert integral_sum == pytest.approx(0.0, abs=1e-15)
 

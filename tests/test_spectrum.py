@@ -19,6 +19,7 @@ from bandedge.spectrum import (
     StateClass,
     classify_state,
     discrete_spectrum,
+    four_states,
     eigenstate_profile,
     lambda_quartic_coeffs,
     near_edge_triplet,
@@ -196,10 +197,10 @@ class TestQuarticSolverProperties:
     def test_lambda_and_energy_quartics_agree(self, g, eps_d):
         p = ModelParams(epsilon_d=eps_d, g=g)
         from_l = [s.energy for s in solve_lambda_quartic(p)]
-        # the energy quartic has a near-double root at E ~ eps_d (split
-        # ~g^2 / sqrt(eps_d^2 - 4)) that double precision resolves to sqrt(ulp)
+        # centred at v = E - eps_d, the pair near the dot level (split
+        # ~2 g^2 / sqrt(eps_d^2 - 4)) is well scaled; measured 3.5e-15
         for E in solve_energy_quartic(p):
-            assert min(abs(E - w) for w in from_l) <= 2e-7
+            assert min(abs(E - w) for w in from_l) <= 1e-14
 
 
 # threshold-cubic coefficients Delta, Lam of x^3 + g^2 Delta x + g^2 Lam
@@ -241,6 +242,10 @@ class TestNearEdgeTripletAtWeakCoupling:
             StateClass.RESONANCE,
             StateClass.ANTI_RESONANCE,
         }
+        # four_states classifies it by its sign and keeps its residue g^2/32
+        upper = four_states(ModelParams(-2.0, g))[3]
+        assert upper.state_class is StateClass.BOUND_UPPER
+        assert upper.psid_sq.real == pytest.approx(g * g / 32.0, rel=1e-4)
 
     def test_missing_upper_bound_state_rejected(self):
         # at g = 0 the fourth root sits on the band edge lam = -1
