@@ -21,26 +21,37 @@ Routes
    t^{3/2} law at small t and to the pole-plus-t^{-3/2}-tail form at large t,
    and the exact asymptotic plateau.
 
-Numerical stability of route 2: each state integrates the requested window
-only, panel by panel with phase referencing, so no exponentially large
-intermediate ever appears.  States with Im E > 0 (anti-resonances, where
-e^{-iEt} grows) are rewritten through the tail integral
+Numerical stability of route 2: the four states share one grid of panels
+of width h = 1/4 on [0, T], T = max(max t, 25) rounded up to a whole panel,
+and each panel integral is referenced to a contractive edge, so no
+exponentially large intermediate ever appears.  J1 is evaluated once per
+node for all states; a node's offset from its panel's reference edge is the
+same in every panel, so the panel values of all states are one real by
+complex matrix product.  The running integral of a state with Im E <= 0
+is then a scan with the constant step e^{-iEh}, |e^{-iEh}| <= 1: within
+blocks of 64 panels one product with the lower-triangular Toeplitz matrix of
+its powers, taken from ``exp``, and block starts advanced by the one step
+e^{-64 iEh}.  h is a
+power of two, so E h is exact and the phases of all blocks agree.  A
+requested time is read from the left edge of its panel plus the partial
+panel up to it.  States with Im E > 0 (anti-resonances, where e^{-iEt}
+grows) are rewritten through the tail integral
 
     e^{-iEt} (1 - i lam I(t)) = i lam e^{-iEt} int_t^inf e^{iEt'} J1(2t')/t' dt'
 
 (the infinite-time bracket vanishes identically, a closed-form Laplace
-identity) and accumulated backwards from its value at the end of the window,
-t_m.  That start value takes checked panels on [t_m, 25] (none if t_m >= 25)
-and, from T = max(t_m, 25) on, 16 terms of the Hankel expansion of J1, each
-integrated exactly through F_a(z) = e^z E_a(z):
+identity) and scanned backwards with step e^{iEh} from T.  The start value
+at T >= 25 is 16 terms of the Hankel expansion of J1, each integrated
+exactly through F_a(z) = e^z E_a(z):
 
     int_T^inf e^{iE(s - T)} J1(2s)/s ds
         = sum_{sigma = +-1} e^{2 i sigma T} sum_k c_k^sigma T^(-1/2-k)
           F_{3/2+k}(-i (E + 2 sigma) T),
 
 so its cost does not depend on Im E.  Its truncation (the last Hankel term
-plus the F truncation errors) must stay below 1e-16 of the tail, or a
-QuadratureError is raised.
+plus the F truncation errors) must stay below 1e-16 of the tail, and the
+backward scan, which ends at t = 0, must meet i lam W(0) = 1 to 1e-12;
+otherwise a QuadratureError is raised.
 """
 
 from __future__ import annotations
@@ -59,10 +70,12 @@ from .quadrature import adaptive_quad, panel_nodes, refine_edges
 from .spectrum import DiscreteState, StateClass, _monic_roots, four_states, near_edge_triplet
 
 WAVEFRONT_MARGIN = 10.0
-_H_MAX = 0.25
+_H_MAX = 0.25  # Bessel-route panel width; a power of two, so E h is exact
 _PANEL_TOL = 1e-10
 _VERIFY_PANELS = 512
 _BLOCK_PANELS = 4096  # panels per vectorized block, so temporaries stay one size
+_SCAN_BLOCK = 64  # steps per Toeplitz block of the panel scan
+_IDENTITY_TOL = 1e-12  # budget on |i lam W(0) - 1| of a growing state
 # a growing state's tail past max(t, _TAIL_START) is a Hankel series with
 # _HANKEL_TERMS terms; at s >= 25 the 16th is below 1e-19 of the first
 _TAIL_START = 25.0
@@ -260,51 +273,101 @@ def survival_lattice_oracle(
 # Route 2: pole/branch-cut (Bessel) representation
 # ---------------------------------------------------------------------------
 
-def _verify_panels(E, refs, a, b, panel_vals):
-    """Spot-check phase-referenced panel integrals against bisected panels.
+def _panel_integrals(E, a, b, ref):
+    """int_{a_p}^{b_p} e^{iE_s(t' - ref_ps)} J1(2t')/t' dt' for every panel p
+    and state s, shape (P, S), from one J1 table shared by the states."""
+    nodes, wts = panel_nodes(np.stack([a, b], axis=1).ravel())
+    nodes, wts = nodes[::2], wts[::2]  # every second panel spans a gap
+    f = wts * j1_over_t(nodes)
+    return np.stack(
+        [np.sum(f * np.exp(1j * e * (nodes - r[:, None])), axis=1) for e, r in zip(E, ref.T)],
+        axis=-1,
+    )
 
-    Each panel value is int_a^b e^{iE(t' - ref)} J1(2t')/t' dt'.  Raises
-    QuadratureError with the achieved tolerance if any sampled panel
-    disagrees with its two-half refinement beyond the per-panel budget.
+
+def _uniform_panels(E, grow, edges):
+    """Panel integrals on a uniform grid, shape (n, S), referenced to the left
+    edge for a growing state and to the right one otherwise.
+
+    A node's offset from its panel's reference edge is the same in every
+    panel, so every state's 15 phases are one vector and each block of panels
+    is one real (P x 15) by complex (15 x S) matrix product.
     """
-    if a.size == 0:  # a window that ends at t = 0 has no panels
-        return
-    sel = np.arange(0, a.size, max(1, a.size // _VERIFY_PANELS))
-    # edges (a, mid, b) of every sampled panel in a row; every third panel of
-    # that grid spans the gap to the next sample and is dropped
-    a, b = a[sel], b[sel]
-    nodes, wts = panel_nodes(np.stack([a, 0.5 * (a + b), b], axis=1).ravel())
-    keep = np.arange(nodes.shape[0]) % 3 != 2
-    nodes, wts = nodes[keep], wts[keep]
-    ref = np.repeat(refs[sel], 2)[:, None]
-    vals = wts * np.exp(1j * E * (nodes - ref)) * j1_over_t(nodes)
-    halves = vals.reshape(sel.size, -1).sum(axis=1)
-    achieved = float(np.max(np.abs(halves - panel_vals[sel])))
+    n = edges.size - 1
+    h = (edges[-1] - edges[0]) / max(n, 1)
+    unit = panel_nodes(np.array([0.0, 1.0]))[0][0]  # the Gauss nodes of [0, 1]
+    offsets = unit - np.where(grow, 0.0, 1.0)[:, None]
+    phases = np.exp(1j * h * E[:, None] * offsets).T.copy().view(float)  # re, im pairs
+    vals = np.empty((n, E.size), dtype=complex)
+    # the last block keeps at least two panels: a one-row product takes
+    # BLAS's matrix-vector path, which rounds differently
+    bounds = np.append(np.arange(0, max(n - 1, 1), _BLOCK_PANELS), n)
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        nodes, wts = panel_nodes(edges[i : j + 1])
+        vals[i:j] = ((wts * j1_over_t(nodes)) @ phases).view(complex)
+    return vals
+
+
+def _checked_panels(E, grow, edges, a, b):
+    """Panel integrals of every state on the uniform grid ``edges`` (see
+    ``_uniform_panels``) and on the panels [a_i, b_i], referenced to b_i.
+
+    One spot check covers both kinds for all states: every panel up to
+    _VERIFY_PANELS of each kind, evenly spread beyond, is re-integrated as
+    two halves, and a QuadratureError carrying the achieved tolerance is
+    raised if any value misses its refinement by more than the per-panel
+    budget.
+    """
+    uniform = _uniform_panels(E, grow, edges)
+    ref = np.repeat(b[:, None], E.size, axis=1)
+    partial = _panel_integrals(E, a, b, ref)
+    i, j = (np.arange(0, n, max(1, n // _VERIFY_PANELS)) for n in (uniform.shape[0], b.size))
+    lo, hi = np.concatenate([edges[i], a[j]]), np.concatenate([edges[i + 1], b[j]])
+    mid = 0.5 * (lo + hi)
+    ref = np.concatenate([np.where(grow, edges[i, None], edges[i + 1, None]), ref[j]])
+    halves = _panel_integrals(
+        E, np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel(),
+        np.repeat(ref, 2, axis=0),
+    )
+    vals = np.concatenate([uniform[i], partial[j]])
+    achieved = float(np.max(np.abs(halves[::2] + halves[1::2] - vals), initial=0.0))
     if achieved > _PANEL_TOL:
         raise QuadratureError(
             f"panel quadrature above tolerance {_PANEL_TOL:g}", residual=achieved
         )
+    return uniform, partial
 
 
-def _panel_integrals(E, edges):
-    """Checked int_a^b e^{iE(t' - ref)} J1(2t')/t' dt' per panel, with ref the
-    contractive edge: the right one for Im E <= 0, the left one for Im E > 0."""
-    ref = edges[:-1] if E.imag > 1e-12 else edges[1:]
-    vals = np.empty(ref.size, dtype=complex)
-    for i in range(0, ref.size, _BLOCK_PANELS):
-        nodes, wts = panel_nodes(edges[i : i + _BLOCK_PANELS + 1])
-        phase = np.exp(1j * E * (nodes - ref[i : i + _BLOCK_PANELS, None]))
-        vals[i : i + _BLOCK_PANELS] = np.sum(wts * phase * j1_over_t(nodes), axis=1)
-    _verify_panels(E, ref, edges[:-1], edges[1:], vals)
-    return vals
+def _scan(start, rate, inc, idx):
+    """x[idx] for x[0] = start, x[k+1] = e^rate x[k] + inc[k].
 
-
-def _recurrence(start, step, inc):
-    """x[0] = start, x[k+1] = step[k] x[k] + inc[k]; reversed arrays run it backward."""
-    x = np.full(step.size + 1, start, dtype=complex)
-    for k in range(step.size):
-        x[k + 1] = step[k] * x[k] + inc[k]
-    return x
+    With |e^rate| <= 1 every power taken is contractive.  The partial sums
+    within blocks of L = _SCAN_BLOCK steps are one product with the
+    lower-triangular Toeplitz matrix of e^(rate m), m < L, its powers taken
+    from ``exp``; the block starts then advance by the one step e^(rate L),
+    which keeps the phases of all blocks consistent with each other.  L
+    blocks are taken at a time and x is kept at idx only, so the
+    temporaries stay one size.
+    """
+    L = _SCAN_BLOCK
+    powers = np.exp(rate * np.arange(L + 1))
+    lag = np.arange(L)[None, :] - np.arange(L)[:, None]  # column minus row
+    toeplitz = np.where(lag >= 0, powers[np.maximum(lag, 0)], 0.0)
+    out = np.full(idx.size, start, dtype=complex)
+    x, step = complex(start), complex(powers[L])
+    for c in range(0, inc.size, L * L):
+        chunk = inc[c : c + L * L]
+        blocks = np.zeros(-(-chunk.size // L) * L, dtype=complex)
+        blocks[: chunk.size] = chunk
+        within = blocks.reshape(-1, L) @ toeplitz
+        starts = []
+        for end in within[:, -1].tolist():
+            starts.append(x)
+            x = step * x + end
+        sel = (idx > c) & (idx <= c + chunk.size)
+        j = idx[sel] - c - 1
+        out[sel] = powers[j % L + 1] * np.array(starts)[j // L] + within.ravel()[j]
+    return out
 
 
 def _hankel_coefficients(n):
@@ -388,41 +451,48 @@ def _hankel_tail(E, T):
     return W
 
 
-def _tail(E, t_m):
-    """W(t_m) = int_{t_m}^inf e^{iE(s - t_m)} J1(2s)/s ds of a growing state
-    (Im E > 0): checked panels on [t_m, T], T = max(t_m, _TAIL_START), then
-    the Hankel series from T."""
-    T = max(t_m, _TAIL_START)
-    W = _hankel_tail(E, T)
-    if T > t_m:
-        edges = refine_edges(np.array([T]), _H_MAX, start=t_m)
-        panels = np.exp(1j * E * (edges[:-1] - t_m)) @ _panel_integrals(E, edges)
-        W = panels + np.exp(1j * E * (T - t_m)) * W
-    return W
-
-
 def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
-    """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)) on the times.
+    """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)), shape (S, K).
 
-    Every state reads the window [0, max(times)] only; a growing state's tail
-    beyond it is the start value of its backward pass.
+    All states share one uniform grid on [0, T], T = max(max t, _TAIL_START)
+    rounded up to a whole panel, so a growing state's backward scan starts
+    from the closed-form tail at T.  Each time is read from the left edge of
+    its panel plus the partial panel up to it.
     """
-    edges = refine_edges(times, _H_MAX)
-    t_max, h = edges[-1], np.diff(edges)
-    # grid times are panel edges by construction; the epsilon keeps requested
-    # times that collide within the refinement guard on the left edge
-    idx = np.searchsorted(edges, times - 1e-12)
-    contributions = {}
-    for s in states:
-        E, lam, nd = s.energy, s.lam, s.psid_sq
-        vals = _panel_integrals(E, edges)
-        if E.imag > 1e-12:
-            W = _recurrence(_tail(E, t_max), np.exp(1j * E * h)[::-1], vals[::-1])[::-1]
-            contributions[s] = nd * 1j * lam * W[idx]
+    E = np.array([s.energy for s in states])
+    lam = np.array([s.lam for s in states])
+    nd = np.array([s.psid_sq for s in states])
+    grow = E.imag > 1e-12
+    # panels of exactly _H_MAX, a power of two, so that E h is exact
+    T = _H_MAX * np.ceil(max(times.max(initial=0.0), _TAIL_START) / _H_MAX)
+    edges = refine_edges(np.array([T]), _H_MAX)
+    n = edges.size - 1
+    h = T / n
+    k = np.searchsorted(edges, times, side="right") - 1
+    delta = times - edges[k]
+    part = delta > 0.0
+    uniform, partial = _checked_panels(E, grow, edges, edges[k[part]], times[part])
+    terms = np.empty((E.size, times.size), dtype=complex)
+    for s in range(E.size):
+        e, lm = E[s], lam[s]
+        if grow[s]:
+            # backward from the closed-form tail at T; the infinite-time
+            # bracket vanishes, so i lam W(0) = 1 checks the whole scan
+            W = _scan(_hankel_tail(e, T), 1j * e * h, uniform[::-1, s], np.append(n - k, n))
+            residual = abs(1j * lm * W[-1] - 1.0)
+            if residual > _IDENTITY_TOL:
+                raise QuadratureError(
+                    f"anti-resonance scan misses i lam W(0) = 1 by more than {_IDENTITY_TOL:g}",
+                    residual=float(residual),
+                )
+            x, c, scale = W[:-1], -1.0, 1j * lm * nd[s]
         else:
-            u = _recurrence(1.0, np.exp(-1j * E * h), -1j * lam * vals)
-            contributions[s] = nd * u[idx]
-    return contributions
+            x = _scan(1.0, -1j * e * h, -1j * lm * uniform[:, s], k)
+            c, scale = -1j * lm, nd[s]
+        x = x * np.exp(-1j * e * delta)
+        x[part] += c * partial[:, s]
+        terms[s] = scale * x
+    return terms
 
 
 def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
@@ -431,18 +501,20 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
 
     The bound state below the band, the second-sheet pair and the bound state
     above the band each contribute; their residues sum to 1, so A(0) = 1.
-    Errors are raised, never absorbed: on every call a sample of every
-    state's panels (at least 512 each, or all of them) is re-integrated at
-    half step, and a QuadratureError carrying the achieved tolerance is
-    raised on disagreement beyond 1e-10; the closed-form tail of a growing
-    state raises one if its truncation exceeds 1e-16 of the tail.
+    Errors are raised, never absorbed: on every call a sample of the panels
+    (every one up to 512 of the shared grid and 512 of the partial panels)
+    is re-integrated at half step for all states, and a QuadratureError
+    carrying the achieved tolerance is raised on disagreement beyond 1e-10;
+    the closed-form tail of a growing state raises one if its truncation
+    exceeds 1e-16 of the tail, and its backward scan if i lam W(0) misses 1
+    by more than 1e-12.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise DomainError("times must be >= 0")
     if np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing")
-    amp = sum(_bessel_sum_terms(four_states(params), times).values())
+    amp = _bessel_sum_terms(four_states(params), times).sum(axis=0)
     return SurvivalTrace.from_amplitude(times, amp, Method.BESSEL_SUM)
 
 
@@ -579,7 +651,7 @@ def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, compl
     t = float(t)
     states = four_states(params)
     pole_sum = sum(s.psid_sq * np.exp(-1j * s.energy * t) for s in states)
-    total = sum(v[0] for v in _bessel_sum_terms(states, np.array([t])).values())
+    total = _bessel_sum_terms(states, np.array([t]))[:, 0].sum()
     return complex(pole_sum), complex(total - pole_sum)
 
 

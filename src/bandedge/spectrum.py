@@ -181,9 +181,16 @@ def classify_state(lam: complex, energy: complex) -> StateClass:
     |lam| > 1, lam real      -> virtual (anti-bound) state
     |lam| > 1, Im E < 0      -> resonance
     |lam| > 1, Im E > 0      -> anti-resonance
+
+    f(+-1) = -g^2, so for g > 0 an exactly real root is never on the cut and
+    |lam| against 1 places it however close to the circle it lies (at
+    eps_d = -2 the bound state above the band has 1 - |lam| ~ g^2/8); only a
+    complex root within CUT_TOL of the circle, or lam = +-1 itself, raises
+    BranchCutError.
     """
     mod = abs(lam)
-    if abs(mod - 1.0) < CUT_TOL:
+    on_cut = mod == 1.0 if lam.imag == 0 else abs(mod - 1.0) < CUT_TOL
+    if on_cut:
         raise BranchCutError(f"lam = {lam} on the unit circle", roots=(lam, 1 / lam))
     if mod < 1.0:
         if not is_real_root(lam):
@@ -259,11 +266,9 @@ def _classified_triplet(params: ModelParams, lams, Es, dropped) -> list[Discrete
 def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
     """The three states near the lower band edge, classified and normalized.
 
-    The three roots of smallest Re E are kept before anything is classified,
-    so the dropped bound state above the band never reaches the branch-cut
-    test (at eps_d = -2 its 1 - |lam| ~ g^2/8 falls inside CUT_TOL for
-    g < 2.84e-5).  Raises LabelMatchingError unless the dropped root is real
-    with -1 < lam < 0.
+    The three roots of smallest Re E are kept before anything is classified.
+    Raises LabelMatchingError unless the dropped root is real with
+    -1 < lam < 0.
     """
     lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
     return _classified_triplet(params, lams, Es, dropped)
@@ -274,20 +279,12 @@ def four_states(params: ModelParams) -> list[DiscreteState]:
 
     All four residues of the dot Green's function, for sums that must be
     exact (they add up to 1).  The fourth root is real in (-1, 0), which
-    ``near_edge_triplet`` checks, and is classified by that sign alone: unlike
-    ``discrete_spectrum`` this takes no branch-cut test, which its
-    1 - |lam| ~ g^2/8 would fail for g < 2.84e-5 at threshold although the
-    root lies on the first sheet.
+    ``near_edge_triplet`` checks, and its energy is taken from lam.
     """
     lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
-    triplet = _classified_triplet(params, lams, Es, dropped)
     lam = complex(dropped.real)
-    psi0_sq, psid_sq = normalize_state(params, lam)
-    upper = DiscreteState(
-        lam=lam, energy=energy_from_lambda(lam), state_class=StateClass.BOUND_UPPER,
-        psi0_sq=psi0_sq, psid_sq=psid_sq,
-    )
-    return triplet + [upper]
+    upper = DiscreteState(lam=lam, energy=energy_from_lambda(lam))
+    return _classified_triplet(params, lams, Es, dropped) + classify_and_normalize(params, [upper])
 
 
 # Phase index alpha for the threshold triplet: 0 bound, -1 resonance,

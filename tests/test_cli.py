@@ -86,6 +86,15 @@ class TestRunners:
         assert lines[0] == "class,re_E,im_E,re_lambda,im_lambda,re_psid_sq,im_psid_sq"
         assert len(lines) == 5
 
+    def test_spectrum_point_at_weak_coupling(self, capsys, tmp_path):
+        # the upper bound state has 1 - |lam| ~ g^2/8 = 1.25e-11 here, inside
+        # CUT_TOL, but a real root cannot lie on the cut
+        out = tmp_path / "states.csv"
+        assert main(["spectrum", "--g", "1e-5", "--eps-d", "-2", "-o", str(out)]) == 0
+        classes = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert sorted(classes) == ["anti_resonance", "bound_lower", "bound_upper", "resonance"]
+        assert "bound_upper" in capsys.readouterr().out
+
     def test_spectrum_scan_deterministic(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

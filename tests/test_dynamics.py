@@ -238,8 +238,8 @@ class TestBesselSum:
         assert 0.0 < info.value.residual < 1e-10
 
     def test_panel_check_covers_the_tail(self, monkeypatch):
-        # t = 0 alone leaves the window without panels, so only the
-        # anti-resonance tail's panels on [0, 25] are there to fail the check
+        # t = 0 alone still integrates [0, 25], where the anti-resonance's
+        # closed-form tail starts, and those panels must fail the check
         monkeypatch.setattr(dynamics, "_PANEL_TOL", 1e-30)
         with pytest.raises(QuadratureError) as info:
             survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=0.05), [0.0])
@@ -253,24 +253,83 @@ class TestBesselSum:
         monkeypatch.setattr(dynamics, "_BLOCK_PANELS", 7)
         assert np.array_equal(survival_bessel_sum(params, times).amplitude, whole)
 
-    def test_only_the_growing_state_reads_past_the_window(self, monkeypatch):
-        # every state integrates [0, max t]; the anti-resonance alone adds
-        # panels on [max t, 25] when max t < 25, and none past max(max t, 25),
-        # where its tail is the closed-form Hankel series
-        calls = []
-        real = dynamics._panel_integrals
+    def test_one_grid_and_one_j1_table_for_all_states(self, monkeypatch):
+        # all four states share one grid [0, max(max t, 25)], at whose end the
+        # growing state's closed-form tail starts, and J1 is evaluated once
+        # per node for all of them (and once per node of the bisection check)
+        grids, nodes = [], []
+        real_edges, real_j1 = dynamics.refine_edges, dynamics.j1_over_t
 
-        def spy(E, edges):
-            calls.append((E.imag > 0, edges[0], edges[-1]))
-            return real(E, edges)
+        def edges_spy(*args, **kwargs):
+            edges = real_edges(*args, **kwargs)
+            grids.append((edges[0], edges[-1]))
+            return edges
 
-        monkeypatch.setattr(dynamics, "_panel_integrals", spy)
+        def j1_spy(t):
+            nodes.append(np.ravel(t))
+            return real_j1(t)
+
+        monkeypatch.setattr(dynamics, "refine_edges", edges_spy)
+        monkeypatch.setattr(dynamics, "j1_over_t", j1_spy)
         params = ModelParams(epsilon_d=-2.0, g=0.05)
-        survival_bessel_sum(params, np.arange(0.0, 40.0, 0.5))
-        assert sorted(calls) == [(False, 0.0, 39.5)] * 3 + [(True, 0.0, 39.5)]
-        calls.clear()
-        survival_bessel_sum(params, np.arange(0.0, 10.0, 0.5))
-        assert sorted(calls) == [(False, 0.0, 9.5)] * 3 + [(True, 0.0, 9.5), (True, 9.5, 25.0)]
+        for t_max, end in ((39.5, 39.5), (9.5, 25.0)):
+            grids.clear()
+            nodes.clear()
+            survival_bessel_sum(params, np.arange(0.0, t_max + 0.25, 0.5))
+            assert grids == [(0.0, end)]
+            # every time is a grid edge, so there are no partial panels; each
+            # of the end / 0.25 panels has 15 nodes and is checked with 30
+            seen = np.concatenate(nodes)
+            assert seen.size == 45 * int(end / 0.25)
+            assert np.unique(seen).size == seen.size
+
+    def test_long_window_initial_value(self):
+        # the scan is one Toeplitz product per block and a contractive step
+        # per block start, so A(0) stays at the rounding floor after a
+        # backward pass over 8000 panels
+        params = ModelParams(epsilon_d=-2.0, g=0.02)
+        tr = survival_bessel_sum(params, np.arange(0.0, 2000.5, 0.5))
+        assert abs(tr.amplitude[0] - 1.0) <= 5e-15
+
+    @pytest.mark.parametrize("eps_d, g", [(-2.0, 0.05), (-1.9, 0.3)])
+    def test_times_off_the_panel_grid_match_oracle(self, eps_d, g):
+        # every time sits inside a panel of width 1/4, so each is read from
+        # its panel's left edge plus a partial panel (measured 1.8e-14)
+        params = ModelParams(epsilon_d=eps_d, g=g)
+        times = 0.1 + 0.3 * np.arange(266)
+        oracle = survival_lattice_oracle(params, LatticeConfig(300, times[-1]), times)
+        tr = survival_bessel_sum(params, times)
+        assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-12
+
+    def test_window_end_leaves_earlier_times(self):
+        # the panel width is a power of two, so E h is exact and A(t) does not
+        # depend on how far the window reaches; a width T/n would let the
+        # scan's phases drift by |E| t eps, which residues of 42 magnify
+        params = ModelParams(epsilon_d=-2.0, g=1e-3)
+        t = np.array([2000.3, 10000.3])
+        alone = survival_bessel_sum(params, t).amplitude
+        for end in (10013.9, 12345.6, 17338.7):
+            longer = survival_bessel_sum(params, np.append(t, end)).amplitude[:2]
+            assert np.max(np.abs(longer - alone)) < 1e-13
+
+    def test_panel_check_covers_the_partial_panels(self, monkeypatch):
+        # with an empty uniform grid only the partial panels [a, b] can fail
+        # the check, and below any achievable budget they must
+        E = np.array([s.energy for s in four_states(ModelParams(epsilon_d=-2.0, g=0.05))])
+        a = np.array([0.0, 12.25, 30.0])
+        b = a + np.array([0.1, 0.2, 0.05])
+        monkeypatch.setattr(dynamics, "_PANEL_TOL", 1e-30)
+        with pytest.raises(QuadratureError) as info:
+            dynamics._checked_panels(E, E.imag > 0, np.array([0.0]), a, b)
+        assert 0.0 < info.value.residual < 1e-10
+
+    def test_scan_identity_is_checked(self, monkeypatch):
+        # a growing state's backward scan ends at t = 0, where i lam W(0) = 1;
+        # below any achievable budget the miss is raised with its size
+        monkeypatch.setattr(dynamics, "_IDENTITY_TOL", 1e-40)
+        with pytest.raises(QuadratureError) as info:
+            survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=0.05), [0.0, 30.0])
+        assert 0.0 < info.value.residual < 1e-12
 
     def test_window_without_panels(self):
         # no state grows at these parameters, so at t = 0 every state gives
@@ -361,7 +420,9 @@ class TestHankelTail:
         # independent of the expansion: checked panels out to e^{-Im E L} < 1e-17
         E, T = _growing_energy(eps_d, g), 25.0
         edges = refine_edges(np.array([T + 40.0 / E.imag]), 0.25, start=T)
-        ref = np.exp(1j * E * (edges[:-1] - T)) @ dynamics._panel_integrals(E, edges)
+        none = np.empty(0)
+        panels, _ = dynamics._checked_panels(np.array([E]), np.array([True]), edges, none, none)
+        ref = np.exp(1j * E * (edges[:-1] - T)) @ panels[:, 0]
         assert abs(dynamics._hankel_tail(E, T) - ref) <= 1e-14 * abs(ref)
 
 

@@ -242,10 +242,13 @@ class TestNearEdgeTripletAtWeakCoupling:
             StateClass.RESONANCE,
             StateClass.ANTI_RESONANCE,
         }
-        # four_states classifies it by its sign and keeps its residue g^2/32
+        # four_states keeps it with its residue g^2/32, and discrete_spectrum
+        # classifies the exactly real root by |lam| < 1, not the cut test
         upper = four_states(ModelParams(-2.0, g))[3]
         assert upper.state_class is StateClass.BOUND_UPPER
         assert upper.psid_sq.real == pytest.approx(g * g / 32.0, rel=1e-4)
+        classes = [s.state_class for s in discrete_spectrum(ModelParams(-2.0, g))]
+        assert classes.count(StateClass.BOUND_UPPER) == 1
 
     def test_missing_upper_bound_state_rejected(self):
         # at g = 0 the fourth root sits on the band edge lam = -1
