@@ -32,7 +32,7 @@ from .dynamics import (
     survival_lattice_oracle,
 )
 from .ep import all_ep_locations, complex_parameter_sheet, scan_consistency_rows
-from .errors import BandEdgeError, ConfigError
+from .errors import BandEdgeError, ConfigError, DomainError
 from .generic import make_model, self_energy_quadrature, sigma_closed_form
 from .jordan import (
     eigenvalue_one_defect,
@@ -290,7 +290,9 @@ def _run_dynamics(cfg: RunConfig) -> int:
     times = np.arange(0.0, p["t_max"] + 1e-9, p["dt"])
     want = _METHODS if p["method"] == "all" else {p["method"]}
     n_sites = p["n_sites"] or int(2 * p["t_max"] + 50)
-    traces = _survival_traces(params, times, want, n_sites, p["t_max"])
+    traces = _survival_traces(
+        params, times, want, n_sites, p["t_max"], optional=p["method"] == "all"
+    )
     out = cfg.output or "dynamics.csv"
     rows = []
     for tr in traces:
@@ -305,24 +307,35 @@ def _run_dynamics(cfg: RunConfig) -> int:
     return 0
 
 
-def _survival_traces(params, times, want, n_sites: int, t_max: float):
+def _survival_traces(params, times, want, n_sites: int, t_max: float, optional=False):
     """Survival traces of the routes named in want, in the order oracle,
     bessel, intermediate, longtime.  The lattice of n_sites is trusted up to
-    t_max; the t^{3/2} law keeps to its window t <= g^(-4/3)."""
+    t_max; the t^{3/2} law keeps to its window t <= g^(-4/3).
+
+    With optional set, a route outside its domain (DomainError) is left out
+    with one line on stderr naming it and the reason; any other error, a
+    LatticeTruncationError included, still fails the run.
+    """
+    ti = times[params.g ** (4.0 / 3.0) * times <= 1.0]
+    tl = times[times > 0]
+    routes = {
+        "oracle": lambda: survival_lattice_oracle(params, LatticeConfig(n_sites, t_max), times),
+        "bessel": lambda: survival_bessel_sum(params, times),
+        "intermediate": lambda: SurvivalTrace.from_amplitude(
+            ti, intermediate_amplitude(params.g, ti), Method.INTERMEDIATE_LAW),
+        "longtime": lambda: SurvivalTrace.from_amplitude(
+            tl, longtime_amplitude(params, tl), Method.LONG_TIME_LAW),
+    }
     traces = []
-    if "oracle" in want:
-        lattice = LatticeConfig(n_sites, t_max)
-        traces.append(survival_lattice_oracle(params, lattice, times))
-    if "bessel" in want:
-        traces.append(survival_bessel_sum(params, times))
-    if "intermediate" in want:
-        ti = times[params.g ** (4.0 / 3.0) * times <= 1.0]
-        traces.append(SurvivalTrace.from_amplitude(
-            ti, intermediate_amplitude(params.g, ti), Method.INTERMEDIATE_LAW))
-    if "longtime" in want:
-        tl = times[times > 0]
-        traces.append(SurvivalTrace.from_amplitude(
-            tl, longtime_amplitude(params, tl), Method.LONG_TIME_LAW))
+    for name, route in routes.items():
+        if name not in want:
+            continue
+        try:
+            traces.append(route())
+        except DomainError as exc:
+            if not optional:
+                raise
+            print(f"skipped {name}: {exc}", file=sys.stderr)
     return traces
 
 

@@ -3,11 +3,12 @@
 Routes
 ------
 1. ``survival_lattice_oracle``: brute force.  Truncate the chain to sites
-   -N..N and sum residues over its exact spectrum: eigenvalues from LAPACK
-   (no eigenvectors), dot weights as closed-form residues of the dot
-   Green's function.  Spectrally exact for all t at once; the guard
-   N > 2 t_max + 10 keeps the wavefront (group velocity at most 2) from
-   returning within the requested window.
+   -N..N and sum residues over its exact spectrum: eigenvalues from the
+   secular equation, one bracketed root between each pair of adjacent chain
+   poles and one beyond each end (no matrix is formed), dot weights as
+   closed-form residues of the dot Green's function.  Spectrally exact for
+   all t at once; the guard N > 2 t_max + 10 keeps the wavefront (group
+   velocity at most 2) from returning within the requested window.
 2. ``survival_bessel_sum``: the exact pole/branch-cut representation.  Each
    of the four discrete states j contributes
 
@@ -60,11 +61,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gamma, wofz
 
 from .bessel import bessel_j, j1_over_t
-from .errors import DomainError, LatticeTruncationError, QuadratureError
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    LatticeTruncationError,
+    NumericalError,
+    QuadratureError,
+)
 from .model import ModelParams
 from .quadrature import adaptive_quad, panel_nodes, refine_edges
 from .spectrum import DiscreteState, StateClass, _monic_roots, four_states, near_edge_triplet
@@ -86,6 +92,14 @@ _TAIL_TOL = 1e-16  # truncation budget, relative to the tail
 _SERIES_TERMS = 24
 _CF_STOP = 1e-18
 _CF_MAX_DEPTH = 1000
+# lattice oracle: a secular root is converged within _ROOT_ULPS ulps; bisection
+# alone would need about 90 sweeps to get there from a whole bracket
+_ROOT_ULPS = 4.0
+_MAX_SWEEPS = 100
+_WEIGHT_SUM_TOL = 1e-13  # budget on |sum_m w_m - 1| of the dot weights
+_PI_LO = 1.2246467991473532e-16  # pi - fl(pi)
+# D(z) = sum_k (-z)^k / (2k + 3)!, highest power first; 14 terms for |z| <= 4
+_D_SERIES = [(-1.0) ** k / float(gamma(2 * k + 4)) for k in range(13, -1, -1)]
 
 
 class Method(Enum):
@@ -132,83 +146,302 @@ class SurvivalTrace:
 # Route 1: truncated-lattice oracle
 # ---------------------------------------------------------------------------
 
-def _scaled_trig(x):
-    """sin x and cos x divided by cosh(Im x), and 1 / cosh^2(Im x).
+def _pole(j, s, eps):
+    """sin, cos and detuning 2 cos phi_j - eps of the chain poles
+    phi_j = j pi / (2s), corrected to first order for the rounding of phi_j.
 
-    All three stay bounded for complex x, where sin and cos themselves
-    overflow once |Im x| > 710; for real x they are sin x, cos x and 1.
+    The rounding delta = j pi / (2s) - fl(j pi / (2s)) is exact to a few
+    ulps of itself: pi / (2s) = h + h_err from pi's two parts, and j h
+    splits exactly as j h_1 + j h_2 with h_1 the upper 26 bits of h.  The
+    detuning is taken from the dot level's own angle phi_e, clipped to the
+    band edges, as
+        (2 cos phi_e - eps) - 4 sin((phi_j + phi_e)/2) sin((phi_j - phi_e)/2);
+    the first term is shared by every pole, and the product keeps its
+    relative precision however close the pole is to eps, so no rounding of
+    one pole's detuning moves its roots against the others'.
     """
-    th = np.tanh(x.imag)
-    sin, cos = np.sin(x.real), np.cos(x.real)
-    return sin + 1j * cos * th, cos - 1j * sin * th, 1.0 - th**2
+    h = np.pi / (2 * s)
+    split = 134217729.0 * h  # 2^27 + 1
+    h1 = split - (split - h)
+    h2 = h - h1
+    h_err = ((np.pi - 2 * s * h1) - 2 * s * h2 + _PI_LO) / (2 * s)
+    phi = j * h
+    delta = (j * h1 - phi) + j * h2 + j * h_err
+    phi_e = np.arccos(np.clip(0.5 * eps, -1.0, 1.0))
+    half_sum, half_diff = 0.5 * (phi + phi_e + delta), 0.5 * ((phi - phi_e) + delta)
+    detuning = (2.0 * np.cos(phi_e) - eps) - 4.0 * np.sin(half_sum) * np.sin(half_diff)
+    sp, cp = np.sin(phi), np.cos(phi)
+    return sp + cp * delta, cp - sp * delta, detuning
+
+
+def _angle(theta, pole, s):
+    """sin phi, cos phi, 2 cos phi - eps and |cos phi_j - cos phi| at
+    phi = phi_j + theta / s, from the pole's terms (see ``_pole``).
+
+    phi itself is never formed: the offset psi = theta / s enters through
+    cos phi = cos phi_j - d, d = cos phi_j (1 - cos psi) + sin phi_j sin psi,
+    so the detuning's rounding is the pole's own, shared by the roots on
+    either side of it, plus that of the small d.
+    """
+    sp, cp, c0 = pole
+    psi = theta / s
+    sin_psi, vers = np.sin(psi), 2.0 * np.sin(0.5 * psi) ** 2
+    d = cp * vers + sp * sin_psi
+    return sp - sp * vers + cp * sin_psi, cp - d, c0 - 2.0 * d, np.abs(d)
+
+
+def _secular(theta, pole, g2, s):
+    """F = a sin(theta) + g^2 cos(theta), a = 2 sin phi (2 cos phi - eps), at
+    phi = phi_j + theta / s; dF/dtheta; and the scale of F's rounding error,
+    in units of the machine epsilon."""
+    sin_phi, cos_phi, c, d = _angle(theta, pole, s)
+    a = 2.0 * sin_phi * c
+    da = 2.0 * cos_phi * c - 4.0 * sin_phi**2
+    st, ct = np.sin(theta), np.cos(theta)
+    size = np.abs(a * st) + g2 * np.abs(ct) + 4.0 * np.abs(sin_phi * st) * d
+    return a * st + g2 * ct, da * st / s + a * ct - g2 * st, size
+
+
+def _bracket_roots(j, eps, lo, hi, g2, s):
+    """Eigenvalues 2 cos phi and dot weights from the roots theta in [lo, hi]
+    of F (see ``_secular``), one per bracket from the pole phi_j, where
+    F(lo) > 0 > F(hi) and hi = pi, so that the bracket ends at the pole
+    phi_(j+2).
+
+    Safeguarded Newton from theta_0 = pi/2 + arctan(a / g^2), with a taken
+    at the middle of the bracket, iterating only the brackets still open.
+    A root that starts past pi/2 is iterated as theta - pi from phi_(j+2),
+    where F changes sign and a root close to that pole keeps its digits.
+    A root is converged once its Newton step is within _ROOT_ULPS ulps of
+    theta on the slope that F crosses its root with, F is rounding noise or
+    the bracket has closed to as many ulps; that test comes before the
+    bracket check, which bisects a step that leaves the bracket.  (A tiny
+    step on the other slope points at no root, as at a pole where
+    |F| = g^2 is below an ulp of the slope.)  The root then gets one Newton
+    step in its offset from the nearest pole, which keeps that offset, and
+    so the weight, to full relative precision.
+    """
+    pole = _pole(j, s, eps)
+    sin_mid, _, c_mid, _ = _angle(0.5 * (lo + hi), pole, s)
+    a_mid = 2.0 * sin_mid * c_mid
+    theta = np.arctan2(g2, -a_mid)  # pi/2 + arctan(a / g^2)
+    # sign of F on the upper side of its root: -1 from phi_j, +1 from phi_(j+2)
+    rise = np.where(theta > 0.5 * np.pi, 1.0, -1.0)
+    j = j + rise + 1.0
+    lo, hi = lo - np.pi * (rise > 0), hi - np.pi * (rise > 0)  # exact: lo >= pi/2 or 0
+    theta = np.clip(np.where(rise > 0, -np.arctan2(g2, a_mid), theta), lo, hi)
+    pole = _pole(j, s, eps)
+    open_ = np.arange(theta.size)
+    tiny = _ROOT_ULPS * np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            if not open_.size:
+                break
+            th, r = theta[open_], rise[open_]
+            F, dF, size = _secular(th, [x[open_] for x in pole], g2, s)
+            step = F / dF
+            new = th - step
+            above = r * F < 0.0
+            lo[open_] = l = np.where(above, th, lo[open_])
+            hi[open_] = h = np.where(above, hi[open_], th)
+            ulps = tiny * np.abs(th)
+            small = (np.abs(step) <= ulps) & (r * dF > 0.0)
+            done = small | (np.abs(F) <= tiny * size) | (h - l <= ulps)
+            theta[open_] = np.where(done | ((l < new) & (new < h)), new, 0.5 * (l + h))
+            open_ = open_[~done]
+    if open_.size:
+        raise NumericalError(
+            f"{open_.size} of {theta.size} chain-pole brackets unconverged "
+            f"after {_MAX_SWEEPS} sweeps"
+        )
+    far = np.where(np.abs(theta) > 0.5 * np.pi, np.sign(theta), 0.0)
+    j = j + 2.0 * far
+    pole = _pole(j, s, eps)
+    theta = theta - np.pi * far  # exact: |theta| >= pi/2
+    F, dF, _ = _secular(theta, pole, g2, s)
+    theta = theta - F / dF
+    sin_phi, cos_phi, _, _ = _angle(theta, pole, s)
+    S, C = np.sin(theta), np.cos(theta)
+    bracket = s * sin_phi + S * C * cos_phi
+    # near the band edge 2 - 4 sin^2(phi/2) rounds lam once; for phi < 0.45 the
+    # rounding of phi itself costs less than that
+    half = 0.5 * (j * np.pi / (2 * s) + theta / s)
+    lam = np.where(cos_phi > 0.9, 2.0 - 4.0 * np.sin(half) ** 2, 2.0 * cos_phi)
+    return lam, S**2 / (S**2 + g2 * bracket / (4.0 * sin_phi**3))
+
+
+def _sinc(z):
+    """sin(sqrt z) / sqrt z for real z, continued to z < 0 (sinh)."""
+    if z == 0.0:
+        return 1.0
+    r = np.sqrt(abs(z))
+    return (np.sin(r) if z > 0.0 else np.sinh(r)) / r
+
+
+def _cos(z):
+    """cos(sqrt z) for real z, continued to z < 0 (cosh)."""
+    r = np.sqrt(abs(z))
+    return np.cos(r) if z >= 0.0 else np.cosh(r)
+
+
+def _series_d(z):
+    """(sqrt z - sin sqrt z) / z^(3/2) for |z| <= 4, by its power series."""
+    total = 0.0
+    for c in _D_SERIES:
+        total = total * z + c
+    return total
+
+
+def _edge_terms(q, s):
+    """2 - lam = 4 sin^2(phi/2), G(lam) and -G'(lam) at q = phi^2 for the
+    folded chain, continued to a bound state phi = i kappa at q = -kappa^2,
+    and -dlam/dq = sin phi / phi.
+
+    Both G = tan(s phi) / (2 sin phi) and -G' = sec^2(s phi) (s sin phi
+    - sin(2 s phi) cos(phi) / 2) / (4 sin^3 phi) are even in phi.  For
+    |s phi| <= 1 the numerator is split into
+    phi^3 [8 s^3 D(4 s^2 q) - 2 s D(q) + s sinc(2 s phi) sinc^2(phi/2)] / 2,
+    D(z) = (sqrt z - sin sqrt z) / z^(3/2) as its power series, so nothing
+    cancels as q -> 0; beyond, a bound state's terms are taken through
+    tanh and sech of s kappa, which never overflow.
+    """
+    u2 = s * s * q
+    if u2 >= -1.0:
+        cu, sq = _cos(u2), _sinc(q)
+        G = 0.5 * s * _sinc(u2) / (cu * sq)
+        half = _sinc(0.25 * q) ** 2
+        num = 8.0 * s**3 * _series_d(4.0 * u2) - 2.0 * s * _series_d(q)
+        num += s * _sinc(4.0 * u2) * half
+        return q * half, G, num / (8.0 * cu * cu * sq**3), sq
+    kappa = np.sqrt(-q)
+    x = np.exp(-s * kappa)
+    tanh, sech2 = (1.0 - x * x) / (1.0 + x * x), (2.0 * x / (1.0 + x * x)) ** 2
+    sh, ch = np.sinh(kappa), np.cosh(kappa)
+    dG = (tanh * ch / sh - s * sech2) / (4.0 * sh) / sh
+    return -4.0 * np.sinh(0.5 * kappa) ** 2, tanh / (2.0 * sh), dG, sh / kappa
+
+
+def _edge_root(eps, g2, s):
+    """The eigenvalue above the highest chain pole and its dot weight, or None
+    when it lies within (phi_1/2, phi_1) of the pole phi_1 = pi/(2s).
+
+    The secular function lam - eps - g^2 G(lam) increases with lam; at
+    lam = 2, where G = s/2, its sign tells a band state (phi in (0, phi_1))
+    from a bound state (phi = i kappa).  The root is found by safeguarded
+    Newton in q = phi^2, which stays regular through phi = 0, the band
+    edge.  A band state in the upper half of the interval is left to the
+    pole-offset solve, since there q cannot hold its distance to the pole.
+    """
+    h0 = 2.0 - eps - 0.5 * g2 * s
+    if h0 > 0.0:
+        phi = 0.25 * np.pi / s
+        if 2.0 * np.cos(phi) - eps - 0.5 * g2 / np.sin(phi) > 0.0:
+            return None
+        lo, hi = 0.0, phi * phi
+    else:
+        # G(lam) < 1 / (lam - 2) bounds lam - 2 = 4 sinh^2(kappa/2) by the
+        # positive root of x^2 - (eps - 2) x - g^2, taken without cancellation
+        x, r = eps - 2.0, np.hypot(eps - 2.0, 2.0 * np.sqrt(g2))
+        gap = 0.5 * (x + r) if x > 0.0 else 2.0 * g2 / (r - x)
+        lo, hi = -(2.0 * np.arcsinh(0.5 * np.sqrt(gap))) ** 2, 0.0
+    tiny = _ROOT_ULPS * np.finfo(float).eps
+    q = 0.0
+    for _ in range(_MAX_SWEEPS):
+        # lam - eps as (2 - eps) - (2 - lam), which keeps q's digits near q = 0
+        gap, G, dG, sq = _edge_terms(q, s)
+        h = (2.0 - eps) - gap - g2 * G
+        step = -h / (sq * (1.0 + g2 * dG))
+        if abs(step) <= tiny * abs(q) or abs(h) <= tiny * (abs(2.0 - eps) + abs(gap) + g2 * G):
+            gap, _, dG, _ = _edge_terms(q - step, s)
+            return 2.0 - gap, 1.0 / (1.0 + g2 * dG)
+        lo, hi = (q, hi) if h > 0.0 else (lo, q)
+        q -= step
+        if not lo < q < hi:
+            q = 0.5 * (lo + hi)
+    raise NumericalError(f"outer root unconverged after {_MAX_SWEEPS} steps")
 
 
 def lattice_spectrum(params: ModelParams, n_sites: int):
-    """Eigenvalues and dot weights |<d|m>|^2 of the truncated chain.
+    """Eigenvalues (ascending) and dot weights |<d|m>|^2 of the truncated chain.
 
     The chain is reflection symmetric about site 0 and the dot couples only
     to the even sector, so the (2N+2)-dimensional problem folds exactly onto
     the tridiagonal matrix over (d, x0, even combinations x_k), with hopping
     -g, -sqrt(2), -1, -1, ...  The odd sector carries zero dot weight.
 
-    The eigenvalues come from LAPACK (``eigvalsh_tridiagonal``, no
-    eigenvectors).  The weights are the residues of the dot Green's function
-    1 / (z - eps_d - g^2 G(z)), w_m = 1 / (1 - g^2 G'(lam_m)), where the
-    folded chain alone has the closed-form site-0 Green's function
+    No matrix is formed.  With the dot removed, the folded chain has the
+    closed-form site-0 Green's function
 
         G(2 cos phi) = tan(s phi) / (2 sin phi),   s = N + 1,
 
-    with poles at phi_j = j pi / (2s), j odd.  In the offset psi = phi - phi_j
-    from the nearest pole, tan(s phi) = -cot(s psi) exactly, so
+    with poles at phi_j = j pi / (2s), j odd, and the N + 2 eigenvalues are
+    the roots of the secular equation lam - eps_d - g^2 G(lam) = 0.  They
+    strictly interlace the s poles: one in each of the s - 1 intervals
+    (phi_j, phi_j + pi/s), one above the highest pole and one below the
+    lowest.  In each interval theta = s (phi - phi_j) in (0, pi) solves the
+    pole-free form F(theta) = 2 sin phi (2 cos phi - eps_d) sin theta
+    + g^2 cos theta = 0, F(0) = g^2 > 0 > -g^2 = F(pi); the distance to the
+    pole is thus the stored unknown (Gu and Eisenstat, SIAM J. Matrix Anal.
+    Appl. 15, 1266 (1994)).  The two outer roots are solved in q = phi^2,
+    regular through the band edge phi = 0 and continued to a bound state
+    at q = -kappa^2 (see ``_edge_root``); one within (phi_1/2, phi_1) of
+    the outermost pole is instead the root of F on (3 pi/4, pi) from the
+    mirror pole -phi_1.  G is odd, so every root with lam < 0 is solved at
+    -lam with eps_d mirrored, where phi <= pi/2 keeps sin phi exact at both
+    band edges.  The poles' detunings 2 cos phi_j - eps_d are taken to
+    their relative precision (see ``_pole``), so that rounding does not
+    spoil the sum rule where the dot level lies inside the band.
 
-        w = 1 / (1 + g^2 (s csc^2(s psi) sin phi + cot(s psi) cos phi) / (4 sin^3 phi))
+    The weights are the residues of the dot Green's function
+    1 / (z - eps_d - g^2 G(z)), w_m = 1 / (1 - g^2 G'(lam_m)); in the offset
+    psi = phi - phi_j from the nearest pole, tan(s phi) = -cot(s psi), so
 
-    and each lam_m gets one Newton step in psi on the pole-free secular
-    equation 2 sin phi (2 cos phi - eps_d) sin(s psi) + g^2 cos(s psi) = 0.
-    The distance to the pole is thus the stored unknown, which keeps the
-    weights to full precision, and the eigenvalue is returned as
-    2 cos(phi_j + psi).  G is odd, so each state is solved at |lam| with
-    eps_d mirrored, where phi <= pi/2 keeps sin phi exact at both band edges.
-    A bound state (|lam| > 2) has phi = i kappa and complex psi; sin(s psi)
-    and cos(s psi) enter scaled by cosh(s kappa), which never overflows.  At
-    g = 0 the dot decouples: weight 1 on its level eps_d, 0 on every other.
+        w = 1 / (1 + g^2 (s csc^2(s psi) sin phi + cot(s psi) cos phi) / (4 sin^3 phi)),
 
-    Against a 30-digit solve of the secular equation the weights are within
-    1e-16 (N = 250, eps_d = -2, g = 5e-3: the bound state and the 8 band
-    states above it) and sum to 1 within 1e-15.
+    and an outer root takes G' from its regular form in q.  At g = 0 the
+    dot decouples: weight 1 on its level eps_d, 0 on every other.
+
+    Against a 30-digit solve of the secular equation the eigenvalues and
+    weights are within 1e-15 (N = 250, eps_d = -2, g = 5e-3, all 252
+    states); the weights sum to 1 within 5.6e-16 for dot levels across the
+    band up to N = 1e5.  Raises NumericalError, naming the brackets left
+    open, if the sweep cap is reached, and ConsistencyError if the weights
+    are not finite or miss sum_m w_m = 1 by more than 1e-13.
     """
     n = int(n_sites)
-    diag = np.zeros(n + 2)
-    diag[0] = params.epsilon_d
-    off = -np.ones(n + 1)
-    off[0] = -params.g
-    if n >= 1:
-        off[1] = -np.sqrt(2.0)
-    lam = eigvalsh_tridiagonal(diag, off)
-    g2, s = params.g**2, n + 1
+    s, eps, g2 = n + 1, params.epsilon_d, params.g**2
     if g2 == 0.0:
-        weights = np.zeros(lam.size)
-        weights[np.argmin(np.abs(lam - params.epsilon_d))] = 1.0
-        return lam, weights
-    sign = np.where(lam < 0.0, -1.0, 1.0)
-    eps = sign * params.epsilon_d
-    phi = np.arccos(0.5 * np.abs(lam) + 0j)
-    # the nearest pole phi_j, j odd, and the offset from it
-    pole = (2.0 * np.floor(phi.real * s / np.pi) + 1.0) * np.pi / (2 * s)
-    psi = phi - pole
-    # Newton step on a sin(s psi) + g^2 cos(s psi) = 0, both terms scaled
-    S, C, _ = _scaled_trig(s * psi)
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    a = 2.0 * sin_phi * (2.0 * cos_phi - eps)
-    da = 2.0 * cos_phi * (2.0 * cos_phi - eps) - 4.0 * sin_phi**2
-    psi = psi - (a * S + g2 * C) / (da * S + s * (a * C - g2 * S))
-    phi = pole + psi
-    S, C, sech2 = _scaled_trig(s * psi)
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    # the residue formula above times sin^2(s psi) / cosh^2(Im s psi)
-    bracket = s * sin_phi * sech2 + S * C * cos_phi
-    weights = S**2 / (S**2 + g2 * bracket / (4.0 * sin_phi**3))
-    return sign * 2.0 * cos_phi.real, weights.real
+        # the chain poles 2 cos(j pi / (2s)) and the dot level
+        lam = np.append(2.0 * np.sin((s - np.arange(1, 2 * s, 2)) * np.pi / (2 * s)), eps)
+        weights = np.zeros(s + 1)
+        weights[s] = 1.0
+    else:
+        # bracket (phi_j, phi_j + pi/s) past pi/2 is solved mirrored, from
+        # the pole 2s - 2 - j
+        j = np.arange(1, 2 * s - 2, 2)
+        sign = np.where(j + 1 > s, -1.0, 1.0)
+        j = np.where(sign < 0.0, 2 * s - 2 - j, j).astype(float)
+        lo, hi = np.zeros(s - 1), np.full(s - 1, np.pi)
+        edge_lam, edge_w = [], []
+        for sigma in (1.0, -1.0):
+            root = _edge_root(sigma * eps, g2, s)
+            if root is None:  # next to the outermost pole: the bracket from -phi_1
+                sign, j = np.append(sign, sigma), np.append(j, -1.0)
+                lo, hi = np.append(lo, 0.75 * np.pi), np.append(hi, np.pi)
+            else:
+                edge_lam.append(sigma * root[0])
+                edge_w.append(root[1])
+        lam, weights = _bracket_roots(j, sign * eps, lo, hi, g2, s)
+        lam = np.append(sign * lam, edge_lam)
+        weights = np.append(weights, edge_w)
+        miss = abs(weights.sum() - 1.0)
+        if not miss <= _WEIGHT_SUM_TOL:
+            raise ConsistencyError(
+                f"lattice dot weights miss sum_m w_m = 1 by {miss:.3g} "
+                f"(tolerance {_WEIGHT_SUM_TOL:g})"
+            )
+    order = np.argsort(lam, kind="stable")
+    return lam[order], weights[order]
 
 
 def dense_lattice_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:

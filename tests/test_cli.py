@@ -166,6 +166,38 @@ class TestRunners:
             assert P <= 1.0
             assert re_a**2 + im_a**2 == pytest.approx(P, rel=1e-14, abs=1e-15)
 
+    def test_dynamics_all_leaves_out_route_outside_domain(self, capsys, tmp_path):
+        # eps_d = -2.05 at g = 0.05 is in the virtual-state regime, where the
+        # late-time law has no resonance; the other three routes are written
+        out = tmp_path / "dyn.csv"
+        assert main([
+            "dynamics", "--method", "all", "--g", "0.05", "--eps-d", "-2.05",
+            "--t-max", "80", "-o", str(out),
+        ]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("skipped longtime: no resonance")
+        methods = [line.split(",")[4] for line in out.read_text().splitlines()[1:]]
+        assert set(methods) == {"LatticeOracle", "BesselSum", "IntermediateLaw"}
+
+    def test_dynamics_requested_route_outside_domain_fails(self, capsys, tmp_path):
+        out = tmp_path / "dyn.csv"
+        assert main([
+            "dynamics", "--method", "longtime", "--g", "0.05", "--eps-d", "-2.05",
+            "--t-max", "80", "-o", str(out),
+        ]) == 1
+        assert "error: no resonance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dynamics_all_truncated_lattice_fails(self, capsys, tmp_path):
+        out = tmp_path / "dyn.csv"
+        assert main([
+            "dynamics", "--method", "all", "--g", "0.05", "--eps-d", "-2.05",
+            "--t-max", "80", "--n-sites", "100", "-o", str(out),
+        ]) == 1
+        assert "error: N = 100 too small" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dynamics_oracle_with_gnuplot(self, tmp_path):
         out = tmp_path / "dyn.csv"
         assert main([

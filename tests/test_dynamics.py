@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from bandedge import dynamics
 from bandedge.dynamics import (
@@ -20,7 +20,13 @@ from bandedge.dynamics import (
     survival_lattice_oracle,
     survival_longtime_law,
 )
-from bandedge.errors import DomainError, LatticeTruncationError, QuadratureError
+from bandedge.errors import (
+    ConsistencyError,
+    DomainError,
+    LatticeTruncationError,
+    NumericalError,
+    QuadratureError,
+)
 from bandedge.model import ModelParams
 from bandedge.quadrature import adaptive_quad, refine_edges
 from bandedge.spectrum import four_states, near_edge_triplet
@@ -91,26 +97,32 @@ class TestLatticeOracle:
         assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_weights_match_secular_reference(self):
-        # 30-digit Newton solve of lam - eps_d - g^2 G(lam) = 0, with G the
+        # 30-digit Newton step on lam - eps_d - g^2 G(lam) = 0, with G the
         # folded chain's site-0 Green's function summed over its N + 1 poles
-        # (each of weight 1/(N + 1)); the bound state and the 8 lowest band
-        # states, where the residues are most sensitive to lam - mu_j
+        # (each of weight 1/(N + 1)), from each computed eigenvalue; every
+        # one of the N + 2 states, the bound state and the band states whose
+        # residues are most sensitive to lam - mu_j included
         params, n = ModelParams(epsilon_d=-2.0, g=5e-3), 250
         evals, weights = lattice_spectrum(params, n)
+        assert evals.size == n + 2
         assert abs(weights.sum() - 1.0) <= 1e-14
         with mp.workdps(30):
             s = n + 1
             mu = [2 * mp.cos(j * mp.pi / (2 * s)) for j in range(1, 2 * s, 2)]
             g2, eps = mp.mpf(params.g) ** 2, mp.mpf(params.epsilon_d)
-            for lam0, w in zip(evals[:9], weights[:9]):
+
+            def green(lam):
+                inv = [1 / (lam - m) for m in mu]
+                return mp.fsum(inv) / s, -mp.fsum(x * x for x in inv) / s
+
+            for lam0, w in zip(evals, weights):
                 lam = mp.mpf(lam0)
-                for _ in range(4):
-                    G = mp.fsum(1 / (lam - m) for m in mu) / s
-                    dG = -mp.fsum(1 / (lam - m) ** 2 for m in mu) / s
-                    lam -= (lam - eps - g2 * G) / (1 - g2 * dG)
-                dG = -mp.fsum(1 / (lam - m) ** 2 for m in mu) / s
+                G, dG = green(lam)
+                # lam0 is within 1e-15, so one step leaves < 1e-23
+                lam -= (lam - eps - g2 * G) / (1 - g2 * dG)
+                _, dG = green(lam)
                 assert abs(lam0 - lam) <= 1e-15
-                assert abs(w - 1 / (1 - g2 * dG)) <= 1e-14
+                assert abs(w - 1 / (1 - g2 * dG)) <= 1e-15
 
     @pytest.mark.parametrize(
         "eps_d, g, n",
@@ -139,6 +151,84 @@ class TestLatticeOracle:
         assert evals[0] == pytest.approx(w_d[0], abs=1e-13)
         assert weights[0] == pytest.approx(v_d[-1, 0] ** 2, abs=1e-14)
         assert abs(weights.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "eps_d, g, n",
+        [
+            (-2.0, 0.3, 0), (3.0, 0.5, 0), (-2.0, 0.3, 1), (0.5, 1.0, 1),
+            (-1.7, 0.0, 40), (-2.0, 1.0, 1000),
+            (2.0 * np.cos(51 * np.pi / 200), 0.05, 99),
+            (2.0 * np.cos(51 * np.pi / 200), 1e-5, 99),
+            (2.0 * np.cos(51 * np.pi / 200), 1e-15, 99),
+            (0.3, 1e-12, 99), (0.0, 0.3, 99), (1.0, 0.3, 299),
+        ],
+        ids=[
+            "N=0", "N=0-bound", "N=1", "N=1-strong", "decoupled", "deep-bound",
+            "on-pole", "on-pole-weak", "on-pole-1e-15", "in-band-1e-12",
+            "midpoint-pi/2", "midpoint-pi/3",
+        ],
+    )
+    def test_eigenvalues_match_lapack(self, eps_d, g, n):
+        # the secular solve against LAPACK on the folded tridiagonal matrix:
+        # the smallest chains, g = 0, a bound state with (N + 1) kappa > 710,
+        # a dot level on a chain pole (N = 99: phi_51 = 51 pi / 200), where
+        # the two states it splits into lie 1e-15 from the pole at the
+        # weakest g, a dot level inside the band at g = 1e-12, whose root
+        # the bracket middle's a places at the wrong pole, and chain
+        # midpoints
+        diag = np.zeros(n + 2)
+        diag[0] = eps_d
+        off = -np.ones(n + 1)
+        off[0] = -g
+        off[1:2] = -np.sqrt(2.0)
+        evals, weights = lattice_spectrum(ModelParams(epsilon_d=eps_d, g=g), n)
+        assert np.max(np.abs(evals - eigvalsh_tridiagonal(diag, off))) <= 1e-14
+        assert abs(weights.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("d", [0.0, 1e-12, -1e-12, 1e-8, -1e-8])
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+    def test_band_edge_state_matches_dense(self, side, d):
+        # at eps_d = +-(2 - g^2 (N + 1) / 2) the outer eigenvalue sits on the
+        # band edge |lam| = 2, where the weight's closed form in phi is 0/0
+        params, n = ModelParams(epsilon_d=side * (2.0 - 0.01 * 101 / 2) + d, g=0.1), 100
+        evals, weights = lattice_spectrum(params, n)
+        w_d, v_d = eigh(dense_lattice_hamiltonian(params, n))
+        t = np.linspace(0.0, 30.0, 61)
+        a_folded = np.exp(-1j * np.outer(t, evals)) @ weights
+        a_dense = np.exp(-1j * np.outer(t, w_d)) @ v_d[-1, :] ** 2
+        assert np.max(np.abs(a_folded - a_dense)) < 1e-12
+        assert abs(weights.sum() - 1.0) <= 1e-14
+
+    def test_band_edge_state_at_large_n(self):
+        # 2 - g^2 (N + 1) / 2 = 1.1894 at g = 0.02, N = 4052
+        _, weights = lattice_spectrum(ModelParams(epsilon_d=-1.1894, g=0.02), 4052)
+        assert np.all(np.isfinite(weights))
+        assert abs(weights.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [1e-12, np.nan], ids=["off-by-1e-12", "nan"])
+    def test_weight_sum_check_raises(self, monkeypatch, bad):
+        # one weight of the pole-offset solve spoilt: the sum rule, checked to
+        # 1e-13 on every call, catches a miss of 1e-12 and a non-finite weight
+        solve = dynamics._bracket_roots
+
+        def spoilt(*args):
+            lam, w = solve(*args)
+            w[0] = w[0] + bad
+            return lam, w
+
+        monkeypatch.setattr(dynamics, "_bracket_roots", spoilt)
+        with pytest.raises(ConsistencyError, match="miss sum_m w_m = 1 by"):
+            lattice_spectrum(ModelParams(epsilon_d=-2.0, g=0.3), 250)
+
+    @pytest.mark.parametrize(
+        "eps_d, g, n, message",
+        [(0.0, 0.05, 99, "of 101 chain-pole brackets"), (-2.0, 0.02, 250, "outer root")],
+        ids=["brackets", "edge"],
+    )
+    def test_sweep_cap_raises(self, monkeypatch, eps_d, g, n, message):
+        monkeypatch.setattr(dynamics, "_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalError, match=message):
+            lattice_spectrum(ModelParams(epsilon_d=eps_d, g=g), n)
 
     @pytest.mark.parametrize(
         "times",
@@ -300,6 +390,16 @@ class TestBesselSum:
         oracle = survival_lattice_oracle(params, LatticeConfig(300, times[-1]), times)
         tr = survival_bessel_sum(params, times)
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-12
+
+    @pytest.mark.parametrize("g", [0.02, 1e-3, 1e-4])
+    def test_matches_large_oracle_over_the_beat(self, g):
+        # about nine beat periods of g = 0.02 to t = 17 338, against a
+        # lattice of N = 34 696 (measured 2.0e-12, 2.0e-12, 5.6e-12)
+        params = ModelParams(epsilon_d=-2.0, g=g)
+        times = 810.3 + 4.0 * np.arange(4133)
+        oracle = survival_lattice_oracle(params, LatticeConfig(34696, times[-1]), times)
+        tr = survival_bessel_sum(params, times)
+        assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-11
 
     def test_window_end_leaves_earlier_times(self):
         # the panel width is a power of two, so E h is exact and A(t) does not
