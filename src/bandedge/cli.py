@@ -5,7 +5,10 @@ Configuration can come from a plain-text file of ``key = value`` lines
 (``#`` starts a comment); command-line flags override file values.  Unknown
 keys are rejected with their line number.  All CSV output uses fixed
 17-significant-digit scientific notation so repeated runs are byte-identical
-and doubles round-trip exactly.
+and doubles round-trip exactly.  ``write_csv`` formats every row of a file
+with one ``%`` template, ``%s`` for a string column and ``%.16e`` for every
+other (the conversion of ``f"{float(x):.16e}"``); the row builders pass
+Python floats from ``.tolist()``.
 
 The BLAS thread cap (environment variable BANDEDGE_NUM_THREADS) is applied
 by the package ``__init__``, which runs before this module loads numpy.
@@ -46,17 +49,21 @@ from .spectrum import discrete_spectrum, spectrum_scan
 _UNSET = object()
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.16e}"
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """Write header and rows (a sequence of tuples) as CSV lines.
+
+    A column whose first cell is a str is written as is; every other cell is
+    a real number written ``%.16e``.  A cell whose type does not match its
+    column raises TypeError.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            cells.append(v if isinstance(v, str) else _fmt(v))
-        lines.append(",".join(cells))
+    if rows:
+        text = [isinstance(v, str) for v in rows[0]]
+        for k in (k for k, is_text in enumerate(text) if is_text):
+            if not all(isinstance(row[k], str) for row in rows):
+                raise TypeError(f"CSV column {k} holds a non-string cell")
+        template = ",".join("%s" if is_text else "%.16e" for is_text in text)
+        lines += [template % row for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -296,8 +303,9 @@ def _run_dynamics(cfg: RunConfig) -> int:
     out = cfg.output or "dynamics.csv"
     rows = []
     for tr in traces:
-        for t, a, P in zip(tr.times, tr.amplitude, tr.probability):
-            rows.append((t, a.real, a.imag, P, tr.method.value))
+        rows += zip(tr.times.tolist(), tr.amplitude.real.tolist(),
+                    tr.amplitude.imag.tolist(), tr.probability.tolist(),
+                    [tr.method.value] * tr.times.size)
     write_csv(out, ["t", "re_A", "im_A", "P", "method"], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     if p["gnuplot"]:
@@ -358,7 +366,7 @@ def _run_generic(cfg: RunConfig) -> int:
             f"need e_min < e_max < E_th = {model.e_th}; got [{e_min}, {e_max}]"
         )
     rows = []
-    for E in np.linspace(e_min, e_max, p["n_points"]):
+    for E in np.linspace(e_min, e_max, p["n_points"]).tolist():
         q = self_energy_quadrature(model, E)
         c = sigma_closed_form(model, E)
         rows.append((E, q, c, abs(q - c)))
@@ -438,7 +446,7 @@ def _fig5(outdir: Path) -> None:
               Method.INTERMEDIATE_LAW: "intermediate"}
     traces = _survival_traces(params, times, set(labels.values()), 1500, 600.0)
     rows = [(t, P, labels[tr.method]) for tr in traces
-            for t, P in zip(tr.times, tr.probability)]
+            for t, P in zip(tr.times.tolist(), tr.probability.tolist())]
     csv = outdir / "fig5_survival.csv"
     write_csv(csv, ["t", "P", "method"], rows)
     plateau = asymptotic_plateau(params)

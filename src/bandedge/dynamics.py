@@ -78,6 +78,7 @@ from .spectrum import DiscreteState, StateClass, _monic_roots, four_states, near
 WAVEFRONT_MARGIN = 10.0
 _H_MAX = 0.25  # Bessel-route panel width; a power of two, so E h is exact
 _PANEL_TOL = 1e-10
+_G2_MIN = np.finfo(float).tiny  # smallest g^2 the secular solve accepts, besides 0
 _VERIFY_PANELS = 512
 _BLOCK_PANELS = 4096  # panels per vectorized block, so temporaries stay one size
 _SCAN_BLOCK = 64  # steps per Toeplitz block of the panel scan
@@ -407,9 +408,18 @@ def lattice_spectrum(params: ModelParams, n_sites: int):
     band up to N = 1e5.  Raises NumericalError, naming the brackets left
     open, if the sweep cap is reached, and ConsistencyError if the weights
     are not finite or miss sum_m w_m = 1 by more than 1e-13.
+
+    Domain: g = 0 or g^2 at least the smallest normal double (g >= 1.4917e-154);
+    a subnormal g^2 has too few digits for the secular solve and raises
+    DomainError before any sweep.
     """
     n = int(n_sites)
     s, eps, g2 = n + 1, params.epsilon_d, params.g**2
+    if 0.0 < g2 < _G2_MIN:
+        raise DomainError(
+            f"g = {params.g:.6e} outside the lattice oracle's domain: g^2 = {g2:.6e} "
+            f"is subnormal (need g = 0 or g^2 >= {_G2_MIN:.6e}, g >= {np.sqrt(_G2_MIN):.6e})"
+        )
     if g2 == 0.0:
         # the chain poles 2 cos(j pi / (2s)) and the dot level
         lam = np.append(2.0 * np.sin((s - np.arange(1, 2 * s, 2)) * np.pi / (2 * s)), eps)

@@ -129,18 +129,28 @@ class SheetCell:
     energies: tuple[complex, complex, complex]  # continuity-tracked branches
 
 
+_PERMS = np.array(list(itertools.permutations(range(3))))  # (6, 3), itertools order
+
+
 def _match_to(
     prev: np.ndarray, prev_lams: np.ndarray, Es: np.ndarray, lams: np.ndarray
 ) -> np.ndarray:
-    """Order Es to minimize total distance to prev; ties broken on lam."""
-    best, best_cost = None, None
-    for perm in itertools.permutations(range(3)):
-        cost_e = sum(abs(Es[p] - prev[i]) for i, p in enumerate(perm))
-        cost_l = sum(abs(lams[p] - prev_lams[i]) for i, p in enumerate(perm))
-        cost = (round(cost_e / 1e-12), cost_l)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = perm, cost
-    return np.array(best)
+    """Orders (n, 3) that take each row of Es, lams (n, 3) closest to prev.
+
+    Each row's key is (round(sum |dE| / 1e-12), sum |dlam|) over the six
+    permutations; the least key wins, and on an exact tie the first
+    permutation in ``itertools`` order.  |dz| is ``np.hypot`` of the parts,
+    which rounds like the scalar ``abs`` of a complex, and the three terms
+    are summed left to right, so the keys are those of a cell-by-cell loop.
+    """
+    def cost(new, old):
+        d = new[:, _PERMS] - old[:, None, :]  # (n, 6, 3)
+        a = np.hypot(d.real, d.imag)
+        return a[..., 0] + a[..., 1] + a[..., 2]
+
+    key = np.rint(cost(Es, prev) / 1e-12)
+    cost_l = np.where(key == key.min(axis=1, keepdims=True), cost(lams, prev_lams), np.inf)
+    return _PERMS[np.argmin(cost_l, axis=1)]
 
 
 def complex_parameter_sheet(
@@ -155,29 +165,33 @@ def complex_parameter_sheet(
     first cell of each line is matched to the line below, so the branch_id
     of the output is continuous wherever the sheets do not intersect.  The
     first cell of the grid numbers its branches by ascending Re E.
+
+    The tracking is line-parallel: the first column is chained up one row
+    at a time, then every scan line takes its step along Re eps_d at once,
+    one ``_match_to`` over all rows per grid column.  A match minimizes
+    (round(sum |dE| / 1e-12), sum |dlam|); on an exact tie the first
+    permutation in ``itertools`` order wins.  Cells come in grid order,
+    im_grid outer and re_grid inner.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
     grid = re_grid[None, :] + 1j * im_grid[:, None]
     # drop the continuation of the upper-edge bound state
-    grid_lams, grid_Es, _ = near_edge_roots(grid, g)
-    cells: list[SheetCell] = []
-    prev_line_first = None
-    for i in range(im_grid.size):
-        prev = prev_line_first
-        line_first = None
-        for j in range(re_grid.size):
-            eps = complex(grid[i, j])
-            Es, lams = grid_Es[i, j], grid_lams[i, j]
-            if prev is not None:
-                order = _match_to(prev[0], prev[1], Es, lams)
-                Es, lams = Es[order], lams[order]
-            cells.append(SheetCell(eps_d=eps, energies=tuple(Es)))
-            prev = (Es, lams)
-            if line_first is None:
-                line_first = (Es, lams)
-        prev_line_first = line_first
-    return cells
+    lams, Es, _ = near_edge_roots(grid, g)
+
+    def step(prev, cur):  # reorder the (n, 3) block cur to follow prev
+        order = _match_to(Es[prev], lams[prev], Es[cur], lams[cur])
+        Es[cur] = np.take_along_axis(Es[cur], order, axis=1)
+        lams[cur] = np.take_along_axis(lams[cur], order, axis=1)
+
+    for i in range(1, im_grid.size):
+        step(np.s_[i - 1, :1], np.s_[i, :1])
+    for j in range(1, re_grid.size):
+        step(np.s_[:, j - 1], np.s_[:, j])
+    return [
+        SheetCell(eps_d=eps, energies=tuple(E))
+        for eps, E in zip(grid.ravel().tolist(), Es.reshape(-1, 3).tolist())
+    ]
 
 
 def scan_consistency_rows(cells: list[SheetCell]) -> list[tuple]:

@@ -73,6 +73,40 @@ class TestCsvFormat:
             assert float(line) == v  # 17 significant digits round-trip
 
 
+    @pytest.mark.parametrize(
+        "value",
+        [0.1, np.float64(1.0 / 3.0), 7, np.int64(-3), -0.0, np.inf, -np.inf, np.nan,
+         5e-324, np.float64(-1.6e-35)],
+        ids=["float", "float64", "int", "int64", "-0", "inf", "-inf", "nan",
+             "subnormal", "float64-small"],
+    )
+    def test_number_cells_format_like_fstring(self, tmp_path, value):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["a", "label", "b"], [(value, "tag", 2.5), (1.0, "x y", value)])
+        want = f"{float(value):.16e}"
+        assert path.read_text().splitlines() == [
+            "a,label,b",
+            f"{want},tag,2.5000000000000000e+00",
+            f"1.0000000000000000e+00,x y,{want}",
+        ]
+
+    def test_zero_rows_write_header_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["t", "P"], [])
+        assert path.read_text() == "t,P\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1.0, "a"), ("b", "c")], [(1.0, "a"), (2.0, 3.0)], [(1.0, "a"), (2.0, None)],
+         [(1.0, "a"), (1j, "b")]],
+        ids=["str-in-number-column", "number-in-str-column", "none-in-str-column",
+             "complex-in-number-column"],
+    )
+    def test_cell_type_must_match_column(self, tmp_path, rows):
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "x.csv", ["v", "label"], rows)
+
+
 class TestRunners:
     def test_jordan_exit_zero(self, capsys):
         assert main(["jordan"]) == 0

@@ -230,6 +230,21 @@ class TestLatticeOracle:
         with pytest.raises(NumericalError, match=message):
             lattice_spectrum(ModelParams(epsilon_d=eps_d, g=g), n)
 
+    @pytest.mark.parametrize("g", [0.0, 1.5e-154], ids=["decoupled", "smallest-normal-g2"])
+    def test_weakest_coupling_in_domain(self, g):
+        # g^2 = 0 or at least the smallest normal double: the spectrum is solved
+        _, weights = lattice_spectrum(ModelParams(epsilon_d=-2.0, g=g), 99)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("g", [1.49e-154, 1e-155, 1e-160], ids=str)
+    def test_subnormal_coupling_raises_before_any_sweep(self, monkeypatch, g):
+        def no_sweep(*args):
+            raise AssertionError("the secular solve ran")
+
+        monkeypatch.setattr(dynamics, "_bracket_roots", no_sweep)
+        with pytest.raises(DomainError, match=r"subnormal .*g >= 1\.491668e-154"):
+            lattice_spectrum(ModelParams(epsilon_d=-2.0, g=g), 99)
+
     @pytest.mark.parametrize(
         "times",
         [np.array([37.5]), np.linspace(0.0, 100.0, 97), 13.25 + 0.5 * np.arange(150)],

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bandedge.ep import (
+    _match_to,
     all_ep_locations,
     complex_parameter_sheet,
     ep_condition_residual,
@@ -10,7 +13,7 @@ from bandedge.ep import (
     verify_ep_by_discriminant,
 )
 from bandedge.errors import DomainError
-from bandedge.spectrum import spectrum_scan
+from bandedge.spectrum import near_edge_roots, spectrum_scan
 
 # 40-digit reference values at g = 0.1
 E_BAR0_G01 = -2.0184481730424933
@@ -175,6 +178,87 @@ class TestComplexSheet:
         ]
         # square-root splitting: gap <= C sqrt(cell diagonal)
         assert min(gaps) < 2.0 * np.sqrt(h)
+
+
+def _scalar_match_to(prev, prev_lams, Es, lams):
+    # the cell-by-cell matching rule: least (round(sum |dE| / 1e-12),
+    # sum |dlam|), the first permutation in itertools order on a tie
+    best, best_cost = None, None
+    for perm in itertools.permutations(range(3)):
+        cost_e = sum(abs(Es[p] - prev[i]) for i, p in enumerate(perm))
+        cost_l = sum(abs(lams[p] - prev_lams[i]) for i, p in enumerate(perm))
+        cost = (round(cost_e / 1e-12), cost_l)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = perm, cost
+    return np.array(best)
+
+
+def _scalar_sheet(g, re_grid, im_grid):
+    # reference tracker: each scan line along Re eps_d, its first cell
+    # matched to the first cell of the line below
+    grid = re_grid[None, :] + 1j * im_grid[:, None]
+    grid_lams, grid_Es, _ = near_edge_roots(grid, g)
+    out, prev_line_first = [], None
+    for i in range(im_grid.size):
+        prev, line_first = prev_line_first, None
+        for j in range(re_grid.size):
+            Es, lams = grid_Es[i, j], grid_lams[i, j]
+            if prev is not None:
+                order = _scalar_match_to(prev[0], prev[1], Es, lams)
+                Es, lams = Es[order], lams[order]
+            out.append(tuple(Es))
+            prev = (Es, lams)
+            if line_first is None:
+                line_first = (Es, lams)
+        prev_line_first = line_first
+    return out
+
+
+def _jittered(n, lo, hi, rng):
+    h = (hi - lo) / (n - 1)
+    return np.linspace(lo, hi, n) + rng.uniform(-0.3 * h, 0.3 * h, n)
+
+
+_RNG = np.random.default_rng(20211)
+_SHEET_GRIDS = {
+    "fixture-21x13": (0.1, np.linspace(-2.10, -1.90, 21), np.linspace(-0.06, 0.06, 13)),
+    "fig4-61x33": (0.1, np.linspace(-2.15, -1.85, 61), np.linspace(-0.08, 0.08, 33)),
+    **{
+        f"jitter-61x41-g{g}": (
+            g, _jittered(61, -2.15, -1.85, _RNG), _jittered(41, -0.08, 0.08, _RNG)
+        )
+        for g in (0.05, 0.1, 0.3)
+    },
+    "1xn": (0.1, np.array([-1.97]), np.linspace(-0.08, 0.08, 17)),
+    "nx1": (0.1, np.linspace(-2.15, -1.85, 17), np.array([0.03])),
+}
+
+
+def test_match_to_follows_scalar_rule_on_ties():
+    # energies drawn from a few values, so the energy key often ties and the
+    # lam cost decides; lams drawn from a few values too, so some rows tie
+    # exactly and the first permutation in itertools order must win
+    rng = np.random.default_rng(7)
+    n = 400
+    levels = np.array([-2.0, -2.0 + 1e-3, -2.0 + 1e-3j])
+    prev, Es = rng.choice(levels, (n, 3)), rng.choice(levels, (n, 3))
+    prev_lams = rng.choice(levels, (n, 3)) + rng.normal(size=(n, 3)) * (rng.random((n, 1)) < 0.5)
+    lams = rng.choice(levels, (n, 3))
+    got = _match_to(prev, prev_lams, Es, lams)
+    for k in range(n):
+        want = _scalar_match_to(prev[k], prev_lams[k], Es[k], lams[k])
+        assert got[k].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("g, re, im", _SHEET_GRIDS.values(), ids=_SHEET_GRIDS.keys())
+def test_sheet_matches_scalar_tracker(g, re, im):
+    # line-parallel tracking picks the branch order of the cell-by-cell
+    # tracker in every cell, to the bit
+    cells = complex_parameter_sheet(g, re, im)
+    want = _scalar_sheet(g, re, im)
+    assert len(cells) == len(want) == re.size * im.size
+    for cell, ref in zip(cells, want):
+        assert cell.energies == ref
 
 
 class TestAllLocations:
