@@ -57,11 +57,11 @@ otherwise a QuadratureError is raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gamma, wofz
 
 from .bessel import bessel_j, j1_over_t
 from .errors import (
@@ -99,8 +99,9 @@ _ROOT_ULPS = 4.0
 _MAX_SWEEPS = 100
 _WEIGHT_SUM_TOL = 1e-13  # budget on |sum_m w_m - 1| of the dot weights
 _PI_LO = 1.2246467991473532e-16  # pi - fl(pi)
-# D(z) = sum_k (-z)^k / (2k + 3)!, highest power first; 14 terms for |z| <= 4
-_D_SERIES = [(-1.0) ** k / float(gamma(2 * k + 4)) for k in range(13, -1, -1)]
+# D(z) = sum_k (-z)^k / (2k + 3)!, highest power first; 14 terms for |z| <= 4,
+# each 1/(2k + 3)! correctly rounded from the exact integer factorial
+_D_SERIES = [(-1.0) ** k / float(math.factorial(2 * k + 3)) for k in range(13, -1, -1)]
 
 
 class Method(Enum):
@@ -642,6 +643,8 @@ def _scaled_expint(alpha, z):
     in which each step |f_n - f_(n-1)| follows from the one before without
     cancellation, and the fraction is then evaluated backward at that depth.
     """
+    from scipy.special import gamma
+
     alpha, z = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(z, dtype=complex))
     F, err = np.empty(z.shape, dtype=complex), np.empty(z.shape)
     near = np.abs(z) < 1.0
@@ -855,6 +858,8 @@ def longtime_amplitude(params: ModelParams, t):
     over (0, 2000] at g = 0.02 (4.8e-5 at g = 0.005, 3.1e-3 at g = 0.1 over
     t <= 600); <= 3.5e-4 over t <= 600 at g = 0.02, eps_d = -1.999, -2.002.
     """
+    from scipy.special import wofz
+
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise DomainError("the late-time law needs t > 0")

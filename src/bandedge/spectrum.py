@@ -254,6 +254,17 @@ def near_edge_roots(eps_d, g: float):
 
 def _classified_triplet(params: ModelParams, lams, Es, dropped) -> list[DiscreteState]:
     dropped = complex(dropped)
+    # for 0 < g and eps_d < 2 the true root lies in (-1, 0); y = lam - 1 ~ -2 is
+    # stored with a spacing of 2^-52, so a shift from -1 below about 2^-53
+    # rounds to lam = -1 or past it
+    if params.g > 0.0 and params.epsilon_d < 2.0 and dropped.real <= -1.0:
+        shift = params.g**2 / (4.0 - 2.0 * params.epsilon_d)
+        raise DomainError(
+            f"the bound state above the band, lam = -1 + g^2/(4 - 2 eps_d) + O(g^4), "
+            f"rounds to lam = {dropped.real!r} at g = {params.g:.3e}, "
+            f"eps_d = {params.epsilon_d}: its shift {shift:.3e} is below the about "
+            f"1.1e-16 that double precision resolves (g >~ 3e-8 at eps_d = -2)"
+        )
     if not (is_real_root(dropped) and -1.0 < dropped.real < 0.0):
         raise LabelMatchingError(
             f"the root of largest Re E, lam = {dropped}, is not a bound state "
@@ -268,7 +279,10 @@ def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
 
     The three roots of smallest Re E are kept before anything is classified.
     Raises LabelMatchingError unless the dropped root is real with
-    -1 < lam < 0.
+    -1 < lam < 0.  For g > 0 that root is lam = -1 + g^2/(4 - 2 eps_d)
+    + O(g^4), which double precision resolves only while the shift
+    g^2/(4 - 2 eps_d) exceeds about 1.1e-16 (g >~ 3e-8 near eps_d = -2,
+    measured); below that it rounds to -1 and DomainError is raised.
     """
     lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
     return _classified_triplet(params, lams, Es, dropped)
@@ -279,7 +293,10 @@ def four_states(params: ModelParams) -> list[DiscreteState]:
 
     All four residues of the dot Green's function, for sums that must be
     exact (they add up to 1).  The fourth root is real in (-1, 0), which
-    ``near_edge_triplet`` checks, and its energy is taken from lam.
+    ``near_edge_triplet`` checks, and its energy is taken from lam.  Same
+    domain as ``near_edge_triplet``: DomainError once the fourth root rounds
+    to -1, at g^2/(4 - 2 eps_d) below about 1.1e-16 (g >~ 3e-8 near
+    eps_d = -2).
     """
     lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
     lam = complex(dropped.real)

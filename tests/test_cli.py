@@ -1,8 +1,26 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bandedge
 from bandedge.cli import main, parse_config, write_csv
 from bandedge.errors import ConfigError
+
+# runs each argument list through cli.main in one fresh interpreter, then
+# prints the scipy modules it has loaded
+_COLD_PROBE = """
+import json, sys
+import bandedge
+from bandedge.cli import main
+for args in json.loads(sys.argv[1]):
+    assert main(args) == 0, args
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
 
 
 class TestParsing:
@@ -214,6 +232,22 @@ class TestRunners:
         methods = [line.split(",")[4] for line in out.read_text().splitlines()[1:]]
         assert set(methods) == {"LatticeOracle", "BesselSum", "IntermediateLaw"}
 
+    def test_dynamics_all_skips_triplet_routes_below_their_coupling_bound(self, capsys, tmp_path):
+        # at g = 1e-8 the bound state above the band rounds to lam = -1, so the
+        # Bessel route and the late-time law are out of their domain; the oracle
+        # and the t^{3/2} law need no triplet and are written
+        out = tmp_path / "dyn.csv"
+        assert main([
+            "dynamics", "--method", "all", "--g", "1e-8", "--eps-d", "-2",
+            "--t-max", "20", "-o", str(out),
+        ]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["skipped bessel", "skipped longtime"]
+        assert all("rounds to lam = -1.0" in line for line in err)
+        methods = [line.split(",")[4] for line in out.read_text().splitlines()[1:]]
+        assert methods.count("LatticeOracle") == 41
+        assert set(methods) == {"LatticeOracle", "IntermediateLaw"}
+
     def test_dynamics_requested_route_outside_domain_fails(self, capsys, tmp_path):
         out = tmp_path / "dyn.csv"
         assert main([
@@ -284,3 +318,38 @@ class TestRunners:
     def test_error_exit_code(self, capsys):
         assert main(["dynamics", "--g", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestColdStart:
+    """What a fresh interpreter loads: scipy.special only for the routes that
+    evaluate J0/J1, the anti-resonance tail's Gamma or the Faddeeva function."""
+
+    @staticmethod
+    def _scipy_modules(tmp_path, runs):
+        env = dict(os.environ)
+        src = str(Path(bandedge.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_PROBE, json.dumps(runs)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_spectral_subcommands_leave_scipy_unloaded(self, tmp_path):
+        runs = [
+            ["spectrum", "--g", "0.5", "--eps-d", "-2", "-o", "point.csv"],
+            ["spectrum", "--g", "0.1", "--eps-min", "-2.05", "--eps-max", "-1.95",
+             "--step", "0.05", "-o", "scan.csv"],
+            ["ep", "--g", "0.1"],
+            ["ep", "--g", "0.1", "--sheet", "--n-re", "4", "--n-im", "3", "-o", "sheet.csv"],
+            ["jordan"],
+            ["generic", "--model", "const", "--n-points", "11", "-o", "generic.csv"],
+        ]
+        assert self._scipy_modules(tmp_path, runs) == []
+        assert {f.name for f in tmp_path.iterdir()} == {
+            "point.csv", "scan.csv", "sheet.csv", "generic.csv"}
+
+    def test_bessel_route_loads_scipy_special(self, tmp_path):
+        runs = [["dynamics", "--method", "bessel", "--g", "0.05", "--t-max", "5",
+                 "-o", "dyn.csv"]]
+        assert "scipy.special" in self._scipy_modules(tmp_path, runs)

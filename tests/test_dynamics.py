@@ -245,6 +245,43 @@ class TestLatticeOracle:
         with pytest.raises(DomainError, match=r"subnormal .*g >= 1\.491668e-154"):
             lattice_spectrum(ModelParams(epsilon_d=-2.0, g=g), 99)
 
+    def test_series_d_matches_mpmath(self):
+        # D(z) = sum_k (-z)^k / (2k + 3)! on |z| <= 4, the range the edge root uses
+        zs = list(np.linspace(-4.0, 4.0, 161)) + [
+            r * np.exp(1j * th) for r in (0.5, 1.0, 2.0, 3.0, 4.0)
+            for th in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+        ]
+        with mp.workdps(30):
+            for z in zs:
+                ref = mp.fsum((-mp.mpc(z)) ** k / mp.factorial(2 * k + 3) for k in range(40))
+                err = abs(mp.mpc(dynamics._series_d(z)) - ref) / abs(ref)
+                assert err <= 4.0 * np.finfo(float).eps, z
+
+    @pytest.mark.parametrize(
+        "eps_d, g, n",
+        [(-2.2, 0.3, 120), (-2.0, 0.3, 120), (-1.5, 0.3, 12), (0.0, 0.3, 40),
+         (0.3, 0.3, 40), (2.05, 0.3, 120)],
+    )
+    def test_series_coefficients_leave_the_bits(self, monkeypatch, eps_d, g, n):
+        # the coefficients come from math.factorial; scipy's Gamma(26) is 1 ulp
+        # off 25!, and with its coefficients the spectrum and trace are the same
+        from scipy.special import gamma
+
+        gamma_series = [(-1.0) ** k / float(gamma(2 * k + 4)) for k in range(13, -1, -1)]
+        assert gamma_series != dynamics._D_SERIES
+        params, t_max = ModelParams(epsilon_d=eps_d, g=g), 0.5 * (n - 11)
+        times = np.arange(0.0, t_max, 0.5)
+        new = lattice_spectrum(params, n)
+        new_trace = survival_lattice_oracle(params, LatticeConfig(n, t_max), times)
+        series, seen = dynamics._series_d, []
+        monkeypatch.setattr(dynamics, "_series_d", lambda z: seen.append(z) or series(z))
+        monkeypatch.setattr(dynamics, "_D_SERIES", gamma_series)
+        old = lattice_spectrum(params, n)
+        old_trace = survival_lattice_oracle(params, LatticeConfig(n, t_max), times)
+        assert any(z != 0.0 for z in seen)  # the series ran past its constant term
+        for a, b in zip(new + (new_trace.amplitude,), old + (old_trace.amplitude,)):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize(
         "times",
         [np.array([37.5]), np.linspace(0.0, 100.0, 97), 13.25 + 0.5 * np.arange(150)],

@@ -250,6 +250,27 @@ class TestNearEdgeTripletAtWeakCoupling:
         classes = [s.state_class for s in discrete_spectrum(ModelParams(-2.0, g))]
         assert classes.count(StateClass.BOUND_UPPER) == 1
 
+    @pytest.mark.parametrize(
+        "eps_d, g", [(-2.0, 3e-8), (-2.0, 4e-8), (-2.1, 4e-8), (-2.5, 4e-8)], ids=str
+    )
+    def test_upper_bound_state_resolved_above_its_bound(self, eps_d, g):
+        # lam = -1 + g^2/(4 - 2 eps_d) keeps its shift once that exceeds ~1.1e-16
+        states = four_states(ModelParams(eps_d, g))
+        assert states[3].state_class is StateClass.BOUND_UPPER
+        assert -1.0 < states[3].lam.real < 0.0
+        assert len(near_edge_triplet(ModelParams(eps_d, g))) == 3
+
+    @pytest.mark.parametrize(
+        "eps_d, g", [(-2.0, 2e-8), (-2.0, 1e-8), (-2.1, 3e-8), (-1.9, 3e-8), (-2.5, 1e-12)],
+        ids=str,
+    )
+    def test_upper_bound_state_below_its_bound_is_out_of_domain(self, eps_d, g):
+        # the shift rounds away and lam = -1 comes out: a stated bound, not a
+        # failed label match
+        for solve in (near_edge_triplet, four_states):
+            with pytest.raises(DomainError, match=r"rounds to lam = -1\.0 .*g >~ 3e-8"):
+                solve(ModelParams(eps_d, g))
+
     def test_missing_upper_bound_state_rejected(self):
         # at g = 0 the fourth root sits on the band edge lam = -1
         with pytest.raises(LabelMatchingError):
