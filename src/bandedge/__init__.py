@@ -6,14 +6,6 @@ van Hove threshold, plus the generic-threshold machinery showing the same
 triple coalescence for any non-singular 1-D coupling.
 """
 
-import os as _os
-
-# opt-in BLAS thread cap; must act before numpy spins up its pools
-_threads = _os.environ.get("BANDEDGE_NUM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .model import (
     ModelParams,
     Sheet,
@@ -26,7 +18,6 @@ from .model import (
 )
 from .spectrum import (
     DiscreteState,
-    ExpansionKind,
     StateClass,
     classify_state,
     discrete_spectrum,

@@ -10,8 +10,8 @@ with one ``%`` template, ``%s`` for a string column and ``%.16e`` for every
 other (the conversion of ``f"{float(x):.16e}"``); the row builders pass
 Python floats from ``.tolist()``.
 
-The BLAS thread cap (environment variable BANDEDGE_NUM_THREADS) is applied
-by the package ``__init__``, which runs before this module loads numpy.
+BLAS thread pools follow the standard OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS variables, read when numpy loads.
 """
 
 from __future__ import annotations

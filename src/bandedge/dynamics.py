@@ -72,12 +72,13 @@ from .errors import (
     QuadratureError,
 )
 from .model import ModelParams
-from .quadrature import adaptive_quad, panel_nodes, refine_edges
+from .quadrature import adaptive_quad, panel_nodes
 from .spectrum import DiscreteState, StateClass, _monic_roots, four_states, near_edge_triplet
 
 WAVEFRONT_MARGIN = 10.0
 _H_MAX = 0.25  # Bessel-route panel width; a power of two, so E h is exact
 _PANEL_TOL = 1e-10
+_KN_TOL = 1e-12  # absolute tolerance of kn_quadrature
 _G2_MIN = np.finfo(float).tiny  # smallest g^2 the secular solve accepts, besides 0
 _VERIFY_PANELS = 512
 _BLOCK_PANELS = 4096  # panels per vectorized block, so temporaries stay one size
@@ -710,10 +711,10 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
     nd = np.array([s.psid_sq for s in states])
     grow = E.imag > 1e-12
     # panels of exactly _H_MAX, a power of two, so that E h is exact
-    T = _H_MAX * np.ceil(max(times.max(initial=0.0), _TAIL_START) / _H_MAX)
-    edges = refine_edges(np.array([T]), _H_MAX)
-    n = edges.size - 1
-    h = T / n
+    n = int(np.ceil(max(times.max(initial=0.0), _TAIL_START) / _H_MAX))
+    h = _H_MAX
+    edges = h * np.arange(n + 1.0)
+    T = edges[-1]
     k = np.searchsorted(edges, times, side="right") - 1
     delta = times - edges[k]
     part = delta > 0.0
@@ -787,13 +788,13 @@ def kn_closed_form(n: int, t: float) -> complex:
     raise DomainError(f"closed forms known for n in {{0, 1, 2}}, got {n}")
 
 
-def kn_quadrature(n: int, t: float, tol: float = 1e-12) -> complex:
+def kn_quadrature(n: int, t: float) -> complex:
     """The defining integral of kn_closed_form by adaptive quadrature."""
     if n == 0:
         f = lambda s: np.exp(-2j * s) * j1_over_t(s)  # t'^(-1) J1(2t')
     else:
         f = lambda s: np.exp(-2j * s) * s ** (n - 1) * bessel_j(1, 2.0 * s)
-    return complex(adaptive_quad(f, 0.0, float(t), tol=tol))
+    return complex(adaptive_quad(f, 0.0, float(t), tol=_KN_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .quadrature import adaptive_quad
 from .spectrum import _monic_roots
 
 _HALF_PI = 0.5 * np.pi
+_REFINE_TOL = 1e-10  # relative step at which a refined threshold root has converged
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,7 @@ def sigma_closed_form(model: GenericSelfEnergyModel, E: float) -> float:
     return model.g**2 * d + model.g**2 * l / np.sqrt(model.e_th - E)
 
 
-def threshold_roots(
-    model: GenericSelfEnergyModel, refine: bool = False, tol: float = 1e-10
-):
+def threshold_roots(model: GenericSelfEnergyModel, refine: bool = False):
     """Three near-threshold energies from the cubic in x = sqrt(E_th - E).
 
     By default Delta and Lam are frozen at the threshold (leading order).
@@ -128,7 +127,7 @@ def threshold_roots(
         pick = np.argmin(np.abs(roots - x[live, None]), axis=1)
         x_new = roots[np.arange(pick.size), pick]
         E_new = model.e_th - x_new**2
-        done[live] = np.abs(E_new - E[live]) < tol * (1.0 + np.abs(E_new))
+        done[live] = np.abs(E_new - E[live]) < _REFINE_TOL * (1.0 + np.abs(E_new))
         x[live], E[live] = x_new, E_new
         if done.all():
             return E, True

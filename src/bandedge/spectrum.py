@@ -45,15 +45,6 @@ class StateClass(Enum):
     ANTI_RESONANCE = "anti_resonance"
 
 
-class ExpansionKind(Enum):
-    ENERGY_BOUND = "energy_bound"
-    ENERGY_RES_ANTI = "energy_res_anti"
-    LAMBDA_BOUND = "lambda_bound"
-    LAMBDA_RES_ANTI = "lambda_res_anti"
-    NORM_D_BOUND = "norm_d_bound"
-    NORM_D_RES_ANTI = "norm_d_res_anti"
-
-
 @dataclass(frozen=True)
 class DiscreteState:
     """One root of the quartic with its classification and squared components."""
@@ -95,15 +86,18 @@ def _monic_roots(lower: np.ndarray) -> np.ndarray:
     comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
     z = np.linalg.eigvals(comp).astype(complex)
     p, dp = _horner(lower, z)
-    for _ in range(3):
-        z_new = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
-        p_new, dp_new = _horner(lower, z_new)
-        # at a near-double root dp is rounding noise, and an unchecked step
-        # can throw the root far off (seen in the energy quartic at g ~ 1e-4)
-        better = np.abs(p_new) < np.abs(p)
-        z = np.where(better, z_new, z)
-        p = np.where(better, p_new, p)
-        dp = np.where(better, dp_new, dp)
+    # p / dp can overflow where dp is tiny (a subnormal g^2); an inf or nan
+    # step never passes `better`, and the residual check below still raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            z_new = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+            p_new, dp_new = _horner(lower, z_new)
+            # at a near-double root dp is rounding noise, and an unchecked step
+            # can throw the root far off (seen in the energy quartic at g ~ 1e-4)
+            better = np.abs(p_new) < np.abs(p)
+            z = np.where(better, z_new, z)
+            p = np.where(better, p_new, p)
+            dp = np.where(better, dp_new, dp)
     scale = np.maximum(1.0, np.max(np.abs(lower), axis=-1, keepdims=True))
     worst = np.max(np.abs(p) / (scale * np.maximum(1.0, np.abs(z)) ** n))
     if not worst <= ROOT_RESIDUAL_TOL:
@@ -304,31 +298,31 @@ def four_states(params: ModelParams) -> list[DiscreteState]:
     return _classified_triplet(params, lams, Es, dropped) + classify_and_normalize(params, [upper])
 
 
-# Phase index alpha for the threshold triplet: 0 bound, -1 resonance,
-# +1 anti-resonance.  Near lam = 1 the roots sit at arg(lam - 1) close to
-# pi, +pi/3, -pi/3 respectively, which stays well conditioned however small
-# |lam - 1| is.
-_ALPHA_ARG = {0: np.pi, -1: np.pi / 3.0, 1: -np.pi / 3.0}
+# Branch phase zeta_alpha = e^{2 pi i alpha / 3} of the threshold triplet:
+# 0 bound, -1 resonance, +1 anti-resonance.  The three branches are the three
+# cube roots of g^2.
+_ZETA = {0: 1.0, -1: complex(-0.5, -0.75**0.5), 1: complex(-0.5, 0.75**0.5)}
 
 
 def threshold_labels(states) -> dict[int, DiscreteState]:
-    """Assign alpha in {0, -1, +1} to the near-edge triplet by arg(lam - 1)."""
+    """Assign alpha in {0, -1, +1} to the near-edge triplet by arg(lam - 1).
+
+    Near lam = 1 the branch alpha leaves along the direction -zeta_alpha
+    (arg pi, +pi/3, -pi/3), which stays well conditioned however small
+    |lam - 1| is; each state takes the alpha whose direction is nearest.
+    """
     if len(states) != 3:
         raise LabelMatchingError("need exactly three states to label")
     out: dict[int, DiscreteState] = {}
     for s in states:
-        th = cmath.phase(s.lam - 1.0)
-        alpha = min(_ALPHA_ARG, key=lambda a: abs(_wrap(th - _ALPHA_ARG[a])))
+        w = s.lam - 1.0
+        alpha = max(_ZETA, key=lambda a: (w * -_ZETA[a].conjugate()).real)
         if alpha in out:
             raise LabelMatchingError(
                 f"two states map to alpha = {alpha}; g too large for labeling"
             )
         out[alpha] = s
     return out
-
-
-def _wrap(x: float) -> float:
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def eigenstate_profile(state: DiscreteState, x: int) -> complex:
@@ -347,125 +341,50 @@ def eigenstate_profile(state: DiscreteState, x: int) -> complex:
 # Puiseux expansions at threshold (eps_d = -2) in powers of g^(2/3)
 # ---------------------------------------------------------------------------
 
-_KIND_ALPHAS = {
-    ExpansionKind.ENERGY_BOUND: (0,),
-    ExpansionKind.LAMBDA_BOUND: (0,),
-    ExpansionKind.NORM_D_BOUND: (0,),
-    ExpansionKind.ENERGY_RES_ANTI: (-1, 1),
-    ExpansionKind.LAMBDA_RES_ANTI: (-1, 1),
-    ExpansionKind.NORM_D_RES_ANTI: (-1, 1),
+# One row of real coefficients per quantity, (powers of x, c_p) for its
+# nonzero terms; branch alpha is the same row at x = zeta_alpha g^(2/3).
+# The g^(8/3) energy term thus carries -e^{+i pi/3} on the resonance, fixed
+# against 60-digit roots (only this sign keeps the three-term truncation
+# error at O(g^4)).
+_SERIES = {
+    "energy": ((0, 2, 4), (-2.0, -1.0 / 2.0 ** (2.0 / 3.0), 1.0 / (24.0 * CBRT2))),
+    "lambda": (
+        (0, 1, 2, 3, 4),
+        (1.0, -1.0 / CBRT2, 1.0 / 2.0 ** (5.0 / 3.0), -1.0 / 24.0, -1.0 / (48.0 * CBRT2)),
+    ),
+    "norm_d": ((-1, 0, 1), (CBRT2 / 3.0, 1.0 / 3.0, 1.0 / (9.0 * CBRT2))),
 }
 
 
-@dataclass(frozen=True)
-class PuiseuxExpansion:
-    """Truncated expansion in x = g^(2/3); terms[k] multiplies x^(min_power+k)."""
-
-    kind: ExpansionKind
-    alpha: int
-    beta: float  # (g^2/2)^(1/3)
-    min_power: int
-    terms: tuple[complex, ...]
-
-    def value(self, g: float) -> complex:
-        x = g ** (2.0 / 3.0)
-        return sum(
-            c * x ** (self.min_power + k) for k, c in enumerate(self.terms)
+def _series(quantity: str, g: float, n_terms: int, alpha: int) -> complex:
+    """Sum of c_p (zeta_alpha g^(2/3))^p over the first n_terms nonzero terms."""
+    powers, coeffs = _SERIES[quantity]
+    if not 1 <= n_terms <= len(powers):
+        raise DomainError(
+            f"{quantity} expansion has 1 to {len(powers)} terms, got n_terms = {n_terms}"
         )
+    if alpha not in _ZETA:
+        raise DomainError(f"alpha must be 0, -1 or +1, got {alpha}")
+    x = _ZETA[alpha] * g ** (2.0 / 3.0)
+    return sum(c * x**p for p, c in zip(powers[:n_terms], coeffs[:n_terms]))
 
 
-def _ph(sign: int) -> complex:
-    return cmath.exp(1j * sign * np.pi / 3.0)
+def puiseux_energy(g: float, n_terms: int = 3, alpha: int = 0) -> complex:
+    """Threshold energy of branch alpha through g^(8/3) (1 to 3 nonzero terms)."""
+    return _series("energy", g, n_terms, alpha)
 
 
-def _expansion_terms(kind: ExpansionKind, alpha: int) -> tuple[int, tuple[complex, ...]]:
-    """(min_power, coefficients) for the requested branch.
-
-    The resonance (alpha = -1) energy branch carries e^{-i pi/3} on its
-    leading g^{4/3} term while its lam branch carries e^{+i pi/3}; the
-    anti-resonance (alpha = +1) is the complex conjugate throughout.
-    """
-    if kind is ExpansionKind.ENERGY_BOUND:
-        return 0, (-2.0, 0.0, -1.0 / 2.0 ** (2.0 / 3.0), 0.0, 1.0 / (24.0 * CBRT2))
-    if kind is ExpansionKind.ENERGY_RES_ANTI:
-        # the g^{8/3} phase is -e^{-i pi alpha/3} = e^{2 pi i alpha/3} e^{i pi},
-        # fixed against 60-digit roots: only this sign keeps the truncation
-        # error at O(g^4)
-        return 0, (
-            -2.0,
-            0.0,
-            _ph(alpha) / 2.0 ** (2.0 / 3.0),
-            0.0,
-            -_ph(-alpha) / (24.0 * CBRT2),
-        )
-    if kind is ExpansionKind.LAMBDA_BOUND:
-        return 0, (
-            1.0,
-            -1.0 / CBRT2,
-            1.0 / 2.0 ** (5.0 / 3.0),
-            -1.0 / 24.0,
-            -1.0 / (48.0 * CBRT2),
-        )
-    if kind is ExpansionKind.LAMBDA_RES_ANTI:
-        return 0, (
-            1.0,
-            _ph(-alpha) / CBRT2,
-            -_ph(alpha) / 2.0 ** (5.0 / 3.0),
-            -1.0 / 24.0,
-            _ph(-alpha) / (48.0 * CBRT2),
-        )
-    if kind is ExpansionKind.NORM_D_BOUND:
-        return -1, (CBRT2 / 3.0, 1.0 / 3.0, 1.0 / (9.0 * CBRT2))
-    if kind is ExpansionKind.NORM_D_RES_ANTI:
-        return -1, (-_ph(alpha) * CBRT2 / 3.0, 1.0 / 3.0, -_ph(-alpha) / (9.0 * CBRT2))
-    raise DomainError(f"unknown expansion kind {kind}")
+def puiseux_lambda(g: float, n_terms: int = 5, alpha: int = 0) -> complex:
+    """Threshold lam of branch alpha through g^(8/3) (1 to 5 nonzero terms)."""
+    return _series("lambda", g, n_terms, alpha)
 
 
-def puiseux_expansion(kind: ExpansionKind, alpha: int = 0, g: float = 0.0) -> PuiseuxExpansion:
-    if alpha not in _KIND_ALPHAS[kind]:
-        raise DomainError(f"alpha = {alpha} incompatible with {kind}")
-    min_power, terms = _expansion_terms(kind, alpha)
-    beta = (g**2 / 2.0) ** (1.0 / 3.0)
-    return PuiseuxExpansion(kind=kind, alpha=alpha, beta=beta,
-                            min_power=min_power, terms=terms)
-
-
-def _truncate(exp: PuiseuxExpansion, n_terms: int) -> PuiseuxExpansion:
-    nz = [i for i, c in enumerate(exp.terms) if c != 0]
-    keep = nz[:n_terms]
-    if not keep:
-        return replace(exp, terms=(0.0,))
-    last = keep[-1]
-    return replace(exp, terms=exp.terms[: last + 1])
-
-
-def puiseux_energy(g: float, kind: ExpansionKind, n_terms: int = 3, alpha: int = 0) -> complex:
-    """Threshold energy expansion through g^(8/3) (n_terms nonzero terms)."""
-    if kind not in (ExpansionKind.ENERGY_BOUND, ExpansionKind.ENERGY_RES_ANTI):
-        raise DomainError("kind must be an energy expansion")
-    if n_terms > 3:
-        raise DomainError("energy expansion known through g^(8/3) (3 terms)")
-    return _truncate(puiseux_expansion(kind, alpha, g), n_terms).value(g)
-
-
-def puiseux_lambda(g: float, kind: ExpansionKind, n_terms: int = 5, alpha: int = 0) -> complex:
-    """Threshold lam expansion through g^(8/3) (up to 5 terms)."""
-    if kind not in (ExpansionKind.LAMBDA_BOUND, ExpansionKind.LAMBDA_RES_ANTI):
-        raise DomainError("kind must be a lambda expansion")
-    if n_terms > 5:
-        raise DomainError("lambda expansion known through g^(8/3) (5 terms)")
-    return _truncate(puiseux_expansion(kind, alpha, g), n_terms).value(g)
-
-
-def puiseux_norm_d(g: float, kind: ExpansionKind, n_terms: int = 3, alpha: int = 0) -> complex:
-    """Threshold expansion of <d|psi>^2; diverges as g^(-2/3)."""
-    if kind not in (ExpansionKind.NORM_D_BOUND, ExpansionKind.NORM_D_RES_ANTI):
-        raise DomainError("kind must be a norm expansion")
+def puiseux_norm_d(g: float, n_terms: int = 3, alpha: int = 0) -> complex:
+    """Threshold <d|psi>^2 of branch alpha through g^(2/3) (1 to 3 terms);
+    diverges as g^(-2/3)."""
     if g == 0:
         raise DomainError("<d|psi>^2 diverges at g = 0 (leading term g^(-2/3))")
-    if n_terms > 3:
-        raise DomainError("norm expansion known through g^(2/3) (3 terms)")
-    return _truncate(puiseux_expansion(kind, alpha, g), n_terms).value(g)
+    return _series("norm_d", g, n_terms, alpha)
 
 
 # ---------------------------------------------------------------------------

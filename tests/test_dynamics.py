@@ -28,7 +28,7 @@ from bandedge.errors import (
     QuadratureError,
 )
 from bandedge.model import ModelParams
-from bandedge.quadrature import adaptive_quad, refine_edges
+from bandedge.quadrature import adaptive_quad
 from bandedge.spectrum import four_states, near_edge_triplet
 
 # 40-digit quartic values at eps_d = -2, g = 0.02
@@ -47,27 +47,6 @@ class TestQuadratureHelper:
     def test_oscillatory_complex(self):
         val = adaptive_quad(lambda x: np.exp(1j * x), 0.0, 20 * np.pi, tol=1e-12)
         assert abs(val) < 1e-11
-
-    def test_refine_edges_matches_sequential_loop(self):
-        def loop(points, h_max, start):
-            # the sequential rule, one np.linspace per joined point
-            edges = [start]
-            for t in points:
-                if t > edges[-1] + 1e-12:
-                    n = int(np.ceil((t - edges[-1]) / h_max - 1e-12))
-                    edges.extend(np.linspace(edges[-1], t, max(n, 1) + 1)[1:].tolist())
-            return np.asarray(edges)
-
-        rng = np.random.default_rng(7)
-        # 5 + 1.8e-12 joins only because 5 + 0.9e-12 before it does not
-        cluster = [5.0, 5.0 + 0.9e-12, 5.0 + 1.8e-12]
-        for _ in range(50):
-            base = rng.uniform(-1.0, 40.0, 30)
-            near = base[:5] + rng.uniform(0.0, 3e-12, (3, 5))
-            points = np.unique(np.concatenate([base, near.ravel(), cluster, [0.0]]))
-            for h_max, start in ((0.25, 0.0), (1.7, 2.0)):
-                expected = loop(points, h_max, start)
-                assert np.array_equal(refine_edges(points, h_max, start), expected)
 
 
 class TestLatticeOracle:
@@ -400,18 +379,17 @@ class TestBesselSum:
         # growing state's closed-form tail starts, and J1 is evaluated once
         # per node for all of them (and once per node of the bisection check)
         grids, nodes = [], []
-        real_edges, real_j1 = dynamics.refine_edges, dynamics.j1_over_t
+        real_panels, real_j1 = dynamics._uniform_panels, dynamics.j1_over_t
 
-        def edges_spy(*args, **kwargs):
-            edges = real_edges(*args, **kwargs)
+        def panels_spy(E, grow, edges):
             grids.append((edges[0], edges[-1]))
-            return edges
+            return real_panels(E, grow, edges)
 
         def j1_spy(t):
             nodes.append(np.ravel(t))
             return real_j1(t)
 
-        monkeypatch.setattr(dynamics, "refine_edges", edges_spy)
+        monkeypatch.setattr(dynamics, "_uniform_panels", panels_spy)
         monkeypatch.setattr(dynamics, "j1_over_t", j1_spy)
         params = ModelParams(epsilon_d=-2.0, g=0.05)
         for t_max, end in ((39.5, 39.5), (9.5, 25.0)):
@@ -571,7 +549,8 @@ class TestHankelTail:
     def test_tail_matches_panels(self, eps_d, g):
         # independent of the expansion: checked panels out to e^{-Im E L} < 1e-17
         E, T = _growing_energy(eps_d, g), 25.0
-        edges = refine_edges(np.array([T + 40.0 / E.imag]), 0.25, start=T)
+        L = 40.0 / E.imag
+        edges = np.linspace(T, T + L, int(np.ceil(L / 0.25)) + 1)
         none = np.empty(0)
         panels, _ = dynamics._checked_panels(np.array([E]), np.array([True]), edges, none, none)
         ref = np.exp(1j * E * (edges[:-1] - T)) @ panels[:, 0]

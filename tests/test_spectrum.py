@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,6 @@ from bandedge.errors import (
 )
 from bandedge.model import ModelParams
 from bandedge.spectrum import (
-    ExpansionKind,
     _monic_roots,
     StateClass,
     classify_state,
@@ -271,6 +271,14 @@ class TestNearEdgeTripletAtWeakCoupling:
             with pytest.raises(DomainError, match=r"rounds to lam = -1\.0 .*g >~ 3e-8"):
                 solve(ModelParams(eps_d, g))
 
+    def test_subnormal_coupling_out_of_domain_without_warnings(self):
+        # g^2 = 1e-310 is subnormal: the root polish overflows and discards
+        # those steps, and the call reports only its DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"rounds to lam = -1\.0"):
+                four_states(ModelParams(-2.0, 1e-155))
+
     def test_missing_upper_bound_state_rejected(self):
         # at g = 0 the fourth root sits on the band edge lam = -1
         with pytest.raises(LabelMatchingError):
@@ -451,39 +459,38 @@ class TestEigenstateProfile:
 
 class TestPuiseux:
     def test_zero_coupling_limits(self):
-        assert puiseux_energy(0.0, ExpansionKind.ENERGY_BOUND) == -2.0
+        assert puiseux_energy(0.0) == -2.0
         for a in (-1, 1):
-            assert puiseux_energy(0.0, ExpansionKind.ENERGY_RES_ANTI, alpha=a) == -2.0
-        assert puiseux_lambda(0.0, ExpansionKind.LAMBDA_BOUND) == 1.0
+            assert puiseux_energy(0.0, alpha=a) == -2.0
+        assert puiseux_lambda(0.0) == 1.0
 
     def test_frozen_bound_values(self):
-        assert puiseux_energy(0.1, ExpansionKind.ENERGY_BOUND) == pytest.approx(
-            PUISEUX_E_B_G01, abs=1e-14
-        )
-        assert puiseux_lambda(0.1, ExpansionKind.LAMBDA_BOUND) == pytest.approx(
-            PUISEUX_LAM_B_G01, abs=1e-14
-        )
-        assert puiseux_norm_d(0.1, ExpansionKind.NORM_D_BOUND) == pytest.approx(
-            PUISEUX_NORMD_B_G01, abs=1e-14
-        )
+        assert puiseux_energy(0.1) == pytest.approx(PUISEUX_E_B_G01, abs=1e-14)
+        assert puiseux_lambda(0.1) == pytest.approx(PUISEUX_LAM_B_G01, abs=1e-14)
+        assert puiseux_norm_d(0.1) == pytest.approx(PUISEUX_NORMD_B_G01, abs=1e-14)
 
     def test_norm_divergence_guard(self):
         with pytest.raises(DomainError):
-            puiseux_norm_d(0.0, ExpansionKind.NORM_D_BOUND)
+            puiseux_norm_d(0.0)
 
     def test_leading_norm_phases_cancel(self):
         # the three g^{-2/3} leading coefficients are cube-root phases of a
         # common magnitude and sum to zero
-        total = 0.0
-        for kind, alphas in [
-            (ExpansionKind.NORM_D_BOUND, (0,)),
-            (ExpansionKind.NORM_D_RES_ANTI, (-1, 1)),
-        ]:
-            for a in alphas:
-                from bandedge.spectrum import puiseux_expansion
-
-                total += puiseux_expansion(kind, a, 0.1).terms[0]
+        total = sum(puiseux_norm_d(0.1, n_terms=1, alpha=a) for a in (0, -1, 1))
         assert abs(total) < 1e-14
+
+    @pytest.mark.parametrize(
+        "series, n_max", [(puiseux_energy, 3), (puiseux_lambda, 5), (puiseux_norm_d, 3)]
+    )
+    def test_n_terms_outside_known_terms_rejected(self, series, n_max):
+        assert series(0.1, n_terms=n_max) == series(0.1)
+        for n in (0, -1, n_max + 1):
+            with pytest.raises(DomainError):
+                series(0.1, n_terms=n)
+
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(DomainError):
+            puiseux_energy(0.1, alpha=2)
 
     def test_energy_error_scales_as_g4(self):
         # |E_exact - three-term| / g^4 stays in a narrow stable band
@@ -495,7 +502,7 @@ class TestPuiseux:
                 for s in near_edge_triplet(p)
                 if s.state_class is StateClass.BOUND_LOWER
             )
-            series = puiseux_energy(g, ExpansionKind.ENERGY_BOUND)
+            series = puiseux_energy(g)
             ratios.append(abs(bound.energy - series) / g**4)
         assert max(ratios) < 2.0 * min(ratios)
         assert 0.004 < min(ratios) < max(ratios) < 0.007
@@ -509,7 +516,7 @@ class TestPuiseux:
                 for s in near_edge_triplet(p)
                 if s.state_class is StateClass.BOUND_LOWER
             )
-            series = puiseux_lambda(g, ExpansionKind.LAMBDA_BOUND)
+            series = puiseux_lambda(g)
             ratios.append(abs(bound.lam - series) / g ** (10.0 / 3.0))
         assert max(ratios) < 2.0 * min(ratios)
         assert 0.003 < min(ratios) < max(ratios) < 0.007
@@ -519,9 +526,9 @@ class TestPuiseux:
         p = ModelParams(epsilon_d=-2.0, g=g)
         labeled = threshold_labels(near_edge_triplet(p))
         for alpha in (-1, 1):
-            series_E = puiseux_energy(g, ExpansionKind.ENERGY_RES_ANTI, alpha=alpha)
-            series_l = puiseux_lambda(g, ExpansionKind.LAMBDA_RES_ANTI, alpha=alpha)
-            series_n = puiseux_norm_d(g, ExpansionKind.NORM_D_RES_ANTI, alpha=alpha)
+            series_E = puiseux_energy(g, alpha=alpha)
+            series_l = puiseux_lambda(g, alpha=alpha)
+            series_n = puiseux_norm_d(g, alpha=alpha)
             s = labeled[alpha]
             assert series_E == pytest.approx(s.energy, abs=5 * g**4)
             assert series_l == pytest.approx(s.lam, abs=5 * g ** (10.0 / 3.0))
@@ -536,7 +543,7 @@ class TestPuiseux:
                 for s in near_edge_triplet(p)
                 if s.state_class is StateClass.BOUND_LOWER
             )
-            series = puiseux_norm_d(g, ExpansionKind.NORM_D_BOUND)
+            series = puiseux_norm_d(g)
             rel_errs.append(abs(series - bound.psid_sq) / abs(bound.psid_sq))
         assert rel_errs[0] > rel_errs[1] > rel_errs[2]
         assert rel_errs[-1] < 1e-4
