@@ -28,6 +28,7 @@ from .spectrum import (
     puiseux_lambda,
     puiseux_norm_d,
     solve_energy_quartic,
+    solve_energy_quartic_centred,
     solve_lambda_quartic,
     spectrum_scan,
     threshold_labels,

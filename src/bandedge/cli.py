@@ -5,10 +5,12 @@ Configuration can come from a plain-text file of ``key = value`` lines
 (``#`` starts a comment); command-line flags override file values.  Unknown
 keys are rejected with their line number.  All CSV output uses fixed
 17-significant-digit scientific notation so repeated runs are byte-identical
-and doubles round-trip exactly.  ``write_csv`` formats every row of a file
-with one ``%`` template, ``%s`` for a string column and ``%.16e`` for every
-other (the conversion of ``f"{float(x):.16e}"``); the row builders pass
-Python floats from ``.tolist()``.
+and doubles round-trip exactly.  ``write_csv`` takes a file's columns (the
+runners pass their arrays straight through) and formats all of its number
+cells in one vectorized pass that gives the bytes of ``'%.16e' % x``: 17
+digits from a double-double product with a power of ten, with Python's own
+``'%.16e'`` as the exact fallback for the cells whose rounding that cannot
+certify (near-ties, zeros, non-finite and extreme values).
 
 BLAS thread pools follow the standard OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS and MKL_NUM_THREADS variables, read when numpy loads.
@@ -34,7 +36,7 @@ from .dynamics import (
     survival_bessel_sum,
     survival_lattice_oracle,
 )
-from .ep import all_ep_locations, complex_parameter_sheet, scan_consistency_rows
+from .ep import all_ep_locations, complex_parameter_sheet
 from .errors import BandEdgeError, ConfigError, DomainError
 from .generic import make_model, self_energy_quadrature, sigma_closed_form
 from .jordan import (
@@ -49,22 +51,165 @@ from .spectrum import discrete_spectrum, spectrum_scan
 _UNSET = object()
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write header and rows (a sequence of tuples) as CSV lines.
+def write_csv(path, header: list[str], columns) -> None:
+    """Write a CSV file from its columns, one header name per column.
 
-    A column whose first cell is a str is written as is; every other cell is
-    a real number written ``%.16e``.  A cell whose type does not match its
-    column raises TypeError.
+    A column is a 1-D array or a sequence of real numbers (float, int or
+    bool), each written ``%.16e``, or of str, written as is.  A complex,
+    None or mixed str/number column raises TypeError; a column whose length
+    differs from the first one's raises ValueError naming it.  The number
+    columns are formatted together by ``_format_e16`` and every cell is
+    placed NUL-padded in one (rows, width) uint8 buffer with its comma or
+    newline, so a str cell must not hold a NUL character.
     """
-    lines = [",".join(header)]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} CSV header names for {len(columns)} columns")
+    rows = len(columns[0]) if columns else 0
+    cells = [_csv_column(name, col, rows) for name, col in zip(header, columns)]
+    body = b""
     if rows:
-        text = [isinstance(v, str) for v in rows[0]]
-        for k in (k for k, is_text in enumerate(text) if is_text):
-            if not all(isinstance(row[k], str) for row in rows):
-                raise TypeError(f"CSV column {k} holds a non-string cell")
-        template = ",".join("%s" if is_text else "%.16e" for is_text in text)
-        lines += [template % row for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+        numeric = [j for j, c in enumerate(cells) if c.dtype.kind == "f"]
+        if numeric:
+            numbers = np.stack([cells[j] for j in numeric], axis=1).ravel()
+            formatted = _format_e16(numbers).reshape(rows, len(numeric), -1)
+            for k, j in enumerate(numeric):
+                cells[j] = formatted[:, k]
+        widths = np.cumsum([0] + [c.shape[1] + 1 for c in cells])
+        buf = np.zeros((rows, widths[-1]), np.uint8)
+        for c, start, stop in zip(cells, widths[:-1], widths[1:]):
+            buf[:, start : stop - 1] = c
+            buf[:, stop - 1] = ord(",")
+        buf[:, -1] = ord("\n")
+        body = buf[buf != 0].tobytes()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.write(body)
+
+
+def _csv_column(name: str, col, rows: int) -> np.ndarray:
+    """A number column as float64, a str column as (rows, width) uint8
+    UTF-8 bytes, NUL-padded."""
+    a = np.ascontiguousarray(col)
+    if a.shape != (rows,):
+        raise ValueError(
+            f"CSV column {name!r} has shape {a.shape}; the first column has {rows} cells"
+        )
+    if a.dtype.kind in "biuf":
+        return a.astype(np.float64, copy=False)
+    if a.dtype.kind != "U" or not (
+        isinstance(col, np.ndarray) or all(isinstance(v, str) for v in col)
+    ):
+        raise TypeError(f"CSV column {name!r} is neither all real numbers nor all str")
+    code = a.view(np.uint32).reshape(rows, a.itemsize // 4)
+    if code.max(initial=0) < 0x80:  # ASCII: each code point is its one byte
+        return code.astype(np.uint8)
+    utf8 = np.char.encode(a, "utf-8")
+    return utf8.view(np.uint8).reshape(rows, utf8.itemsize)
+
+
+# The %.16e formatter.  Its fast path takes D = round(|x| 10^(16 - e)), the
+# 17 significant digits, from the double-double product of |x| with 10^k,
+# k = 16 - e, which is exact to about 1e-14 in D.  A cell falls back to
+# Python's '%.16e' % x where that cannot certify the rounding: the fraction
+# of |x| 10^k within 1e-6 of 1/2 (exact ties round half to even), D outside
+# [1e16, 1e17) (an estimate e = floor(log10|x|) off by one, or a rounding
+# up into the next decade), or |x| outside [1e-280, 1e280] (zero,
+# subnormals, nan, inf, and where 10^k or its low part would leave the
+# normal range).
+_K_MIN, _K_MAX = -265, 297  # 10^k for e in [-281, 281]
+
+
+def _pow10_table():
+    """10^k = hi + lo for k in [_K_MIN, _K_MAX], each part a correctly
+    rounded int -> float or int / int conversion of an exact integer."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k >= 0:
+            n = 10**k
+            h = float(n)
+            lo.append(float(n - int(h)))
+        else:
+            d = 10**-k
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * d) / (den * d))
+        hi.append(h)
+    return np.array(hi), np.array(lo)
+
+
+def _byte_table(cells: list[str], width: int) -> np.ndarray:
+    """Each str NUL-padded to width bytes, read as one unsigned integer."""
+    return np.frombuffer(b"".join(c.encode().ljust(width, b"\0") for c in cells), f"u{width}")
+
+
+_P10_HI, _P10_LO = _pow10_table()
+_HEAD = _byte_table([f"{s}{d}." for s in ("", "-") for d in range(10)], 4)
+_EXP = _byte_table([f"e{e:+03d}" for e in range(16 - _K_MAX, 17 - _K_MIN)], 8)
+_DIGITS = np.arange(48, 58, dtype=np.uint8)  # "0" ... "9"
+_QUAD = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), -1
+                 ).view(np.uint32).ravel()  # "0000" ... "9999", built in uint8
+
+
+def _split(a):
+    """Dekker's split of a into a 26-bit and a 27-bit half, a = hi + lo."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """p = fl(a b) and its rounding error a b - p, exactly (Dekker)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _round17(x: np.ndarray) -> tuple:
+    """(D, e, fast): |x| ~ D 10^(e - 16) with D the 17 significant digits as
+    an int64 in [1e16, 1e17), and fast where that rounding is certified."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-280) & (ax <= 1e280)
+    ax[~fast] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    hi, lo = _P10_HI[16 - _K_MIN - e], _P10_LO[16 - _K_MIN - e]
+    # |x| (hi + lo) = yh + yl: the exact product |x| hi plus |x| lo
+    p, err = _two_product(ax, hi)
+    s = err + ax * lo
+    yh = p + s
+    yl = s - (yh - p)
+    t = np.floor(yl)
+    frac = yl - t
+    D = yh.astype(np.int64) + t.astype(np.int64)  # yh >= 2^53 is an integer
+    fast &= (D >= 10**16) & (np.abs(frac - 0.5) > 1e-6)
+    D += frac > 0.5
+    fast &= D < 10**17
+    D[~fast] = 10**16  # keeps the digit tables in range; the fallback rewrites these
+    return D, e, fast
+
+
+def _format_e16(x: np.ndarray) -> np.ndarray:
+    """'%.16e' % v of each v in the float64 array x, byte for byte, as
+    (x.size, 28) uint8 NUL-padded cells: a 4-byte head (sign, first digit,
+    point), four 4-digit groups and an 8-byte exponent."""
+    D, e, fast = _round17(x)
+    d0 = D // 10**16
+    rest = D - d0 * 10**16
+    upper = rest // 10**8
+    out = np.empty((x.size, 7), np.uint32)
+    out[:, 0] = _HEAD.take(d0 + 10 * (x < 0))
+    for col, half in ((1, upper), (3, rest - upper * 10**8)):
+        half = half.astype(np.int32)
+        quad = half // 10**4
+        out[:, col] = _QUAD.take(quad)
+        out[:, col + 1] = _QUAD.take(half - quad * 10**4)
+    out[:, 5:] = _EXP.take(e - (16 - _K_MAX)).view(np.uint32).reshape(-1, 2)
+    cells = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["%.16e" % v for v in x[slow].tolist()], dtype="S28")
+        cells[slow] = text.view(np.uint8).reshape(-1, 28)
+    return cells
 
 
 @dataclass
@@ -216,9 +361,12 @@ _STATE_HEADER = ["class", "re_E", "im_E", "re_lambda", "im_lambda",
                  "re_psid_sq", "im_psid_sq"]
 
 
-def _state_cells(s) -> tuple:
-    return (s.state_class.value, s.energy.real, s.energy.imag,
-            s.lam.real, s.lam.imag, s.psid_sq.real, s.psid_sq.imag)
+def _state_columns(states) -> list:
+    """The _STATE_HEADER columns of the states."""
+    E, lam, psid = (np.array([getattr(s, f) for s in states], dtype=complex)
+                    for f in ("energy", "lam", "psid_sq"))
+    return [[s.state_class.value for s in states],
+            E.real, E.imag, lam.real, lam.imag, psid.real, psid.imag]
 
 
 def _run_spectrum(cfg: RunConfig) -> int:
@@ -227,7 +375,7 @@ def _run_spectrum(cfg: RunConfig) -> int:
         rows = spectrum_scan(p["g"], p["eps_min"], p["eps_max"], p["step"])
         out = cfg.output or "spectrum_scan.csv"
         write_csv(out, ["eps_d"] + _STATE_HEADER,
-                  [(r.eps_d, *_state_cells(r.state)) for r in rows])
+                  [[r.eps_d for r in rows], *_state_columns([r.state for r in rows])])
         print(f"wrote {out} ({len(rows)} rows)")
         return 0
     params = ModelParams(epsilon_d=p["eps_d"], g=p["g"])
@@ -241,7 +389,7 @@ def _run_spectrum(cfg: RunConfig) -> int:
             f"{s.lam.imag:+.12f}i"
         )
     if cfg.output:
-        write_csv(cfg.output, _STATE_HEADER, [_state_cells(s) for s in states])
+        write_csv(cfg.output, _STATE_HEADER, _state_columns(states))
         print(f"wrote {cfg.output}")
     return 0
 
@@ -260,11 +408,13 @@ def _run_ep(cfg: RunConfig) -> int:
         re = np.linspace(p["re_min"], p["re_max"], p["n_re"])
         im = np.linspace(p["im_min"], p["im_max"], p["n_im"])
         cells = complex_parameter_sheet(p["g"], re, im)
+        eps = np.repeat([c.eps_d for c in cells], 3)
+        E = np.array([c.energies for c in cells]).ravel()
         out = cfg.output or "ep_sheet.csv"
         write_csv(
             out,
             ["re_eps", "im_eps", "branch_id", "re_E", "im_E"],
-            [(a, b, str(c), d, e) for a, b, c, d, e in scan_consistency_rows(cells)],
+            [eps.real, eps.imag, np.tile(["0", "1", "2"], len(cells)), E.real, E.imag],
         )
         print(f"wrote {out}")
     return 0
@@ -301,13 +451,9 @@ def _run_dynamics(cfg: RunConfig) -> int:
         params, times, want, n_sites, p["t_max"], optional=p["method"] == "all"
     )
     out = cfg.output or "dynamics.csv"
-    rows = []
-    for tr in traces:
-        rows += zip(tr.times.tolist(), tr.amplitude.real.tolist(),
-                    tr.amplitude.imag.tolist(), tr.probability.tolist(),
-                    [tr.method.value] * tr.times.size)
-    write_csv(out, ["t", "re_A", "im_A", "P", "method"], rows)
-    print(f"wrote {out} ({len(rows)} rows)")
+    t, A, P, method = _trace_columns(traces, lambda tr: tr.method.value)
+    write_csv(out, ["t", "re_A", "im_A", "P", "method"], [t, A.real, A.imag, P, method])
+    print(f"wrote {out} ({t.size} rows)")
     if p["gnuplot"]:
         script = Path(out).with_suffix(".gp")
         script.write_text(_gnuplot_dynamics(out))
@@ -347,6 +493,14 @@ def _survival_traces(params, times, want, n_sites: int, t_max: float, optional=F
     return traces
 
 
+def _trace_columns(traces, label) -> tuple:
+    """Times, amplitudes, probabilities and label(trace) of the traces, one
+    trace after another."""
+    t, A, P = (np.concatenate([getattr(tr, f) for tr in traces] + [np.empty(0)])
+               for f in ("times", "amplitude", "probability"))
+    return t, A, P, np.repeat([label(tr) for tr in traces], [tr.times.size for tr in traces])
+
+
 def _gnuplot_dynamics(csv_name: str) -> str:
     return (
         "set datafile separator ','\n"
@@ -365,14 +519,13 @@ def _run_generic(cfg: RunConfig) -> int:
         raise ConfigError(
             f"need e_min < e_max < E_th = {model.e_th}; got [{e_min}, {e_max}]"
         )
-    rows = []
-    for E in np.linspace(e_min, e_max, p["n_points"]).tolist():
-        q = self_energy_quadrature(model, E)
-        c = sigma_closed_form(model, E)
-        rows.append((E, q, c, abs(q - c)))
+    E = np.linspace(e_min, e_max, p["n_points"])
+    q = np.array([self_energy_quadrature(model, e) for e in E])
+    c = np.array([sigma_closed_form(model, e) for e in E])
+    err = np.abs(q - c)
     out = cfg.output or f"generic_{p['model']}.csv"
-    write_csv(out, ["E", "sigma_quadrature", "sigma_closed_form", "abs_err"], rows)
-    worst = max(r[3] for r in rows)
+    write_csv(out, ["E", "sigma_quadrature", "sigma_closed_form", "abs_err"], [E, q, c, err])
+    worst = err.max()
     print(f"wrote {out}; worst |quadrature - closed form| = {worst:.3e}")
     return 0 if worst < 1e-8 else 1
 
@@ -393,14 +546,10 @@ def _fig1(outdir: Path) -> None:
     """Four discrete eigenvalues in the E and k planes at g = 0.5, eps_d = -2."""
     states = discrete_spectrum(ModelParams(epsilon_d=-2.0, g=0.5))
     states.sort(key=lambda s: (s.energy.real, s.energy.imag))
-    rows = []
-    for s in states:
-        k = -1j * cmath.log(s.lam)  # lam = e^{ik}
-        rows.append(
-            (s.state_class.value, s.energy.real, s.energy.imag, k.real, k.imag)
-        )
+    k = np.array([-1j * cmath.log(s.lam) for s in states])  # lam = e^{ik}
     csv = outdir / "fig1_states.csv"
-    write_csv(csv, ["class", "re_E", "im_E", "re_k", "im_k"], rows)
+    write_csv(csv, ["class", "re_E", "im_E", "re_k", "im_k"],
+              [*_state_columns(states)[:3], k.real, k.imag])
     (outdir / "fig1.gp").write_text(
         "set datafile separator ','\nset multiplot layout 1,2\n"
         "set xlabel 'Re E'; set ylabel 'Im E'\n"
@@ -445,10 +594,9 @@ def _fig5(outdir: Path) -> None:
     labels = {Method.LATTICE_ORACLE: "oracle", Method.LONG_TIME_LAW: "longtime",
               Method.INTERMEDIATE_LAW: "intermediate"}
     traces = _survival_traces(params, times, set(labels.values()), 1500, 600.0)
-    rows = [(t, P, labels[tr.method]) for tr in traces
-            for t, P in zip(tr.times.tolist(), tr.probability.tolist())]
+    t, _, P, method = _trace_columns(traces, lambda tr: labels[tr.method])
     csv = outdir / "fig5_survival.csv"
-    write_csv(csv, ["t", "P", "method"], rows)
+    write_csv(csv, ["t", "P", "method"], [t, P, method])
     plateau = asymptotic_plateau(params)
 
     def pick(method):

@@ -193,11 +193,3 @@ def complex_parameter_sheet(
         for eps, E in zip(grid.ravel().tolist(), Es.reshape(-1, 3).tolist())
     ]
 
-
-def scan_consistency_rows(cells: list[SheetCell]) -> list[tuple]:
-    """Flatten sheet cells to (re_eps, im_eps, branch_id, re_E, im_E) rows."""
-    rows = []
-    for c in cells:
-        for b, E in enumerate(c.energies):
-            rows.append((c.eps_d.real, c.eps_d.imag, b, E.real, E.imag))
-    return rows

@@ -35,6 +35,7 @@ ROOT_RESIDUAL_TOL = 1e-12
 REAL_TOL = 1e-9
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
+_TINY = np.finfo(float).tiny
 
 
 class StateClass(Enum):
@@ -149,18 +150,52 @@ def solve_lambda_quartic(params: ModelParams) -> list[DiscreteState]:
 
 
 def solve_energy_quartic(params: ModelParams) -> np.ndarray:
-    """Four roots of the energy quartic p(E), solved independently of f(lam).
+    """Four roots E = eps_d + v of the energy quartic p(E), solved
+    independently of f(lam); v comes from ``solve_energy_quartic_centred``.
 
-    Solved for v = E - eps_d, where
-    p = v^4 + 2 eps_d v^3 + (eps_d^2 - 4) v^2 - g^4 has no linear term: the
-    two roots near the dot level, split by ~2 g^2 / sqrt(eps_d^2 - 4), are
-    the well-scaled pair v^2 ~ g^4 / (eps_d^2 - 4) instead of a near-double
-    root of a shifted polynomial, and at threshold the near-edge triplet is
-    the cluster v^3 ~ -g^4 / 4 about v = 0.
+    Adding eps_d rounds v to the ulp of eps_d, so a real near-dot root keeps
+    only about 1e-16 of absolute precision; the imaginary part of E is Im v
+    and keeps its full relative precision.
+    """
+    return solve_energy_quartic_centred(params) + _real_if_real(params.epsilon_d)
+
+
+def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
+    """Four roots v = E - eps_d of the energy quartic for real eps_d and
+    g = 0 or g^4 a normal double (DomainError below that).
+
+    Here p = v^4 + a v^3 + b v^2 - g^4, with a = 2 eps_d,
+    b = (eps_d - 2)(eps_d + 2) (one rounding, also near eps_d = +-2) and no
+    linear term, so at threshold the near-edge triplet is the cluster
+    v^3 ~ -g^4 / 4 about v = 0.  The companion solve (``_monic_roots``) gets
+    every root to about 1e-16 absolute.  The two roots near the dot level,
+    v ~ +-v0 with v0 = sqrt(g^4 / b), need better where they are tiny: there
+    Newton cannot start (both can come back as v = 0, where p' = 0).  Where
+    the pair is well separated from the other two roots,
+    |a v0| + |v0|^2 <= 1e-3 |b|, it is replaced by four steps of the deflated
+    fixed point v = v0 sqrt(b / (b + a v + v^2)), which contract by
+    |a v0| / (2 |b|) <= 5e-4 each; the steps commute with conjugation, so
+    an in-band pair stays exactly conjugate.  Elsewhere, b = 0 at
+    eps_d = +-2 included, the companion roots stay.
     """
     e = _real_if_real(params.epsilon_d)
-    lower = np.array([2.0 * e, e * e - 4.0, 0.0, -params.g**4])
-    return _monic_roots(lower) + e
+    a, b, g4 = 2.0 * e, (e - 2.0) * (e + 2.0), params.g**4
+    if params.g > 0.0 and g4 < _TINY:  # g^4 subnormal or flushed to 0
+        raise DomainError(
+            f"g^4 = {g4:.3e} is subnormal; need g = 0 or g >= {_TINY**0.25:.6e}"
+        )
+    v = _monic_roots(np.array([a, b, 0.0, -g4]))
+    v0 = np.sqrt(g4 / b + 0j) if b != 0 else np.inf
+    if abs(a * v0) + abs(v0) ** 2 <= 1e-3 * abs(b):
+        v0 = v0 * np.array([1.0, -1.0])
+        pair = v0
+        for _ in range(4):
+            pair = v0 * np.sqrt(b / (b + a * pair + pair * pair))
+        near = np.argsort(np.abs(v))[:2]
+        if abs(v[near[0]] - pair[1]) < abs(v[near[0]] - pair[0]):
+            near = near[::-1]
+        v[near] = pair
+    return v
 
 
 def is_real_root(lam: complex) -> bool:

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import subprocess
@@ -6,10 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bandedge
-from bandedge.cli import main, parse_config, write_csv
+import bandedge.cli as cli
+from bandedge.cli import _survival_traces, main, parse_config, write_csv
+from bandedge.dynamics import survival_bessel_sum
+from bandedge.ep import complex_parameter_sheet
 from bandedge.errors import ConfigError
+from bandedge.generic import make_model, self_energy_quadrature, sigma_closed_form
+from bandedge.model import ModelParams
+from bandedge.spectrum import discrete_spectrum, spectrum_scan
 
 # runs each argument list through cli.main in one fresh interpreter, then
 # prints the scipy modules it has loaded
@@ -80,27 +89,45 @@ class TestParsing:
             parse_config(["spectrum", "--eps-min", "-2.1"])
 
 
+def _row_template_csv(header, rows) -> bytes:
+    """The former row writer: one '%' template per file, '%s' for a column
+    whose first cell is a str and '%.16e' for every other."""
+    lines = [",".join(header)]
+    if rows:
+        template = ",".join("%s" if isinstance(v, str) else "%.16e" for v in rows[0])
+        lines += [template % row for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _fstring_csv(values) -> bytes:
+    return ("x\n" + "".join(f"{v:.16e}\n" for v in values)).encode()
+
+
+def _written(path, values) -> bytes:
+    write_csv(path, ["x"], [values])
+    return path.read_bytes()
+
+
 class TestCsvFormat:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "x.csv"
         values = [np.pi, 1.0 / 3.0, 6.02214076e23, -1.6e-35]
-        write_csv(path, ["v"], [(v,) for v in values])
+        write_csv(path, ["v"], [values])
         lines = path.read_text().splitlines()
         assert lines[0] == "v"
         for line, v in zip(lines[1:], values):
             assert float(line) == v  # 17 significant digits round-trip
 
-
     @pytest.mark.parametrize(
         "value",
         [0.1, np.float64(1.0 / 3.0), 7, np.int64(-3), -0.0, np.inf, -np.inf, np.nan,
-         5e-324, np.float64(-1.6e-35)],
+         5e-324, np.float64(-1.6e-35), True],
         ids=["float", "float64", "int", "int64", "-0", "inf", "-inf", "nan",
-             "subnormal", "float64-small"],
+             "subnormal", "float64-small", "bool"],
     )
     def test_number_cells_format_like_fstring(self, tmp_path, value):
         path = tmp_path / "x.csv"
-        write_csv(path, ["a", "label", "b"], [(value, "tag", 2.5), (1.0, "x y", value)])
+        write_csv(path, ["a", "label", "b"], [[value, 1.0], ["tag", "x y"], [2.5, value]])
         want = f"{float(value):.16e}"
         assert path.read_text().splitlines() == [
             "a,label,b",
@@ -108,21 +135,110 @@ class TestCsvFormat:
             f"1.0000000000000000e+00,x y,{want}",
         ]
 
+    def test_array_columns(self, tmp_path):
+        path = tmp_path / "x.csv"
+        t = np.arange(3, dtype=np.int32)
+        write_csv(path, ["t", "P", "m", "u"],
+                  [t, np.float32([0.5, 0.25, 0.125])[::-1], np.array(["a", "bb", ""]),
+                   ["é", "x", "ü€𝄞"]])
+        assert path.read_bytes() == _row_template_csv(
+            ["t", "P", "m", "u"],
+            [(0, 0.125, "a", "é"), (1, 0.25, "bb", "x"), (2, 0.5, "", "ü€𝄞")])
+
     def test_zero_rows_write_header_only(self, tmp_path):
         path = tmp_path / "x.csv"
-        write_csv(path, ["t", "P"], [])
+        write_csv(path, ["t", "P"], [[], np.empty(0)])
         assert path.read_text() == "t,P\n"
+        write_csv(path, ["t", "method"], [np.empty(0), np.array([], dtype=str)])
+        assert path.read_text() == "t,method\n"
 
     @pytest.mark.parametrize(
-        "rows",
-        [[(1.0, "a"), ("b", "c")], [(1.0, "a"), (2.0, 3.0)], [(1.0, "a"), (2.0, None)],
-         [(1.0, "a"), (1j, "b")]],
+        "columns",
+        [[[1.0, "b"], ["a", "c"]], [[1.0, 2.0], ["a", 3.0]], [[1.0, 2.0], ["a", None]],
+         [[1.0, 1j], ["a", "b"]], [np.array([1.0, 2.0]) + 0j, ["a", "b"]],
+         [[None, None], ["a", "b"]], [[1.0, 2.0], np.array(["a", 1], dtype=object)],
+         [[1.0, 2.0], [b"a", b"b"]]],
         ids=["str-in-number-column", "number-in-str-column", "none-in-str-column",
-             "complex-in-number-column"],
+             "complex-in-number-column", "complex-array", "none-column", "object-array",
+             "bytes-column"],
     )
-    def test_cell_type_must_match_column(self, tmp_path, rows):
+    def test_cell_type_must_match_column(self, tmp_path, columns):
+        path = tmp_path / "x.csv"
         with pytest.raises(TypeError):
-            write_csv(tmp_path / "x.csv", ["v", "label"], rows)
+            write_csv(path, ["v", "label"], columns)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[[1.0, 2.0], [1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0], ["a", "b"]],
+         [[1.0], np.zeros((1, 1))]],
+        ids=["longer", "shorter", "two-dimensional"],
+    )
+    def test_unequal_columns_raise_naming_the_column(self, tmp_path, columns):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="CSV column 'second'"):
+            write_csv(path, ["first", "second"], columns)
+        assert not path.exists()  # never cut short to the shortest column
+
+    def test_header_must_name_every_column(self, tmp_path):
+        with pytest.raises(ValueError, match="2 CSV header names for 3 columns"):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0], [2.0], [3.0]])
+
+
+class TestFormatterExact:
+    """The vectorized %.16e formatter against f"{x:.16e}", byte for byte."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        for _ in range(4):  # 10^6 doubles in four files
+            x = rng.integers(0, 2**64, size=250_000, dtype=np.uint64).view(np.float64)
+            assert _written(tmp_path / "x.csv", x) == _fstring_csv(x.tolist())
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([p, np.nextafter(p, np.inf), np.nextafter(p, 0.0)])
+        x = np.concatenate([x, -x])
+        assert _written(tmp_path / "x.csv", x) == _fstring_csv(x.tolist())
+
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_exact_with_log10_one_ulp_off(self, tmp_path, monkeypatch, direction):
+        # a log10 that is not correctly rounded puts the decimal exponent
+        # estimate one off at the powers of ten; those cells fall back
+        log10 = np.log10
+        monkeypatch.setattr(cli.np, "log10", lambda a: np.nextafter(log10(a), direction))
+        p = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        x = np.concatenate([p, np.nextafter(p, np.inf), np.nextafter(p, 0.0), [0.3, 7.0]])
+        x = np.concatenate([x, -x])
+        assert _written(tmp_path / "x.csv", x) == _fstring_csv(x.tolist())
+
+    def test_exact_ties_round_half_even(self, tmp_path):
+        assert _written(tmp_path / "x.csv", [2.0**-25]) == b"x\n2.9802322387695312e-08\n"
+        # m 2^-k is m 5^k 10^-k: odd m with 18 digits in m 5^k, the last a 5,
+        # lie exactly halfway between two 17-digit decimals
+        rng = np.random.default_rng(7)
+        ties = []
+        for k in range(2, 26):
+            lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+            for m in rng.integers(lo, hi, size=40).tolist():
+                m |= 1
+                if m < hi and len(str(m * 5**k)) == 18:
+                    ties.append(m * 2.0**-k)
+        assert len(ties) > 500
+        x = np.array(ties + [-v for v in ties])
+        assert _written(tmp_path / "x.csv", x) == _fstring_csv(x.tolist())
+
+    def test_special_values_and_exponent_widths(self, tmp_path):
+        x = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 1e-280, 1e280, 9.999e279,
+             1.0000000000000002e-280, 1e-100, -2.5e-150, 1.5e200, 1e100, 9.9999999999999999e99,
+             1e-99, 1e99, 0.5, 1.0, 9.999999999999999e22, 123456789012345680.0]
+        assert _written(tmp_path / "x.csv", x) == _fstring_csv(x)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, tmp_path, values):
+        assert _written(tmp_path / "x.csv", values) == _fstring_csv(values)
 
 
 class TestRunners:
@@ -318,6 +434,95 @@ class TestRunners:
     def test_error_exit_code(self, capsys):
         assert main(["dynamics", "--g", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestCliBytes:
+    """Each runner's CSV, byte for byte, against the row-template writer fed
+    with rows built from the library calls as the runners once built them."""
+
+    STATE = ["class", "re_E", "im_E", "re_lambda", "im_lambda", "re_psid_sq", "im_psid_sq"]
+
+    @staticmethod
+    def _state_row(s):
+        return (s.state_class.value, s.energy.real, s.energy.imag,
+                s.lam.real, s.lam.imag, s.psid_sq.real, s.psid_sq.imag)
+
+    @staticmethod
+    def _trace_rows(traces):
+        return [(t, a.real, a.imag, P, tr.method.value) for tr in traces
+                for t, a, P in zip(tr.times.tolist(), tr.amplitude.tolist(),
+                                   tr.probability.tolist())]
+
+    @pytest.mark.parametrize("eps_d", [-2.0, -2.05])
+    def test_dynamics_all(self, tmp_path, eps_d):
+        out = tmp_path / "d.csv"
+        assert main(["dynamics", "--method", "all", "--g", "0.05", "--eps-d", str(eps_d),
+                     "--t-max", "60", "-o", str(out)]) == 0
+        times = np.arange(0.0, 60.0 + 1e-9, 0.5)
+        traces = _survival_traces(ModelParams(eps_d, 0.05), times,
+                                  {"oracle", "bessel", "intermediate", "longtime"},
+                                  170, 60.0, optional=True)
+        assert out.read_bytes() == _row_template_csv(
+            ["t", "re_A", "im_A", "P", "method"], self._trace_rows(traces))
+
+    def test_dynamics_bessel(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert main(["dynamics", "--method", "bessel", "--g", "0.05", "--t-max", "40",
+                     "--dt", "1", "-o", str(out)]) == 0
+        trace = survival_bessel_sum(ModelParams(-2.0, 0.05), np.arange(0.0, 40.0 + 1e-9, 1.0))
+        assert out.read_bytes() == _row_template_csv(
+            ["t", "re_A", "im_A", "P", "method"], self._trace_rows([trace]))
+
+    def test_spectrum_scan(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--g", "0.1", "--eps-min", "-2.1", "--eps-max", "-1.9",
+                     "--step", "0.01", "-o", str(out)]) == 0
+        rows = [(r.eps_d, *self._state_row(r.state))
+                for r in spectrum_scan(0.1, -2.1, -1.9, 0.01)]
+        assert out.read_bytes() == _row_template_csv(["eps_d"] + self.STATE, rows)
+
+    @pytest.mark.parametrize("g, eps_d", [(0.5, -2.0), (1e-5, -2.0), (0.2, -1.2)])
+    def test_spectrum_point(self, tmp_path, g, eps_d):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--g", str(g), "--eps-d", str(eps_d), "-o", str(out)]) == 0
+        states = sorted(discrete_spectrum(ModelParams(eps_d, g)), key=lambda s: s.energy.real)
+        assert out.read_bytes() == _row_template_csv(
+            self.STATE, [self._state_row(s) for s in states])
+
+    def test_ep_sheet(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert main(["ep", "--g", "0.1", "--sheet", "--re-min", "-2.06", "--re-max", "-2.03",
+                     "--im-min", "-0.01", "--im-max", "0.01", "--n-re", "5", "--n-im", "4",
+                     "-o", str(out)]) == 0
+        cells = complex_parameter_sheet(
+            0.1, np.linspace(-2.06, -2.03, 5), np.linspace(-0.01, 0.01, 4))
+        rows = [(c.eps_d.real, c.eps_d.imag, str(b), E.real, E.imag)
+                for c in cells for b, E in enumerate(c.energies)]
+        assert out.read_bytes() == _row_template_csv(
+            ["re_eps", "im_eps", "branch_id", "re_E", "im_E"], rows)
+
+    def test_generic(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["generic", "--model", "lorentzian", "--g", "0.2", "--n-points", "9",
+                     "-o", str(out)]) == 0
+        model = make_model("lorentzian", 0.2)
+        rows = []
+        for E in np.linspace(model.e_th - 4.0, model.e_th - 0.01, 9).tolist():
+            q, c = self_energy_quadrature(model, E), sigma_closed_form(model, E)
+            rows.append((E, q, c, abs(q - c)))
+        assert out.read_bytes() == _row_template_csv(
+            ["E", "sigma_quadrature", "sigma_closed_form", "abs_err"], rows)
+
+    def test_figure_fig1(self, tmp_path):
+        assert main(["figures", "--name", "fig1", "-o", str(tmp_path)]) == 0
+        states = discrete_spectrum(ModelParams(-2.0, 0.5))
+        states.sort(key=lambda s: (s.energy.real, s.energy.imag))
+        rows = []
+        for s in states:
+            k = -1j * cmath.log(s.lam)
+            rows.append((s.state_class.value, s.energy.real, s.energy.imag, k.real, k.imag))
+        assert (tmp_path / "fig1_states.csv").read_bytes() == _row_template_csv(
+            ["class", "re_E", "im_E", "re_k", "im_k"], rows)
 
 
 class TestColdStart:

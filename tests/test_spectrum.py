@@ -28,6 +28,7 @@ from bandedge.spectrum import (
     puiseux_lambda,
     puiseux_norm_d,
     solve_energy_quartic,
+    solve_energy_quartic_centred,
     solve_lambda_quartic,
     solve_quartic_lambda_raw,
     spectrum_scan,
@@ -325,6 +326,32 @@ class TestEnergyQuartic:
             assert sum(solve_energy_quartic(p)) == pytest.approx(
                 2 * eps, abs=1e-9
             )
+
+    @pytest.mark.parametrize("eps_d", [-3.0, -2.5, -2.1, -1.9, -1.0, 0.0, 1.5, 2.5])
+    def test_near_dot_pair_at_weak_coupling(self, eps_d):
+        # v ~ +-g^2 / sqrt(eps_d^2 - 4) against 90-digit roots; at g = 1e-12
+        # the companion solve alone returns both as v = 0
+        for g in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            p = ModelParams(epsilon_d=eps_d, g=g)
+            v = solve_energy_quartic_centred(p)
+            assert np.array_equal(solve_energy_quartic(p), v + eps_d)
+            with mp.workdps(90):
+                e = mp.mpf(eps_d)
+                ref = mp.polyroots([1, 2 * e, e * e - 4, 0, -mp.mpf(g) ** 4],
+                                   maxsteps=500, extraprec=400)
+                ref = sorted(ref, key=abs)[:2]
+                got = sorted(v, key=abs)[:2]
+                err = min(max(abs(mp.mpc(w) - z) / abs(z) for w, z in zip(order, ref))
+                          for order in (got, got[::-1]))
+            assert err < 1e-13, (g, float(err))
+            if abs(eps_d) < 2:
+                assert got[0] == got[1].conjugate()
+
+    @pytest.mark.parametrize("g", [1e-78, 1e-90])
+    def test_subnormal_coupling_to_the_fourth_raises(self, g):
+        with pytest.raises(DomainError, match="need g = 0 or g >= 1.22"):
+            solve_energy_quartic(ModelParams(epsilon_d=-1.0, g=g))
+        assert np.all(solve_energy_quartic_centred(ModelParams(-1.0, 1.3e-77)) != 0)
 
     def test_conjugate_pairing(self):
         p = ModelParams(epsilon_d=-1.97, g=0.1)
