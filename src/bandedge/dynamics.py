@@ -823,10 +823,6 @@ def survival_intermediate_law(g: float, t):
     return np.abs(intermediate_amplitude(g, t)) ** 2
 
 
-# linearized coefficient of t^{3/2} in 1 - P(t)
-INTERMEDIATE_LAW_COEFF = 4.0 / (3.0 * np.sqrt(2.0 * np.pi))
-
-
 def longtime_amplitude(params: ModelParams, t):
     """Near-edge survival amplitude in closed form,
 

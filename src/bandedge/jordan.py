@@ -4,21 +4,20 @@ The quadratic eigenvalue problem linearizes to the 4x4 pencil (A - lam B).
 At g = 0, eps_d = -2 the matrix B^{-1}A is non-diagonalizable: eigenvalue 1
 has algebraic multiplicity 3 but geometric multiplicity 2, i.e. a single
 2x2 Jordan block plus an extra degeneracy.  Everything at the limit point is
-checked in exact rational arithmetic; floating point enters only for g > 0.
+checked in exact integer arithmetic: B is an involution, so B^{-1}A = B A,
+and the Jordan form is certified as M R = R J with R of exact full rank,
+so no inverse is formed.  Floating point enters only for g > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import ModelParams
 from .spectrum import lambda_quartic_coeffs, near_edge_triplet, threshold_labels
-
-Mat = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -43,54 +42,23 @@ def build_pencil(params: ModelParams) -> GeneralizedPencil:
     return GeneralizedPencil(A=A, B=B)
 
 
-# --- exact rational 4x4 helpers ---------------------------------------------
+# --- exact integer rank ------------------------------------------------------
 
-def _frac_mat(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _matmul(X: Mat, Y: Mat) -> Mat:
-    n = len(X)
-    return tuple(
-        tuple(sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _matvec(X: Mat, v) -> tuple[Fraction, ...]:
-    return tuple(sum(X[i][k] * Fraction(v[k]) for k in range(len(v))) for i in range(len(v)))
-
-
-def _rref(rows) -> tuple[list[list[Fraction]], int]:
-    """Exact Gauss-Jordan reduction: the reduced rows and the rank.
-
-    Pivots are sought in the first len(rows) columns, so a square matrix
-    with the identity appended reduces to [I | X^{-1}] when X is regular.
-    """
-    rows = [list(r) for r in rows]
-    n, rank = len(rows), 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+def _rank(X) -> int:
+    """Exact rank of an integer matrix by fraction-free elimination."""
+    rows = [[int(x) for x in row] for row in X]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        p = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [p[col] * x - f * y for x, y in zip(rows[r], p)]
         rank += 1
-    return rows, rank
-
-
-def _inverse(X: Mat) -> Mat:
-    n = len(X)
-    aug = [list(X[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, rank = _rref(aug)
-    if rank < n:
-        raise ConsistencyError("singular matrix in exact inverse")
-    return tuple(tuple(row[n:]) for row in rows)
+    return rank
 
 
 # --- the g = 0, eps_d = -2 limit ---------------------------------------------
@@ -102,30 +70,33 @@ PHI_D = (0, -1, 0, 0)      # pseudo-eigenvector partnering PSI_D
 PHI_D_PRIME = (0, 0, 0, -1)  # alternative pseudo-eigenvector
 PSI_MINUS = (1, 0, 1, 0)   # eigenvalue +1; merged with the lower band edge
 
-JORDAN_FORM = _frac_mat([[-1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+JORDAN_FORM = np.array([[-1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def limit_matrix() -> np.ndarray:
-    """B^{-1} A at g = 0, eps_d = -2 (exact integer entries)."""
+    """B^{-1} A at g = 0, eps_d = -2 (exact integer entries).
+
+    B is an involution, checked exactly, so B^{-1} A = B A.
+    """
     P = build_pencil(ModelParams(epsilon_d=-2.0, g=0.0))
-    M = _matmul(_inverse(_frac_mat(P.B)), _frac_mat(P.A))
-    return np.array([[int(x) for x in row] for row in M])
+    A, B = P.A.astype(int), P.B.astype(int)  # entries 0, +-1, -2: exact
+    if not np.array_equal(B @ B, np.eye(4, dtype=int)):
+        raise ConsistencyError("B of the linearization is not an involution")
+    return B @ A
 
 
 def verify_jordan_form() -> tuple[bool, np.ndarray]:
     """Exact check that R^{-1} (B^{-1}A) R is diag(-1) + [[1,1],[0,1]] + diag(1).
 
-    R has columns (Psi_plus, Psi_d, Phi_d, Psi_minus).  The comparison is
-    exact integer arithmetic; a mismatch is a hard structural failure.
+    R has columns (Psi_plus, Psi_d, Phi_d, Psi_minus); it has exact rank 4
+    (det R = 2), so the statement is M R = R J in integers and no inverse
+    is formed.  Returns (ok, J): J is the integer Jordan form when ok, and
+    otherwise the float R^{-1} M R, for display only.
     """
-    M = _frac_mat(limit_matrix())
-    R = _frac_mat(np.column_stack([PSI_PLUS, PSI_D, PHI_D, PSI_MINUS]))
-    J = _matmul(_matmul(_inverse(R), M), R)
-    ok = J == JORDAN_FORM
-    J_np = np.array([[float(x) for x in row] for row in J])
-    if not ok:
-        raise ConsistencyError(f"Jordan form mismatch:\n{J_np}")
-    return ok, J_np
+    M = limit_matrix()
+    R = np.column_stack([PSI_PLUS, PSI_D, PHI_D, PSI_MINUS])
+    ok = _rank(R) == 4 and np.array_equal(M @ R, R @ JORDAN_FORM)
+    return ok, JORDAN_FORM.copy() if ok else np.linalg.solve(R, M @ R)
 
 
 def eigenvalue_one_defect() -> tuple[int, int]:
@@ -134,14 +105,12 @@ def eigenvalue_one_defect() -> tuple[int, int]:
     Exact: with N = M - I, the geometric multiplicity is 4 - rank(N) and the
     algebraic one 4 - rank(N^4), the dimension of the generalized eigenspace.
     """
-    M = _frac_mat(limit_matrix())
-    N = tuple(tuple(M[i][j] - (i == j) for j in range(4)) for i in range(4))
-    N2 = _matmul(N, N)
-    return 4 - _rref(_matmul(N2, N2))[1], 4 - _rref(N)[1]
+    N = limit_matrix() - np.eye(4, dtype=int)
+    return 4 - _rank(np.linalg.matrix_power(N, 4)), 4 - _rank(N)
 
 
-def jordan_chain_check() -> dict[str, tuple[Fraction, ...]]:
-    """Exact residuals of the Jordan-chain relations at the limit point.
+def jordan_chain_check() -> dict[str, np.ndarray]:
+    """Exact integer residuals of the Jordan-chain relations at the limit point.
 
     The relations hold for the operator B^{-1}A:
 
@@ -153,24 +122,14 @@ def jordan_chain_check() -> dict[str, tuple[Fraction, ...]]:
     (A^{-1}B is the inverse operator on this pencil and satisfies the
     inverted relations, with the Psi_d shifts reversed in sign.)
     """
-    M = _frac_mat(limit_matrix())
-    res = {}
-    res["psi_d_eigen"] = tuple(
-        a - Fraction(b) for a, b in zip(_matvec(M, PSI_D), PSI_D)
-    )
-    res["phi_d_chain"] = tuple(
-        a - Fraction(b) - Fraction(c)
-        for a, b, c in zip(_matvec(M, PHI_D), PHI_D, PSI_D)
-    )
-    res["phi_d_prime_chain"] = tuple(
-        a - Fraction(b) + Fraction(c)
-        for a, b, c in zip(_matvec(M, PHI_D_PRIME), PHI_D_PRIME, PSI_D)
-    )
-    res["pseudo_vector_relation"] = tuple(
-        Fraction(a) + Fraction(b) + Fraction(c)
-        for a, b, c in zip(PHI_D, PHI_D_PRIME, PSI_D)
-    )
-    return res
+    M = limit_matrix()
+    psi_d, phi_d, phi_d_prime = np.array(PSI_D), np.array(PHI_D), np.array(PHI_D_PRIME)
+    return {
+        "psi_d_eigen": M @ psi_d - psi_d,
+        "phi_d_chain": M @ phi_d - phi_d - psi_d,
+        "phi_d_prime_chain": M @ phi_d_prime - phi_d_prime + psi_d,
+        "pseudo_vector_relation": phi_d + phi_d_prime + psi_d,
+    }
 
 
 # --- connecting finite g to the limit ----------------------------------------

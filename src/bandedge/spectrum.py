@@ -175,8 +175,13 @@ def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
     |a v0| + |v0|^2 <= 1e-3 |b|, it is replaced by four steps of the deflated
     fixed point v = v0 sqrt(b / (b + a v + v^2)), which contract by
     |a v0| / (2 |b|) <= 5e-4 each; the steps commute with conjugation, so
-    an in-band pair stays exactly conjugate.  Elsewhere, b = 0 at
-    eps_d = +-2 included, the companion roots stay.
+    an in-band pair stays exactly conjugate.  At b = 0 (eps_d = +-2) the
+    companion solve loses the threshold triplet v^3 ~ g^4 / a the same way
+    (exact zeros for g <~ 1e-15); where |v0| <= 1e-3 |a| with v0 running
+    over the cube roots of g^4 / a, it is taken from four steps of the
+    deflated cubic v = v0 (a / (a + v))^(1/3), contracting by
+    |v0| / (3 |a|) each, with the two complex cube roots exactly conjugate.
+    Elsewhere the companion roots stay.
     """
     e = _real_if_real(params.epsilon_d)
     a, b, g4 = 2.0 * e, (e - 2.0) * (e + 2.0), params.g**4
@@ -195,6 +200,14 @@ def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
         if abs(v[near[0]] - pair[1]) < abs(v[near[0]] - pair[0]):
             near = near[::-1]
         v[near] = pair
+    elif b == 0 and g4 > 0:
+        w = complex(-0.5, 0.75**0.5)  # e^{2 pi i/3}; its conjugate taken exactly
+        v0 = np.cbrt(g4 / a) * np.array([1.0, w, w.conjugate()])
+        if abs(v0[0]) <= 1e-3 * abs(a):
+            triplet = v0
+            for _ in range(4):
+                triplet = v0 * (a / (a + triplet)) ** (1.0 / 3.0)
+            v = np.append(triplet, v[np.argmax(np.abs(v))])
     return v
 
 
@@ -441,13 +454,19 @@ class ScanRow:
 
 
 def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> list[ScanRow]:
-    """Classified near-edge triplet for each eps_d on a uniform grid.
+    """Classified near-edge triplet for each eps_d on a uniform grid from
+    eps_start to eps_stop (eps_stop >= eps_start, step > 0; DomainError
+    otherwise).
 
     Output ordering is deterministic: ascending eps_d, then class order
     (bound, virtual, resonance, anti-resonance), then Im E and Re E.
     """
     if step <= 0:
         raise DomainError("step must be positive")
+    if eps_stop < eps_start:
+        raise DomainError(
+            f"scan range is reversed: eps_stop = {eps_stop} < eps_start = {eps_start}"
+        )
     n = int(np.floor((eps_stop - eps_start) / step + 1e-9))
     eps = eps_start + np.arange(n + 1) * step
     lams, Es, dropped = near_edge_roots(eps, g)

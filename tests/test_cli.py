@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import bandedge
 import bandedge.cli as cli
+from bandedge import jordan
 from bandedge.cli import _survival_traces, main, parse_config, write_csv
 from bandedge.dynamics import survival_bessel_sum
 from bandedge.ep import complex_parameter_sheet
@@ -21,14 +22,14 @@ from bandedge.model import ModelParams
 from bandedge.spectrum import discrete_spectrum, spectrum_scan
 
 # runs each argument list through cli.main in one fresh interpreter, then
-# prints the scipy modules it has loaded
+# prints the modules it has loaded
 _COLD_PROBE = """
 import json, sys
 import bandedge
 from bandedge.cli import main
 for args in json.loads(sys.argv[1]):
     assert main(args) == 0, args
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
@@ -435,6 +436,22 @@ class TestRunners:
         assert main(["dynamics", "--g", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_reversed_scan_range_is_an_error(self, capsys, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert main(["spectrum", "--g", "0.1", "--eps-min", "-1.9", "--eps-max", "-2.1",
+                     "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: scan range is reversed: eps_stop = -2.1 < eps_start = -1.9"]
+        assert not out.exists()
+
+    def test_jordan_structural_mismatch_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(jordan, "limit_matrix", lambda: np.diag([-1, 1, 1, 2]))
+        assert main(["jordan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "STRUCTURAL FAILURE"
+        assert captured.err == ""
+
 
 class TestCliBytes:
     """Each runner's CSV, byte for byte, against the row-template writer fed
@@ -530,7 +547,7 @@ class TestColdStart:
     evaluate J0/J1, the anti-resonance tail's Gamma or the Faddeeva function."""
 
     @staticmethod
-    def _scipy_modules(tmp_path, runs):
+    def _loaded_modules(tmp_path, runs):
         env = dict(os.environ)
         src = str(Path(bandedge.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -539,6 +556,11 @@ class TestColdStart:
             capture_output=True, text=True, check=True, timeout=120,
         )
         return json.loads(done.stdout.splitlines()[-1])
+
+    @classmethod
+    def _scipy_modules(cls, tmp_path, runs):
+        return [m for m in cls._loaded_modules(tmp_path, runs)
+                if m == "scipy" or m.startswith("scipy.")]
 
     def test_spectral_subcommands_leave_scipy_unloaded(self, tmp_path):
         runs = [
@@ -553,6 +575,10 @@ class TestColdStart:
         assert self._scipy_modules(tmp_path, runs) == []
         assert {f.name for f in tmp_path.iterdir()} == {
             "point.csv", "scan.csv", "sheet.csv", "generic.csv"}
+
+    def test_jordan_checks_load_no_fractions(self, tmp_path):
+        # the limit-point checks run in integer numpy, not Fraction
+        assert "fractions" not in self._loaded_modules(tmp_path, [["jordan"]])
 
     def test_bessel_route_loads_scipy_special(self, tmp_path):
         runs = [["dynamics", "--method", "bessel", "--g", "0.05", "--t-max", "5",

@@ -6,6 +6,7 @@ from bandedge.jordan import (
     PHI_D,
     PHI_D_PRIME,
     PSI_D,
+    PSI_MINUS,
     PSI_PLUS,
     build_pencil,
     eigenvalue_one_defect,
@@ -78,6 +79,14 @@ class TestJordanForm:
         want = np.array([[-1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         assert np.array_equal(J, want)
 
+    def test_mismatch_is_a_flag_not_an_exception(self, monkeypatch):
+        monkeypatch.setattr(jordan, "limit_matrix", lambda: np.diag([-1, 1, 1, 2]))
+        ok, J = verify_jordan_form()
+        assert not ok
+        # the display matrix is R^{-1} M R for the stand-in
+        R = np.column_stack([PSI_PLUS, PSI_D, PHI_D, PSI_MINUS])
+        assert np.allclose(R @ J, np.diag([-1, 1, 1, 2]) @ R)
+
     def test_defective_multiplicities(self):
         alg, geo = eigenvalue_one_defect()
         assert (alg, geo) == (3, 2)
@@ -86,6 +95,10 @@ class TestJordanForm:
         # a diagonalizable stand-in with eigenvalue 1 twice gives (2, 2)
         monkeypatch.setattr(jordan, "limit_matrix", lambda: np.diag([-1, 1, 1, 2]))
         assert eigenvalue_one_defect() == (2, 2)
+        # a defective stand-in with one 3x3 block for eigenvalue 1 gives (3, 1)
+        block = np.array([[-1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+        monkeypatch.setattr(jordan, "limit_matrix", lambda: block)
+        assert eigenvalue_one_defect() == (3, 1)
 
     def test_psi_plus_eigenvector(self):
         M = limit_matrix()
@@ -101,6 +114,7 @@ class TestJordanForm:
             "pseudo_vector_relation",
         }
         for name, res in residuals.items():
+            assert res.dtype.kind == "i", name
             assert all(x == 0 for x in res), name
 
     def test_inverse_operator_reverses_the_chain_shifts(self):

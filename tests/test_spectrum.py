@@ -347,6 +347,23 @@ class TestEnergyQuartic:
             if abs(eps_d) < 2:
                 assert got[0] == got[1].conjugate()
 
+    @pytest.mark.parametrize("eps_d", [-2.0, 2.0])
+    def test_threshold_triplet_at_weak_coupling(self, eps_d):
+        # b = 0: v^3 ~ g^4 / (2 eps_d) against 90-digit roots; from g ~ 1e-15
+        # the companion solve alone returns the triplet as exact zeros
+        for g in (1e-3, 1e-8, 1e-13, 1e-15, 1e-16, 1e-20):
+            p = ModelParams(epsilon_d=eps_d, g=g)
+            v = solve_energy_quartic_centred(p)
+            assert np.array_equal(solve_energy_quartic(p), v + eps_d)
+            with mp.workdps(90):
+                ref = mp.polyroots([1, 2 * mp.mpf(eps_d), 0, 0, -mp.mpf(g) ** 4],
+                                   maxsteps=500, extraprec=400)
+                err = max(min(abs(mp.mpc(w) - z) / abs(z) for w in v) for z in ref)
+            assert err < 1e-13, (g, float(err))
+            triplet = sorted(v, key=abs)[:3]
+            assert sorted(triplet, key=lambda z: z.imag) == sorted(
+                np.conj(triplet), key=lambda z: z.imag)
+
     @pytest.mark.parametrize("g", [1e-78, 1e-90])
     def test_subnormal_coupling_to_the_fourth_raises(self, g):
         with pytest.raises(DomainError, match="need g = 0 or g >= 1.22"):
@@ -588,6 +605,10 @@ class TestThresholdLabels:
 
 
 class TestSpectrumScan:
+    def test_reversed_range_raises(self):
+        with pytest.raises(DomainError, match="eps_stop = -2.1 < eps_start = -1.9"):
+            spectrum_scan(0.1, -1.9, -2.1, 0.01)
+
     def test_virtual_region(self):
         rows = spectrum_scan(0.1, -2.15, -2.15, 1.0)
         classes = [r.state.state_class for r in rows]
