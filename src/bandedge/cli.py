@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -308,8 +309,10 @@ def parse_config_file(path: str, schema: dict) -> dict:
     return values
 
 
-def parse_config(argv) -> RunConfig:
-    """argparse front end; flags override config-file values."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and then reused: parsing keeps
+    no state in it, and each add_argument queries the terminal size."""
     parser = argparse.ArgumentParser(
         prog="bandedge",
         description="Spectral structure and decay dynamics of a quantum "
@@ -328,7 +331,12 @@ def parse_config(argv) -> RunConfig:
                                default=_UNSET, dest=key)
             else:
                 p.add_argument(flag, type=typ, default=_UNSET, dest=key)
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def parse_config(argv) -> RunConfig:
+    """argparse front end; flags override config-file values."""
+    ns = _parser().parse_args(argv)
     name = "jordan" if ns.subcommand == "jordan-check" else ns.subcommand
     schema = _SCHEMAS[name]
     merged = {k: d for k, (t, d, c) in schema.items()}
@@ -518,8 +526,8 @@ def _run_generic(cfg: RunConfig) -> int:
             f"need e_min < e_max < E_th = {model.e_th}; got [{e_min}, {e_max}]"
         )
     E = np.linspace(e_min, e_max, p["n_points"])
-    q = np.array([self_energy_quadrature(model, e) for e in E])
-    c = np.array([sigma_closed_form(model, e) for e in E])
+    q = self_energy_quadrature(model, E)
+    c = sigma_closed_form(model, E)
     err = np.abs(q - c)
     out = cfg.output or f"generic_{p['model']}.csv"
     write_csv(out, ["E", "sigma_quadrature", "sigma_closed_form", "abs_err"], [E, q, c, err])

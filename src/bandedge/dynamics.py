@@ -794,7 +794,7 @@ def kn_quadrature(n: int, t: float) -> complex:
         f = lambda s: np.exp(-2j * s) * j1_over_t(s)  # t'^(-1) J1(2t')
     else:
         f = lambda s: np.exp(-2j * s) * s ** (n - 1) * bessel_j(1, 2.0 * s)
-    return complex(adaptive_quad(f, 0.0, float(t), tol=_KN_TOL))
+    return adaptive_quad(f, 0.0, float(t), tol=_KN_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -54,46 +54,56 @@ class GenericSelfEnergyModel:
         return float(np.asarray(self.delta(np.array([self.e_th])))[0])
 
 
-def self_energy_quadrature(model: GenericSelfEnergyModel, E: float) -> float:
+def _below_threshold(model: GenericSelfEnergyModel, E) -> np.ndarray:
+    """E as a float array, every entry checked to lie below E_th (a NaN
+    fails the check: its integrand would be NaN on every panel)."""
+    E = np.asarray(E, dtype=float)
+    bad = ~(E < model.e_th)
+    if bad.any():
+        raise DomainError(f"need E < E_th = {model.e_th}, got {E[bad].flat[0]}")
+    return E
+
+
+def self_energy_quadrature(model: GenericSelfEnergyModel, E):
     """Sigma(E) = g^2 int dk |v_k|^2 / (E - E_k) for real E below threshold.
 
-    The infinite k line is mapped through k = tan(u); the mapped integrand is
-    bounded at u = +/- pi/2 whenever |v_k|^2 decays no slower than the 1/k^2
-    of the denominator.
+    E is a scalar, giving a float, or an array, giving an array of its shape
+    from one batched quadrature.  The infinite k line is mapped through
+    k = tan(u); the mapped integrand is bounded at u = +/- pi/2 whenever
+    |v_k|^2 decays no slower than the 1/k^2 of the denominator.
     """
-    E = float(E)
-    if E >= model.e_th:
-        raise DomainError(f"need E < E_th = {model.e_th}, got {E}")
+    E = _below_threshold(model, E)
     if model.dispersion is not None:
         disp = model.dispersion
         lo, hi = model.k_domain
 
-        def integrand(k):
+        def integrand(k, E):
             vk = model.v(k)
             return np.abs(vk) ** 2 / (E - disp(k))
 
-        val = adaptive_quad(integrand, lo, hi, tol=1e-11)
-        return model.g**2 * float(val.real)
+        val = adaptive_quad(integrand, lo, hi, tol=1e-11, args=(E,))
+        return model.g**2 * val.real
 
-    def mapped(u):
+    def mapped(u, E):
         k = np.tan(u)
         vk = model.v(k)
         return np.abs(vk) ** 2 * (1.0 + k * k) / (E - model.e_th - k * k)
 
-    val = adaptive_quad(mapped, -_HALF_PI, _HALF_PI, tol=1e-11)
-    if abs(val.imag) > 1e-9:
+    val = adaptive_quad(mapped, -_HALF_PI, _HALF_PI, tol=1e-11, args=(E,))
+    if np.any(np.abs(val.imag) > 1e-9):
         raise NumericalError("self-energy quadrature produced an imaginary part")
-    return model.g**2 * float(val.real)
+    return model.g**2 * val.real
 
 
-def sigma_closed_form(model: GenericSelfEnergyModel, E: float) -> float:
-    """g^2 Delta(E) + g^2 Lam(E)/sqrt(E_th - E) from the model's coefficients."""
-    E = float(E)
-    if E >= model.e_th:
-        raise DomainError(f"need E < E_th = {model.e_th}, got {E}")
-    d = float(np.asarray(model.delta(np.array([E])))[0])
-    l = float(np.asarray(model.lam_coeff(np.array([E])))[0])
-    return model.g**2 * d + model.g**2 * l / np.sqrt(model.e_th - E)
+def sigma_closed_form(model: GenericSelfEnergyModel, E):
+    """g^2 Delta(E) + g^2 Lam(E)/sqrt(E_th - E) from the model's coefficients;
+    a float for a scalar E, else an array of E's shape."""
+    E = _below_threshold(model, E)
+    E1 = np.atleast_1d(E)
+    d = np.asarray(model.delta(E1), dtype=float)
+    l = np.asarray(model.lam_coeff(E1), dtype=float)
+    sigma = model.g**2 * d + model.g**2 * l / np.sqrt(model.e_th - E1)
+    return float(sigma[0]) if E.ndim == 0 else sigma
 
 
 def threshold_roots(model: GenericSelfEnergyModel, refine: bool = False):
@@ -254,19 +264,22 @@ def make_singular_v_model(g: float) -> GenericSelfEnergyModel:
     )
 
 
-def singular_v_quadrature(model: GenericSelfEnergyModel, E: float) -> float:
+def singular_v_quadrature(model: GenericSelfEnergyModel, E):
     """Sigma(E) for the |k|^(-1/4) profile; substitutes k = s^2 to absorb the
-    integrable |k|^(-1/2) singularity of |v|^2 at k = 0."""
-    E = float(E)
-    if E >= model.e_th:
-        raise DomainError("need E < E_th")
+    integrable |k|^(-1/2) singularity of |v|^2 at k = 0.  A float for a
+    scalar E, else an array of E's shape from one batched quadrature."""
+    E = _below_threshold(model, E)
 
-    def mapped(s):
+    def mapped(s, E):
         k = s * s
         return 2.0 / (E - model.e_th - k * k)
 
     # |v|^2 = k^(-1/2); int_0^inf k^(-1/2) f(k) dk = 2 int_0^inf f(s^2) ds,
-    # then double for the k < 0 half line
-    upper = 40.0 / max(abs(E - model.e_th) ** 0.25, 1e-3)
-    val = adaptive_quad(mapped, 0.0, upper, tol=1e-10)
-    return 2.0 * model.g**2 * float(val.real)
+    # then double for the k < 0 half line.  The cut-off is taken with
+    # Python's float power, E by E, so it does not depend on numpy's pow.
+    upper = np.reshape(
+        [40.0 / max(abs(e - model.e_th) ** 0.25, 1e-3) for e in E.ravel().tolist()],
+        E.shape,
+    )
+    val = adaptive_quad(mapped, 0.0, upper, tol=1e-10, args=(E,))
+    return 2.0 * model.g**2 * val.real

@@ -1,8 +1,11 @@
 """Adaptive panel quadrature built on nested Gauss-Legendre rules.
 
 The error estimate per panel compares one 15-point rule against the sum of
-two half-panel rules; panels failing the tolerance are bisected.  Supports
-complex-valued integrands; integrand callables must accept numpy arrays.
+two half-panel rules; panels failing the tolerance are bisected.  One call
+integrates a batch of integrals: each keeps its own panel tree, and at each
+depth the live panels of every integral go through one integrand call.
+Supports complex-valued integrands; integrand callables must accept numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -14,40 +17,88 @@ from .errors import QuadratureError
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 _MAX_DEPTH = 48
+# live panels refined in one integrand call; a larger set is refined in
+# chunks, so a batch whose panels all keep failing (say, a NaN integrand)
+# holds O(_MAX_DEPTH * _MAX_PANELS) panels, not 2^depth
+_MAX_PANELS = 8192
 
 
-def _panel(f, a: float, b: float):
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _GL_NODES
-    return h * np.sum(_GL_WEIGHTS * f(x))
+def _panels(f, lo, hi, cols):
+    """The 15-point rule on every panel [lo_i, hi_i], in one call of f."""
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GL_NODES
+    return h * np.sum(_GL_WEIGHTS * f(x, *cols), axis=1)
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> complex:
-    """Integral of f over [a, b] to absolute tolerance tol."""
-    total = 0.0 + 0.0j
-    stack = [(float(a), float(b), _panel(f, a, b), tol, 0)]
-    while stack:
-        a0, b0, coarse, tol0, depth = stack.pop()
-        m = 0.5 * (a0 + b0)
-        left = _panel(f, a0, m)
-        right = _panel(f, m, b0)
+def adaptive_quad(f, a, b, tol: float = 1e-10, args=()):
+    """Integrals of f over [a, b] to absolute tolerance tol, one per batch member.
+
+    a, b and each entry of args broadcast to one batch shape.  f is called
+    as f(x, *cols): x holds the 15 nodes of m panels, shape (m, 15), and
+    each col holds the matching entry of args for the integral that owns
+    each panel, shape (m, 1); f returns an array of x's shape.  Returns a
+    complex for a scalar batch, else a complex array of the batch shape.
+
+    Each integral sums its accepted panels one by one from 0j in descending
+    order of their left edge, the order of a right-first depth-first
+    bisection, so its value does not depend on the rest of the batch.
+    Raises QuadratureError, naming the interval and carrying the residual,
+    if a panel still fails at depth _MAX_DEPTH.
+    """
+    a, b, *params = np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float), *map(np.asarray, args)
+    )
+    shape = a.shape
+    lo, hi = a.ravel(), b.ravel()
+    params = [c.reshape(-1, 1) for c in params]
+    owner = np.arange(lo.size)
+    coarse = _panels(f, lo, hi, params)
+    work = [(lo, hi, coarse, owner, float(tol), 0)]
+    kept = []
+    while work:
+        lo, hi, coarse, owner, tol0, depth = work.pop()
+        m = lo.size
+        mid = 0.5 * (lo + hi)
+        rows = np.concatenate([owner, owner])
+        halves = _panels(
+            f, np.concatenate([lo, mid]), np.concatenate([mid, hi]), [c[rows] for c in params]
+        )
+        left, right = halves[:m], halves[m:]
         fine = left + right
         # the noise floor keeps sharp integrable peaks from demanding more
         # digits than double precision holds
-        floor = 1e-14 * (abs(left) + abs(right) + abs(coarse))
-        if abs(fine - coarse) <= max(tol0, floor) or (
-            (b0 - a0) < 1e-14 * max(1.0, abs(m))
-        ):
-            total += fine
-            continue
-        if depth >= _MAX_DEPTH:
+        floor = 1e-14 * (np.abs(left) + np.abs(right) + np.abs(coarse))
+        done = (np.abs(fine - coarse) <= np.maximum(tol0, floor)) | (
+            (hi - lo) < 1e-14 * np.maximum(1.0, np.abs(mid))
+        )
+        kept.append((owner[done], lo[done], fine[done]))
+        split = np.flatnonzero(~done)
+        if split.size and depth >= _MAX_DEPTH:
+            # of the panels refined in this call, the first stalled
+            # integral's rightmost one
+            first = split[owner[split] == owner[split].min()]
+            i = first[np.argmax(lo[first])]
+            member = f" (batch member {owner[i]})" if shape else ""
             raise QuadratureError(
-                f"adaptive quadrature stalled on [{a0}, {b0}]",
-                residual=abs(fine - coarse),
+                f"adaptive quadrature stalled on [{float(lo[i])}, {float(hi[i])}]{member}",
+                residual=float(np.abs(fine[i] - coarse[i])),
             )
-        stack.append((a0, m, left, 0.5 * tol0, depth + 1))
-        stack.append((m, b0, right, 0.5 * tol0, depth + 1))
-    return complex(total)
+        children = (
+            np.concatenate([lo[split], mid[split]]),
+            np.concatenate([mid[split], hi[split]]),
+            np.concatenate([left[split], right[split]]),
+            np.concatenate([owner[split], owner[split]]),
+        )
+        for s in range(0, children[0].size, _MAX_PANELS):
+            work.append((*(c[s : s + _MAX_PANELS] for c in children), 0.5 * tol0, depth + 1))
+
+    owner, left_edge, value = (np.concatenate(c) for c in zip(*kept))
+    order = np.lexsort((-left_edge, owner))
+    # add.at applies the additions one by one in index order
+    total = np.zeros(a.size, dtype=complex)
+    np.add.at(total, owner[order], value[order])
+    total = total.reshape(shape)
+    return complex(total) if total.ndim == 0 else total
 
 
 def panel_nodes(edges: np.ndarray):
@@ -63,4 +114,3 @@ def panel_nodes(edges: np.ndarray):
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     weights = half[:, None] * _GL_WEIGHTS[None, :]
     return nodes, weights
-

@@ -89,6 +89,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="eps_min and eps_max"):
             parse_config(["spectrum", "--eps-min", "-2.1"])
 
+    def test_parser_is_reused_without_carrying_state(self, tmp_path, capsys):
+        assert cli._parser() is cli._parser()
+        assert parse_config(["ep", "--sheet"]).params["sheet"] is True
+        assert parse_config(["ep"]).params["sheet"] is False
+        f = tmp_path / "run.cfg"
+        f.write_text("n_re = 7\nre_min = -2.0\n")
+        from_file = parse_config(["ep", "--config", str(f)]).params
+        assert (from_file["n_re"], from_file["re_min"]) == (7, -2.0)
+        defaults = parse_config(["ep"]).params
+        assert (defaults["n_re"], defaults["re_min"]) == (61, -2.15)
+        with pytest.raises(SystemExit) as exc:
+            main(["ep", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert parse_config(["ep"]).params == defaults
+
 
 def _row_template_csv(header, rows) -> bytes:
     """The former row writer: one '%' template per file, '%s' for a column
@@ -547,15 +563,20 @@ class TestColdStart:
     evaluate J0/J1, the anti-resonance tail's Gamma or the Faddeeva function."""
 
     @staticmethod
-    def _loaded_modules(tmp_path, runs):
+    def _probe(tmp_path, code, *argv) -> list[str]:
+        """The stdout lines of code run in a fresh interpreter."""
         env = dict(os.environ)
         src = str(Path(bandedge.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         done = subprocess.run(
-            [sys.executable, "-c", _COLD_PROBE, json.dumps(runs)], cwd=tmp_path, env=env,
+            [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
             capture_output=True, text=True, check=True, timeout=120,
         )
-        return json.loads(done.stdout.splitlines()[-1])
+        return done.stdout.splitlines()
+
+    @classmethod
+    def _loaded_modules(cls, tmp_path, runs):
+        return json.loads(cls._probe(tmp_path, _COLD_PROBE, json.dumps(runs))[-1])
 
     @classmethod
     def _scipy_modules(cls, tmp_path, runs):
@@ -575,6 +596,14 @@ class TestColdStart:
         assert self._scipy_modules(tmp_path, runs) == []
         assert {f.name for f in tmp_path.iterdir()} == {
             "point.csv", "scan.csv", "sheet.csv", "generic.csv"}
+
+    def test_parser_is_built_on_first_use(self, tmp_path):
+        probe = ("import bandedge.cli as cli\n"
+                 "print(cli._parser.cache_info().currsize)\n"
+                 "cli.main(['jordan'])\n"
+                 "print(cli._parser.cache_info().currsize)\n")
+        lines = self._probe(tmp_path, probe)
+        assert (lines[0], lines[-1]) == ("0", "1")
 
     def test_jordan_checks_load_no_fractions(self, tmp_path):
         # the limit-point checks run in integer numpy, not Fraction

@@ -69,6 +69,16 @@ class TestSelfEnergyQuadrature:
         with pytest.raises(DomainError):
             self_energy_quadrature(model, 0.5)
 
+    def test_domain_guard_names_the_first_bad_energy(self):
+        model = make_model("const", 0.1)
+        for fn in (self_energy_quadrature, sigma_closed_form):
+            with pytest.raises(DomainError, match="got 0.5"):
+                fn(model, np.array([-1.0, 0.5, 2.0]))
+            with pytest.raises(DomainError, match="got nan"):
+                fn(model, np.array([-1.0, np.nan]))
+        with pytest.raises(DomainError, match="got nan"):
+            singular_v_quadrature(make_singular_v_model(0.2), np.nan)
+
 
 class TestSquareRootReproduction:
     def test_regular_profiles_have_finite_threshold_limit(self):
