@@ -52,7 +52,6 @@ from .jordan import (
 )
 from .bessel import bessel_j
 from .dynamics import (
-    LatticeConfig,
     Method,
     SurvivalTrace,
     asymptotic_plateau,

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    LatticeConfig,
     Method,
     SurvivalTrace,
     asymptotic_plateau,
@@ -235,6 +234,15 @@ def _nonneg(name):
     return check
 
 
+def _one_of(name, choices):
+    def check(v):
+        if v not in choices:
+            raise ConfigError(f"{name} must be one of {sorted(choices)}")
+    return check
+
+
+_METHODS = {"oracle", "bessel", "intermediate", "longtime", "all"}
+
 _SCHEMAS = {
     "spectrum": {
         "g": (float, 0.1, _nonneg("g")),
@@ -259,26 +267,21 @@ _SCHEMAS = {
         "eps_d": (float, -2.0, None),
         "t_max": (float, 600.0, _positive("t_max")),
         "dt": (float, 0.5, _positive("dt")),
-        "method": (str, "oracle", None),
+        "method": (str, "oracle", _one_of("method", _METHODS)),
         "n_sites": (int, None, None),
         "gnuplot": (bool, False, None),
     },
     "generic": {
-        "model": (str, "const", None),
+        "model": (str, "const", _one_of("model", {"const", "lorentzian", "main-text"})),
         "g": (float, 0.1, _nonneg("g")),
         "e_min": (float, None, None),
         "e_max": (float, None, None),
         "n_points": (int, 81, _positive("n_points")),
     },
     "figures": {
-        "name": (str, "fig1", None),
+        "name": (str, "fig1", _one_of("name", {"fig1", "fig3", "fig4", "fig5"})),
     },
 }
-
-_METHODS = {"oracle", "bessel", "intermediate", "longtime", "all"}
-_MODELS = {"const", "lorentzian", "main-text"}
-_FIGURES = {"fig1", "fig3", "fig4", "fig5"}
-
 
 def parse_config_file(path: str, schema: dict) -> dict:
     values = {}
@@ -352,12 +355,6 @@ def parse_config(argv) -> RunConfig:
             check(v)
     if name == "spectrum" and (merged["eps_min"] is None) != (merged["eps_max"] is None):
         raise ConfigError("scan mode needs both eps_min and eps_max")
-    if name == "dynamics" and merged["method"] not in _METHODS:
-        raise ConfigError(f"method must be one of {sorted(_METHODS)}")
-    if name == "generic" and merged["model"] not in _MODELS:
-        raise ConfigError(f"model must be one of {sorted(_MODELS)}")
-    if name == "figures" and merged["name"] not in _FIGURES:
-        raise ConfigError(f"figure name must be one of {sorted(_FIGURES)}")
     return RunConfig(subcommand=name, params=merged, output=ns.output)
 
 
@@ -388,7 +385,6 @@ def _run_spectrum(cfg: RunConfig) -> int:
         return 0
     params = ModelParams(epsilon_d=p["eps_d"], g=p["g"])
     states = discrete_spectrum(params)
-    states.sort(key=lambda s: s.energy.real)
     print(f"discrete spectrum at eps_d = {p['eps_d']}, g = {p['g']}:")
     for s in states:
         print(
@@ -453,9 +449,7 @@ def _run_dynamics(cfg: RunConfig) -> int:
     times = np.arange(0.0, p["t_max"] + 1e-9, p["dt"])
     want = _METHODS if p["method"] == "all" else {p["method"]}
     n_sites = p["n_sites"] or int(2 * p["t_max"] + 50)
-    traces = _survival_traces(
-        params, times, want, n_sites, p["t_max"], optional=p["method"] == "all"
-    )
+    traces = _survival_traces(params, times, want, n_sites, optional=p["method"] == "all")
     out = cfg.output or "dynamics.csv"
     t, A, P, method = _trace_columns(traces, lambda tr: tr.method.value)
     write_csv(out, ["t", "re_A", "im_A", "P", "method"], [t, A.real, A.imag, P, method])
@@ -467,10 +461,10 @@ def _run_dynamics(cfg: RunConfig) -> int:
     return 0
 
 
-def _survival_traces(params, times, want, n_sites: int, t_max: float, optional=False):
+def _survival_traces(params, times, want, n_sites: int, optional=False):
     """Survival traces of the routes named in want, in the order oracle,
-    bessel, intermediate, longtime.  The lattice of n_sites is trusted up to
-    t_max; the t^{3/2} law keeps to its window t <= g^(-4/3).
+    bessel, intermediate, longtime.  The oracle's lattice has n_sites; the
+    t^{3/2} law keeps to its window t <= g^(-4/3).
 
     With optional set, a route outside its domain (DomainError) is left out
     with one line on stderr naming it and the reason; any other error, a
@@ -479,7 +473,7 @@ def _survival_traces(params, times, want, n_sites: int, t_max: float, optional=F
     ti = times[params.g ** (4.0 / 3.0) * times <= 1.0]
     tl = times[times > 0]
     routes = {
-        "oracle": lambda: survival_lattice_oracle(params, LatticeConfig(n_sites, t_max), times),
+        "oracle": lambda: survival_lattice_oracle(params, n_sites, times),
         "bessel": lambda: survival_bessel_sum(params, times),
         "intermediate": lambda: SurvivalTrace.from_amplitude(
             ti, intermediate_amplitude(params.g, ti), Method.INTERMEDIATE_LAW),
@@ -599,7 +593,7 @@ def _fig5(outdir: Path) -> None:
     times = np.arange(0.0, 600.0 + 1e-9, 0.5)
     labels = {Method.LATTICE_ORACLE: "oracle", Method.LONG_TIME_LAW: "longtime",
               Method.INTERMEDIATE_LAW: "intermediate"}
-    traces = _survival_traces(params, times, set(labels.values()), 1500, 600.0)
+    traces = _survival_traces(params, times, set(labels.values()), 1500)
     t, _, P, method = _trace_columns(traces, lambda tr: labels[tr.method])
     csv = outdir / "fig5_survival.csv"
     write_csv(csv, ["t", "P", "method"], [t, P, method])

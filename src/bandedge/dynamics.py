@@ -7,7 +7,7 @@ Routes
    secular equation, one bracketed root between each pair of adjacent chain
    poles and one beyond each end (no matrix is formed), dot weights as
    closed-form residues of the dot Green's function.  Spectrally exact for
-   all t at once; the guard N > 2 t_max + 10 keeps the wavefront (group
+   all t at once; the guard N > 2 max(t) + 10 keeps the wavefront (group
    velocity at most 2) from returning within the requested window.
 2. ``survival_bessel_sum``: the exact pole/branch-cut representation.  Each
    of the four discrete states j contributes
@@ -73,7 +73,7 @@ from .errors import (
 )
 from .model import ModelParams
 from .quadrature import adaptive_quad, panel_nodes
-from .spectrum import DiscreteState, StateClass, _monic_roots, four_states, near_edge_triplet
+from .spectrum import DiscreteState, StateClass, _monic_roots, discrete_spectrum, near_edge_triplet
 
 WAVEFRONT_MARGIN = 10.0
 _H_MAX = 0.25  # Bessel-route panel width; a power of two, so E h is exact
@@ -113,21 +113,6 @@ class Method(Enum):
 
 
 @dataclass(frozen=True)
-class LatticeConfig:
-    """Half-length N (sites -N..N plus the dot) and largest trusted time."""
-
-    n_sites: int
-    t_max: float
-
-    def __post_init__(self):
-        if self.n_sites <= 2.0 * self.t_max + WAVEFRONT_MARGIN:
-            raise LatticeTruncationError(
-                f"N = {self.n_sites} too small for t_max = {self.t_max}; "
-                f"need N > 2 t_max + {WAVEFRONT_MARGIN:g} to outrun the wavefront"
-            )
-
-
-@dataclass(frozen=True)
 class SurvivalTrace:
     times: np.ndarray
     amplitude: np.ndarray
@@ -143,6 +128,20 @@ class SurvivalTrace:
             probability=np.abs(np.asarray(amplitude)) ** 2,
             method=method,
         )
+
+
+def _checked_times(t, positive: bool = False) -> np.ndarray:
+    """t as a float array; DomainError naming the first time that is not
+    finite and >= 0 (> 0 with positive)."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(t) & ((t > 0.0) if positive else (t >= 0.0))
+    if not ok.all():
+        raise DomainError(
+            f"t = {float(t[~ok][0])} outside the domain: every time must be finite "
+            f"and {'> 0' if positive else '>= 0'}"
+        )
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -471,31 +470,29 @@ def dense_lattice_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:
     return H
 
 
-def survival_lattice_oracle(
-    params: ModelParams, config: LatticeConfig, times=None
-) -> SurvivalTrace:
-    """A(t) = sum_m |<d|m>|^2 e^{-i E_m t} over the truncated-chain spectrum.
+def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> SurvivalTrace:
+    """A(t) = sum_m |<d|m>|^2 e^{-i E_m t} over the spectrum of the chain
+    truncated to sites -N..N, N = n_sites.
 
-    ``times`` must be a uniform increasing grid t_k = t_0 + k dt with
+    ``times`` must be a uniform increasing grid t_k = t_0 + k dt of finite
     t_0 >= 0 (as from ``np.arange`` or ``np.linspace``; off the grid by more
-    than 16 ulps of the largest time raises DomainError), ending at most at
-    ``config.t_max``.  With k = bB + r and B = ceil(sqrt(K)) for K times, the
-    sum factors into one matrix product,
+    than 16 ulps of the largest time raises DomainError), and N must outrun
+    the wavefront, N > 2 max(t) + 10 (LatticeTruncationError otherwise).
+    With k = bB + r and B = ceil(sqrt(K)) for K times, the sum factors into
+    one matrix product,
 
         A(t_{bB + r}) = sum_m [w_m e^{-i E_m t_{bB}}] e^{-i E_m r dt},
 
     which takes (K/B + B) exponentials per level instead of K.
     """
-    if times is None:
-        times = np.arange(0.0, config.t_max + 1e-9, 0.25)
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise DomainError("times must be >= 0")
+    times = _checked_times(times)
     if np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing")
-    if times.size and times[-1] > config.t_max + 1e-9:
+    t_max = times.max(initial=0.0)
+    if n_sites <= 2.0 * t_max + WAVEFRONT_MARGIN:
         raise LatticeTruncationError(
-            f"requested t = {times[-1]} beyond trusted t_max = {config.t_max}"
+            f"N = {n_sites} too small for t_max = {t_max}; "
+            f"need N > 2 t_max + {WAVEFRONT_MARGIN:g} to outrun the wavefront"
         )
     K = times.size
     B = max(1, int(np.ceil(np.sqrt(K))))
@@ -507,7 +504,7 @@ def survival_lattice_oracle(
         raise DomainError(
             f"times must be a uniform grid; t_k is {off_grid.max():.3g} off t_0 + k dt"
         )
-    evals, weights = lattice_spectrum(params, config.n_sites)
+    evals, weights = lattice_spectrum(params, n_sites)
     blocks = np.exp(-1j * np.multiply.outer(anchors, evals)) * weights
     steps = np.exp(-1j * np.multiply.outer(np.arange(B) * dt, evals))
     amp = (blocks @ steps.T).ravel()[:K]
@@ -756,12 +753,10 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
     exceeds 1e-16 of the tail, and its backward scan if i lam W(0) misses 1
     by more than 1e-12.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise DomainError("times must be >= 0")
+    times = _checked_times(times)
     if np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing")
-    amp = _bessel_sum_terms(four_states(params), times).sum(axis=0)
+    amp = _bessel_sum_terms(discrete_spectrum(params), times).sum(axis=0)
     return SurvivalTrace.from_amplitude(times, amp, Method.BESSEL_SUM)
 
 
@@ -770,10 +765,9 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
 # ---------------------------------------------------------------------------
 
 def kn_closed_form(n: int, t: float) -> complex:
-    """Closed form of int_0^t e^{-2it'} t'^(n-1) J1(2t') dt' for n in {0,1,2}."""
-    t = float(t)
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    """Closed form of int_0^t e^{-2it'} t'^(n-1) J1(2t') dt' for n in {0,1,2}
+    and finite t >= 0."""
+    t = float(_checked_times(t))
     if t == 0.0:
         return 0.0 + 0.0j
     J0 = bessel_j(0, 2.0 * t)
@@ -790,11 +784,12 @@ def kn_closed_form(n: int, t: float) -> complex:
 
 def kn_quadrature(n: int, t: float) -> complex:
     """The defining integral of kn_closed_form by adaptive quadrature."""
+    t = float(_checked_times(t))
     if n == 0:
         f = lambda s: np.exp(-2j * s) * j1_over_t(s)  # t'^(-1) J1(2t')
     else:
         f = lambda s: np.exp(-2j * s) * s ** (n - 1) * bessel_j(1, 2.0 * s)
-    return adaptive_quad(f, 0.0, float(t), tol=_KN_TOL)
+    return adaptive_quad(f, 0.0, t, tol=_KN_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +802,7 @@ _INTERMEDIATE_AMPLITUDE = 2.0 / (3.0 * np.sqrt(np.pi))
 
 def intermediate_amplitude(g: float, t):
     """A(t) ~ e^{2it} (1 - (2 g^2 t^{3/2} / (3 sqrt(pi))) e^{-i pi/4})."""
-    t = np.asarray(t, dtype=float)
+    t = _checked_times(t)
     z = _INTERMEDIATE_AMPLITUDE * g**2 * t**1.5 * np.exp(-1j * np.pi / 4.0)
     return np.exp(2j * t) * (1.0 - z)
 
@@ -848,7 +843,7 @@ def longtime_amplitude(params: ModelParams, t):
     that physics and removes the truncation of the asymptotic series in
     1/(t g^{4/3}), which has not converged at the first minimum of P(t).
 
-    Domain: t > 0, small g and |delta| << 1, with a resonance present
+    Domain: finite t > 0, small g and |delta| << 1, with a resonance present
     (DomainError otherwise).  The weights diverge only at the cubic's double
     root delta = -3 (g/2)^{4/3}, which lies inside the rejected virtual-state
     regime.  Measured against the lattice oracle: max |P - P_law| = 3.7e-4
@@ -857,9 +852,7 @@ def longtime_amplitude(params: ModelParams, t):
     """
     from scipy.special import wofz
 
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise DomainError("the late-time law needs t > 0")
+    t = _checked_times(t, positive=True)
     tri = near_edge_triplet(params)
     if not any(s.state_class is StateClass.RESONANCE for s in tri):
         raise DomainError(
@@ -893,8 +886,8 @@ def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, compl
     whose t^2 threshold artifacts cancel against each other, leaving the
     t^{3/2} law of ``intermediate_amplitude``.
     """
-    t = float(t)
-    states = four_states(params)
+    t = float(_checked_times(t))
+    states = discrete_spectrum(params)
     pole_sum = sum(s.psid_sq * np.exp(-1j * s.energy * t) for s in states)
     total = _bessel_sum_terms(states, np.array([t]))[:, 0].sum()
     return complex(pole_sum), complex(total - pole_sum)

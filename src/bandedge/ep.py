@@ -177,7 +177,7 @@ def complex_parameter_sheet(
     im_grid = np.asarray(im_grid, dtype=float)
     grid = re_grid[None, :] + 1j * im_grid[:, None]
     # drop the continuation of the upper-edge bound state
-    lams, Es, _ = near_edge_roots(grid, g)
+    lams, Es = (x[..., :3] for x in near_edge_roots(grid, g))
 
     def step(prev, cur):  # reorder the (n, 3) block cur to follow prev
         order = _match_to(Es[prev], lams[prev], Es[cur], lams[cur])

@@ -16,7 +16,7 @@ Newton steps (``_monic_roots``) serves every polynomial solve in the package.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     LabelMatchingError,
     NumericalError,
 )
-from .model import CUT_TOL, ModelParams, energy_from_lambda
+from .model import CUT_TOL, ModelParams
 
 ROOT_RESIDUAL_TOL = 1e-12
 # a root counts as real when |Im lam| < REAL_TOL * (1 + |lam|)
@@ -263,87 +263,75 @@ def normalize_state(params: ModelParams, lam: complex) -> tuple[complex, complex
     return g2 * lam * lam / D, one_m * one_m / D
 
 
-def classify_and_normalize(params: ModelParams, states) -> list[DiscreteState]:
+def _classified(params: ModelParams, lams, Es) -> list[DiscreteState]:
+    """The roots (lam, E), each classified and normalized."""
     out = []
-    for s in states:
-        cls = classify_state(s.lam, s.energy)
-        p0, pd = normalize_state(params, s.lam)
-        out.append(replace(s, state_class=cls, psi0_sq=p0, psid_sq=pd))
+    for z, E in zip(lams.tolist(), Es.tolist()):
+        cls = classify_state(z, E)
+        out.append(DiscreteState(z, E, cls, *normalize_state(params, z)))
     return out
 
 
-def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
-    """All four discrete states, classified and normalized."""
-    return classify_and_normalize(params, solve_lambda_quartic(params))
-
-
 def near_edge_roots(eps_d, g: float):
-    """(lam, E, lam_dropped): the three roots of smallest Re E, in ascending
-    Re E, and the fourth root, batched over eps_d like ``solve_quartic_lambda_raw``.
+    """(lam, E) for all four roots in ascending Re E, batched over eps_d like
+    ``solve_quartic_lambda_raw``.
 
-    For real eps_d the dropped root is the bound state above the upper band
-    edge; for complex eps_d it is that state's continuation.
+    The first three are the near-edge triplet.  For real eps_d the fourth
+    is the bound state above the upper band edge; for complex eps_d it is
+    that state's continuation.
     """
     lams, Es = solve_quartic_lambda_raw(eps_d, g)
     order = np.argsort(Es.real, axis=-1, kind="stable")
-    keep = order[..., :3]
-    return (
-        np.take_along_axis(lams, keep, axis=-1),
-        np.take_along_axis(Es, keep, axis=-1),
-        np.take_along_axis(lams, order[..., 3:], axis=-1)[..., 0],
-    )
+    return np.take_along_axis(lams, order, axis=-1), np.take_along_axis(Es, order, axis=-1)
 
 
-def _classified_triplet(params: ModelParams, lams, Es, dropped) -> list[DiscreteState]:
-    dropped = complex(dropped)
+def _check_upper(params: ModelParams, lam) -> None:
+    """Raise unless lam, the root of largest Re E, is the bound state above
+    the band: real with -1 < lam < 0."""
+    lam = complex(lam)
     # for 0 < g and eps_d < 2 the true root lies in (-1, 0); y = lam - 1 ~ -2 is
     # stored with a spacing of 2^-52, so a shift from -1 below about 2^-53
     # rounds to lam = -1 or past it
-    if params.g > 0.0 and params.epsilon_d < 2.0 and dropped.real <= -1.0:
+    if params.g > 0.0 and params.epsilon_d < 2.0 and lam.real <= -1.0:
         shift = params.g**2 / (4.0 - 2.0 * params.epsilon_d)
         raise DomainError(
             f"the bound state above the band, lam = -1 + g^2/(4 - 2 eps_d) + O(g^4), "
-            f"rounds to lam = {dropped.real!r} at g = {params.g:.3e}, "
+            f"rounds to lam = {lam.real!r} at g = {params.g:.3e}, "
             f"eps_d = {params.epsilon_d}: its shift {shift:.3e} is below the about "
             f"1.1e-16 that double precision resolves (g >~ 3e-8 at eps_d = -2)"
         )
-    if not (is_real_root(dropped) and -1.0 < dropped.real < 0.0):
+    if not (is_real_root(lam) and -1.0 < lam.real < 0.0):
         raise LabelMatchingError(
-            f"the root of largest Re E, lam = {dropped}, is not a bound state "
+            f"the root of largest Re E, lam = {lam}, is not a bound state "
             f"above the band (need real -1 < lam < 0)"
         )
-    states = [DiscreteState(lam=complex(z), energy=complex(E)) for z, E in zip(lams, Es)]
-    return classify_and_normalize(params, states)
+
+
+def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
+    """All four discrete states in ascending Re E, classified and normalized:
+    the near-edge triplet, then the bound state above the band.
+
+    All four residues of the dot Green's function, for sums that must be
+    exact (they add up to 1).  Same domain as ``near_edge_triplet``.
+    """
+    lams, Es = near_edge_roots(params.epsilon_d, params.g)
+    _check_upper(params, lams[3])
+    return _classified(params, lams, Es)
 
 
 def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
     """The three states near the lower band edge, classified and normalized.
 
     The three roots of smallest Re E are kept before anything is classified.
-    Raises LabelMatchingError unless the dropped root is real with
+    Raises LabelMatchingError unless the fourth root is real with
     -1 < lam < 0.  For g > 0 that root is lam = -1 + g^2/(4 - 2 eps_d)
     + O(g^4), which double precision resolves only while the shift
     g^2/(4 - 2 eps_d) exceeds about 1.1e-16 (g >~ 3e-8 near eps_d = -2,
     measured); below that it rounds to -1 and DomainError is raised.
     """
-    lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
-    return _classified_triplet(params, lams, Es, dropped)
-
-
-def four_states(params: ModelParams) -> list[DiscreteState]:
-    """``near_edge_triplet`` followed by the bound state above the band.
-
-    All four residues of the dot Green's function, for sums that must be
-    exact (they add up to 1).  The fourth root is real in (-1, 0), which
-    ``near_edge_triplet`` checks, and its energy is taken from lam.  Same
-    domain as ``near_edge_triplet``: DomainError once the fourth root rounds
-    to -1, at g^2/(4 - 2 eps_d) below about 1.1e-16 (g >~ 3e-8 near
-    eps_d = -2).
-    """
-    lams, Es, dropped = near_edge_roots(params.epsilon_d, params.g)
-    lam = complex(dropped.real)
-    upper = DiscreteState(lam=lam, energy=energy_from_lambda(lam))
-    return _classified_triplet(params, lams, Es, dropped) + classify_and_normalize(params, [upper])
+    lams, Es = near_edge_roots(params.epsilon_d, params.g)
+    _check_upper(params, lams[3])
+    return _classified(params, lams[:3], Es[:3])
 
 
 # Branch phase zeta_alpha = e^{2 pi i alpha / 3} of the threshold triplet:
@@ -455,12 +443,15 @@ class ScanRow:
 
 def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> list[ScanRow]:
     """Classified near-edge triplet for each eps_d on a uniform grid from
-    eps_start to eps_stop (eps_stop >= eps_start, step > 0; DomainError
-    otherwise).
+    eps_start to eps_stop (all four arguments finite, eps_stop >= eps_start,
+    step > 0; DomainError otherwise).
 
     Output ordering is deterministic: ascending eps_d, then class order
     (bound, virtual, resonance, anti-resonance), then Im E and Re E.
     """
+    for name, v in (("g", g), ("eps_start", eps_start), ("eps_stop", eps_stop), ("step", step)):
+        if not np.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v}")
     if step <= 0:
         raise DomainError("step must be positive")
     if eps_stop < eps_start:
@@ -469,10 +460,12 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> l
         )
     n = int(np.floor((eps_stop - eps_start) / step + 1e-9))
     eps = eps_start + np.arange(n + 1) * step
-    lams, Es, dropped = near_edge_roots(eps, g)
+    lams, Es = near_edge_roots(eps, g)
     rows: list[ScanRow] = []
     for i, e in enumerate(eps.tolist()):
-        tri = _classified_triplet(ModelParams(epsilon_d=e, g=g), lams[i], Es[i], dropped[i])
+        params = ModelParams(epsilon_d=e, g=g)
+        _check_upper(params, lams[i, 3])
+        tri = _classified(params, lams[i, :3], Es[i, :3])
         tri.sort(key=lambda s: (_CLASS_ORDER[s.state_class], s.energy.imag, s.energy.real))
         for s in tri:
             rows.append(ScanRow(eps_d=e, state=s))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandedge.dynamics import LatticeConfig, survival_lattice_oracle
+from bandedge.dynamics import survival_lattice_oracle
 from bandedge.model import ModelParams
 
 THRESHOLD_G002 = ModelParams(epsilon_d=-2.0, g=0.02)
@@ -11,15 +11,11 @@ THRESHOLD_G002 = ModelParams(epsilon_d=-2.0, g=0.02)
 def oracle_g002_600():
     """Truncated-chain survival trace, g = 0.02, t in [0, 600], N = 1500."""
     times = np.arange(0.0, 600.0 + 1e-9, 0.5)
-    return survival_lattice_oracle(
-        THRESHOLD_G002, LatticeConfig(n_sites=1500, t_max=600.0), times
-    )
+    return survival_lattice_oracle(THRESHOLD_G002, 1500, times)
 
 
 @pytest.fixture(scope="session")
 def oracle_g002_2000():
     """Long trace for the late-time window, g = 0.02, N = 4500."""
     times = np.arange(0.0, 2000.0 + 1e-9, 0.5)
-    return survival_lattice_oracle(
-        THRESHOLD_G002, LatticeConfig(n_sites=4500, t_max=2000.0), times
-    )
+    return survival_lattice_oracle(THRESHOLD_G002, 4500, times)

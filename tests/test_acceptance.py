@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from bandedge.dynamics import (
-    LatticeConfig,
     asymptotic_plateau,
     dominant_frequency,
     kn_closed_form,
@@ -306,9 +305,8 @@ def test_acceptance_08_zeno_coefficient():
     vals = {}
     for g in (0.02, 0.3):
         params = ModelParams(epsilon_d=-2.0, g=g)
-        cfg = LatticeConfig(n_sites=32, t_max=0.02)
         times = np.linspace(1e-4, 0.01, 50)
-        tr = survival_lattice_oracle(params, cfg, times)
+        tr = survival_lattice_oracle(params, 32, times)
         coeff = float(np.polyfit(times**2, 1.0 - tr.probability, 1)[0])
         vals[g] = coeff
         ok &= abs(coeff / g**2 - 1.0) < 0.01

@@ -73,6 +73,17 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(["dynamics", "--method", "magic"])
 
+    @pytest.mark.parametrize("argv, key, choices", [
+        (["dynamics", "--method", "magic"], "method",
+         ["all", "bessel", "intermediate", "longtime", "oracle"]),
+        (["generic", "--model", "magic"], "model", ["const", "lorentzian", "main-text"]),
+        (["figures", "--name", "fig2"], "name", ["fig1", "fig3", "fig4", "fig5"]),
+    ], ids=["method", "model", "name"])
+    def test_choice_error_names_key_and_sorted_choices(self, argv, key, choices):
+        with pytest.raises(ConfigError) as info:
+            parse_config(argv)
+        assert str(info.value) == f"{key} must be one of {choices}"
+
     def test_jordan_alias(self):
         assert parse_config(["jordan-check"]).subcommand == "jordan"
 
@@ -452,6 +463,11 @@ class TestRunners:
         assert main(["dynamics", "--g", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_spectrum_point_below_the_upper_state_bound_is_a_domain_error(self, capsys):
+        # the bound state above the band rounds to lam = -1 at g = 2e-8
+        assert main(["spectrum", "--eps-d", "-2", "--g", "2e-8"]) == 1
+        assert "rounds to lam = -1.0" in capsys.readouterr().err
+
     def test_reversed_scan_range_is_an_error(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["spectrum", "--g", "0.1", "--eps-min", "-1.9", "--eps-max", "-2.1",
@@ -494,7 +510,7 @@ class TestCliBytes:
         times = np.arange(0.0, 60.0 + 1e-9, 0.5)
         traces = _survival_traces(ModelParams(eps_d, 0.05), times,
                                   {"oracle", "bessel", "intermediate", "longtime"},
-                                  170, 60.0, optional=True)
+                                  170, optional=True)
         assert out.read_bytes() == _row_template_csv(
             ["t", "re_A", "im_A", "P", "method"], self._trace_rows(traces))
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -6,7 +9,6 @@ from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from bandedge import dynamics
 from bandedge.dynamics import (
-    LatticeConfig,
     asymptotic_plateau,
     dense_lattice_hamiltonian,
     dominant_frequency,
@@ -15,6 +17,7 @@ from bandedge.dynamics import (
     kn_closed_form,
     kn_quadrature,
     lattice_spectrum,
+    longtime_amplitude,
     survival_bessel_sum,
     survival_intermediate_law,
     survival_lattice_oracle,
@@ -29,7 +32,7 @@ from bandedge.errors import (
 )
 from bandedge.model import ModelParams
 from bandedge.quadrature import adaptive_quad
-from bandedge.spectrum import four_states, near_edge_triplet
+from bandedge.spectrum import discrete_spectrum, near_edge_triplet
 
 # 40-digit quartic values at eps_d = -2, g = 0.02
 E_B_G002 = -2.00341897805318488
@@ -51,13 +54,13 @@ class TestQuadratureHelper:
 
 class TestLatticeOracle:
     def test_wavefront_guard(self):
+        # N > 2 max(t) + 10: N = 200 holds up to t = 94.75 and fails at t = 100
+        params = ModelParams(epsilon_d=-2.0, g=0.1)
         with pytest.raises(LatticeTruncationError):
-            LatticeConfig(n_sites=100, t_max=60.0)
-        cfg = LatticeConfig(n_sites=200, t_max=60.0)
+            survival_lattice_oracle(params, 100, np.array([0.0, 60.0]))
         with pytest.raises(LatticeTruncationError):
-            survival_lattice_oracle(
-                ModelParams(epsilon_d=-2.0, g=0.1), cfg, np.array([0.0, 80.0])
-            )
+            survival_lattice_oracle(params, 200, np.array([0.0, 100.0]))
+        assert survival_lattice_oracle(params, 200, np.array([0.0, 94.75])).times.size == 2
 
     def test_folded_matches_dense(self):
         params = ModelParams(epsilon_d=-1.7, g=0.4)
@@ -251,12 +254,12 @@ class TestLatticeOracle:
         params, t_max = ModelParams(epsilon_d=eps_d, g=g), 0.5 * (n - 11)
         times = np.arange(0.0, t_max, 0.5)
         new = lattice_spectrum(params, n)
-        new_trace = survival_lattice_oracle(params, LatticeConfig(n, t_max), times)
+        new_trace = survival_lattice_oracle(params, n, times)
         series, seen = dynamics._series_d, []
         monkeypatch.setattr(dynamics, "_series_d", lambda z: seen.append(z) or series(z))
         monkeypatch.setattr(dynamics, "_D_SERIES", gamma_series)
         old = lattice_spectrum(params, n)
-        old_trace = survival_lattice_oracle(params, LatticeConfig(n, t_max), times)
+        old_trace = survival_lattice_oracle(params, n, times)
         assert any(z != 0.0 for z in seen)  # the series ran past its constant term
         for a, b in zip(new + (new_trace.amplitude,), old + (old_trace.amplitude,)):
             assert a.tobytes() == b.tobytes()
@@ -270,7 +273,7 @@ class TestLatticeOracle:
         params, n = ModelParams(epsilon_d=-2.0, g=0.05), 250
         evals, weights = lattice_spectrum(params, n)
         direct = np.exp(-1j * np.outer(times, evals)) @ weights
-        tr = survival_lattice_oracle(params, LatticeConfig(n, 100.0), times)
+        tr = survival_lattice_oracle(params, n, times)
         assert np.max(np.abs(tr.amplitude - direct)) < 1e-13
 
     @pytest.mark.parametrize(
@@ -279,14 +282,12 @@ class TestLatticeOracle:
         ids=["negative", "unsorted", "non-uniform"],
     )
     def test_rejects_times_off_a_uniform_grid(self, times):
-        cfg = LatticeConfig(n_sites=200, t_max=60.0)
         with pytest.raises(DomainError):
-            survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=0.3), cfg, times)
+            survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=0.3), 200, times)
 
     def test_decoupled_stays_put(self):
-        cfg = LatticeConfig(n_sites=64, t_max=20.0)
         tr = survival_lattice_oracle(
-            ModelParams(epsilon_d=-2.0, g=0.0), cfg, np.linspace(0, 20, 41)
+            ModelParams(epsilon_d=-2.0, g=0.0), 64, np.linspace(0, 20, 41)
         )
         assert np.allclose(tr.probability, 1.0, atol=1e-12)
 
@@ -300,9 +301,8 @@ class TestLatticeOracle:
         # the curvature of 1 - P at t -> 0 is exactly g^2 (variance of H in
         # the initial state)
         g = 0.1
-        cfg = LatticeConfig(n_sites=64, t_max=1.0)
         t = np.linspace(1e-4, 0.01, 40)
-        tr = survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=g), cfg, t)
+        tr = survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=g), 64, t)
         coeff = np.polyfit(t**2, 1.0 - tr.probability, 1)[0]
         assert coeff == pytest.approx(g**2, rel=1e-2)
 
@@ -336,8 +336,7 @@ class TestBesselSum:
         # threshold-specific
         params = ModelParams(epsilon_d=-2.05, g=0.05)
         times = np.arange(0.0, 80.0, 0.5)
-        cfg = LatticeConfig(n_sites=300, t_max=80.0)
-        oracle = survival_lattice_oracle(params, cfg, times)
+        oracle = survival_lattice_oracle(params, 300, times)
         tr = survival_bessel_sum(params, times)
         assert np.max(np.abs(tr.probability - oracle.probability)) < 2e-3
 
@@ -417,7 +416,7 @@ class TestBesselSum:
         # its panel's left edge plus a partial panel (measured 1.8e-14)
         params = ModelParams(epsilon_d=eps_d, g=g)
         times = 0.1 + 0.3 * np.arange(266)
-        oracle = survival_lattice_oracle(params, LatticeConfig(300, times[-1]), times)
+        oracle = survival_lattice_oracle(params, 300, times)
         tr = survival_bessel_sum(params, times)
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-12
 
@@ -427,7 +426,7 @@ class TestBesselSum:
         # lattice of N = 34 696 (measured 2.0e-12, 2.0e-12, 5.6e-12)
         params = ModelParams(epsilon_d=-2.0, g=g)
         times = 810.3 + 4.0 * np.arange(4133)
-        oracle = survival_lattice_oracle(params, LatticeConfig(34696, times[-1]), times)
+        oracle = survival_lattice_oracle(params, 34696, times)
         tr = survival_bessel_sum(params, times)
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-11
 
@@ -445,7 +444,7 @@ class TestBesselSum:
     def test_panel_check_covers_the_partial_panels(self, monkeypatch):
         # with an empty uniform grid only the partial panels [a, b] can fail
         # the check, and below any achievable budget they must
-        E = np.array([s.energy for s in four_states(ModelParams(epsilon_d=-2.0, g=0.05))])
+        E = np.array([s.energy for s in discrete_spectrum(ModelParams(epsilon_d=-2.0, g=0.05))])
         a = np.array([0.0, 12.25, 30.0])
         b = a + np.array([0.1, 0.2, 0.05])
         monkeypatch.setattr(dynamics, "_PANEL_TOL", 1e-30)
@@ -465,7 +464,7 @@ class TestBesselSum:
         # no state grows at these parameters, so at t = 0 every state gives
         # exactly its residue; no time at all gives an empty trace
         params = ModelParams(epsilon_d=-2.1, g=0.1)
-        states = four_states(params)
+        states = discrete_spectrum(params)
         assert all(s.energy.imag <= 0 for s in states)
         residues = sum(s.psid_sq for s in states)
         tr = survival_bessel_sum(params, [0.0])
@@ -478,7 +477,7 @@ class TestBesselSum:
         # which the closed-form tail spans at the cost of g = 0.3
         params = ModelParams(epsilon_d=-2.0, g=1e-4)
         times = np.arange(0.0, 50.0 + 1e-9, 0.5)
-        oracle = survival_lattice_oracle(params, LatticeConfig(120, 50.0), times)
+        oracle = survival_lattice_oracle(params, 120, times)
         tr = survival_bessel_sum(params, times)
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-10
 
@@ -641,7 +640,7 @@ class TestLongTimeLaw:
     def test_detuned_against_oracle(self, eps_d):
         params = ModelParams(epsilon_d=eps_d, g=0.02)
         times = np.arange(0.5, 600.0 + 1e-9, 0.5)
-        oracle = survival_lattice_oracle(params, LatticeConfig(1250, 600.0), times)
+        oracle = survival_lattice_oracle(params, 1250, times)
         law = survival_longtime_law(params, times)
         assert np.max(np.abs(law - oracle.probability)) < 2e-3
 
@@ -713,9 +712,38 @@ class TestExpansionTermChecks:
         # at t = 0 the window has no panels and the integrals vanish
         params = ModelParams(epsilon_d=-2.1, g=0.1)
         pole_sum, integral_sum = expansion_term_checks(params, 0.0)
-        residues = sum(s.psid_sq for s in four_states(params))
+        residues = sum(s.psid_sq for s in discrete_spectrum(params))
         assert pole_sum == pytest.approx(residues, abs=1e-15)
         assert integral_sum == pytest.approx(0.0, abs=1e-15)
+
+
+_P002 = ModelParams(epsilon_d=-2.0, g=0.02)
+_TIMED = {
+    "survival_lattice_oracle": lambda t: survival_lattice_oracle(_P002, 200, [t]),
+    "survival_bessel_sum": lambda t: survival_bessel_sum(_P002, [t]),
+    "expansion_term_checks": lambda t: expansion_term_checks(_P002, t),
+    "kn_closed_form": lambda t: kn_closed_form(1, t),
+    "kn_quadrature": lambda t: kn_quadrature(1, t),
+    "intermediate_amplitude": lambda t: intermediate_amplitude(0.02, t),
+    "survival_intermediate_law": lambda t: survival_intermediate_law(0.02, t),
+    "longtime_amplitude": lambda t: longtime_amplitude(_P002, t),
+    "survival_longtime_law": lambda t: survival_longtime_law(_P002, t),
+}
+
+
+@pytest.mark.parametrize(
+    "name, t",
+    [(name, t) for name in _TIMED for t in (np.nan, np.inf, -1.0)]
+    + [(name, 0.0) for name in ("longtime_amplitude", "survival_longtime_law")],
+    ids=str,
+)
+def test_times_outside_the_domain_are_named(name, t):
+    # every function that takes times rejects a non-finite or negative one
+    # (the late-time law also t = 0) before any arithmetic, naming it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"t = {t!r} ")):
+            _TIMED[name](t)
 
 
 class TestDominantFrequency:

@@ -197,7 +197,7 @@ def _scalar_sheet(g, re_grid, im_grid):
     # reference tracker: each scan line along Re eps_d, its first cell
     # matched to the first cell of the line below
     grid = re_grid[None, :] + 1j * im_grid[:, None]
-    grid_lams, grid_Es, _ = near_edge_roots(grid, g)
+    grid_lams, grid_Es = (x[..., :3] for x in near_edge_roots(grid, g))
     out, prev_line_first = [], None
     for i in range(im_grid.size):
         prev, line_first = prev_line_first, None

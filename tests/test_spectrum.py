@@ -19,7 +19,6 @@ from bandedge.spectrum import (
     StateClass,
     classify_state,
     discrete_spectrum,
-    four_states,
     eigenstate_profile,
     lambda_quartic_coeffs,
     near_edge_triplet,
@@ -243,9 +242,9 @@ class TestNearEdgeTripletAtWeakCoupling:
             StateClass.RESONANCE,
             StateClass.ANTI_RESONANCE,
         }
-        # four_states keeps it with its residue g^2/32, and discrete_spectrum
-        # classifies the exactly real root by |lam| < 1, not the cut test
-        upper = four_states(ModelParams(-2.0, g))[3]
+        # discrete_spectrum keeps it with its residue g^2/32 and classifies
+        # the exactly real root by |lam| < 1, not the cut test
+        upper = discrete_spectrum(ModelParams(-2.0, g))[3]
         assert upper.state_class is StateClass.BOUND_UPPER
         assert upper.psid_sq.real == pytest.approx(g * g / 32.0, rel=1e-4)
         classes = [s.state_class for s in discrete_spectrum(ModelParams(-2.0, g))]
@@ -256,7 +255,7 @@ class TestNearEdgeTripletAtWeakCoupling:
     )
     def test_upper_bound_state_resolved_above_its_bound(self, eps_d, g):
         # lam = -1 + g^2/(4 - 2 eps_d) keeps its shift once that exceeds ~1.1e-16
-        states = four_states(ModelParams(eps_d, g))
+        states = discrete_spectrum(ModelParams(eps_d, g))
         assert states[3].state_class is StateClass.BOUND_UPPER
         assert -1.0 < states[3].lam.real < 0.0
         assert len(near_edge_triplet(ModelParams(eps_d, g))) == 3
@@ -268,7 +267,7 @@ class TestNearEdgeTripletAtWeakCoupling:
     def test_upper_bound_state_below_its_bound_is_out_of_domain(self, eps_d, g):
         # the shift rounds away and lam = -1 comes out: a stated bound, not a
         # failed label match
-        for solve in (near_edge_triplet, four_states):
+        for solve in (near_edge_triplet, discrete_spectrum):
             with pytest.raises(DomainError, match=r"rounds to lam = -1\.0 .*g >~ 3e-8"):
                 solve(ModelParams(eps_d, g))
 
@@ -278,12 +277,25 @@ class TestNearEdgeTripletAtWeakCoupling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"rounds to lam = -1\.0"):
-                four_states(ModelParams(-2.0, 1e-155))
+                discrete_spectrum(ModelParams(-2.0, 1e-155))
 
     def test_missing_upper_bound_state_rejected(self):
         # at g = 0 the fourth root sits on the band edge lam = -1
         with pytest.raises(LabelMatchingError):
             near_edge_triplet(ModelParams(-2.5, 0.0))
+
+    @pytest.mark.parametrize("eps_d", [-2.5, -2.0])
+    def test_all_four_states_need_the_upper_bound_state(self, eps_d):
+        # discrete_spectrum vets the fourth root as near_edge_triplet does
+        with pytest.raises(LabelMatchingError, match="not a bound state above the band"):
+            discrete_spectrum(ModelParams(eps_d, 0.0))
+
+    @pytest.mark.parametrize("eps_d, g", [(-2.0, 0.5), (-2.0, 1e-5), (-1.2, 0.2), (0.3, 0.2)])
+    def test_four_states_in_ascending_energy(self, eps_d, g):
+        states = discrete_spectrum(ModelParams(eps_d, g))
+        assert [s.energy.real for s in states] == sorted(s.energy.real for s in states)
+        assert states[3].state_class is StateClass.BOUND_UPPER
+        assert states[:3] == near_edge_triplet(ModelParams(eps_d, g))
 
 
 class TestEnergyQuartic:
@@ -644,3 +656,14 @@ class TestSpectrumScan:
     def test_step_validation(self):
         with pytest.raises(DomainError):
             spectrum_scan(0.1, -2.1, -1.9, 0.0)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((np.inf, -2.1, -1.9, 0.01), "g"), ((0.1, np.nan, -1.9, 0.01), "eps_start"),
+         ((0.1, -2.0, np.inf, 0.01), "eps_stop"), ((0.1, -2.1, -1.9, np.nan), "step"),
+         ((0.1, -np.inf, -1.9, 0.01), "eps_start")],
+        ids=str,
+    )
+    def test_non_finite_argument_rejected(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            spectrum_scan(*args)
