@@ -32,7 +32,5 @@ def j1_over_t(t):
     """J1(2t)/t, regular at t = 0 with limit value 1."""
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.ones_like(t)
-    nz = t != 0
-    out[nz] = bessel_j(1, 2.0 * t[nz]) / t[nz]
+    out = np.divide(bessel_j(1, 2.0 * t), t, out=np.ones_like(t), where=t != 0)
     return float(out[0]) if scalar else out

@@ -25,7 +25,11 @@ Routes
 Numerical stability of route 2: the four states share one grid of panels
 of width h = 1/4 on [0, T], T = max(max t, 25) rounded up to a whole panel,
 and each panel integral is referenced to a contractive edge, so no
-exponentially large intermediate ever appears.  J1 is evaluated once per
+exponentially large intermediate ever appears.  Every panel takes one
+n-point Gauss-Legendre rule, n chosen once per call from max |E| by the
+remainder bound in ``_rule_order``: 7 nodes at threshold (|E| ~ 2), 11 at
+|E| = 20 and the cap of 15 from |E| ~ 45.  Times are bounded by t <= 6e5,
+up to which J1(2t) is documented.  J1 is evaluated once per
 node for all states; a node's offset from its panel's reference edge is the
 same in every panel, so the panel values of all states are one real by
 complex matrix product.  The running integral of a state with Im E <= 0
@@ -78,7 +82,13 @@ from .spectrum import DiscreteState, StateClass, _monic_roots, discrete_spectrum
 WAVEFRONT_MARGIN = 10.0
 _H_MAX = 0.25  # Bessel-route panel width; a power of two, so E h is exact
 _PANEL_TOL = 1e-10
+# Gauss-Legendre nodes per Bessel-route panel: the fewest whose remainder
+# bound is at most _RULE_TOL per unit width, and never more than _RULE_MAX
+_RULE_TOL = 1e-17
+_RULE_MAX = 15
 _KN_TOL = 1e-12  # absolute tolerance of kn_quadrature
+# the Bessel route's last time: bessel.py documents J1(x) to x = 2t = 1.2e6
+_BESSEL_T_MAX = 6e5
 _G2_MIN = np.finfo(float).tiny  # smallest g^2 the secular solve accepts, besides 0
 _VERIFY_PANELS = 512
 _BLOCK_PANELS = 4096  # panels per vectorized block, so temporaries stay one size
@@ -130,16 +140,17 @@ class SurvivalTrace:
         )
 
 
-def _checked_times(t, positive: bool = False) -> np.ndarray:
+def _checked_times(t, positive: bool = False, upper: float = math.inf) -> np.ndarray:
     """t as a float array; DomainError naming the first time that is not
-    finite and >= 0 (> 0 with positive)."""
+    finite and >= 0 (> 0 with positive) and <= upper."""
     t = np.asarray(t, dtype=float)
     with np.errstate(invalid="ignore"):
-        ok = np.isfinite(t) & ((t > 0.0) if positive else (t >= 0.0))
+        ok = np.isfinite(t) & ((t > 0.0) if positive else (t >= 0.0)) & (t <= upper)
     if not ok.all():
         raise DomainError(
             f"t = {float(t[~ok][0])} outside the domain: every time must be finite "
             f"and {'> 0' if positive else '>= 0'}"
+            + (f" and <= {upper:g}" if upper < math.inf else "")
         )
     return t
 
@@ -515,10 +526,31 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
 # Route 2: pole/branch-cut (Bessel) representation
 # ---------------------------------------------------------------------------
 
-def _panel_integrals(E, a, b, ref):
+def _rule_order(e_max):
+    """Nodes per panel: the smallest n <= _RULE_MAX whose Gauss-Legendre
+    remainder on a panel of width h = _H_MAX (A&S 25.4.30),
+
+        h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * max |f^(2n)|,
+        max |f^(2n)| <= (e_max + 2)^(2n),
+
+    is at most _RULE_TOL h, else _RULE_MAX.  The derivative bound holds for
+    f(s) = e^{iE(s - ref)} J1(2s)/s with |E| <= e_max and a contractive
+    reference edge: J1(2s)/s = (2/pi) int_{-1}^{1} sqrt(1 - u^2) e^{2isu} du
+    mixes frequencies |2u| <= 2 with unit total weight.
+    """
+    log_rate = math.log(_H_MAX * (e_max + 2.0))
+    for n in range(1, _RULE_MAX):
+        coef = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+        if math.log(coef) + 2 * n * log_rate <= math.log(_RULE_TOL):
+            return n
+    return _RULE_MAX
+
+
+def _panel_integrals(E, a, b, ref, order):
     """int_{a_p}^{b_p} e^{iE_s(t' - ref_ps)} J1(2t')/t' dt' for every panel p
-    and state s, shape (P, S), from one J1 table shared by the states."""
-    nodes, wts = panel_nodes(np.stack([a, b], axis=1).ravel())
+    and state s, shape (P, S), from one J1 table shared by the states, with
+    ``order`` nodes per panel."""
+    nodes, wts = panel_nodes(np.stack([a, b], axis=1).ravel(), order)
     nodes, wts = nodes[::2], wts[::2]  # every second panel spans a gap
     f = wts * j1_over_t(nodes)
     return np.stack(
@@ -527,17 +559,18 @@ def _panel_integrals(E, a, b, ref):
     )
 
 
-def _uniform_panels(E, grow, edges):
+def _uniform_panels(E, grow, edges, order):
     """Panel integrals on a uniform grid, shape (n, S), referenced to the left
-    edge for a growing state and to the right one otherwise.
+    edge for a growing state and to the right one otherwise, with ``order``
+    nodes per panel.
 
     A node's offset from its panel's reference edge is the same in every
-    panel, so every state's 15 phases are one vector and each block of panels
-    is one real (P x 15) by complex (15 x S) matrix product.
+    panel, so every state's phases are one vector and each block of panels
+    is one real (P x order) by complex (order x S) matrix product.
     """
     n = edges.size - 1
     h = (edges[-1] - edges[0]) / max(n, 1)
-    unit = panel_nodes(np.array([0.0, 1.0]))[0][0]  # the Gauss nodes of [0, 1]
+    unit = panel_nodes(np.array([0.0, 1.0]), order)[0][0]  # the Gauss nodes of [0, 1]
     offsets = unit - np.where(grow, 0.0, 1.0)[:, None]
     phases = np.exp(1j * h * E[:, None] * offsets).T.copy().view(float)  # re, im pairs
     vals = np.empty((n, E.size), dtype=complex)
@@ -545,7 +578,7 @@ def _uniform_panels(E, grow, edges):
     # BLAS's matrix-vector path, which rounds differently
     bounds = np.append(np.arange(0, max(n - 1, 1), _BLOCK_PANELS), n)
     for i, j in zip(bounds[:-1], bounds[1:]):
-        nodes, wts = panel_nodes(edges[i : j + 1])
+        nodes, wts = panel_nodes(edges[i : j + 1], order)
         vals[i:j] = ((wts * j1_over_t(nodes)) @ phases).view(complex)
     return vals
 
@@ -554,22 +587,24 @@ def _checked_panels(E, grow, edges, a, b):
     """Panel integrals of every state on the uniform grid ``edges`` (see
     ``_uniform_panels``) and on the panels [a_i, b_i], referenced to b_i.
 
-    One spot check covers both kinds for all states: every panel up to
+    Every panel gets the one rule that ``_rule_order`` picks for the largest
+    |E|.  One spot check covers both kinds for all states: every panel up to
     _VERIFY_PANELS of each kind, evenly spread beyond, is re-integrated as
-    two halves, and a QuadratureError carrying the achieved tolerance is
-    raised if any value misses its refinement by more than the per-panel
-    budget.
+    two halves with the same rule, and a QuadratureError carrying the
+    achieved tolerance is raised if any value misses its refinement by more
+    than the per-panel budget.
     """
-    uniform = _uniform_panels(E, grow, edges)
+    order = _rule_order(float(np.max(np.abs(E))))
+    uniform = _uniform_panels(E, grow, edges, order)
     ref = np.repeat(b[:, None], E.size, axis=1)
-    partial = _panel_integrals(E, a, b, ref)
+    partial = _panel_integrals(E, a, b, ref, order)
     i, j = (np.arange(0, n, max(1, n // _VERIFY_PANELS)) for n in (uniform.shape[0], b.size))
     lo, hi = np.concatenate([edges[i], a[j]]), np.concatenate([edges[i + 1], b[j]])
     mid = 0.5 * (lo + hi)
     ref = np.concatenate([np.where(grow, edges[i, None], edges[i + 1, None]), ref[j]])
     halves = _panel_integrals(
         E, np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel(),
-        np.repeat(ref, 2, axis=0),
+        np.repeat(ref, 2, axis=0), order,
     )
     vals = np.concatenate([uniform[i], partial[j]])
     achieved = float(np.max(np.abs(halves[::2] + halves[1::2] - vals), initial=0.0))
@@ -752,8 +787,11 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
     the closed-form tail of a growing state raises one if its truncation
     exceeds 1e-16 of the tail, and its backward scan if i lam W(0) misses 1
     by more than 1e-12.
+
+    Domain: finite, strictly increasing times in [0, 6e5] (DomainError
+    otherwise); J1(2t) is documented only to 2t = 1.2e6.
     """
-    times = _checked_times(times)
+    times = _checked_times(times, upper=_BESSEL_T_MAX)
     if np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing")
     amp = _bessel_sum_terms(discrete_spectrum(params), times).sum(axis=0)
@@ -884,9 +922,10 @@ def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, compl
         pole_sum     = sum_j <d|psi_j>^2 e^{-i E_j t}
         integral_sum = -i sum_j lam_j <d|psi_j>^2 e^{-i E_j t} I_j(t)
     whose t^2 threshold artifacts cancel against each other, leaving the
-    t^{3/2} law of ``intermediate_amplitude``.
+    t^{3/2} law of ``intermediate_amplitude``.  Domain: finite t in
+    [0, 6e5], as for ``survival_bessel_sum`` (DomainError otherwise).
     """
-    t = float(_checked_times(t))
+    t = float(_checked_times(t, upper=_BESSEL_T_MAX))
     states = discrete_spectrum(params)
     pole_sum = sum(s.psid_sq * np.exp(-1j * s.energy * t) for s in states)
     total = _bessel_sum_terms(states, np.array([t]))[:, 0].sum()

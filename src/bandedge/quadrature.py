@@ -10,11 +10,20 @@ arrays.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import QuadratureError
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+@lru_cache(maxsize=None)
+def _leggauss(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], one pair per order."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+_GL_NODES, _GL_WEIGHTS = _leggauss(15)
 
 _MAX_DEPTH = 48
 # live panels refined in one integrand call; a larger set is refined in
@@ -101,16 +110,19 @@ def adaptive_quad(f, a, b, tol: float = 1e-10, args=()):
     return complex(total) if total.ndim == 0 else total
 
 
-def panel_nodes(edges: np.ndarray):
-    """Gauss-Legendre nodes and weights for every panel between consecutive edges.
+def panel_nodes(edges: np.ndarray, n: int):
+    """n-point Gauss-Legendre nodes and weights for every panel between
+    consecutive edges.
 
-    Returns (nodes, weights) with shape (n_panels, 15); weights already carry
+    Returns (nodes, weights) with shape (n_panels, n); weights already carry
     the half-width Jacobian so a panel integral is sum(w * f(nodes), axis=1).
+    The rule of each order is computed once and cached.
     """
+    gl_nodes, gl_weights = _leggauss(n)
     a = edges[:-1]
     b = edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    weights = half[:, None] * _GL_WEIGHTS[None, :]
+    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
+    weights = half[:, None] * gl_weights[None, :]
     return nodes, weights

@@ -427,6 +427,8 @@ def puiseux_norm_d(g: float, n_terms: int = 3, alpha: int = 0) -> complex:
 # Parameter scans
 # ---------------------------------------------------------------------------
 
+_SCAN_MAX_POINTS = 100_000  # eps_d points per spectrum_scan
+
 _CLASS_ORDER = {
     StateClass.BOUND_LOWER: 0,
     StateClass.VIRTUAL: 1,
@@ -444,7 +446,7 @@ class ScanRow:
 def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> list[ScanRow]:
     """Classified near-edge triplet for each eps_d on a uniform grid from
     eps_start to eps_stop (all four arguments finite, eps_stop >= eps_start,
-    step > 0; DomainError otherwise).
+    step > 0, at most 100 000 grid points; DomainError otherwise).
 
     Output ordering is deterministic: ascending eps_d, then class order
     (bound, virtual, resonance, anti-resonance), then Im E and Re E.
@@ -458,8 +460,13 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> l
         raise DomainError(
             f"scan range is reversed: eps_stop = {eps_stop} < eps_start = {eps_start}"
         )
-    n = int(np.floor((eps_stop - eps_start) / step + 1e-9))
-    eps = eps_start + np.arange(n + 1) * step
+    with np.errstate(over="ignore"):
+        points = np.floor((eps_stop - eps_start) / step + 1e-9) + 1.0
+    if not points <= _SCAN_MAX_POINTS:
+        raise DomainError(
+            f"scan grid of {points:g} points exceeds the cap of {_SCAN_MAX_POINTS} points"
+        )
+    eps = eps_start + np.arange(int(points)) * step
     lams, Es = near_edge_roots(eps, g)
     rows: list[ScanRow] = []
     for i, e in enumerate(eps.tolist()):

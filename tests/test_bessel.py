@@ -47,3 +47,15 @@ def test_j1_over_t_limit():
     # J1(2t)/t = 1 - t^2/2 + ... decreases away from zero
     assert vals[2] == pytest.approx(1.0 - 0.5e-8, abs=1e-12)
     assert vals[3] == pytest.approx(1.0 - 0.005 + 0.1**4 / 12.0, abs=1e-8)
+
+
+def test_j1_over_t_divides_in_place():
+    # J1(2t)/t on a grid with zeros: the same bits as dividing only the
+    # nonzero entries, and exactly 1 at t = 0
+    t = np.concatenate([[0.0], np.linspace(0.0, 40.0, 801), [0.0, 1e-300, 7e5]])
+    masked = np.ones_like(t)
+    nz = t != 0
+    masked[nz] = bessel_j(1, 2.0 * t[nz]) / t[nz]
+    vals = j1_over_t(t)
+    assert vals.tobytes() == masked.tobytes()
+    assert np.all(vals[t == 0] == 1.0)

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -377,12 +378,13 @@ class TestBesselSum:
         # all four states share one grid [0, max(max t, 25)], at whose end the
         # growing state's closed-form tail starts, and J1 is evaluated once
         # per node for all of them (and once per node of the bisection check)
-        grids, nodes = [], []
+        grids, orders, nodes = [], [], []
         real_panels, real_j1 = dynamics._uniform_panels, dynamics.j1_over_t
 
-        def panels_spy(E, grow, edges):
+        def panels_spy(E, grow, edges, order):
             grids.append((edges[0], edges[-1]))
-            return real_panels(E, grow, edges)
+            orders.append(order)
+            return real_panels(E, grow, edges, order)
 
         def j1_spy(t):
             nodes.append(np.ravel(t))
@@ -393,13 +395,15 @@ class TestBesselSum:
         params = ModelParams(epsilon_d=-2.0, g=0.05)
         for t_max, end in ((39.5, 39.5), (9.5, 25.0)):
             grids.clear()
+            orders.clear()
             nodes.clear()
             survival_bessel_sum(params, np.arange(0.0, t_max + 0.25, 0.5))
             assert grids == [(0.0, end)]
             # every time is a grid edge, so there are no partial panels; each
-            # of the end / 0.25 panels has 15 nodes and is checked with 30
+            # of the end / 0.25 panels has n nodes and is checked with 2n
+            (n,) = orders
             seen = np.concatenate(nodes)
-            assert seen.size == 45 * int(end / 0.25)
+            assert seen.size == 3 * n * int(end / 0.25)
             assert np.unique(seen).size == seen.size
 
     def test_long_window_initial_value(self):
@@ -471,6 +475,93 @@ class TestBesselSum:
         assert tr.amplitude[0] == pytest.approx(residues, abs=1e-15)
         empty = survival_bessel_sum(params, [])
         assert empty.amplitude.size == 0 and empty.probability.size == 0
+
+    @pytest.mark.parametrize("e_max", [0.0, 2.0, 4.0, 10.0, 20.0, 45.0, 60.0])
+    def test_rule_order_is_the_smallest_that_meets_the_bound(self, e_max):
+        # the Gauss-Legendre remainder on a panel of width h (A&S 25.4.30),
+        # with |f^(2n)| <= (|E| + 2)^(2n), must be at most 1e-17 h; past
+        # 15 nodes the rule is capped
+        h = 0.25
+
+        def bound(n):
+            coef = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+            return h ** (2 * n + 1) * coef * (e_max + 2.0) ** (2 * n)
+
+        n = dynamics._rule_order(e_max)
+        assert all(bound(m) > 1e-17 * h for m in range(1, n))
+        assert bound(n) <= 1e-17 * h or n == 15
+        assert n == {0.0: 6, 2.0: 7, 4.0: 8, 10.0: 9, 20.0: 11, 45.0: 15, 60.0: 15}[e_max]
+        if e_max == 60.0:
+            assert bound(15) > 1e-17 * h  # the cap, not the bound, sets n here
+
+    def test_rule_order_keeps_the_panel_integrals(self):
+        # the chosen rule against the 15-point one on the panels of [0, 3],
+        # where J1(2t)/t is largest, for random complex E with |E| <= 40, each
+        # panel referenced to its contractive edge.  Both rules run at 30
+        # digits, so the gap is their truncation alone, which the bound holds
+        # to 1e-17 h in each of Re and Im (measured at most 1.2e-18 h; one
+        # node fewer reaches 3.9e-16 h).  In double, rounding the nodes and
+        # weights alone moves a panel integral by about eps h
+        rng = np.random.default_rng(17)
+        h = 0.25
+        with mp.workdps(30):
+            h_mp, rules = mp.mpf(h), {}
+
+            def rule(n, E):
+                if n not in rules:
+                    x, w = mp.gauss_quadrature(n, "legendre")
+                    s = [[(p + (1 + xi) / 2) * h_mp for xi in x] for p in range(12)]
+                    rules[n] = [[(si, wi * mp.besselj(1, 2 * si) / si) for si, wi in zip(sp, w)]
+                                for sp in s]
+                E_mp = mp.mpc(E)
+                return [
+                    h_mp / 2 * mp.fsum(
+                        wf * mp.exp(1j * E_mp * (si - (p + (E.imag <= 0)) * h_mp))
+                        for si, wf in panel
+                    )
+                    for p, panel in enumerate(rules[n])
+                ]
+
+            for E in 40.0 * np.sqrt(rng.random(12)) * np.exp(2j * np.pi * rng.random(12)):
+                n = dynamics._rule_order(abs(E))
+                assert n < 15
+                gap = max(abs(a - b) for a, b in zip(rule(n, E), rule(15, E)))
+                assert gap <= math.sqrt(2.0) * 1e-17 * h, (E, n)
+
+    @pytest.mark.parametrize("eps_d, g, n", [(-2.0, 1e-4, 7), (-30.0, 8.0, 13), (-60.0, 1.0, 15)])
+    def test_rule_order_matches_oracle(self, monkeypatch, eps_d, g, n):
+        # 7 nodes at threshold; at eps_d = -30, g = 8 the bound asks for 13,
+        # and 8 would fail the panel check (measured 3.7e-12, 1.6e-11 and
+        # 3.7e-11, as with 15 nodes everywhere)
+        orders, rule_order = [], dynamics._rule_order
+
+        def order_spy(e_max):
+            orders.append(rule_order(e_max))
+            return orders[-1]
+
+        monkeypatch.setattr(dynamics, "_rule_order", order_spy)
+        params = ModelParams(epsilon_d=eps_d, g=g)
+        times = 0.1 + 0.3 * np.arange(266)
+        oracle = survival_lattice_oracle(params, 300, times)
+        tr = survival_bessel_sum(params, times)
+        assert orders == [n]
+        assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-10
+
+    def test_capped_rule_leaves_the_bits(self):
+        # far below the band (|E| = 60) the bound would ask for more than 15
+        # nodes, so the rule is the capped 15-point one, and the amplitudes
+        # are those of the fixed 15-point rule the route used before
+        ref = np.array([
+            complex(1.0, 0.0),
+            complex(0.6641333396034403, -0.7474635029440287),
+            complex(0.07323233352933653, 0.9970326124533788),
+            complex(0.9971711319828016, 0.07145998054938832),
+            complex(0.02478320699363007, -0.999416665391534),
+            complex(0.882037884161995, 0.47055321346411494),
+        ])
+        times = np.array([0.0, 0.3, 1.7, 12.25, 25.1, 40.0])
+        tr = survival_bessel_sum(ModelParams(epsilon_d=-60.0, g=1.0), times)
+        assert tr.amplitude.tobytes() == ref.tobytes()
 
     def test_weak_coupling_matches_oracle(self):
         # at g = 1e-4 the anti-resonance decays only over 38/Im E = 1.5e7,
@@ -744,6 +835,21 @@ def test_times_outside_the_domain_are_named(name, t):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=re.escape(f"t = {t!r} ")):
             _TIMED[name](t)
+
+
+@pytest.mark.parametrize("t", [1e300, 6e5 + 1.0], ids=str)
+@pytest.mark.parametrize(
+    "call",
+    [lambda t: survival_bessel_sum(_P002, [0.0, t]), lambda t: expansion_term_checks(_P002, t)],
+    ids=["survival_bessel_sum", "expansion_term_checks"],
+)
+def test_bessel_route_times_are_bounded(call, t):
+    # bessel.py documents J1(x) only to x = 2t = 1.2e6: a later time is named
+    # before any panel grid is allocated or exponential taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"t = {t!r} ") + r".*<= 600000"):
+            call(t)
 
 
 class TestDominantFrequency:

@@ -1,4 +1,5 @@
 import cmath
+import re
 import warnings
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandedge import spectrum
 from bandedge.errors import (
     BranchCutError,
     DegenerateNormalizationError,
@@ -667,3 +669,24 @@ class TestSpectrumScan:
     def test_non_finite_argument_rejected(self, args, name):
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             spectrum_scan(*args)
+
+    @pytest.mark.parametrize(
+        "step, points",
+        [(1e-300, "2e+299"), (1e-12, "2e+11"), (2e-6, "100001")],
+        ids=str,
+    )
+    def test_grid_above_the_cap_rejected(self, step, points):
+        # the point count is named before the grid is allocated: 1e-300 ended
+        # in numpy's bare ValueError, 1e-12 in a MemoryError for 1.46 TiB
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = f"^scan grid of {re.escape(points)} points exceeds"
+            with pytest.raises(DomainError, match=match):
+                spectrum_scan(0.1, -2.1, -1.9, step)
+
+    def test_grid_at_the_cap(self, monkeypatch):
+        # a grid of exactly the cap is scanned, one more point is not
+        monkeypatch.setattr(spectrum, "_SCAN_MAX_POINTS", 5)
+        assert len({r.eps_d for r in spectrum_scan(0.1, -2.1, -1.9, 0.05)}) == 5
+        with pytest.raises(DomainError, match="^scan grid of 6 points"):
+            spectrum_scan(0.1, -2.1, -1.85, 0.05)
