@@ -8,7 +8,9 @@ Routes
    poles and one beyond each end (no matrix is formed), dot weights as
    closed-form residues of the dot Green's function.  Spectrally exact for
    all t at once; the guard N > 2 max(t) + 10 keeps the wavefront (group
-   velocity at most 2) from returning within the requested window.
+   velocity at most 2) from returning within the requested window.  The
+   phase sum over a uniform grid of K times is one matrix product of two
+   tables of powers, filled by doubling from three exponentials per level.
 2. ``survival_bessel_sum``: the exact pole/branch-cut representation.  Each
    of the four discrete states j contributes
 
@@ -481,20 +483,58 @@ def dense_lattice_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:
     return H
 
 
+def _two_product(a, b):
+    """p, e with p + e == a * b exactly, p = fl(a b) (Dekker, by Veltkamp's
+    splitting of each factor into two 26-bit halves)."""
+    p = a * b
+    c = 134217729.0 * a  # 2^27 + 1
+    a_hi = c - (c - a)
+    c = 134217729.0 * b
+    b_hi = c - (c - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _phase(E, t, t_lo=0.0):
+    """e^{-i E (t + t_lo)}, its argument split exactly into fl(E t) and the
+    remainder, so only the rounding of exp and of one product remains."""
+    p, e = _two_product(E, t)
+    return np.exp(-1j * p) * np.exp(-1j * (e + E * t_lo))
+
+
+def _powers(first, z, rows):
+    """The (rows x M) table first * z^j, j < rows, by doubling: rows [m, 2m)
+    are rows [0, m) times z^m.  No exp; the entries carry only
+    multiplication rounding."""
+    out = np.empty((rows, first.size), dtype=complex)
+    out[:1] = first
+    m = 1
+    while m < rows:
+        n = min(m, rows - m)
+        np.multiply(out[:n], z, out=out[m:m + n])
+        z = z * z
+        m += n
+    return out
+
+
 def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> SurvivalTrace:
     """A(t) = sum_m |<d|m>|^2 e^{-i E_m t} over the spectrum of the chain
     truncated to sites -N..N, N = n_sites.
 
     ``times`` must be a uniform increasing grid t_k = t_0 + k dt of finite
-    t_0 >= 0 (as from ``np.arange`` or ``np.linspace``; off the grid by more
-    than 16 ulps of the largest time raises DomainError), and N must outrun
-    the wavefront, N > 2 max(t) + 10 (LatticeTruncationError otherwise).
-    With k = bB + r and B = ceil(sqrt(K)) for K times, the sum factors into
-    one matrix product,
+    t_0 >= 0 (as from ``np.arange`` or ``np.linspace``; any t_k more than
+    16 ulps of the largest time off t_0 + k dt raises DomainError), and N
+    must outrun the wavefront, N > 2 max(t) + 10 (LatticeTruncationError
+    otherwise).  With k = bB + r and B = ceil(sqrt(K)) for K times, the sum
+    factors into one matrix product,
 
-        A(t_{bB + r}) = sum_m [w_m e^{-i E_m t_{bB}}] e^{-i E_m r dt},
+        A(t_{bB + r}) = sum_m [w_m e^{-i E_m t_0} z_B^b] z_1^r,
+        z_1 = e^{-i E_m dt},  z_B = e^{-i E_m B dt},
 
-    which takes (K/B + B) exponentials per level instead of K.
+    which takes three exponentials per level: z_1, z_B and w_m e^{-i E_m t_0},
+    each of an exactly split argument E_m t.  The block and step tables are
+    their powers, filled by doubling, so the phases carry multiplication
+    rounding only, not the rounding of fl(E_m t) (up to 0.5 ulp of 2 max t).
     """
     times = _checked_times(times)
     if np.any(np.diff(times) <= 0):
@@ -507,17 +547,17 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
         )
     K = times.size
     B = max(1, int(np.ceil(np.sqrt(K))))
-    dt = (times[-1] - times[0]) / (K - 1) if K > 1 else 0.0
-    k = np.arange(K)
-    anchors = times[::B]
-    off_grid = np.abs(times - (anchors[k // B] + (k % B) * dt))
-    if K and off_grid.max() > 16.0 * np.finfo(float).eps * times[-1]:
+    t0 = times[0] if K else 0.0
+    dt = (times[-1] - t0) / (K - 1) if K > 1 else 0.0
+    off_grid = np.abs(times - (t0 + np.arange(K) * dt))
+    if K and off_grid.max() > 16.0 * np.finfo(float).eps * t_max:
         raise DomainError(
             f"times must be a uniform grid; t_k is {off_grid.max():.3g} off t_0 + k dt"
         )
     evals, weights = lattice_spectrum(params, n_sites)
-    blocks = np.exp(-1j * np.multiply.outer(anchors, evals)) * weights
-    steps = np.exp(-1j * np.multiply.outer(np.arange(B) * dt, evals))
+    steps = _powers(np.ones_like(evals, dtype=complex), _phase(evals, dt), B)
+    blocks = _powers(weights * _phase(evals, t0), _phase(evals, *_two_product(float(B), dt)),
+                     -(-K // B))
     amp = (blocks @ steps.T).ravel()[:K]
     return SurvivalTrace.from_amplitude(times, amp, Method.LATTICE_ORACLE)
 
@@ -936,24 +976,53 @@ def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, compl
 # Frequency extraction
 # ---------------------------------------------------------------------------
 
+def _fast_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a length the FFT factors into small radices."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def dominant_frequency(times, signal, flatten_power: float = 0.0) -> float:
     """Angular frequency of the strongest spectral line of a real signal.
 
     Optionally multiplies by t^flatten_power first (use 1.5 to undo the
-    branch-point envelope decay).  Hann window, zero padding, and parabolic
-    interpolation of the peak give resolution far below one FFT bin.
+    branch-point envelope decay).  Hann window, zero padding to at least 16
+    times the length, and parabolic interpolation of the peak give
+    resolution far below one FFT bin.  ``times`` must be a uniform, strictly
+    increasing grid of at least 2 finite times >= 0 (> 0 for a negative
+    flatten_power), and ``signal`` finite, not constant, and of the same
+    shape (DomainError otherwise).
     """
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times, positive=flatten_power < 0)
     signal = np.asarray(signal, dtype=float)
-    if times.size < 2:
-        raise DomainError(f"dominant_frequency needs at least 2 samples, got {times.size}")
+    if times.ndim != 1 or times.size < 2:
+        raise DomainError(
+            f"dominant_frequency needs a 1-D grid of at least 2 samples, got shape {times.shape}"
+        )
+    if np.any(np.diff(times) <= 0):
+        raise DomainError("times must be strictly increasing")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9):
         raise DomainError("dominant_frequency needs a uniform time grid")
+    if signal.shape != times.shape:
+        raise DomainError(
+            f"signal of shape {signal.shape} does not match times of shape {times.shape}"
+        )
+    if not np.isfinite(signal).all():
+        raise DomainError("dominant_frequency needs a finite signal")
+    if signal.min() == signal.max():
+        raise DomainError("dominant_frequency needs a signal that is not constant")
     y = signal * times**flatten_power if flatten_power else signal.copy()
     y = y - y.mean()
     y *= np.hanning(y.size)
-    n_pad = 16 * y.size
+    n_pad = _fast_length(16 * y.size)
     spec = np.abs(np.fft.rfft(y, n=n_pad))
     k = int(np.argmax(spec[1:]) + 1)
     if 0 < k < spec.size - 1:

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -285,6 +286,49 @@ class TestLatticeOracle:
     def test_rejects_times_off_a_uniform_grid(self, times):
         with pytest.raises(DomainError):
             survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=0.3), 200, times)
+
+    def test_no_times_give_an_empty_trace(self):
+        tr = survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=0.3), 200, [])
+        assert tr.times.size == tr.amplitude.size == tr.probability.size == 0
+
+    def test_two_product_is_exact(self):
+        rng = np.random.default_rng(17)
+        E = np.concatenate([rng.uniform(-3.0, 3.0, 200), [-2.0034189780531849, 1e-17]])
+        t = np.concatenate([rng.uniform(0.0, 2e4, 200), [17338.3, 810.3]])
+        p, e = dynamics._two_product(E, t)
+        assert np.array_equal(p, E * t)
+        for a, b, hi, lo in zip(E, t, p, e):
+            assert Fraction(hi) + Fraction(lo) == Fraction(a) * Fraction(b)
+
+    @pytest.mark.parametrize(
+        "eps_d, g, n, times, tol",
+        [(-2.0, 0.02, 4052, np.arange(0.0, 2000.5, 0.5), 1e-14),
+         (-2.05, 0.05, 400, np.linspace(0.0, 190.0, 1001), 3e-14)],
+        ids=["arange", "linspace"],
+    )
+    def test_phase_sum_matches_40_digits(self, eps_d, g, n, times, tol):
+        # the table's phases carry multiplication rounding only, where fl(E t)
+        # alone is off by up to 0.5 ulp(4000) = 2.3e-13 at t = 2000 (measured
+        # 1.9e-15 on arange against 1.2e-13 from a per-entry exp of fl(E t)).
+        # linspace's t_k = fl(k dt) are up to 0.5 ulp(190) = 1.4e-14 off the
+        # grid t_0 + k dt the table sums on, and |dA/dt| <= max |E| ~ 2 (measured 2.1e-14
+        # against 3.1e-14)
+        params = ModelParams(epsilon_d=eps_d, g=g)
+        evals, weights = lattice_spectrum(params, n)
+        tr = survival_lattice_oracle(params, n, times)
+        E, w = [mp.mpf(float(x)) for x in evals], [mp.mpf(float(x)) for x in weights]
+        with mp.workdps(40):
+            for k in np.linspace(0, times.size - 1, 8).astype(int):
+                t = mp.mpf(float(times[k]))
+                ref = mp.fsum(wm * mp.expj(-Em * t) for Em, wm in zip(E, w))
+                assert abs(complex(ref) - tr.amplitude[k]) < tol, times[k]
+
+    def test_rejects_a_shifted_inner_block(self):
+        # exact endpoints, and one block of sqrt(K) times moved off t_0 + k dt
+        times = np.arange(0.0, 100.5, 0.5)
+        times[30:45] += 1e-9
+        with pytest.raises(DomainError, match="off t_0 \\+ k dt"):
+            survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=0.3), 250, times)
 
     def test_decoupled_stays_put(self):
         tr = survival_lattice_oracle(
@@ -819,6 +863,7 @@ _TIMED = {
     "survival_intermediate_law": lambda t: survival_intermediate_law(0.02, t),
     "longtime_amplitude": lambda t: longtime_amplitude(_P002, t),
     "survival_longtime_law": lambda t: survival_longtime_law(_P002, t),
+    "dominant_frequency": lambda t: dominant_frequency([0.0, t], [0.0, 1.0]),
 }
 
 
@@ -867,3 +912,40 @@ class TestDominantFrequency:
     def test_too_few_samples_rejected(self, n):
         with pytest.raises(DomainError, match="at least 2 samples"):
             dominant_frequency(np.arange(float(n)), np.zeros(n))
+
+    @pytest.mark.parametrize(
+        "times, signal, match",
+        [([0.0, np.inf], [0.0, 1.0], "t = inf"),
+         (np.arange(10.0), np.r_[np.zeros(9), np.nan], "finite signal"),
+         (np.arange(10.0), np.arange(7.0), "does not match"),
+         (np.arange(10.0)[::-1], np.arange(10.0), "strictly increasing"),
+         (np.r_[0.0, np.arange(9.0)], np.arange(10.0), "strictly increasing"),
+         (np.arange(10.0), np.zeros(10), "not constant")],
+        ids=["infinite-time", "nan-signal", "short-signal", "decreasing", "repeated",
+             "constant"],
+    )
+    def test_rejects_inputs_outside_the_domain(self, times, signal, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                dominant_frequency(times, signal)
+
+    def test_negative_flatten_power_needs_positive_times(self):
+        t = np.arange(10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="t = 0.0 "):
+                dominant_frequency(t, np.sin(t), flatten_power=-1.0)
+            assert dominant_frequency(t + 1.0, np.sin(t), flatten_power=-1.0) > 0.0
+
+    def test_fast_length(self):
+        # the least 5-smooth length at or above n, against a linear search
+        def smooth(m):
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+
+        for n in [*range(1, 400), 16 * 4133, 16 * 4096 + 1]:
+            assert dynamics._fast_length(n) == next(m for m in range(n, 2 * n + 1) if smooth(m))
+        assert dynamics._fast_length(16 * 4133) == 67500
