@@ -25,24 +25,29 @@ Routes
    and the exact asymptotic plateau.
 
 Numerical stability of route 2: the four states share one grid of panels
-of width h = 1/4 on [0, T], T = max(max t, 25) rounded up to a whole panel,
-and each panel integral is referenced to a contractive edge, so no
-exponentially large intermediate ever appears.  Every panel takes one
-n-point Gauss-Legendre rule, n chosen once per call from max |E| by the
-remainder bound in ``_rule_order``: 7 nodes at threshold (|E| ~ 2), 11 at
-|E| = 20 and the cap of 15 from |E| ~ 45.  Times are bounded by t <= 6e5,
-up to which J1(2t) is documented.  J1 is evaluated once per
-node for all states; a node's offset from its panel's reference edge is the
-same in every panel, so the panel values of all states are one real by
-complex matrix product.  The running integral of a state with Im E <= 0
-is then a scan with the constant step e^{-iEh}, |e^{-iEh}| <= 1: within
-blocks of 64 panels one product with the lower-triangular Toeplitz matrix of
-its powers, taken from ``exp``, and block starts advanced by the one step
-e^{-64 iEh}.  h is a
-power of two, so E h is exact and the phases of all blocks agree.  A
-requested time is read from the left edge of its panel plus the partial
-panel up to it.  States with Im E > 0 (anti-resonances, where e^{-iEt}
-grows) are rewritten through the tail integral
+of width h on [0, T], T = max(max t, 25) rounded up to a whole panel, and
+each panel integral is referenced to a contractive edge, so no
+exponentially large intermediate ever appears.  h and the n-point
+Gauss-Legendre rule of every panel are chosen once per call from max |E|
+by the remainder bound in ``_panel_rule``: the widest h = 2^-k <= 1 that
+the bound admits with n <= 15, and the fewest n for it.  That gives h = 1
+with 10 nodes at threshold (|E| ~ 2), (1/2, 15) at |E| = 20, (1/4, 13)
+at |E| = 32 and h = 1/8 from |E| = 49.5.  Times are bounded by t <= 6e5,
+up to which J1(2t) is documented, and the grid by 2.4e6 panels.  J1 is
+evaluated once per node for all states; a node's offset from its panel's
+reference edge is the same in every panel, so the panel values of all
+states are one real by complex matrix product.  The running integral of a
+state with Im E <= 0 is then a scan with the constant step e^{-iEh},
+|e^{-iEh}| <= 1: within blocks of 64 panels one product with the
+lower-triangular Toeplitz matrix of its powers, each the exp of an exactly
+split argument -iEhm (128 rad at h = 1, |E| = 2), and block starts advanced
+by the one step e^{-64 iEh}.  h is a power of two, so E h is exact and the
+phases of all blocks agree.  A requested time is read from the left edge
+of its panel plus the partial panel up to it; a partial-panel node
+mid + half x_j takes the phase e^{iE(mid - ref)} e^{iE half x_j}, the
+second factor once per distinct half-width.  States with Im E > 0
+(anti-resonances, where e^{-iEt} grows) are rewritten through the tail
+integral
 
     e^{-iEt} (1 - i lam I(t)) = i lam e^{-iEt} int_t^inf e^{iEt'} J1(2t')/t' dt'
 
@@ -82,12 +87,13 @@ from .quadrature import adaptive_quad, panel_nodes
 from .spectrum import DiscreteState, StateClass, _monic_roots, discrete_spectrum, near_edge_triplet
 
 WAVEFRONT_MARGIN = 10.0
-_H_MAX = 0.25  # Bessel-route panel width; a power of two, so E h is exact
 _PANEL_TOL = 1e-10
-# Gauss-Legendre nodes per Bessel-route panel: the fewest whose remainder
-# bound is at most _RULE_TOL per unit width, and never more than _RULE_MAX
+# Bessel-route panels: the widest power-of-two width <= 1 whose Gauss-Legendre
+# remainder bound is at most _RULE_TOL per unit width with at most _RULE_MAX
+# nodes, and at most _MAX_PANELS of them (as many as width 1/4 gave at 6e5)
 _RULE_TOL = 1e-17
 _RULE_MAX = 15
+_MAX_PANELS = 2_400_000
 _KN_TOL = 1e-12  # absolute tolerance of kn_quadrature
 # the Bessel route's last time: bessel.py documents J1(x) to x = 2t = 1.2e6
 _BESSEL_T_MAX = 6e5
@@ -155,6 +161,28 @@ def _checked_times(t, positive: bool = False, upper: float = math.inf) -> np.nda
             + (f" and <= {upper:g}" if upper < math.inf else "")
         )
     return t
+
+
+def _checked_grid(times, positive: bool = False, upper: float = math.inf) -> np.ndarray:
+    """times through ``_checked_times``; DomainError unless they are 1-D and
+    strictly increasing."""
+    times = _checked_times(times, positive, upper)
+    if times.ndim != 1:
+        raise DomainError(f"times must be 1-D, got shape {times.shape}")
+    if np.any(np.diff(times) <= 0):
+        raise DomainError("times must be strictly increasing")
+    return times
+
+
+def _checked_count(value, name: str) -> int:
+    """value as an int; DomainError naming it unless it is an integer >= 0."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = -1
+    if n < 0 or n != value:
+        raise DomainError(f"{name} = {value!r} outside the domain: need an integer >= 0")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +451,11 @@ def lattice_spectrum(params: ModelParams, n_sites: int):
     open, if the sweep cap is reached, and ConsistencyError if the weights
     are not finite or miss sum_m w_m = 1 by more than 1e-13.
 
-    Domain: g = 0 or g^2 at least the smallest normal double (g >= 1.4917e-154);
-    a subnormal g^2 has too few digits for the secular solve and raises
-    DomainError before any sweep.
+    Domain: an integer n_sites >= 0, and g = 0 or g^2 at least the smallest
+    normal double (g >= 1.4917e-154); a subnormal g^2 has too few digits for
+    the secular solve and raises DomainError before any sweep.
     """
-    n = int(n_sites)
+    n = _checked_count(n_sites, "n_sites")
     s, eps, g2 = n + 1, params.epsilon_d, params.g**2
     if 0.0 < g2 < _G2_MIN:
         raise DomainError(
@@ -471,9 +499,10 @@ def lattice_spectrum(params: ModelParams, n_sites: int):
 def dense_lattice_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:
     """Unfolded (2N+2)-dimensional Hamiltonian (sites -N..N, then the dot).
 
-    Reference construction used to validate the folded solver.
+    Reference construction used to validate the folded solver.  Domain: an
+    integer n_sites >= 0 (DomainError otherwise).
     """
-    n = int(n_sites)
+    n = _checked_count(n_sites, "n_sites")
     dim = 2 * n + 2
     H = np.zeros((dim, dim))
     for i in range(2 * n):
@@ -521,11 +550,11 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
     """A(t) = sum_m |<d|m>|^2 e^{-i E_m t} over the spectrum of the chain
     truncated to sites -N..N, N = n_sites.
 
-    ``times`` must be a uniform increasing grid t_k = t_0 + k dt of finite
-    t_0 >= 0 (as from ``np.arange`` or ``np.linspace``; any t_k more than
-    16 ulps of the largest time off t_0 + k dt raises DomainError), and N
-    must outrun the wavefront, N > 2 max(t) + 10 (LatticeTruncationError
-    otherwise).  With k = bB + r and B = ceil(sqrt(K)) for K times, the sum
+    ``times`` must be a 1-D uniform increasing grid t_k = t_0 + k dt of
+    finite t_0 >= 0 (as from ``np.arange`` or ``np.linspace``; any t_k more
+    than 16 ulps of the largest time off t_0 + k dt raises DomainError), N
+    an integer (DomainError otherwise), and N must outrun the wavefront,
+    N > 2 max(t) + 10 (LatticeTruncationError otherwise).  With k = bB + r and B = ceil(sqrt(K)) for K times, the sum
     factors into one matrix product,
 
         A(t_{bB + r}) = sum_m [w_m e^{-i E_m t_0} z_B^b] z_1^r,
@@ -536,9 +565,8 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
     their powers, filled by doubling, so the phases carry multiplication
     rounding only, not the rounding of fl(E_m t) (up to 0.5 ulp of 2 max t).
     """
-    times = _checked_times(times)
-    if np.any(np.diff(times) <= 0):
-        raise DomainError("times must be strictly increasing")
+    times = _checked_grid(times)
+    n_sites = _checked_count(n_sites, "n_sites")
     t_max = times.max(initial=0.0)
     if n_sites <= 2.0 * t_max + WAVEFRONT_MARGIN:
         raise LatticeTruncationError(
@@ -566,37 +594,46 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
 # Route 2: pole/branch-cut (Bessel) representation
 # ---------------------------------------------------------------------------
 
-def _rule_order(e_max):
-    """Nodes per panel: the smallest n <= _RULE_MAX whose Gauss-Legendre
-    remainder on a panel of width h = _H_MAX (A&S 25.4.30),
+def _panel_rule(e_max):
+    """Panel width h and nodes per panel n: the widest h = 2^-k <= 1, and
+    for it the fewest n <= _RULE_MAX, whose Gauss-Legendre remainder on a
+    panel of width h (A&S 25.4.30),
 
         h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * max |f^(2n)|,
         max |f^(2n)| <= (e_max + 2)^(2n),
 
-    is at most _RULE_TOL h, else _RULE_MAX.  The derivative bound holds for
+    is at most _RULE_TOL h.  The derivative bound holds for
     f(s) = e^{iE(s - ref)} J1(2s)/s with |E| <= e_max and a contractive
     reference edge: J1(2s)/s = (2/pi) int_{-1}^{1} sqrt(1 - u^2) e^{2isu} du
-    mixes frequencies |2u| <= 2 with unit total weight.
+    mixes frequencies |2u| <= 2 with unit total weight.  Halving h always
+    meets the bound in the end, so the rule exists for every finite e_max.
     """
-    log_rate = math.log(_H_MAX * (e_max + 2.0))
-    for n in range(1, _RULE_MAX):
-        coef = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
-        if math.log(coef) + 2 * n * log_rate <= math.log(_RULE_TOL):
-            return n
-    return _RULE_MAX
+    h = 1.0
+    while True:
+        log_rate = math.log(h * (e_max + 2.0))
+        for n in range(1, _RULE_MAX + 1):
+            coef = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+            if math.log(coef) + 2 * n * log_rate <= math.log(_RULE_TOL):
+                return h, n
+        h *= 0.5
 
 
 def _panel_integrals(E, a, b, ref, order):
     """int_{a_p}^{b_p} e^{iE_s(t' - ref_ps)} J1(2t')/t' dt' for every panel p
     and state s, shape (P, S), from one J1 table shared by the states, with
-    ``order`` nodes per panel."""
+    ``order`` nodes per panel.
+
+    A node mid + half x_j (x_j a Gauss node of [-1, 1]) takes the phase
+    e^{iE(mid - ref)} e^{iE half x_j}; the second factor is taken once per
+    distinct half-width, so panels that share a width share its exps.
+    """
     nodes, wts = panel_nodes(np.stack([a, b], axis=1).ravel(), order)
     nodes, wts = nodes[::2], wts[::2]  # every second panel spans a gap
-    f = wts * j1_over_t(nodes)
-    return np.stack(
-        [np.sum(f * np.exp(1j * e * (nodes - r[:, None])), axis=1) for e, r in zip(E, ref.T)],
-        axis=-1,
-    )
+    x = panel_nodes(np.array([-1.0, 1.0]), order)[0][0]
+    half, width = np.unique(0.5 * (b - a), return_inverse=True)
+    inner = np.exp(1j * half[:, None, None] * x[:, None] * E).view(float)  # re, im pairs
+    sums = np.einsum("pj,pjk->pk", wts * j1_over_t(nodes), inner[width]).view(complex)
+    return np.exp(1j * E * (0.5 * (a + b)[:, None] - ref)) * sums
 
 
 def _uniform_panels(E, grow, edges, order):
@@ -623,18 +660,17 @@ def _uniform_panels(E, grow, edges, order):
     return vals
 
 
-def _checked_panels(E, grow, edges, a, b):
+def _checked_panels(E, grow, edges, a, b, order):
     """Panel integrals of every state on the uniform grid ``edges`` (see
-    ``_uniform_panels``) and on the panels [a_i, b_i], referenced to b_i.
+    ``_uniform_panels``) and on the panels [a_i, b_i], referenced to b_i,
+    with ``order`` nodes per panel.
 
-    Every panel gets the one rule that ``_rule_order`` picks for the largest
-    |E|.  One spot check covers both kinds for all states: every panel up to
+    One spot check covers both kinds for all states: every panel up to
     _VERIFY_PANELS of each kind, evenly spread beyond, is re-integrated as
     two halves with the same rule, and a QuadratureError carrying the
     achieved tolerance is raised if any value misses its refinement by more
     than the per-panel budget.
     """
-    order = _rule_order(float(np.max(np.abs(E))))
     uniform = _uniform_panels(E, grow, edges, order)
     ref = np.repeat(b[:, None], E.size, axis=1)
     partial = _panel_integrals(E, a, b, ref, order)
@@ -660,14 +696,18 @@ def _scan(start, rate, inc, idx):
 
     With |e^rate| <= 1 every power taken is contractive.  The partial sums
     within blocks of L = _SCAN_BLOCK steps are one product with the
-    lower-triangular Toeplitz matrix of e^(rate m), m < L, its powers taken
-    from ``exp``; the block starts then advance by the one step e^(rate L),
-    which keeps the phases of all blocks consistent with each other.  L
-    blocks are taken at a time and x is kept at idx only, so the
-    temporaries stay one size.
+    lower-triangular Toeplitz matrix of e^(rate m), m < L; the block starts
+    then advance by the one step e^(rate L), which keeps the phases of all
+    blocks consistent with each other.  Each power is the exp of an exactly
+    split argument rate m = p + e (real and imaginary part each by
+    ``_two_product``), taken as e^p e^e, so the rounding of fl(rate m), up
+    to 0.5 ulp of |rate| L, never enters.  L blocks are taken at a time and
+    x is kept at idx only, so the temporaries stay one size.
     """
     L = _SCAN_BLOCK
-    powers = np.exp(rate * np.arange(L + 1))
+    m = np.arange(L + 1.0)
+    (re, re_lo), (im, im_lo) = _two_product(rate.real, m), _two_product(rate.imag, m)
+    powers = np.exp(re + 1j * im) * np.exp(re_lo + 1j * im_lo)
     lag = np.arange(L)[None, :] - np.arange(L)[:, None]  # column minus row
     toeplitz = np.where(lag >= 0, powers[np.maximum(lag, 0)], 0.0)
     out = np.full(idx.size, start, dtype=complex)
@@ -782,15 +822,22 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
     lam = np.array([s.lam for s in states])
     nd = np.array([s.psid_sq for s in states])
     grow = E.imag > 1e-12
-    # panels of exactly _H_MAX, a power of two, so that E h is exact
-    n = int(np.ceil(max(times.max(initial=0.0), _TAIL_START) / _H_MAX))
-    h = _H_MAX
+    # the width is a power of two, so that E h is exact
+    e_max = float(np.max(np.abs(E)))
+    h, order = _panel_rule(e_max)
+    end = max(times.max(initial=0.0), _TAIL_START)
+    n = math.ceil(end / h)
+    if n > _MAX_PANELS:
+        raise DomainError(
+            f"t = {end:g} outside the Bessel route's domain at max |E| = {e_max:.6g}: "
+            f"panels of width {h:g} would number {n}, more than {_MAX_PANELS}"
+        )
     edges = h * np.arange(n + 1.0)
     T = edges[-1]
     k = np.searchsorted(edges, times, side="right") - 1
     delta = times - edges[k]
     part = delta > 0.0
-    uniform, partial = _checked_panels(E, grow, edges, edges[k[part]], times[part])
+    uniform, partial = _checked_panels(E, grow, edges, edges[k[part]], times[part], order)
     terms = np.empty((E.size, times.size), dtype=complex)
     for s in range(E.size):
         e, lm = E[s], lam[s]
@@ -828,12 +875,13 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
     exceeds 1e-16 of the tail, and its backward scan if i lam W(0) misses 1
     by more than 1e-12.
 
-    Domain: finite, strictly increasing times in [0, 6e5] (DomainError
-    otherwise); J1(2t) is documented only to 2t = 1.2e6.
+    Domain: finite, strictly increasing 1-D times in [0, 6e5] (DomainError
+    otherwise); J1(2t) is documented only to 2t = 1.2e6.  The grid of
+    panels is capped at 2.4e6 (the width-1/4 grid of t = 6e5), so for
+    max |E| above 49.5 the last time is lower: 3e5 at |E| = 60; beyond
+    the cap a DomainError is raised.
     """
-    times = _checked_times(times, upper=_BESSEL_T_MAX)
-    if np.any(np.diff(times) <= 0):
-        raise DomainError("times must be strictly increasing")
+    times = _checked_grid(times, upper=_BESSEL_T_MAX)
     amp = _bessel_sum_terms(discrete_spectrum(params), times).sum(axis=0)
     return SurvivalTrace.from_amplitude(times, amp, Method.BESSEL_SUM)
 
@@ -861,7 +909,10 @@ def kn_closed_form(n: int, t: float) -> complex:
 
 
 def kn_quadrature(n: int, t: float) -> complex:
-    """The defining integral of kn_closed_form by adaptive quadrature."""
+    """The defining integral of kn_closed_form by adaptive quadrature, for an
+    integer n >= 0 and finite t >= 0 (DomainError otherwise; for n < 0 the
+    integral diverges at 0)."""
+    n = _checked_count(n, "n")
     t = float(_checked_times(t))
     if n == 0:
         f = lambda s: np.exp(-2j * s) * j1_over_t(s)  # t'^(-1) J1(2t')
@@ -1000,14 +1051,10 @@ def dominant_frequency(times, signal, flatten_power: float = 0.0) -> float:
     flatten_power), and ``signal`` finite, not constant, and of the same
     shape (DomainError otherwise).
     """
-    times = _checked_times(times, positive=flatten_power < 0)
+    times = _checked_grid(times, positive=flatten_power < 0)
     signal = np.asarray(signal, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise DomainError(
-            f"dominant_frequency needs a 1-D grid of at least 2 samples, got shape {times.shape}"
-        )
-    if np.any(np.diff(times) <= 0):
-        raise DomainError("times must be strictly increasing")
+    if times.size < 2:
+        raise DomainError(f"dominant_frequency needs at least 2 samples, got {times.size}")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=1e-9):
         raise DomainError("dominant_frequency needs a uniform time grid")

@@ -364,7 +364,7 @@ class TestBesselSum:
         tr = survival_bessel_sum(params, oracle_g002_600.times[1:])
         diff = np.abs(tr.probability - oracle_g002_600.probability[1:])
         assert diff.max() < 1e-3
-        assert diff.max() < 1e-12  # measured headroom (3.4e-14)
+        assert diff.max() < 1e-12  # measured headroom (1.3e-14)
 
     def test_matches_oracle_at_late_times(self, oracle_g002_2000):
         # the backward-stable accumulation stays accurate far beyond the
@@ -422,32 +422,39 @@ class TestBesselSum:
         # all four states share one grid [0, max(max t, 25)], at whose end the
         # growing state's closed-form tail starts, and J1 is evaluated once
         # per node for all of them (and once per node of the bisection check)
-        grids, orders, nodes = [], [], []
-        real_panels, real_j1 = dynamics._uniform_panels, dynamics.j1_over_t
+        grids, rules, nodes = [], [], []
+        real_panels, real_rule, real_j1 = (
+            dynamics._uniform_panels, dynamics._panel_rule, dynamics.j1_over_t)
 
         def panels_spy(E, grow, edges, order):
             grids.append((edges[0], edges[-1]))
-            orders.append(order)
             return real_panels(E, grow, edges, order)
+
+        def rule_spy(e_max):
+            rules.append(real_rule(e_max))
+            return rules[-1]
 
         def j1_spy(t):
             nodes.append(np.ravel(t))
             return real_j1(t)
 
         monkeypatch.setattr(dynamics, "_uniform_panels", panels_spy)
+        monkeypatch.setattr(dynamics, "_panel_rule", rule_spy)
         monkeypatch.setattr(dynamics, "j1_over_t", j1_spy)
         params = ModelParams(epsilon_d=-2.0, g=0.05)
-        for t_max, end in ((39.5, 39.5), (9.5, 25.0)):
+        for t_max, end in ((39.0, 39.0), (9.0, 25.0)):
             grids.clear()
-            orders.clear()
+            rules.clear()
             nodes.clear()
-            survival_bessel_sum(params, np.arange(0.0, t_max + 0.25, 0.5))
+            survival_bessel_sum(params, np.arange(0.0, t_max + 0.5, 1.0))
             assert grids == [(0.0, end)]
-            # every time is a grid edge, so there are no partial panels; each
-            # of the end / 0.25 panels has n nodes and is checked with 2n
-            (n,) = orders
+            # panels of width 1 with 10 nodes at threshold; every time is a
+            # grid edge, so there are no partial panels, and each of the
+            # end / h panels has n nodes and is checked with 2n
+            assert rules == [(1.0, 10)]
+            (h, n), = rules
             seen = np.concatenate(nodes)
-            assert seen.size == 3 * n * int(end / 0.25)
+            assert seen.size == 3 * n * int(end / h)
             assert np.unique(seen).size == seen.size
 
     def test_long_window_initial_value(self):
@@ -460,8 +467,8 @@ class TestBesselSum:
 
     @pytest.mark.parametrize("eps_d, g", [(-2.0, 0.05), (-1.9, 0.3)])
     def test_times_off_the_panel_grid_match_oracle(self, eps_d, g):
-        # every time sits inside a panel of width 1/4, so each is read from
-        # its panel's left edge plus a partial panel (measured 1.8e-14)
+        # every time sits inside a panel of width 1, so each is read from
+        # its panel's left edge plus a partial panel (measured 1.9e-14)
         params = ModelParams(epsilon_d=eps_d, g=g)
         times = 0.1 + 0.3 * np.arange(266)
         oracle = survival_lattice_oracle(params, 300, times)
@@ -471,7 +478,7 @@ class TestBesselSum:
     @pytest.mark.parametrize("g", [0.02, 1e-3, 1e-4])
     def test_matches_large_oracle_over_the_beat(self, g):
         # about nine beat periods of g = 0.02 to t = 17 338, against a
-        # lattice of N = 34 696 (measured 2.0e-12, 2.0e-12, 5.6e-12)
+        # lattice of N = 34 696 (measured 9.2e-13, 1.4e-12, 5.6e-12)
         params = ModelParams(epsilon_d=-2.0, g=g)
         times = 810.3 + 4.0 * np.arange(4133)
         oracle = survival_lattice_oracle(params, 34696, times)
@@ -495,9 +502,10 @@ class TestBesselSum:
         E = np.array([s.energy for s in discrete_spectrum(ModelParams(epsilon_d=-2.0, g=0.05))])
         a = np.array([0.0, 12.25, 30.0])
         b = a + np.array([0.1, 0.2, 0.05])
+        _, n = dynamics._panel_rule(np.max(np.abs(E)))
         monkeypatch.setattr(dynamics, "_PANEL_TOL", 1e-30)
         with pytest.raises(QuadratureError) as info:
-            dynamics._checked_panels(E, E.imag > 0, np.array([0.0]), a, b)
+            dynamics._checked_panels(E, E.imag > 0, np.array([0.0]), a, b, n)
         assert 0.0 < info.value.residual < 1e-10
 
     def test_scan_identity_is_checked(self, monkeypatch):
@@ -520,92 +528,114 @@ class TestBesselSum:
         empty = survival_bessel_sum(params, [])
         assert empty.amplitude.size == 0 and empty.probability.size == 0
 
-    @pytest.mark.parametrize("e_max", [0.0, 2.0, 4.0, 10.0, 20.0, 45.0, 60.0])
-    def test_rule_order_is_the_smallest_that_meets_the_bound(self, e_max):
+    @pytest.mark.parametrize("e_max, rule", [
+        (0.0, (1.0, 8)), (2.0, (1.0, 10)), (4.0, (1.0, 12)), (10.0, (1.0, 15)),
+        (20.0, (0.5, 15)), (32.0, (0.25, 13)), (45.0, (0.25, 15)), (60.0, (0.125, 13)),
+        (100.0, (0.125, 15)), (101.5, (0.0625, 12)),
+    ])
+    def test_panel_rule_is_the_widest_that_meets_the_bound(self, e_max, rule):
         # the Gauss-Legendre remainder on a panel of width h (A&S 25.4.30),
-        # with |f^(2n)| <= (|E| + 2)^(2n), must be at most 1e-17 h; past
-        # 15 nodes the rule is capped
-        h = 0.25
+        # with |f^(2n)| <= (|E| + 2)^(2n), must be at most 1e-17 h with n <= 15
+        # nodes, for the fewest such n, and no node count may meet it at 2h
+        h, n = dynamics._panel_rule(e_max)
+        assert (h, n) == rule
+        assert _remainder_bound(h, n, e_max) <= 1e-17 * h
+        assert all(_remainder_bound(h, m, e_max) > 1e-17 * h for m in range(1, n))
+        if h < 1.0:
+            assert all(_remainder_bound(2 * h, m, e_max) > 2e-17 * h for m in range(1, 16))
 
-        def bound(n):
-            coef = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
-            return h ** (2 * n + 1) * coef * (e_max + 2.0) ** (2 * n)
-
-        n = dynamics._rule_order(e_max)
-        assert all(bound(m) > 1e-17 * h for m in range(1, n))
-        assert bound(n) <= 1e-17 * h or n == 15
-        assert n == {0.0: 6, 2.0: 7, 4.0: 8, 10.0: 9, 20.0: 11, 45.0: 15, 60.0: 15}[e_max]
-        if e_max == 60.0:
-            assert bound(15) > 1e-17 * h  # the cap, not the bound, sets n here
-
-    def test_rule_order_keeps_the_panel_integrals(self):
-        # the chosen rule against the 15-point one on the panels of [0, 3],
-        # where J1(2t)/t is largest, for random complex E with |E| <= 40, each
-        # panel referenced to its contractive edge.  Both rules run at 30
-        # digits, so the gap is their truncation alone, which the bound holds
-        # to 1e-17 h in each of Re and Im (measured at most 1.2e-18 h; one
-        # node fewer reaches 3.9e-16 h).  In double, rounding the nodes and
-        # weights alone moves a panel integral by about eps h
+    def test_panel_rule_keeps_the_panel_integrals(self):
+        # every (h, n) the rule returns for |E| <= 100, each at the largest
+        # |E| of a 0.05 grid that gets it (where its bound is tightest) and a
+        # random phase, against a 30-node rule on the panels of [0, 2], where
+        # J1(2t)/t is largest, each panel referenced to its contractive edge.
+        # Both rules run at 30 digits, so the gap is the n-node truncation
+        # alone (the 30-node bound is below 1e-51 h), which the bound holds to
+        # 1e-17 h in each of Re and Im (measured at most 3.4e-18 h; one node
+        # fewer reaches 3.5e-16 h)
+        worst = {}
+        for e in np.linspace(0.0, 100.0, 2001):
+            worst[dynamics._panel_rule(e)] = e
+        assert len(worst) == 20
         rng = np.random.default_rng(17)
-        h = 0.25
         with mp.workdps(30):
-            h_mp, rules = mp.mpf(h), {}
+            table = {}
 
-            def rule(n, E):
-                if n not in rules:
+            def panels(h, n, E):
+                E_mp, h_mp = mp.mpc(E), mp.mpf(h)
+                if (h, n) not in table:
                     x, w = mp.gauss_quadrature(n, "legendre")
-                    s = [[(p + (1 + xi) / 2) * h_mp for xi in x] for p in range(12)]
-                    rules[n] = [[(si, wi * mp.besselj(1, 2 * si) / si) for si, wi in zip(sp, w)]
-                                for sp in s]
-                E_mp = mp.mpc(E)
+                    table[h, n] = []
+                    for p in range(int(2 / h)):
+                        s = [(p + (1 + xi) / 2) * h_mp for xi in x]
+                        table[h, n].append([(si, wi * mp.besselj(1, 2 * si) / si)
+                                            for si, wi in zip(s, w)])
                 return [
                     h_mp / 2 * mp.fsum(
-                        wf * mp.exp(1j * E_mp * (si - (p + (E.imag <= 0)) * h_mp))
-                        for si, wf in panel
+                        wf * mp.exp(1j * E_mp * (s - (p + (E.imag <= 0)) * h_mp)) for s, wf in panel
                     )
-                    for p, panel in enumerate(rules[n])
+                    for p, panel in enumerate(table[h, n])
                 ]
 
-            for E in 40.0 * np.sqrt(rng.random(12)) * np.exp(2j * np.pi * rng.random(12)):
-                n = dynamics._rule_order(abs(E))
-                assert n < 15
-                gap = max(abs(a - b) for a, b in zip(rule(n, E), rule(15, E)))
-                assert gap <= math.sqrt(2.0) * 1e-17 * h, (E, n)
+            for (h, n), e in worst.items():
+                E = e * np.exp(2j * np.pi * rng.random())
+                gap = max(abs(a - b) for a, b in zip(panels(h, n, E), panels(h, 30, E)))
+                assert gap <= math.sqrt(2.0) * 1e-17 * h, (h, n, E)
 
-    @pytest.mark.parametrize("eps_d, g, n", [(-2.0, 1e-4, 7), (-30.0, 8.0, 13), (-60.0, 1.0, 15)])
-    def test_rule_order_matches_oracle(self, monkeypatch, eps_d, g, n):
-        # 7 nodes at threshold; at eps_d = -30, g = 8 the bound asks for 13,
-        # and 8 would fail the panel check (measured 3.7e-12, 1.6e-11 and
-        # 3.7e-11, as with 15 nodes everywhere)
-        orders, rule_order = [], dynamics._rule_order
+    @pytest.mark.parametrize("eps_d, g, rule", [
+        (-2.0, 1e-4, (1.0, 10)), (-30.0, 8.0, (0.25, 13)),
+        (-60.0, 1.0, (0.125, 13)), (-100.0, 1.0, (0.125, 15)),
+    ])
+    def test_panel_rule_matches_oracle(self, monkeypatch, eps_d, g, rule):
+        # width 1 and 10 nodes at threshold; the far-detuned states of |E| =
+        # 32, 60 and 100 take narrower panels (measured 3.4e-12, 1.6e-11,
+        # 3.7e-11 and 8.6e-11; the last two are set by the phase of the
+        # quartic's bound-state energy, e.g. 1.1e-12 off at eps_d = -100)
+        rules, panel_rule = [], dynamics._panel_rule
 
-        def order_spy(e_max):
-            orders.append(rule_order(e_max))
-            return orders[-1]
+        def rule_spy(e_max):
+            rules.append(panel_rule(e_max))
+            return rules[-1]
 
-        monkeypatch.setattr(dynamics, "_rule_order", order_spy)
+        monkeypatch.setattr(dynamics, "_panel_rule", rule_spy)
         params = ModelParams(epsilon_d=eps_d, g=g)
         times = 0.1 + 0.3 * np.arange(266)
         oracle = survival_lattice_oracle(params, 300, times)
         tr = survival_bessel_sum(params, times)
-        assert orders == [n]
+        assert rules == [rule]
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-10
 
-    def test_capped_rule_leaves_the_bits(self):
-        # far below the band (|E| = 60) the bound would ask for more than 15
-        # nodes, so the rule is the capped 15-point one, and the amplitudes
-        # are those of the fixed 15-point rule the route used before
-        ref = np.array([
-            complex(1.0, 0.0),
-            complex(0.6641333396034403, -0.7474635029440287),
-            complex(0.07323233352933653, 0.9970326124533788),
-            complex(0.9971711319828016, 0.07145998054938832),
-            complex(0.02478320699363007, -0.999416665391534),
-            complex(0.882037884161995, 0.47055321346411494),
-        ])
-        times = np.array([0.0, 0.3, 1.7, 12.25, 25.1, 40.0])
-        tr = survival_bessel_sum(ModelParams(epsilon_d=-60.0, g=1.0), times)
-        assert tr.amplitude.tobytes() == ref.tobytes()
+    def test_scan_powers_at_large_phase(self):
+        # at width 1 and |E| ~ 2 a Toeplitz block's powers e^(rate m) reach
+        # |rate m| ~ 128, where fl(rate m) alone rounds the phase by up to
+        # 0.5 ulp(128) = 1.4e-14 (measured 7.1e-15); from exactly split
+        # arguments they hold to rounding through three blocks (3.3e-16)
+        rng = np.random.default_rng(3)
+        E = 2.0 + 0.01 * rng.random() - 1e-3j * rng.random()
+        rate = -1j * E
+        inc = np.zeros(200, dtype=complex)
+        inc[0] = 1.0
+        k = np.arange(1, 201)
+        x = dynamics._scan(0.0, rate, inc, k)  # x[k] = e^(rate (k - 1))
+        with mp.workdps(30):
+            ref = np.array([complex(mp.exp(mp.mpc(rate) * int(m - 1))) for m in k])
+        assert np.max(np.abs(x - ref) / np.abs(ref)) <= 1e-15
+
+    def test_strong_coupling_runs(self):
+        # at g = 100 (|E| = 101) the panels are 1/8 wide with 15 nodes; the
+        # former fixed width 1/4 failed the panel check here.  At t = 0 each
+        # state gives its residue, whose sum the quartic sets (1 - 3.7e-13)
+        params = ModelParams(epsilon_d=-2.0, g=100.0)
+        tr = survival_bessel_sum(params, [0.0, 0.1, 20.0])
+        residues = sum(s.psid_sq for s in discrete_spectrum(params))
+        assert tr.amplitude[0] == pytest.approx(residues, abs=1e-15)
+        assert np.all(np.isfinite(tr.amplitude))
+
+    def test_panel_count_is_bounded(self):
+        # |E| ~ 1e4 takes panels of width 2^-10, so t = 6e5 would need 6e8
+        # of them; the route rejects the window before allocating any
+        with pytest.raises(DomainError, match="panels of width"):
+            survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=1e4), [0.0, 6e5])
 
     def test_weak_coupling_matches_oracle(self):
         # at g = 1e-4 the anti-resonance decays only over 38/Im E = 1.5e7,
@@ -635,6 +665,12 @@ class TestBesselSum:
         assert 0.02 ** (-4.0 / 3.0) == pytest.approx(184.2, abs=0.02)
         envelope_sq = np.exp(2.0 * E_R_G002.imag * 184.2)
         assert envelope_sq == pytest.approx(np.exp(-1.0), rel=0.1)
+
+
+def _remainder_bound(h, n, e_max):
+    """A&S 25.4.30 for n Gauss-Legendre nodes on width h, |f^(2n)| <= (e_max + 2)^(2n)."""
+    coef = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+    return h ** (2 * n + 1) * coef * (e_max + 2.0) ** (2 * n)
 
 
 def _mp_hankel_tail(E, T, terms=40):
@@ -684,9 +720,11 @@ class TestHankelTail:
         # independent of the expansion: checked panels out to e^{-Im E L} < 1e-17
         E, T = _growing_energy(eps_d, g), 25.0
         L = 40.0 / E.imag
-        edges = np.linspace(T, T + L, int(np.ceil(L / 0.25)) + 1)
+        h, n = dynamics._panel_rule(abs(E))
+        edges = np.linspace(T, T + L, int(np.ceil(L / h)) + 1)
         none = np.empty(0)
-        panels, _ = dynamics._checked_panels(np.array([E]), np.array([True]), edges, none, none)
+        panels, _ = dynamics._checked_panels(
+            np.array([E]), np.array([True]), edges, none, none, n)
         ref = np.exp(1j * E * (edges[:-1] - T)) @ panels[:, 0]
         assert abs(dynamics._hankel_tail(E, T) - ref) <= 1e-14 * abs(ref)
 
@@ -716,6 +754,12 @@ class TestKnIntegrals:
         im = quad(lambda s: -np.sin(2 * s) * s ** (n - 1) * sp_j1(2 * s), 0, t,
                   limit=300)[0]
         assert kn_closed_form(n, t) == pytest.approx(re + 1j * im, abs=1e-11)
+
+    @pytest.mark.parametrize("n", [-1, 0.5, np.nan], ids=str)
+    def test_quadrature_needs_an_integer_n_at_least_0(self, n):
+        # for n < 0 the integrand t'^(n-1) J1(2t') ~ t'^n diverges at 0
+        with pytest.raises(DomainError, match=re.escape(f"n = {n!r} ")):
+            kn_quadrature(n, 1.0)
 
     def test_long_time_limit_of_k0(self):
         # K0 -> -i as the Bessel terms decay
@@ -895,6 +939,35 @@ def test_bessel_route_times_are_bounded(call, t):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=re.escape(f"t = {t!r} ") + r".*<= 600000"):
             call(t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda t: survival_bessel_sum(_P002, t), lambda t: survival_lattice_oracle(_P002, 300, t),
+     lambda t: dominant_frequency(t, np.arange(4.0).reshape(t.shape))],
+    ids=["survival_bessel_sum", "survival_lattice_oracle", "dominant_frequency"],
+)
+def test_times_must_be_one_dimensional(call):
+    # a 2-D array of valid times is named by its shape, not left to an
+    # IndexError or ValueError deep in the route
+    with pytest.raises(DomainError, match=re.escape("1-D, got shape (2, 2)")):
+        call(np.array([[0.0, 1.0], [2.0, 3.0]]))
+
+
+@pytest.mark.parametrize("n", [-1, 300.5, np.nan, np.inf, "300"], ids=str)
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: lattice_spectrum(_P002, n), lambda n: dense_lattice_hamiltonian(_P002, n),
+     lambda n: survival_lattice_oracle(_P002, n, [0.0, 1.0])],
+    ids=["lattice_spectrum", "dense_lattice_hamiltonian", "survival_lattice_oracle"],
+)
+def test_n_sites_outside_the_domain_is_named(call, n):
+    with pytest.raises(DomainError, match=re.escape(f"n_sites = {n!r} ")):
+        call(n)
+
+
+def test_n_sites_may_be_an_integral_float():
+    assert np.array_equal(lattice_spectrum(_P002, 40.0)[0], lattice_spectrum(_P002, 40)[0])
 
 
 class TestDominantFrequency:
