@@ -30,6 +30,7 @@ import numpy as np
 from .dynamics import (
     Method,
     SurvivalTrace,
+    _two_product,
     asymptotic_plateau,
     intermediate_amplitude,
     longtime_amplitude,
@@ -148,21 +149,6 @@ _EXP = _byte_table([f"e{e:+03d}" for e in range(16 - _K_MAX, 17 - _K_MIN)], 8)
 _DIGITS = np.arange(48, 58, dtype=np.uint8)  # "0" ... "9"
 _QUAD = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), -1
                  ).view(np.uint32).ravel()  # "0000" ... "9999", built in uint8
-
-
-def _split(a):
-    """Dekker's split of a into a 26-bit and a 27-bit half, a = hi + lo."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a, b):
-    """p = fl(a b) and its rounding error a b - p, exactly (Dekker)."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _round17(x: np.ndarray) -> tuple:

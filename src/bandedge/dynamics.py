@@ -33,19 +33,20 @@ by the remainder bound in ``_panel_rule``: the widest h = 2^-k <= 1 that
 the bound admits with n <= 15, and the fewest n for it.  That gives h = 1
 with 10 nodes at threshold (|E| ~ 2), (1/2, 15) at |E| = 20, (1/4, 13)
 at |E| = 32 and h = 1/8 from |E| = 49.5.  Times are bounded by t <= 6e5,
-up to which J1(2t) is documented, and the grid by 2.4e6 panels.  J1 is
-evaluated once per node for all states; a node's offset from its panel's
-reference edge is the same in every panel, so the panel values of all
-states are one real by complex matrix product.  The running integral of a
-state with Im E <= 0 is then a scan with the constant step e^{-iEh},
-|e^{-iEh}| <= 1: within blocks of 64 panels one product with the
-lower-triangular Toeplitz matrix of its powers, each the exp of an exactly
-split argument -iEhm (128 rad at h = 1, |E| = 2), and block starts advanced
-by the one step e^{-64 iEh}.  h is a power of two, so E h is exact and the
-phases of all blocks agree.  A requested time is read from the left edge
-of its panel plus the partial panel up to it; a partial-panel node
-mid + half x_j takes the phase e^{iE(mid - ref)} e^{iE half x_j}, the
-second factor once per distinct half-width.  States with Im E > 0
+up to which J1(2t) is documented, and the grid by 2.4e6 panels.  A
+requested time is read from the left edge of its panel plus the partial
+panel up to it.  Grid and partial panels alike are referenced to their left
+edge for a state with Im E > 0 and to their right edge otherwise, so a node
+mid + half x_j lies half (x_j +- 1) from its reference edge: its phases come
+from one table per distinct half-width, with no exp per panel, and J1 is
+evaluated once per node for all states.  Where all panels share one width
+(the grid), each block of panels is one real by complex matrix product.
+The running integral of a state with Im E <= 0 is then a scan with the
+constant step e^{-iEh}, |e^{-iEh}| <= 1: within blocks of 64 panels one
+product with the lower-triangular Toeplitz matrix of its powers, each the
+exp of an exactly split argument -iEhm (128 rad at h = 1, |E| = 2), and
+block starts advanced by the one step e^{-64 iEh}.  h is a power of two,
+so E h is exact and the phases of all blocks agree.  States with Im E > 0
 (anti-resonances, where e^{-iEt} grows) are rewritten through the tail
 integral
 
@@ -83,7 +84,7 @@ from .errors import (
     QuadratureError,
 )
 from .model import ModelParams
-from .quadrature import adaptive_quad, panel_nodes
+from .quadrature import _leggauss, adaptive_quad, panel_nodes
 from .spectrum import DiscreteState, StateClass, _monic_roots, discrete_spectrum, near_edge_triplet
 
 WAVEFRONT_MARGIN = 10.0
@@ -185,6 +186,21 @@ def _checked_count(value, name: str) -> int:
     return n
 
 
+def _split(a):
+    """Dekker's split of a into a 26-bit and a 27-bit half, a = hi + lo."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """p = fl(a b) and its rounding error a b - p, exactly (Dekker)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 # ---------------------------------------------------------------------------
 # Route 1: truncated-lattice oracle
 # ---------------------------------------------------------------------------
@@ -204,9 +220,7 @@ def _pole(j, s, eps):
     one pole's detuning moves its roots against the others'.
     """
     h = np.pi / (2 * s)
-    split = 134217729.0 * h  # 2^27 + 1
-    h1 = split - (split - h)
-    h2 = h - h1
+    h1, h2 = _split(h)
     h_err = ((np.pi - 2 * s * h1) - 2 * s * h2 + _PI_LO) / (2 * s)
     phi = j * h
     delta = (j * h1 - phi) + j * h2 + j * h_err
@@ -512,18 +526,6 @@ def dense_lattice_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:
     return H
 
 
-def _two_product(a, b):
-    """p, e with p + e == a * b exactly, p = fl(a b) (Dekker, by Veltkamp's
-    splitting of each factor into two 26-bit halves)."""
-    p = a * b
-    c = 134217729.0 * a  # 2^27 + 1
-    a_hi = c - (c - a)
-    c = 134217729.0 * b
-    b_hi = c - (c - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
 def _phase(E, t, t_lo=0.0):
     """e^{-i E (t + t_lo)}, its argument split exactly into fl(E t) and the
     remainder, so only the rounding of exp and of one product remains."""
@@ -618,77 +620,71 @@ def _panel_rule(e_max):
         h *= 0.5
 
 
-def _panel_integrals(E, a, b, ref, order):
+def _panel_integrals(E, a, b, left, order):
     """int_{a_p}^{b_p} e^{iE_s(t' - ref_ps)} J1(2t')/t' dt' for every panel p
-    and state s, shape (P, S), from one J1 table shared by the states, with
-    ``order`` nodes per panel.
+    and state s, shape (P, S), with ``order`` nodes per panel; ref_ps is
+    a_p where left_s is set and b_p otherwise.
 
-    A node mid + half x_j (x_j a Gauss node of [-1, 1]) takes the phase
-    e^{iE(mid - ref)} e^{iE half x_j}; the second factor is taken once per
-    distinct half-width, so panels that share a width share its exps.
+    A node mid + half x_j (x_j a Gauss node of [-1, 1]) lies half (x_j +- 1)
+    from its reference edge, so its phases come from one table per distinct
+    half-width and J1 is evaluated once per node for all states.  Panels go
+    through _BLOCK_PANELS at a time, so the temporaries stay one size.  If
+    every panel has the same width, each block is one real (P x order) by
+    complex (order x S) matrix product; otherwise each panel's table is
+    gathered and contracted with its J1 values.
     """
-    nodes, wts = panel_nodes(np.stack([a, b], axis=1).ravel(), order)
-    nodes, wts = nodes[::2], wts[::2]  # every second panel spans a gap
-    x = panel_nodes(np.array([-1.0, 1.0]), order)[0][0]
-    half, width = np.unique(0.5 * (b - a), return_inverse=True)
-    inner = np.exp(1j * half[:, None, None] * x[:, None] * E).view(float)  # re, im pairs
-    sums = np.einsum("pj,pjk->pk", wts * j1_over_t(nodes), inner[width]).view(complex)
-    return np.exp(1j * E * (0.5 * (a + b)[:, None] - ref)) * sums
-
-
-def _uniform_panels(E, grow, edges, order):
-    """Panel integrals on a uniform grid, shape (n, S), referenced to the left
-    edge for a growing state and to the right one otherwise, with ``order``
-    nodes per panel.
-
-    A node's offset from its panel's reference edge is the same in every
-    panel, so every state's phases are one vector and each block of panels
-    is one real (P x order) by complex (order x S) matrix product.
-    """
-    n = edges.size - 1
-    h = (edges[-1] - edges[0]) / max(n, 1)
-    unit = panel_nodes(np.array([0.0, 1.0]), order)[0][0]  # the Gauss nodes of [0, 1]
-    offsets = unit - np.where(grow, 0.0, 1.0)[:, None]
-    phases = np.exp(1j * h * E[:, None] * offsets).T.copy().view(float)  # re, im pairs
-    vals = np.empty((n, E.size), dtype=complex)
+    offset = _leggauss(order)[0][:, None] + np.where(left, 1.0, -1.0)  # x_j +- 1
+    half = 0.5 * (b - a)
+    vals = np.empty((a.size, E.size), dtype=complex)
+    if not a.size:
+        return vals
+    same = (half == half[0]).all()
     # the last block keeps at least two panels: a one-row product takes
     # BLAS's matrix-vector path, which rounds differently
-    bounds = np.append(np.arange(0, max(n - 1, 1), _BLOCK_PANELS), n)
+    bounds = np.append(np.arange(0, max(a.size - 1, 1), _BLOCK_PANELS), a.size)
     for i, j in zip(bounds[:-1], bounds[1:]):
-        nodes, wts = panel_nodes(edges[i : j + 1], order)
-        vals[i:j] = ((wts * j1_over_t(nodes)) @ phases).view(complex)
+        nodes, wts = panel_nodes(a[i:j], b[i:j], order)
+        f = wts * j1_over_t(nodes)
+        widths, which = np.unique(half[:1] if same else half[i:j], return_inverse=True)
+        tables = np.exp(1j * widths[:, None, None] * offset * E).view(float)  # re, im pairs
+        if same:
+            vals[i:j] = (f @ tables[0]).view(complex)
+        else:
+            vals[i:j] = np.einsum("pj,pjk->pk", f, tables[which]).view(complex)
     return vals
 
 
-def _checked_panels(E, grow, edges, a, b, order):
-    """Panel integrals of every state on the uniform grid ``edges`` (see
-    ``_uniform_panels``) and on the panels [a_i, b_i], referenced to b_i,
-    with ``order`` nodes per panel.
+def _checked_panels(E, left, edges, a, b, order):
+    """Panel integrals of every state on the grid ``edges`` and on the
+    panels [a_i, b_i] (see ``_panel_integrals``), with ``order`` nodes per
+    panel.
 
-    One spot check covers both kinds for all states: every panel up to
-    _VERIFY_PANELS of each kind, evenly spread beyond, is re-integrated as
-    two halves with the same rule, and a QuadratureError carrying the
-    achieved tolerance is raised if any value misses its refinement by more
-    than the per-panel budget.
+    One spot check covers both kinds for all states: min(n, _VERIFY_PANELS)
+    panels of each kind, evenly spread and the last one included, are
+    integrated again as two halves, each referenced to its own edge on the
+    same side.  The halves are joined by e^{+-iE half}, contractive on that
+    side, and a QuadratureError carrying the achieved tolerance is raised if
+    any value misses its refinement by more than the per-panel budget.
     """
-    uniform = _uniform_panels(E, grow, edges, order)
-    ref = np.repeat(b[:, None], E.size, axis=1)
-    partial = _panel_integrals(E, a, b, ref, order)
-    i, j = (np.arange(0, n, max(1, n // _VERIFY_PANELS)) for n in (uniform.shape[0], b.size))
+    grid = _panel_integrals(E, edges[:-1], edges[1:], left, order)
+    partial = _panel_integrals(E, a, b, left, order)
+    i, j = (np.linspace(0, n - 1, min(n, _VERIFY_PANELS)).astype(int)
+            for n in (grid.shape[0], b.size))
     lo, hi = np.concatenate([edges[i], a[j]]), np.concatenate([edges[i + 1], b[j]])
     mid = 0.5 * (lo + hi)
-    ref = np.concatenate([np.where(grow, edges[i, None], edges[i + 1, None]), ref[j]])
     halves = _panel_integrals(
-        E, np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel(),
-        np.repeat(ref, 2, axis=0), order,
+        E, np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel(), left, order
     )
-    vals = np.concatenate([uniform[i], partial[j]])
-    achieved = float(np.max(np.abs(halves[::2] + halves[1::2] - vals), initial=0.0))
+    first, second = halves[::2], halves[1::2]
+    join = np.exp(0.5j * (hi - lo)[:, None] * np.where(left, E, -E))
+    whole = np.where(left, first + join * second, join * first + second)
+    vals = np.concatenate([grid[i], partial[j]])
+    achieved = float(np.max(np.abs(whole - vals), initial=0.0))
     if achieved > _PANEL_TOL:
         raise QuadratureError(
             f"panel quadrature above tolerance {_PANEL_TOL:g}", residual=achieved
         )
-    return uniform, partial
+    return grid, partial
 
 
 def _scan(start, rate, inc, idx):
@@ -698,16 +694,14 @@ def _scan(start, rate, inc, idx):
     within blocks of L = _SCAN_BLOCK steps are one product with the
     lower-triangular Toeplitz matrix of e^(rate m), m < L; the block starts
     then advance by the one step e^(rate L), which keeps the phases of all
-    blocks consistent with each other.  Each power is the exp of an exactly
-    split argument rate m = p + e (real and imaginary part each by
-    ``_two_product``), taken as e^p e^e, so the rounding of fl(rate m), up
-    to 0.5 ulp of |rate| L, never enters.  L blocks are taken at a time and
-    x is kept at idx only, so the temporaries stay one size.
+    blocks consistent with each other.  Each power is ``_phase(i rate, m)``,
+    the exp of the exactly split argument rate m, so the rounding of
+    fl(rate m), up to 0.5 ulp of |rate| L, never enters.  L blocks are
+    taken at a time and x is kept at idx only, so the temporaries stay one
+    size.
     """
     L = _SCAN_BLOCK
-    m = np.arange(L + 1.0)
-    (re, re_lo), (im, im_lo) = _two_product(rate.real, m), _two_product(rate.imag, m)
-    powers = np.exp(re + 1j * im) * np.exp(re_lo + 1j * im_lo)
+    powers = _phase(1j * rate, np.arange(L + 1.0))
     lag = np.arange(L)[None, :] - np.arange(L)[:, None]  # column minus row
     toeplitz = np.where(lag >= 0, powers[np.maximum(lag, 0)], 0.0)
     out = np.full(idx.size, start, dtype=complex)
@@ -837,6 +831,7 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
     k = np.searchsorted(edges, times, side="right") - 1
     delta = times - edges[k]
     part = delta > 0.0
+    # panels referenced to their left edge for a growing state, else the right
     uniform, partial = _checked_panels(E, grow, edges, edges[k[part]], times[part], order)
     terms = np.empty((E.size, times.size), dtype=complex)
     for s in range(E.size):
@@ -851,12 +846,14 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
                     f"anti-resonance scan misses i lam W(0) = 1 by more than {_IDENTITY_TOL:g}",
                     residual=float(residual),
                 )
-            x, c, scale = W[:-1], -1.0, 1j * lm * nd[s]
+            # the tail from t, referenced to the left edge of t's panel
+            x = W[:-1]
+            x[part] -= partial[:, s]
+            x, scale = x * np.exp(-1j * e * delta), 1j * lm * nd[s]
         else:
-            x = _scan(1.0, -1j * e * h, -1j * lm * uniform[:, s], k)
-            c, scale = -1j * lm, nd[s]
-        x = x * np.exp(-1j * e * delta)
-        x[part] += c * partial[:, s]
+            x = _scan(1.0, -1j * e * h, -1j * lm * uniform[:, s], k) * np.exp(-1j * e * delta)
+            x[part] -= 1j * lm * partial[:, s]
+            scale = nd[s]
         terms[s] = scale * x
     return terms
 
@@ -867,13 +864,13 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
 
     The bound state below the band, the second-sheet pair and the bound state
     above the band each contribute; their residues sum to 1, so A(0) = 1.
-    Errors are raised, never absorbed: on every call a sample of the panels
-    (every one up to 512 of the shared grid and 512 of the partial panels)
-    is re-integrated at half step for all states, and a QuadratureError
-    carrying the achieved tolerance is raised on disagreement beyond 1e-10;
-    the closed-form tail of a growing state raises one if its truncation
-    exceeds 1e-16 of the tail, and its backward scan if i lam W(0) misses 1
-    by more than 1e-12.
+    Errors are raised, never absorbed: on every call min(n, 512) of the n
+    panels of the shared grid and of the n partial panels, evenly spread
+    and the last included, are re-integrated at half step for all states,
+    and a QuadratureError carrying the achieved tolerance is raised on
+    disagreement beyond 1e-10; the closed-form tail of a growing state
+    raises one if its truncation exceeds 1e-16 of the tail, and its
+    backward scan if i lam W(0) misses 1 by more than 1e-12.
 
     Domain: finite, strictly increasing 1-D times in [0, 6e5] (DomainError
     otherwise); J1(2t) is documented only to 2t = 1.2e6.  The grid of

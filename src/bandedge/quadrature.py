@@ -110,17 +110,14 @@ def adaptive_quad(f, a, b, tol: float = 1e-10, args=()):
     return complex(total) if total.ndim == 0 else total
 
 
-def panel_nodes(edges: np.ndarray, n: int):
-    """n-point Gauss-Legendre nodes and weights for every panel between
-    consecutive edges.
+def panel_nodes(a: np.ndarray, b: np.ndarray, n: int):
+    """n-point Gauss-Legendre nodes and weights for every panel [a_i, b_i].
 
     Returns (nodes, weights) with shape (n_panels, n); weights already carry
     the half-width Jacobian so a panel integral is sum(w * f(nodes), axis=1).
     The rule of each order is computed once and cached.
     """
     gl_nodes, gl_weights = _leggauss(n)
-    a = edges[:-1]
-    b = edges[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]

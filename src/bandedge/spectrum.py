@@ -322,16 +322,14 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
 def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
     """The three states near the lower band edge, classified and normalized.
 
-    The three roots of smallest Re E are kept before anything is classified.
+    The first three of ``discrete_spectrum``, the roots of smallest Re E.
     Raises LabelMatchingError unless the fourth root is real with
     -1 < lam < 0.  For g > 0 that root is lam = -1 + g^2/(4 - 2 eps_d)
     + O(g^4), which double precision resolves only while the shift
     g^2/(4 - 2 eps_d) exceeds about 1.1e-16 (g >~ 3e-8 near eps_d = -2,
     measured); below that it rounds to -1 and DomainError is raised.
     """
-    lams, Es = near_edge_roots(params.epsilon_d, params.g)
-    _check_upper(params, lams[3])
-    return _classified(params, lams[:3], Es[:3])
+    return discrete_spectrum(params)[:3]
 
 
 # Branch phase zeta_alpha = e^{2 pi i alpha / 3} of the threshold triplet:
