@@ -39,12 +39,13 @@ panel up to it.  Grid and partial panels alike are referenced to their left
 edge for a state with Im E > 0 and to their right edge otherwise, so a node
 mid + half x_j lies half (x_j +- 1) from its reference edge: its phases come
 from one table per distinct half-width, with no exp per panel, and J1 is
-evaluated once per node for all states.  Where all panels share one width
-(the grid), each block of panels is one real by complex matrix product.
-The running integral of a state with Im E <= 0 is then a scan with the
-constant step e^{-iEh}, |e^{-iEh}| <= 1: within blocks of 64 panels one
-product with the lower-triangular Toeplitz matrix of its powers, each the
-exp of an exactly split argument -iEhm (128 rad at h = 1, |E| = 2), and
+evaluated once per node for all states.  Each panel is contracted with
+its gathered table on its own, so its value does not depend on which
+other panels or times the call holds.  The running integral of a state
+with Im E <= 0 is then a scan with the constant step e^{-iEh},
+|e^{-iEh}| <= 1: within blocks of 64 panels one product with the
+lower-triangular Toeplitz matrix of its powers, each the exp of an exactly
+split argument -iEhm (128 rad at h = 1, |E| = 2), and
 block starts advanced by the one step e^{-64 iEh}.  h is a power of two,
 so E h is exact and the phases of all blocks agree.  States with Im E > 0
 (anti-resonances, where e^{-iEt} grows) are rewritten through the tail
@@ -628,29 +629,19 @@ def _panel_integrals(E, a, b, left, order):
     A node mid + half x_j (x_j a Gauss node of [-1, 1]) lies half (x_j +- 1)
     from its reference edge, so its phases come from one table per distinct
     half-width and J1 is evaluated once per node for all states.  Panels go
-    through _BLOCK_PANELS at a time, so the temporaries stay one size.  If
-    every panel has the same width, each block is one real (P x order) by
-    complex (order x S) matrix product; otherwise each panel's table is
-    gathered and contracted with its J1 values.
+    through _BLOCK_PANELS at a time, so the temporaries stay one size; each
+    panel's table is gathered and contracted with its J1 values row by row,
+    so a panel's value does not depend on the other panels of the call.
     """
     offset = _leggauss(order)[0][:, None] + np.where(left, 1.0, -1.0)  # x_j +- 1
     half = 0.5 * (b - a)
     vals = np.empty((a.size, E.size), dtype=complex)
-    if not a.size:
-        return vals
-    same = (half == half[0]).all()
-    # the last block keeps at least two panels: a one-row product takes
-    # BLAS's matrix-vector path, which rounds differently
-    bounds = np.append(np.arange(0, max(a.size - 1, 1), _BLOCK_PANELS), a.size)
-    for i, j in zip(bounds[:-1], bounds[1:]):
+    for i in range(0, a.size, _BLOCK_PANELS):
+        j = i + _BLOCK_PANELS
         nodes, wts = panel_nodes(a[i:j], b[i:j], order)
-        f = wts * j1_over_t(nodes)
-        widths, which = np.unique(half[:1] if same else half[i:j], return_inverse=True)
+        widths, which = np.unique(half[i:j], return_inverse=True)
         tables = np.exp(1j * widths[:, None, None] * offset * E).view(float)  # re, im pairs
-        if same:
-            vals[i:j] = (f @ tables[0]).view(complex)
-        else:
-            vals[i:j] = np.einsum("pj,pjk->pk", f, tables[which]).view(complex)
+        vals[i:j] = np.einsum("pj,pjk->pk", wts * j1_over_t(nodes), tables[which]).view(complex)
     return vals
 
 
