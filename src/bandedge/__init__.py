@@ -14,37 +14,28 @@ from .model import (
     energy_from_lambda,
     lambda_from_energy,
     self_energy,
-    self_energy_from_lambda,
 )
 from .spectrum import (
     DiscreteState,
     StateClass,
-    classify_state,
     discrete_spectrum,
     eigenstate_profile,
     near_edge_triplet,
-    normalize_state,
     puiseux_energy,
     puiseux_lambda,
     puiseux_norm_d,
-    solve_energy_quartic,
     solve_energy_quartic_centred,
-    solve_lambda_quartic,
     spectrum_scan,
     threshold_labels,
 )
 from .ep import (
     EPLocation,
-    all_ep_locations,
     complex_parameter_sheet,
-    ep_condition_residual,
     ep_energy_closed_form,
     ep_parameter,
     verify_ep_by_discriminant,
 )
 from .jordan import (
-    GeneralizedPencil,
-    build_pencil,
     jordan_chain_check,
     limit_matrix,
     limiting_combinations,
@@ -62,9 +53,7 @@ from .dynamics import (
     kn_quadrature,
     longtime_amplitude,
     survival_bessel_sum,
-    survival_intermediate_law,
     survival_lattice_oracle,
-    survival_longtime_law,
 )
 from .generic import (
     GenericSelfEnergyModel,

@@ -15,15 +15,18 @@ from .errors import DomainError
 
 
 def bessel_j(order: int, x):
-    """J_order(x) for order in {0, 1}, x >= 0 (scalar or array)."""
+    """J_order(x) for order in {0, 1} and 0 <= x <= 1.2e6 (scalar or array;
+    DomainError naming the first x outside, NaN included)."""
     if order not in (0, 1):
         raise DomainError(f"only orders 0 and 1 are implemented, got {order}")
     from scipy.special import j0, j1
 
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0):
-        raise DomainError("bessel_j requires x >= 0")
+    # two whole-array reductions; a NaN fails both comparisons
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.2e6):
+        bad = x[~((x >= 0.0) & (x <= 1.2e6))][0]
+        raise DomainError(f"bessel_j needs 0 <= x <= 1.2e6, got x = {bad}")
     out = (j1 if order else j0)(x)
     return float(out[0]) if scalar else out
 

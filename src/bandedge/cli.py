@@ -37,7 +37,7 @@ from .dynamics import (
     survival_bessel_sum,
     survival_lattice_oracle,
 )
-from .ep import all_ep_locations, complex_parameter_sheet
+from .ep import complex_parameter_sheet, ep_parameter
 from .errors import BandEdgeError, ConfigError, DomainError
 from .generic import make_model, self_energy_quadrature, sigma_closed_form
 from .jordan import (
@@ -386,7 +386,7 @@ def _run_spectrum(cfg: RunConfig) -> int:
 
 def _run_ep(cfg: RunConfig) -> int:
     p = cfg.params
-    locs = all_ep_locations(p["g"])
+    locs = [ep_parameter(p["g"], n) for n in (-1, 0, 1)]
     print(f"exceptional points at g = {p['g']}:")
     for loc in locs:
         print(

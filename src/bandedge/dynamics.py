@@ -62,10 +62,11 @@ exactly through F_a(z) = e^z E_a(z):
         = sum_{sigma = +-1} e^{2 i sigma T} sum_k c_k^sigma T^(-1/2-k)
           F_{3/2+k}(-i (E + 2 sigma) T),
 
-so its cost does not depend on Im E.  Its truncation (the last Hankel term
-plus the F truncation errors) must stay below 1e-16 of the tail, and the
-backward scan, which ends at t = 0, must meet i lam W(0) = 1 to 1e-12;
-otherwise a QuadratureError is raised.
+so its cost does not depend on Im E; E + 2 is taken as -(lam - 1)^2/lam,
+which keeps its full relative precision at threshold.  The truncation (the
+last Hankel term plus the F truncation errors) must stay below 1e-16 of the
+tail, and the backward scan, which ends at t = 0, must meet i lam W(0) = 1
+to 1e-12; otherwise a QuadratureError is raised.
 """
 
 from __future__ import annotations
@@ -769,8 +770,9 @@ def _scaled_expint(alpha, z):
     return F, err
 
 
-def _hankel_tail(E, T):
-    """int_T^inf e^{iE(s - T)} J1(2s)/s ds for Im E > 0, T >= _TAIL_START.
+def _hankel_tail(E, lam, T):
+    """int_T^inf e^{iE(s - T)} J1(2s)/s ds for Im E > 0, T >= _TAIL_START,
+    E = -lam - 1/lam.
 
     Each Hankel term integrates exactly: with sigma = +-1 for the branch
     e^{2 i sigma s} and alpha = 3/2 + k,
@@ -778,13 +780,17 @@ def _hankel_tail(E, T):
         int_T^inf e^{iE(s - T)} e^{2 i sigma s} s^-alpha ds
             = e^{2 i sigma T} T^(1 - alpha) F_alpha(-i (E + 2 sigma) T).
 
+    E + 2 is taken as -(lam - 1)^2 / lam, with lam - 1 exact near threshold,
+    where E itself is stored only to the ulp of 2.
+
     Raises QuadratureError, with the achieved relative residual, if the last
     Hankel term plus the estimated F truncation errors exceed _TAIL_TOL of
     the tail.
     """
     sigma = np.array([[1.0], [-1.0]])
     coef = np.stack([_HANKEL, _HANKEL.conj()]) * np.exp(2j * sigma * T) * T ** (1.0 - _ALPHA)
-    F, err = _scaled_expint(_ALPHA, -1j * (E + 2.0 * sigma) * T)
+    shift = np.array([[-((lam - 1.0) ** 2) / lam], [E - 2.0]])  # E + 2 sigma
+    F, err = _scaled_expint(_ALPHA, -1j * shift * T)
     terms = coef * F
     W = terms.sum()
     residual = float((np.abs(terms[:, -1]).sum() + np.sum(np.abs(coef) * err)) / abs(W))
@@ -830,7 +836,7 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
         if grow[s]:
             # backward from the closed-form tail at T; the infinite-time
             # bracket vanishes, so i lam W(0) = 1 checks the whole scan
-            W = _scan(_hankel_tail(e, T), 1j * e * h, uniform[::-1, s], np.append(n - k, n))
+            W = _scan(_hankel_tail(e, lm, T), 1j * e * h, uniform[::-1, s], np.append(n - k, n))
             residual = abs(1j * lm * W[-1] - 1.0)
             if residual > _IDENTITY_TOL:
                 raise QuadratureError(
@@ -880,8 +886,8 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
 
 def kn_closed_form(n: int, t: float) -> complex:
     """Closed form of int_0^t e^{-2it'} t'^(n-1) J1(2t') dt' for n in {0,1,2}
-    and finite t >= 0."""
-    t = float(_checked_times(t))
+    and t in [0, 6e5], where J1(2t) is documented (DomainError otherwise)."""
+    t = float(_checked_times(t, upper=_BESSEL_T_MAX))
     if t == 0.0:
         return 0.0 + 0.0j
     J0 = bessel_j(0, 2.0 * t)
@@ -898,10 +904,10 @@ def kn_closed_form(n: int, t: float) -> complex:
 
 def kn_quadrature(n: int, t: float) -> complex:
     """The defining integral of kn_closed_form by adaptive quadrature, for an
-    integer n >= 0 and finite t >= 0 (DomainError otherwise; for n < 0 the
+    integer n >= 0 and t in [0, 6e5] (DomainError otherwise; for n < 0 the
     integral diverges at 0)."""
     n = _checked_count(n, "n")
-    t = float(_checked_times(t))
+    t = float(_checked_times(t, upper=_BESSEL_T_MAX))
     if n == 0:
         f = lambda s: np.exp(-2j * s) * j1_over_t(s)  # t'^(-1) J1(2t')
     else:
@@ -918,21 +924,18 @@ _INTERMEDIATE_AMPLITUDE = 2.0 / (3.0 * np.sqrt(np.pi))
 
 
 def intermediate_amplitude(g: float, t):
-    """A(t) ~ e^{2it} (1 - (2 g^2 t^{3/2} / (3 sqrt(pi))) e^{-i pi/4})."""
+    """A(t) ~ e^{2it} (1 - (2 g^2 t^{3/2} / (3 sqrt(pi))) e^{-i pi/4}) at
+    threshold, for finite g >= 0 and finite t >= 0 (DomainError otherwise).
+
+    To first order P = |A|^2 = 1 - 4 g^2 t^{3/2} / (3 sqrt(2 pi)); the full
+    square keeps the quadratic term, which is what matches brute-force
+    dynamics near the end of the window (t approaching g^(-4/3)).
+    """
+    if not 0.0 <= g < math.inf:
+        raise DomainError(f"g = {g} outside the domain: need a finite g >= 0")
     t = _checked_times(t)
     z = _INTERMEDIATE_AMPLITUDE * g**2 * t**1.5 * np.exp(-1j * np.pi / 4.0)
     return np.exp(2j * t) * (1.0 - z)
-
-
-def survival_intermediate_law(g: float, t):
-    """Intermediate-window survival probability |A(t)|^2 from the t^{3/2} law.
-
-    Expanding the square modulus to first order gives
-    1 - 4 g^2 t^{3/2} / (3 sqrt(2 pi)); the full square is kept because its
-    quadratic term is what matches brute-force dynamics near the end of the
-    window (t approaching g^(-4/3)).
-    """
-    return np.abs(intermediate_amplitude(g, t)) ** 2
 
 
 def longtime_amplitude(params: ModelParams, t):
@@ -981,11 +984,6 @@ def longtime_amplitude(params: ModelParams, t):
     c = y**2 / (3.0 * y**2 + delta)
     z = np.exp(0.75j * np.pi) * np.multiply.outer(np.sqrt(t), y)
     return np.exp(2j * t) * (wofz(z) @ c)
-
-
-def survival_longtime_law(params: ModelParams, t):
-    """Near-edge survival probability |A(t)|^2 from ``longtime_amplitude``."""
-    return np.abs(longtime_amplitude(params, t)) ** 2
 
 
 def asymptotic_plateau(params: ModelParams) -> float:

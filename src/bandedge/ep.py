@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .spectrum import energy_quartic_coeffs, near_edge_roots, solve_quartic_lambda_raw
+from .spectrum import _horner, solve_quartic_lambda_raw
 
 DOUBLE_ROOT_TOL = 1e-8
 EP_GAP_TOL = 1e-6
@@ -37,7 +37,7 @@ class EPLocation:
     g: float
 
 
-def ep_condition_residual(E: complex, g: float) -> complex:
+def _ep_condition_residual(E: complex, g: float) -> complex:
     """(E^2 - 4)^3 - g^4 E^2; zero exactly at a coalesced eigenvalue."""
     E = complex(E)
     return (E * E - 4.0) ** 3 - g**4 * E * E
@@ -65,7 +65,7 @@ def ep_energy_closed_form(g: float, n: int) -> complex:
     w1 = cmath.exp(2j * np.pi * n / 3.0)
     w2 = cmath.exp(4j * np.pi * n / 3.0)
     E = -cmath.sqrt(4.0 + w1 * u + w2 * v)
-    res = abs(ep_condition_residual(E, g))
+    res = abs(_ep_condition_residual(E, g))
     if res > 1e-10 * max(1.0, g**4):
         raise ConsistencyError(f"closed-form EP energy failed its own condition: {res:.3e}")
     if n == 0:
@@ -94,17 +94,17 @@ def ep_parameter(g: float, n: int) -> EPLocation:
 
     eps_d = E_bar - Sigma(E_bar) with the square-root branch chosen so that
     the energy quartic genuinely has a double root there (certified through
-    |p| and |p'|, never assumed).  For n = 0 the result is real.
+    |p| and |p'| of p(E) = (E - eps_d)^2 (E^2 - 4) - g^4, never assumed).
+    For n = 0 the result is real.
     """
     E = ep_energy_closed_form(g, n)
     sq = cmath.sqrt(E * E - 4.0)
     for sign in (+1.0, -1.0):
         eps = E - sign * g**2 / sq
-        co = energy_quartic_coeffs(eps, g)
-        dco = np.polyder(co)
-        p_res = abs(np.polyval(co, E))
-        dp_res = abs(np.polyval(dco, E))
-        if p_res < DOUBLE_ROOT_TOL and dp_res < DOUBLE_ROOT_TOL:
+        # p as a monic row: E^4 + row[0] E^3 + ... + row[3]
+        row = np.array([-2.0 * eps, eps * eps - 4.0, 8.0 * eps, -4.0 * eps * eps - g**4])
+        p, dp = _horner(row, np.array([E]))
+        if abs(p[0]) < DOUBLE_ROOT_TOL and abs(dp[0]) < DOUBLE_ROOT_TOL:
             gap, lam_gap = verify_ep_by_discriminant(g, eps)
             if gap < EP_GAP_TOL and lam_gap < 1e-3:
                 if n == 0:
@@ -113,10 +113,6 @@ def ep_parameter(g: float, n: int) -> EPLocation:
     raise ConsistencyError(
         f"no self-energy branch yields a certified double root for n = {n}"
     )
-
-
-def all_ep_locations(g: float) -> list[EPLocation]:
-    return [ep_parameter(g, n) for n in (-1, 0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +173,7 @@ def complex_parameter_sheet(
     im_grid = np.asarray(im_grid, dtype=float)
     grid = re_grid[None, :] + 1j * im_grid[:, None]
     # drop the continuation of the upper-edge bound state
-    lams, Es = (x[..., :3] for x in near_edge_roots(grid, g))
+    lams, Es = (x[..., :3] for x in solve_quartic_lambda_raw(grid, g))
 
     def step(prev, cur):  # reorder the (n, 3) block cur to follow prev
         order = _match_to(Es[prev], lams[prev], Es[cur], lams[cur])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, NumericalError
 from .quadrature import adaptive_quad
-from .spectrum import _monic_roots
+from .spectrum import _horner, _monic_roots
 
 _HALF_PI = 0.5 * np.pi
 _REFINE_TOL = 1e-10  # relative step at which a refined threshold root has converged
@@ -177,12 +177,12 @@ def xi_intermediates(model: GenericSelfEnergyModel):
     rad = np.sqrt(complex(1.0 + 4.0 * g**2 * d0**3 / (27.0 * l0**2)))
     xi_p = 0.5 * (-(g**2) * l0 + g**2 * l0 * rad)
     xi_m = 0.5 * (-(g**2) * l0 - g**2 * l0 * rad)
-    co = [1.0, 0.0, g**2 * d0, g**2 * l0]
+    row = np.array([0.0, g**2 * d0, g**2 * l0])  # the cubic x^3 + row[1] x + row[2]
+    scale = np.abs(row).max()
 
     def residual(x):
-        return abs(np.polyval(co, x))
+        return abs(_horner(row, np.array([x]))[0][0])
 
-    scale = max(abs(c) for c in co)
     target = -(g**2) * d0 / 3.0
     omega = np.exp(2j * np.pi / 3.0)
     u0 = xi_p ** (1.0 / 3.0) if xi_p != 0 else 0.0

@@ -11,24 +11,15 @@ so no inverse is formed.  Floating point enters only for g > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import ModelParams
-from .spectrum import lambda_quartic_coeffs, near_edge_triplet, threshold_labels
+from .spectrum import _horner, near_edge_triplet, threshold_labels
 
 
-@dataclass(frozen=True)
-class GeneralizedPencil:
+def build_pencil(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) of the linearization (A - lam B) Psi = 0; det B = -1."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-
-def build_pencil(params: ModelParams) -> GeneralizedPencil:
     g, e = params.g, params.epsilon_d
     A = np.array(
         [
@@ -39,7 +30,7 @@ def build_pencil(params: ModelParams) -> GeneralizedPencil:
         ]
     )
     B = np.diag([1.0, 1.0, 1.0, -1.0])
-    return GeneralizedPencil(A=A, B=B)
+    return A, B
 
 
 # --- exact integer rank ------------------------------------------------------
@@ -78,8 +69,8 @@ def limit_matrix() -> np.ndarray:
 
     B is an involution, checked exactly, so B^{-1} A = B A.
     """
-    P = build_pencil(ModelParams(epsilon_d=-2.0, g=0.0))
-    A, B = P.A.astype(int), P.B.astype(int)  # entries 0, +-1, -2: exact
+    # entries 0, +-1, -2: exact
+    A, B = (X.astype(int) for X in build_pencil(ModelParams(epsilon_d=-2.0, g=0.0)))
     if not np.array_equal(B @ B, np.eye(4, dtype=int)):
         raise ConsistencyError("B of the linearization is not an involution")
     return B @ A
@@ -191,7 +182,9 @@ def limiting_combinations(g: float) -> dict[str, float]:
 
 
 def pencil_determinant_ratio(params: ModelParams, lam: complex) -> complex:
-    """det(A - lam B) / f(lam); equals +/-1 for every lam (pencil <-> quartic)."""
-    P = build_pencil(params)
-    det = np.linalg.det(P.A - lam * P.B)
-    return det / np.polyval(lambda_quartic_coeffs(params.epsilon_d, params.g), lam)
+    """det(A - lam B) / f(lam); equals +/-1 for every lam (pencil <-> quartic).
+    f is the monic row lam^4 + eps_d lam^3 + g^2 lam^2 - eps_d lam - 1, negated."""
+    A, B = build_pencil(params)
+    e = params.epsilon_d
+    p, _ = _horner(np.array([e, params.g**2, -e, -1.0]), np.array([complex(lam)]))
+    return np.linalg.det(A - lam * B) / -p[0]

@@ -64,11 +64,15 @@ def lambda_from_energy(E: complex, sheet: Sheet) -> complex:
 
     Raises
     ------
+    DomainError
+        If E is not finite.
     BranchCutError
         If both roots sit on the unit circle within CUT_TOL (E on the cut
         [-2, 2]); the error carries both roots.
     """
     E = complex(E)
+    if not cmath.isfinite(E):
+        raise DomainError(f"E = {E} outside the domain: E must be finite")
     sq = cmath.sqrt(E * E - 4.0)
     r1 = 0.5 * (-E + sq)
     r2 = 0.5 * (-E - sq)
@@ -92,32 +96,20 @@ def lambda_from_energy(E: complex, sheet: Sheet) -> complex:
 def density_of_states(E: float) -> float:
     """1-D tight-binding density of states 1/sqrt(4 - E^2) for |E| < 2."""
     E = float(E)
-    if abs(E) >= 2.0:
+    if not abs(E) < 2.0:
         raise DomainError(
-            f"density of states defined inside the band only; |E| = {abs(E)} >= 2"
+            f"density of states defined inside the band only; need |E| < 2, got E = {E}"
         )
     return 1.0 / np.sqrt(4.0 - E * E)
-
-
-def self_energy_from_lambda(params: ModelParams, lam: complex) -> complex:
-    """Sheet-free closed form Sigma = -g^2 lam / (1 - lam^2).
-
-    With lam on the appropriate sheet this reproduces every branch of the
-    energy-plane self-energy; it is the form all residual checks use.
-    """
-    lam = complex(lam)
-    denom = 1.0 - lam * lam
-    if denom == 0:
-        raise BranchPointError("lam = +/-1 is a band edge (branch point)")
-    return -params.g**2 * lam / denom
 
 
 def self_energy(params: ModelParams, E: complex, sheet: Sheet) -> complex:
     """Self-energy Sigma(E) of the dot on a given Riemann sheet.
 
-    Off the cut this is evaluated through ``lambda_from_energy``, which
-    guarantees first-sheet decay Sigma -> 0 as |E| -> inf.  For real E inside
-    the band the upper-lip convention is applied on the first sheet:
+    Off the cut this is the sheet-free closed form -g^2 lam / (1 - lam^2),
+    with lam from ``lambda_from_energy``, which guarantees first-sheet decay
+    Sigma -> 0 as |E| -> inf.  For real E inside the band the upper-lip
+    convention is applied on the first sheet:
 
         Sigma(E + i0+) = -g^2 / (i sqrt(4 - E^2))   (positive imaginary part)
 
@@ -129,6 +121,8 @@ def self_energy(params: ModelParams, E: complex, sheet: Sheet) -> complex:
 
     Raises
     ------
+    DomainError
+        If E is not finite.
     BranchPointError
         At the band edges E = +/-2.
     """
@@ -142,7 +136,7 @@ def self_energy(params: ModelParams, E: complex, sheet: Sheet) -> complex:
             val = -g2 / (1j * np.sqrt(4.0 - x * x))
             return val if sheet is Sheet.FIRST else -val
     lam = lambda_from_energy(E, sheet)
-    return self_energy_from_lambda(params, lam)
+    return -g2 * lam / (1.0 - lam * lam)
 
 
 def effective_hamiltonian(params: ModelParams, lam: complex) -> np.ndarray:

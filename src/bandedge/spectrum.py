@@ -9,13 +9,14 @@ E = -lam - 1/lam.  f is solved in double precision about the threshold,
 y = lam - 1, where the three roots that cluster at lam = 1 for small g form
 the well-scaled cubic y^3 ~ -g^2/2 instead of losing two thirds of their
 digits to the shift; p is solved about the dot level, v = E - eps_d (see
-``solve_energy_quartic``).  One batched companion eigensolve plus three
+``solve_energy_quartic_centred``).  One batched companion eigensolve plus three
 Newton steps (``_monic_roots``) serves every polynomial solve in the package.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,22 +53,9 @@ class DiscreteState:
 
     lam: complex
     energy: complex
-    state_class: StateClass | None = None
-    psi0_sq: complex | None = None
-    psid_sq: complex | None = None
-
-
-def lambda_quartic_coeffs(eps_d: complex, g: float) -> np.ndarray:
-    """Coefficients of f(lam), highest power first."""
-    return np.array([-1.0, -eps_d, -(g**2), eps_d, 1.0], dtype=complex)
-
-
-def energy_quartic_coeffs(eps_d: complex, g: float) -> np.ndarray:
-    """Coefficients of p(E) = (E - eps_d)^2 (E^2 - 4) - g^4, highest first."""
-    e = eps_d
-    return np.array(
-        [1.0, -2.0 * e, e * e - 4.0, 8.0 * e, -4.0 * e * e - g**4], dtype=complex
-    )
+    state_class: StateClass
+    psi0_sq: complex
+    psid_sq: complex
 
 
 def _monic_roots(lower: np.ndarray) -> np.ndarray:
@@ -124,7 +112,9 @@ def _real_if_real(x) -> np.ndarray:
 
 
 def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, E) for all four roots of f(lam), batched over eps_d (complex allowed).
+    """(lam, E) for all four roots of f(lam), batched over eps_d (complex
+    allowed), in ascending Re E by a stable sort: the near-edge triplet, then
+    the bound state above the band (its continuation for complex eps_d).
 
     Solved for y = lam - 1 with delta = eps_d + 2, where f becomes
 
@@ -140,29 +130,14 @@ def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
         np.broadcast_arrays(2.0 + d, 3.0 * d + g2, 2.0 * (d + g2), g2), axis=-1
     )
     y = _monic_roots(lower)
-    return 1.0 + y, -2.0 - y * y / (1.0 + y)
-
-
-def solve_lambda_quartic(params: ModelParams) -> list[DiscreteState]:
-    """Four unnormalized discrete states (lam and E only), unordered."""
-    lams, Es = solve_quartic_lambda_raw(params.epsilon_d, params.g)
-    return [DiscreteState(lam=complex(z), energy=complex(E)) for z, E in zip(lams, Es)]
-
-
-def solve_energy_quartic(params: ModelParams) -> np.ndarray:
-    """Four roots E = eps_d + v of the energy quartic p(E), solved
-    independently of f(lam); v comes from ``solve_energy_quartic_centred``.
-
-    Adding eps_d rounds v to the ulp of eps_d, so a real near-dot root keeps
-    only about 1e-16 of absolute precision; the imaginary part of E is Im v
-    and keeps its full relative precision.
-    """
-    return solve_energy_quartic_centred(params) + _real_if_real(params.epsilon_d)
+    lams, Es = 1.0 + y, -2.0 - y * y / (1.0 + y)
+    order = np.argsort(Es.real, axis=-1, kind="stable")
+    return np.take_along_axis(lams, order, axis=-1), np.take_along_axis(Es, order, axis=-1)
 
 
 def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
     """Four roots v = E - eps_d of the energy quartic for real eps_d and
-    g = 0 or g^4 a normal double (DomainError below that).
+    g = 0 or g^4 a normal double, up to g = 1e38 (DomainError outside that).
 
     Here p = v^4 + a v^3 + b v^2 - g^4, with a = 2 eps_d,
     b = (eps_d - 2)(eps_d + 2) (one rounding, also near eps_d = +-2) and no
@@ -181,8 +156,13 @@ def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
     over the cube roots of g^4 / a, it is taken from four steps of the
     deflated cubic v = v0 (a / (a + v))^(1/3), contracting by
     |v0| / (3 |a|) each, with the two complex cube roots exactly conjugate.
-    Elsewhere the companion roots stay.
+    Elsewhere the companion roots stay.  E = eps_d + v keeps Im v to full
+    relative precision but rounds Re v to the ulp of eps_d.
     """
+    if params.g > 1e38:  # g^8, the scale of the residual check, stays finite
+        raise DomainError(
+            f"g = {params.g:.3e} is above the energy route's bound g <= 1e+38"
+        )
     e = _real_if_real(params.epsilon_d)
     a, b, g4 = 2.0 * e, (e - 2.0) * (e + 2.0), params.g**4
     if params.g > 0.0 and g4 < _TINY:  # g^4 subnormal or flushed to 0
@@ -215,7 +195,7 @@ def is_real_root(lam: complex) -> bool:
     return abs(lam.imag) < REAL_TOL * (1.0 + abs(lam))
 
 
-def classify_state(lam: complex, energy: complex) -> StateClass:
+def _classify_state(lam: complex, energy: complex) -> StateClass:
     """Classify a quartic root by sheet (|lam| vs 1) and reality.
 
     |lam| < 1, lam real > 0  -> bound state below the band (first sheet)
@@ -243,7 +223,7 @@ def classify_state(lam: complex, energy: complex) -> StateClass:
     return StateClass.RESONANCE if energy.imag < 0 else StateClass.ANTI_RESONANCE
 
 
-def normalize_state(params: ModelParams, lam: complex) -> tuple[complex, complex]:
+def _normalize_state(params: ModelParams, lam: complex) -> tuple[complex, complex]:
     """Squared eigenvector components (psi0_sq, psid_sq).
 
     psi0_sq = g^2 lam^2 / D and psid_sq = (1 - lam^2)^2 / D with
@@ -267,22 +247,9 @@ def _classified(params: ModelParams, lams, Es) -> list[DiscreteState]:
     """The roots (lam, E), each classified and normalized."""
     out = []
     for z, E in zip(lams.tolist(), Es.tolist()):
-        cls = classify_state(z, E)
-        out.append(DiscreteState(z, E, cls, *normalize_state(params, z)))
+        cls = _classify_state(z, E)
+        out.append(DiscreteState(z, E, cls, *_normalize_state(params, z)))
     return out
-
-
-def near_edge_roots(eps_d, g: float):
-    """(lam, E) for all four roots in ascending Re E, batched over eps_d like
-    ``solve_quartic_lambda_raw``.
-
-    The first three are the near-edge triplet.  For real eps_d the fourth
-    is the bound state above the upper band edge; for complex eps_d it is
-    that state's continuation.
-    """
-    lams, Es = solve_quartic_lambda_raw(eps_d, g)
-    order = np.argsort(Es.real, axis=-1, kind="stable")
-    return np.take_along_axis(lams, order, axis=-1), np.take_along_axis(Es, order, axis=-1)
 
 
 def _check_upper(params: ModelParams, lam) -> None:
@@ -314,7 +281,7 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     All four residues of the dot Green's function, for sums that must be
     exact (they add up to 1).  Same domain as ``near_edge_triplet``.
     """
-    lams, Es = near_edge_roots(params.epsilon_d, params.g)
+    lams, Es = solve_quartic_lambda_raw(params.epsilon_d, params.g)
     _check_upper(params, lams[3])
     return _classified(params, lams, Es)
 
@@ -363,12 +330,22 @@ def eigenstate_profile(state: DiscreteState, x: int) -> complex:
     """Wave-function component <x|psi> = lam^|x| <0|psi> (x = 0 gives <0|psi>).
 
     The signed <0|psi> is the principal square root of psi0_sq; this global
-    convention is the only place a square-root branch is taken.
+    convention is the only place a square-root branch is taken.  A
+    second-sheet state grows as |lam|^|x|, which leaves the doubles past
+    |x| ~ log(1.8e308) / log|lam|; DomainError where the component does.
     """
-    if state.psi0_sq is None:
-        raise DomainError("state must be normalized first")
     psi0 = cmath.sqrt(state.psi0_sq)
-    return psi0 * state.lam ** abs(int(x))
+    try:
+        value = psi0 * state.lam ** abs(int(x))
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        bound = math.log(np.finfo(float).max) / math.log(abs(state.lam))
+        raise DomainError(
+            f"<x|psi> overflows at x = {x}: |lam|^|x| with |lam| = {abs(state.lam)!r} "
+            f"leaves the doubles past |x| ~ {bound:.6g}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +376,8 @@ def _series(quantity: str, g: float, n_terms: int, alpha: int) -> complex:
         )
     if alpha not in _ZETA:
         raise DomainError(f"alpha must be 0, -1 or +1, got {alpha}")
+    if not 0.0 <= g < math.inf:
+        raise DomainError(f"g = {g} outside the domain: need a finite g >= 0")
     x = _ZETA[alpha] * g ** (2.0 / 3.0)
     return sum(c * x**p for p, c in zip(powers[:n_terms], coeffs[:n_terms]))
 
@@ -465,7 +444,7 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> l
             f"scan grid of {points:g} points exceeds the cap of {_SCAN_MAX_POINTS} points"
         )
     eps = eps_start + np.arange(int(points)) * step
-    lams, Es = near_edge_roots(eps, g)
+    lams, Es = solve_quartic_lambda_raw(eps, g)
     rows: list[ScanRow] = []
     for i, e in enumerate(eps.tolist()):
         params = ModelParams(epsilon_d=e, g=g)

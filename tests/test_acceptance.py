@@ -13,12 +13,12 @@ import pytest
 from bandedge.dynamics import (
     asymptotic_plateau,
     dominant_frequency,
+    intermediate_amplitude,
     kn_closed_form,
     kn_quadrature,
+    longtime_amplitude,
     survival_bessel_sum,
-    survival_intermediate_law,
     survival_lattice_oracle,
-    survival_longtime_law,
 )
 from bandedge.ep import ep_parameter
 from bandedge.generic import (
@@ -37,7 +37,6 @@ from bandedge.jordan import (
 from bandedge.model import ModelParams
 from bandedge.spectrum import (
     StateClass,
-    energy_quartic_coeffs,
     near_edge_triplet,
     puiseux_energy,
     threshold_labels,
@@ -67,7 +66,8 @@ def test_acceptance_01_exceptional_point_location():
     t0 = time.perf_counter()
     loc = ep_parameter(0.1, 0)
     err = abs(loc.eps_d.real - (-2.05518))
-    co = energy_quartic_coeffs(loc.eps_d, 0.1)
+    e = loc.eps_d  # p(E) = (E - eps_d)^2 (E^2 - 4) - g^4, highest power first
+    co = np.array([1.0, -2.0 * e, e * e - 4.0, 8.0 * e, -4.0 * e * e - 0.1**4], dtype=complex)
     p_res = abs(np.polyval(co, loc.energy))
     dp_res = abs(np.polyval(np.polyder(co), loc.energy))
     elapsed = time.perf_counter() - t0
@@ -220,7 +220,7 @@ def test_acceptance_06_intermediate_law(request):
     oracle = request.getfixturevalue("oracle_g002_600")
     t = oracle.times
     m = (t >= 5.0) & (t <= 100.0)
-    law = survival_intermediate_law(0.02, t[m])
+    law = np.abs(intermediate_amplitude(0.02, t[m])) ** 2
     dev = float(np.max(np.abs(oracle.probability[m] - law)))
     mfit = (t >= 5.0) & (t <= 50.0)
     slope = loglog_slope(t[mfit], 1.0 - oracle.probability[mfit])
@@ -280,7 +280,7 @@ def test_acceptance_07_longtime_law_window(request):
     params = ModelParams(epsilon_d=-2.0, g=0.02)
     t = oracle.times
     m = t >= 400.0
-    law = survival_longtime_law(params, t[m])
+    law = np.abs(longtime_amplitude(params, t[m])) ** 2
     dev = np.abs(oracle.probability[m] - law)
     dev_max = float(dev.max())
     t_ok_from = float(t[m][np.argmax(np.maximum.accumulate(dev[::-1])[::-1] < 0.02)])

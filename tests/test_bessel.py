@@ -52,7 +52,7 @@ def test_j1_over_t_limit():
 def test_j1_over_t_divides_in_place():
     # J1(2t)/t on a grid with zeros: the same bits as dividing only the
     # nonzero entries, and exactly 1 at t = 0
-    t = np.concatenate([[0.0], np.linspace(0.0, 40.0, 801), [0.0, 1e-300, 7e5]])
+    t = np.concatenate([[0.0], np.linspace(0.0, 40.0, 801), [0.0, 1e-300, 6e5]])
     masked = np.ones_like(t)
     nz = t != 0
     masked[nz] = bessel_j(1, 2.0 * t[nz]) / t[nz]

@@ -21,9 +21,7 @@ from bandedge.dynamics import (
     lattice_spectrum,
     longtime_amplitude,
     survival_bessel_sum,
-    survival_intermediate_law,
     survival_lattice_oracle,
-    survival_longtime_law,
 )
 from bandedge.errors import (
     ConsistencyError,
@@ -691,6 +689,18 @@ class TestBesselSum:
         tr = survival_bessel_sum(params, times)
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-10
 
+    @pytest.mark.parametrize("g", [1e-7, 3e-8])
+    def test_threshold_tail_takes_e_plus_2_from_lam(self, g):
+        # E = -2 - O(g^(4/3)) is stored only to the ulp of 2; the tail's
+        # E + 2 = -(lam - 1)^2 / lam keeps its digits, so the backward scan
+        # meets i lam W(0) = 1 down to where the upper bound state is lost
+        # (measured 2.6e-11 and 1.1e-10; from E + 2 it raised QuadratureError)
+        params = ModelParams(epsilon_d=-2.0, g=g)
+        times = np.linspace(0.0, 50.0, 501)
+        oracle = survival_lattice_oracle(params, 200, times)
+        tr = survival_bessel_sum(params, times)
+        assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 5e-10
+
     def test_tail_truncation_is_checked(self, monkeypatch):
         # below any achievable budget the closed-form tail fails loudly with
         # its achieved relative truncation
@@ -718,11 +728,13 @@ def _remainder_bound(h, n, e_max):
     return h ** (2 * n + 1) * coef * (e_max + 2.0) ** (2 * n)
 
 
-def _mp_hankel_tail(E, T, terms=40):
-    """30-digit int_T^inf e^{iE(s - T)} J1(2s)/s ds from 40 Hankel terms,
-    each integrated with mpmath's generalised exponential integral."""
+def _mp_hankel_tail(lam, T, terms=40):
+    """30-digit int_T^inf e^{iE(s - T)} J1(2s)/s ds, E = -lam - 1/lam, from
+    40 Hankel terms, each integrated with mpmath's generalised exponential
+    integral."""
     with mp.workdps(30):
-        E, T, a, total = mp.mpc(E), mp.mpf(T), mp.mpf(1), 0
+        lam, T, a, total = mp.mpc(lam), mp.mpf(T), mp.mpf(1), 0
+        E = -lam - 1 / lam
         for k in range(terms):
             if k:
                 a *= (4 - (2 * k - 1) ** 2) / mp.mpf(8 * k)
@@ -734,8 +746,8 @@ def _mp_hankel_tail(E, T, terms=40):
         return complex(total / (2 * mp.sqrt(mp.pi)))
 
 
-def _growing_energy(eps_d, g):
-    return next(s.energy for s in near_edge_triplet(ModelParams(eps_d, g)) if s.energy.imag > 0)
+def _growing_state(eps_d, g):
+    return next(s for s in near_edge_triplet(ModelParams(eps_d, g)) if s.energy.imag > 0)
 
 
 class TestHankelTail:
@@ -756,14 +768,15 @@ class TestHankelTail:
 
     @pytest.mark.parametrize("g, T", [(1e-4, 25.0), (0.02, 2000.0), (0.3, 25.0)])
     def test_tail_matches_mpmath(self, g, T):
-        E = _growing_energy(-2.0, g)
-        ref = _mp_hankel_tail(E, T)
-        assert abs(dynamics._hankel_tail(E, T) - ref) <= 1e-15 * abs(ref)
+        s = _growing_state(-2.0, g)
+        ref = _mp_hankel_tail(s.lam, T)
+        assert abs(dynamics._hankel_tail(s.energy, s.lam, T) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("eps_d, g", [(-2.0, 0.3), (-1.5, 0.5)])
     def test_tail_matches_panels(self, eps_d, g):
         # independent of the expansion: checked panels out to e^{-Im E L} < 1e-17
-        E, T = _growing_energy(eps_d, g), 25.0
+        s, T = _growing_state(eps_d, g), 25.0
+        E = s.energy
         L = 40.0 / E.imag
         h, n = dynamics._panel_rule(abs(E))
         edges = np.linspace(T, T + L, int(np.ceil(L / h)) + 1)
@@ -771,7 +784,7 @@ class TestHankelTail:
         panels, _ = dynamics._checked_panels(
             np.array([E]), np.array([True]), edges, none, none, n)
         ref = np.exp(1j * E * (edges[:-1] - T)) @ panels[:, 0]
-        assert abs(dynamics._hankel_tail(E, T) - ref) <= 1e-14 * abs(ref)
+        assert abs(dynamics._hankel_tail(E, s.lam, T) - ref) <= 1e-14 * abs(ref)
 
 
 class TestKnIntegrals:
@@ -822,12 +835,12 @@ def kn_integrand_j1(s):
 
 class TestIntermediateLaw:
     def test_unit_start(self):
-        assert survival_intermediate_law(0.02, 0.0) == 1.0
+        assert np.abs(intermediate_amplitude(0.02, 0.0)) ** 2 == 1.0
 
     def test_against_oracle_window(self, oracle_g002_600):
         t = oracle_g002_600.times
         m = (t >= 5.0) & (t <= 100.0)
-        law = survival_intermediate_law(0.02, t[m])
+        law = np.abs(intermediate_amplitude(0.02, t[m])) ** 2
         dev = np.max(np.abs(law - oracle_g002_600.probability[m]))
         assert dev < 5e-3
         assert dev < 2e-3  # measured headroom
@@ -842,7 +855,7 @@ class TestIntermediateLaw:
 class TestLongTimeLaw:
     def test_approaches_plateau(self):
         params = ModelParams(epsilon_d=-2.0, g=0.02)
-        val = survival_longtime_law(params, np.array([1e7]))[0]
+        val = abs(longtime_amplitude(params, np.array([1e7]))[0]) ** 2
         assert val == pytest.approx(4.0 / 9.0, abs=1e-3)
 
     def test_oscillation_frequency(self):
@@ -850,33 +863,33 @@ class TestLongTimeLaw:
         # at E_B + 2
         params = ModelParams(epsilon_d=-2.0, g=0.02)
         t = np.arange(500.0, 25000.0, 5.0)
-        P = survival_longtime_law(params, t)
+        P = np.abs(longtime_amplitude(params, t)) ** 2
         freq = dominant_frequency(t, P - 4.0 / 9.0, flatten_power=1.5)
         assert freq == pytest.approx(abs(E_B_G002 + 2.0), rel=0.01)
 
     def test_small_t_limit_is_intermediate_law(self):
         # the Faddeeva series at small argument reproduces the t^{3/2} law
         t = np.linspace(0.05, 10.0, 200)
-        law = survival_longtime_law(ModelParams(epsilon_d=-2.0, g=0.02), t)
-        assert np.max(np.abs(law - survival_intermediate_law(0.02, t))) < 1e-7
+        law = np.abs(longtime_amplitude(ModelParams(epsilon_d=-2.0, g=0.02), t)) ** 2
+        assert np.max(np.abs(law - np.abs(intermediate_amplitude(0.02, t)) ** 2)) < 1e-7
 
     @pytest.mark.parametrize("eps_d", [-1.999, -2.002])
     def test_detuned_against_oracle(self, eps_d):
         params = ModelParams(epsilon_d=eps_d, g=0.02)
         times = np.arange(0.5, 600.0 + 1e-9, 0.5)
         oracle = survival_lattice_oracle(params, 1250, times)
-        law = survival_longtime_law(params, times)
+        law = np.abs(longtime_amplitude(params, times)) ** 2
         assert np.max(np.abs(law - oracle.probability)) < 2e-3
 
     def test_rejects_nonpositive_times(self):
         params = ModelParams(epsilon_d=-2.0, g=0.02)
         with pytest.raises(DomainError):
-            survival_longtime_law(params, np.array([0.0, 1.0]))
+            longtime_amplitude(params, np.array([0.0, 1.0]))
 
     def test_virtual_regime_rejected(self):
         params = ModelParams(epsilon_d=-2.1, g=0.1)
         with pytest.raises(DomainError):
-            survival_longtime_law(params, np.array([10.0]))
+            longtime_amplitude(params, np.array([10.0]))
 
 
 class TestPlateau:
@@ -949,9 +962,7 @@ _TIMED = {
     "kn_closed_form": lambda t: kn_closed_form(1, t),
     "kn_quadrature": lambda t: kn_quadrature(1, t),
     "intermediate_amplitude": lambda t: intermediate_amplitude(0.02, t),
-    "survival_intermediate_law": lambda t: survival_intermediate_law(0.02, t),
     "longtime_amplitude": lambda t: longtime_amplitude(_P002, t),
-    "survival_longtime_law": lambda t: survival_longtime_law(_P002, t),
     "dominant_frequency": lambda t: dominant_frequency([0.0, t], [0.0, 1.0]),
 }
 
@@ -959,7 +970,7 @@ _TIMED = {
 @pytest.mark.parametrize(
     "name, t",
     [(name, t) for name in _TIMED for t in (np.nan, np.inf, -1.0)]
-    + [(name, 0.0) for name in ("longtime_amplitude", "survival_longtime_law")],
+    + [("longtime_amplitude", 0.0)],
     ids=str,
 )
 def test_times_outside_the_domain_are_named(name, t):

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from bandedge.ep import (
+    _ep_condition_residual as ep_condition_residual,
     _match_to,
-    all_ep_locations,
     complex_parameter_sheet,
-    ep_condition_residual,
     ep_energy_closed_form,
     ep_parameter,
     verify_ep_by_discriminant,
 )
 from bandedge.errors import DomainError
-from bandedge.spectrum import near_edge_roots, spectrum_scan
+from bandedge.spectrum import solve_quartic_lambda_raw, spectrum_scan
 
 # 40-digit reference values at g = 0.1
 E_BAR0_G01 = -2.0184481730424933
@@ -91,11 +90,10 @@ class TestEPParameter:
             assert loc.eps_d == pytest.approx(-2.0, abs=1e-4)
 
     def test_double_root_certificate(self):
-        from bandedge.spectrum import energy_quartic_coeffs
-
         for n in (-1, 0, 1):
             loc = ep_parameter(0.1, n)
-            co = energy_quartic_coeffs(loc.eps_d, loc.g)
+            e = loc.eps_d  # p(E) = (E - eps_d)^2 (E^2 - 4) - g^4, highest power first
+            co = np.array([1.0, -2.0 * e, e * e - 4.0, 8.0 * e, -4.0 * e * e - loc.g**4])
             assert abs(np.polyval(co, loc.energy)) < 1e-8
             assert abs(np.polyval(np.polyder(co), loc.energy)) < 1e-8
 
@@ -197,7 +195,7 @@ def _scalar_sheet(g, re_grid, im_grid):
     # reference tracker: each scan line along Re eps_d, its first cell
     # matched to the first cell of the line below
     grid = re_grid[None, :] + 1j * im_grid[:, None]
-    grid_lams, grid_Es = (x[..., :3] for x in near_edge_roots(grid, g))
+    grid_lams, grid_Es = (x[..., :3] for x in solve_quartic_lambda_raw(grid, g))
     out, prev_line_first = [], None
     for i in range(im_grid.size):
         prev, line_first = prev_line_first, None
@@ -263,7 +261,7 @@ def test_sheet_matches_scalar_tracker(g, re, im):
 
 class TestAllLocations:
     def test_three_branches(self):
-        locs = all_ep_locations(0.1)
+        locs = [ep_parameter(0.1, n) for n in (-1, 0, 1)]
         assert [l.n for l in locs] == [-1, 0, 1]
         assert all(abs(ep_condition_residual(l.energy, l.g)) < 1e-10 for l in locs)
 

@@ -10,9 +10,8 @@ from bandedge.model import (
     energy_from_lambda,
     lambda_from_energy,
     self_energy,
-    self_energy_from_lambda,
 )
-from bandedge.spectrum import solve_lambda_quartic
+from bandedge.spectrum import solve_quartic_lambda_raw
 
 # exact bound-state energy at g = 0.5, eps_d = -2 (40-digit quartic root)
 E_BOUND_G05 = -2.24509301570974979
@@ -125,7 +124,7 @@ class TestSelfEnergy:
         val = self_energy(p, -2.5, Sheet.SECOND)
         assert val == pytest.approx(+0.25 / 1.5, abs=1e-14)
         lam2 = lambda_from_energy(-2.5, Sheet.SECOND)
-        assert val == pytest.approx(self_energy_from_lambda(p, lam2), abs=1e-14)
+        assert val == pytest.approx(-p.g**2 * lam2 / (1 - lam2**2), abs=1e-14)
 
     def test_band_edge_rejected(self):
         p = ModelParams(epsilon_d=-2.0, g=0.5)
@@ -152,7 +151,7 @@ class TestSelfEnergy:
             E = -2.0 * np.cos(k)
             lam = np.exp(-1j * k)
             assert self_energy(p, E, Sheet.FIRST) == pytest.approx(
-                self_energy_from_lambda(p, lam), abs=1e-13
+                -p.g**2 * lam / (1 - lam**2), abs=1e-13
             )
 
     def test_schwarz_reflection(self):
@@ -190,7 +189,7 @@ class TestEffectiveHamiltonian:
 
     def test_eigenvalue_condition_on_quartic_roots(self):
         p = ModelParams(epsilon_d=-2.0, g=0.5)
-        for s in solve_lambda_quartic(p):
-            H = effective_hamiltonian(p, s.lam)
-            det = np.linalg.det(H - s.energy * np.eye(2))
+        for lam, E in zip(*solve_quartic_lambda_raw(p.epsilon_d, p.g)):
+            H = effective_hamiltonian(p, lam)
+            det = np.linalg.det(H - E * np.eye(2))
             assert abs(det) < 1e-10

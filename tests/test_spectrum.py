@@ -17,20 +17,17 @@ from bandedge.errors import (
 )
 from bandedge.model import ModelParams
 from bandedge.spectrum import (
+    _classify_state as classify_state,
     _monic_roots,
+    _normalize_state as normalize_state,
     StateClass,
-    classify_state,
     discrete_spectrum,
     eigenstate_profile,
-    lambda_quartic_coeffs,
     near_edge_triplet,
-    normalize_state,
     puiseux_energy,
     puiseux_lambda,
     puiseux_norm_d,
-    solve_energy_quartic,
     solve_energy_quartic_centred,
-    solve_lambda_quartic,
     solve_quartic_lambda_raw,
     spectrum_scan,
     threshold_labels,
@@ -51,38 +48,45 @@ PUISEUX_LAM_B_G01 = 0.843170202857838867
 PUISEUX_NORMD_B_G01 = 2.3016782248827629
 
 
+def lambda_quartic(eps_d, g):
+    """Coefficients of f(lam) = -lam^4 - eps_d lam^3 - g^2 lam^2 + eps_d lam + 1,
+    highest power first."""
+    return np.array([-1.0, -eps_d, -(g**2), eps_d, 1.0], dtype=complex)
+
+
 def quartic_residual(params, lam):
-    return abs(np.polyval(lambda_quartic_coeffs(params.epsilon_d, params.g), lam))
+    return abs(np.polyval(lambda_quartic(params.epsilon_d, params.g), lam))
 
 
 class TestLambdaQuartic:
     def test_decoupled_at_threshold(self):
         # f(lam) = -(lam-1)^3 (lam+1): triple root at the lower edge
         p = ModelParams(epsilon_d=-2.0, g=0.0)
-        lams = sorted(s.lam.real for s in solve_lambda_quartic(p))
+        lams = sorted(solve_quartic_lambda_raw(p.epsilon_d, p.g)[0].real)
         assert lams[0] == pytest.approx(-1.0, abs=1e-10)
         for lam in lams[1:]:
             assert lam == pytest.approx(1.0, abs=1e-4)
 
     def test_decoupled_detuned(self):
         p = ModelParams(epsilon_d=-3.0, g=0.0)
-        lams = sorted((s.lam for s in solve_lambda_quartic(p)), key=lambda z: z.real)
+        roots, Es = solve_quartic_lambda_raw(p.epsilon_d, p.g)
+        lams = sorted(roots, key=lambda z: z.real)
         golden = sorted(
             [-1.0, 1.0, (3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2]
         )
         for lam, want in zip(lams, golden):
             assert lam == pytest.approx(want, abs=1e-9)
-        energies = sorted(s.energy.real for s in solve_lambda_quartic(p))
+        energies = sorted(Es.real)
         assert energies == pytest.approx([-3.0, -3.0, -2.0, 2.0], abs=1e-8)
 
     def test_reference_point(self):
         p = ModelParams(epsilon_d=-2.0, g=0.5)
-        states = solve_lambda_quartic(p)
-        reals = sorted(s.lam.real for s in states if abs(s.lam.imag) < 1e-12)
+        lams = solve_quartic_lambda_raw(p.epsilon_d, p.g)[0]
+        reals = sorted(z.real for z in lams if abs(z.imag) < 1e-12)
         assert len(reals) == 2
         assert reals[0] == pytest.approx(-0.969245546011982848, abs=1e-12)
         assert reals[1] == pytest.approx(LAM_B_G05, abs=1e-12)
-        cplx = [s.lam for s in states if abs(s.lam.imag) > 1e-12]
+        cplx = [z for z in lams if abs(z.imag) > 1e-12]
         assert len(cplx) == 2
         assert cplx[0] == pytest.approx(cplx[1].conjugate(), abs=1e-12)
         assert all(abs(z) > 1 for z in cplx)
@@ -93,10 +97,10 @@ class TestLambdaQuartic:
             p = ModelParams(
                 epsilon_d=float(rng.uniform(-3.5, 3.5)), g=float(rng.uniform(0, 1.2))
             )
-            for s in solve_lambda_quartic(p):
-                assert quartic_residual(p, s.lam) < 1e-10
-                assert s.energy == pytest.approx(
-                    -s.lam - 1 / s.lam, abs=1e-10
+            for lam, E in zip(*solve_quartic_lambda_raw(p.epsilon_d, p.g)):
+                assert quartic_residual(p, lam) < 1e-10
+                assert E == pytest.approx(
+                    -lam - 1 / lam, abs=1e-10
                 )
 
     def test_vieta(self):
@@ -105,7 +109,7 @@ class TestLambdaQuartic:
             p = ModelParams(
                 epsilon_d=float(rng.uniform(-3, 3)), g=float(rng.uniform(0.01, 1))
             )
-            lams = [s.lam for s in solve_lambda_quartic(p)]
+            lams = list(solve_quartic_lambda_raw(p.epsilon_d, p.g)[0])
             # f normalized: lam^4 + eps lam^3 + g^2 lam^2 - eps lam - 1
             assert sum(lams) == pytest.approx(-p.epsilon_d, abs=1e-9)
             assert np.prod(lams) == pytest.approx(-1.0, abs=1e-9)
@@ -116,7 +120,7 @@ class TestLambdaQuartic:
             eps = complex(rng.uniform(-2.5, -1.5), rng.uniform(-0.1, 0.1))
             g = float(rng.uniform(0.02, 0.3))
             roots, _ = solve_quartic_lambda_raw(eps, g)
-            co = lambda_quartic_coeffs(eps, g)
+            co = lambda_quartic(eps, g)
             assert np.max(np.abs(np.polyval(co, roots))) < 1e-10
             assert sum(roots) == pytest.approx(-eps, abs=1e-9)
 
@@ -189,19 +193,19 @@ class TestQuarticSolverProperties:
     @given(g=_COUPLINGS, eps_d=_DETUNINGS)
     def test_biorthogonal_normalization(self, g, eps_d):
         p = ModelParams(epsilon_d=eps_d, g=g)
-        for s in solve_lambda_quartic(p):
-            psi0_sq, psid_sq = normalize_state(p, s.lam)
-            val = (1 + s.lam**2) * psi0_sq + (1 - s.lam**2) * psid_sq
+        for lam in solve_quartic_lambda_raw(p.epsilon_d, p.g)[0]:
+            psi0_sq, psid_sq = normalize_state(p, lam)
+            val = (1 + lam**2) * psi0_sq + (1 - lam**2) * psid_sq
             assert abs(val - 1.0) <= 1e-9
 
     @_PROPERTY
     @given(g=_COUPLINGS, eps_d=_DETUNINGS)
     def test_lambda_and_energy_quartics_agree(self, g, eps_d):
         p = ModelParams(epsilon_d=eps_d, g=g)
-        from_l = [s.energy for s in solve_lambda_quartic(p)]
+        from_l = solve_quartic_lambda_raw(p.epsilon_d, p.g)[1]
         # centred at v = E - eps_d, the pair near the dot level (split
         # ~2 g^2 / sqrt(eps_d^2 - 4)) is well scaled; measured 3.5e-15
-        for E in solve_energy_quartic(p):
+        for E in solve_energy_quartic_centred(p) + p.epsilon_d:
             assert min(abs(E - w) for w in from_l) <= 1e-14
 
 
@@ -303,14 +307,14 @@ class TestNearEdgeTripletAtWeakCoupling:
 class TestEnergyQuartic:
     def test_triple_root_at_threshold(self):
         p = ModelParams(epsilon_d=-2.0, g=0.0)
-        Es = sorted(E.real for E in solve_energy_quartic(p))
+        Es = sorted(E.real for E in solve_energy_quartic_centred(p) + p.epsilon_d)
         assert Es[3] == pytest.approx(2.0, abs=1e-10)
         for E in Es[:3]:
             assert E == pytest.approx(-2.0, abs=1e-4)
 
     def test_reference_point(self):
         p = ModelParams(epsilon_d=-2.0, g=0.5)
-        Es = solve_energy_quartic(p)
+        Es = solve_energy_quartic_centred(p) + p.epsilon_d
         reals = sorted(E.real for E in Es if abs(E.imag) < 1e-10)
         assert reals[0] == pytest.approx(E_B_G05, abs=1e-10)
         assert reals[1] == pytest.approx(E_BPLUS_G05, abs=1e-10)
@@ -318,7 +322,7 @@ class TestEnergyQuartic:
     def test_upper_bound_leading_balance(self):
         # (E - 2) * 64 ~ g^4 just above the upper edge
         p = ModelParams(epsilon_d=-2.0, g=0.5)
-        Es = solve_energy_quartic(p)
+        Es = solve_energy_quartic_centred(p) + p.epsilon_d
         eb = max(E.real for E in Es if abs(E.imag) < 1e-10)
         assert (eb - 2.0) * 64.0 == pytest.approx(p.g**4, rel=2e-3)
 
@@ -328,16 +332,14 @@ class TestEnergyQuartic:
             p = ModelParams(
                 epsilon_d=float(rng.uniform(-3, 3)), g=float(rng.uniform(0.01, 1))
             )
-            from_e = np.sort_complex(solve_energy_quartic(p))
-            from_l = np.sort_complex(
-                np.array([s.energy for s in solve_lambda_quartic(p)])
-            )
+            from_e = np.sort_complex(solve_energy_quartic_centred(p) + p.epsilon_d)
+            from_l = np.sort_complex(solve_quartic_lambda_raw(p.epsilon_d, p.g)[1])
             assert np.allclose(from_e, from_l, atol=1e-9)
 
     def test_vieta_sum(self):
         for eps in (-2.5, -2.0, 0.0, 1.3):
             p = ModelParams(epsilon_d=eps, g=0.4)
-            assert sum(solve_energy_quartic(p)) == pytest.approx(
+            assert sum(solve_energy_quartic_centred(p) + p.epsilon_d) == pytest.approx(
                 2 * eps, abs=1e-9
             )
 
@@ -348,7 +350,6 @@ class TestEnergyQuartic:
         for g in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
             p = ModelParams(epsilon_d=eps_d, g=g)
             v = solve_energy_quartic_centred(p)
-            assert np.array_equal(solve_energy_quartic(p), v + eps_d)
             with mp.workdps(90):
                 e = mp.mpf(eps_d)
                 ref = mp.polyroots([1, 2 * e, e * e - 4, 0, -mp.mpf(g) ** 4],
@@ -368,7 +369,6 @@ class TestEnergyQuartic:
         for g in (1e-3, 1e-8, 1e-13, 1e-15, 1e-16, 1e-20):
             p = ModelParams(epsilon_d=eps_d, g=g)
             v = solve_energy_quartic_centred(p)
-            assert np.array_equal(solve_energy_quartic(p), v + eps_d)
             with mp.workdps(90):
                 ref = mp.polyroots([1, 2 * mp.mpf(eps_d), 0, 0, -mp.mpf(g) ** 4],
                                    maxsteps=500, extraprec=400)
@@ -381,12 +381,22 @@ class TestEnergyQuartic:
     @pytest.mark.parametrize("g", [1e-78, 1e-90])
     def test_subnormal_coupling_to_the_fourth_raises(self, g):
         with pytest.raises(DomainError, match="need g = 0 or g >= 1.22"):
-            solve_energy_quartic(ModelParams(epsilon_d=-1.0, g=g))
+            solve_energy_quartic_centred(ModelParams(epsilon_d=-1.0, g=g))
         assert np.all(solve_energy_quartic_centred(ModelParams(-1.0, 1.3e-77)) != 0)
+
+    def test_coupling_above_the_bound_raises(self):
+        # g^4 overflowed into a bare OverflowError at g = 1e100; the bound
+        # g <= 1e38 keeps g^8, the scale of the residual check, finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = "g = 1.000e+100 is above the energy route's bound g <= 1e+38"
+            with pytest.raises(DomainError, match=re.escape(bound)):
+                solve_energy_quartic_centred(ModelParams(epsilon_d=-2.0, g=1e100))
+            assert np.all(np.isfinite(solve_energy_quartic_centred(ModelParams(-2.0, 1e38))))
 
     def test_conjugate_pairing(self):
         p = ModelParams(epsilon_d=-1.97, g=0.1)
-        Es = [E for E in solve_energy_quartic(p) if abs(E.imag) > 1e-10]
+        Es = [E for E in solve_energy_quartic_centred(p) + p.epsilon_d if abs(E.imag) > 1e-10]
         assert len(Es) == 2
         assert Es[0] == pytest.approx(Es[1].conjugate(), abs=1e-10)
 
@@ -429,9 +439,9 @@ class TestNormalization:
 
     def test_normalization_identity(self):
         p = ModelParams(epsilon_d=-2.0, g=0.5)
-        for s in solve_lambda_quartic(p):
-            psi0_sq, psid_sq = normalize_state(p, s.lam)
-            val = (1 + s.lam**2) * psi0_sq + (1 - s.lam**2) * psid_sq
+        for lam in solve_quartic_lambda_raw(p.epsilon_d, p.g)[0]:
+            psi0_sq, psid_sq = normalize_state(p, lam)
+            val = (1 + lam**2) * psi0_sq + (1 - lam**2) * psid_sq
             assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_coupled_equation_residual(self):
@@ -441,10 +451,10 @@ class TestNormalization:
             p = ModelParams(
                 epsilon_d=float(rng.uniform(-3, 0)), g=float(rng.uniform(0.05, 0.8))
             )
-            for s in solve_lambda_quartic(p):
-                psi0_sq, psid_sq = normalize_state(p, s.lam)
-                lhs = (1 - s.lam**2) ** 2 * psi0_sq
-                rhs = p.g**2 * s.lam**2 * psid_sq
+            for lam in solve_quartic_lambda_raw(p.epsilon_d, p.g)[0]:
+                psi0_sq, psid_sq = normalize_state(p, lam)
+                lhs = (1 - lam**2) ** 2 * psi0_sq
+                rhs = p.g**2 * lam**2 * psid_sq
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_degenerate_denominator(self):
@@ -500,6 +510,17 @@ class TestEigenstateProfile:
             s for s in discrete_spectrum(p) if s.state_class is StateClass.RESONANCE
         )
         assert abs(eigenstate_profile(res, 40)) > abs(eigenstate_profile(res, 4))
+
+    def test_second_sheet_overflow_raises(self):
+        # |lam|^|x| of the resonance (|lam| = 1.298) leaves the doubles past
+        # |x| ~ 2723; at x = 1e6 this was a bare OverflowError
+        p = ModelParams(epsilon_d=-2.0, g=0.5)
+        res = next(
+            s for s in discrete_spectrum(p) if s.state_class is StateClass.RESONANCE
+        )
+        assert np.isfinite(eigenstate_profile(res, 2700))
+        with pytest.raises(DomainError, match=r"x = 1000000: .* past \|x\| ~ 2722\.68$"):
+            eigenstate_profile(res, 10**6)
 
     def test_geometric_series_convergence(self):
         p = ModelParams(epsilon_d=-2.0, g=0.5)
