@@ -10,7 +10,7 @@ runners pass their arrays straight through) and formats all of its number
 cells in one vectorized pass that gives the bytes of ``'%.16e' % x``: 17
 digits from a double-double product with a power of ten, with Python's own
 ``'%.16e'`` as the exact fallback for the cells whose rounding that cannot
-certify (near-ties, zeros, non-finite and extreme values).
+certify (near-ties, non-finite and extreme values); +-0 takes the fast path.
 
 BLAS thread pools follow the standard OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS and MKL_NUM_THREADS variables, read when numpy loads.
@@ -114,9 +114,9 @@ def _csv_column(name: str, col, rows: int) -> np.ndarray:
 # Python's '%.16e' % x where that cannot certify the rounding: the fraction
 # of |x| 10^k within 1e-6 of 1/2 (exact ties round half to even), D outside
 # [1e16, 1e17) (an estimate e = floor(log10|x|) off by one, or a rounding
-# up into the next decade), or |x| outside [1e-280, 1e280] (zero,
-# subnormals, nan, inf, and where 10^k or its low part would leave the
-# normal range).
+# up into the next decade), or a nonzero |x| outside [1e-280, 1e280]
+# (subnormals, nan, inf, and where 10^k or its low part would leave the
+# normal range).  +-0 is written as D = 0, e = 0 with the sign bit of x.
 _K_MIN, _K_MAX = -265, 297  # 10^k for e in [-281, 281]
 
 
@@ -171,7 +171,9 @@ def _round17(x: np.ndarray) -> tuple:
     D += frac > 0.5
     fast &= D < 10**17
     D[~fast] = 10**16  # keeps the digit tables in range; the fallback rewrites these
-    return D, e, fast
+    zero = x == 0  # D = 0 and, from |x| = 1 above, e = 0; the sign is x's signbit
+    D[zero] = 0
+    return D, e, fast | zero
 
 
 def _format_e16(x: np.ndarray) -> np.ndarray:
@@ -183,7 +185,7 @@ def _format_e16(x: np.ndarray) -> np.ndarray:
     rest = D - d0 * 10**16
     upper = rest // 10**8
     out = np.empty((x.size, 7), np.uint32)
-    out[:, 0] = _HEAD.take(d0 + 10 * (x < 0))
+    out[:, 0] = _HEAD.take(d0 + 10 * np.signbit(x))
     for col, half in ((1, upper), (3, rest - upper * 10**8)):
         half = half.astype(np.int32)
         quad = half // 10**4
@@ -352,22 +354,27 @@ _STATE_HEADER = ["class", "re_E", "im_E", "re_lambda", "im_lambda",
                  "re_psid_sq", "im_psid_sq"]
 
 
-def _state_columns(states) -> list:
-    """The _STATE_HEADER columns of the states."""
-    E, lam, psid = (np.array([getattr(s, f) for s in states], dtype=complex)
-                    for f in ("energy", "lam", "psid_sq"))
-    return [[s.state_class.value for s in states],
-            E.real, E.imag, lam.real, lam.imag, psid.real, psid.imag]
+def _state_columns(state_class, E, lam, psid) -> list:
+    """The _STATE_HEADER columns: class values, then the parts of E, lam and
+    psid_sq."""
+    E, lam, psid = (np.asarray(x, dtype=complex) for x in (E, lam, psid))
+    return [state_class, E.real, E.imag, lam.real, lam.imag, psid.real, psid.imag]
+
+
+def _state_fields(states) -> list:
+    """The _state_columns arguments of a list of DiscreteState."""
+    return [[s.state_class.value for s in states], *(
+        [getattr(s, f) for s in states] for f in ("energy", "lam", "psid_sq"))]
 
 
 def _run_spectrum(cfg: RunConfig) -> int:
     p = cfg.params
     if p["eps_min"] is not None and p["eps_max"] is not None:
-        rows = spectrum_scan(p["g"], p["eps_min"], p["eps_max"], p["step"])
+        s = spectrum_scan(p["g"], p["eps_min"], p["eps_max"], p["step"])
         out = cfg.output or "spectrum_scan.csv"
         write_csv(out, ["eps_d"] + _STATE_HEADER,
-                  [[r.eps_d for r in rows], *_state_columns([r.state for r in rows])])
-        print(f"wrote {out} ({len(rows)} rows)")
+                  [s.eps_d, *_state_columns(s.state_class, s.energy, s.lam, s.psid_sq)])
+        print(f"wrote {out} ({s.eps_d.size} rows)")
         return 0
     params = ModelParams(epsilon_d=p["eps_d"], g=p["g"])
     states = discrete_spectrum(params)
@@ -379,7 +386,7 @@ def _run_spectrum(cfg: RunConfig) -> int:
             f"{s.lam.imag:+.12f}i"
         )
     if cfg.output:
-        write_csv(cfg.output, _STATE_HEADER, _state_columns(states))
+        write_csv(cfg.output, _STATE_HEADER, _state_columns(*_state_fields(states)))
         print(f"wrote {cfg.output}")
     return 0
 
@@ -397,14 +404,13 @@ def _run_ep(cfg: RunConfig) -> int:
     if p["sheet"]:
         re = np.linspace(p["re_min"], p["re_max"], p["n_re"])
         im = np.linspace(p["im_min"], p["im_max"], p["n_im"])
-        cells = complex_parameter_sheet(p["g"], re, im)
-        eps = np.repeat([c.eps_d for c in cells], 3)
-        E = np.array([c.energies for c in cells]).ravel()
+        E = complex_parameter_sheet(p["g"], re, im).ravel()
+        eps = np.repeat((re[None, :] + 1j * im[:, None]).ravel(), 3)
         out = cfg.output or "ep_sheet.csv"
         write_csv(
             out,
             ["re_eps", "im_eps", "branch_id", "re_E", "im_E"],
-            [eps.real, eps.imag, np.tile(["0", "1", "2"], len(cells)), E.real, E.imag],
+            [eps.real, eps.imag, np.tile(["0", "1", "2"], E.size // 3), E.real, E.imag],
         )
         print(f"wrote {out}")
     return 0
@@ -535,7 +541,7 @@ def _fig1(outdir: Path) -> None:
     k = np.array([-1j * cmath.log(s.lam) for s in states])  # lam = e^{ik}
     csv = outdir / "fig1_states.csv"
     write_csv(csv, ["class", "re_E", "im_E", "re_k", "im_k"],
-              [*_state_columns(states)[:3], k.real, k.imag])
+              [*_state_columns(*_state_fields(states))[:3], k.real, k.imag])
     (outdir / "fig1.gp").write_text(
         "set datafile separator ','\nset multiplot layout 1,2\n"
         "set xlabel 'Re E'; set ylabel 'Im E'\n"

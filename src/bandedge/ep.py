@@ -119,12 +119,6 @@ def ep_parameter(g: float, n: int) -> EPLocation:
 # Complex-parameter sheet data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SheetCell:
-    eps_d: complex
-    energies: tuple[complex, complex, complex]  # continuity-tracked branches
-
-
 _PERMS = np.array(list(itertools.permutations(range(3))))  # (6, 3), itertools order
 
 
@@ -153,8 +147,9 @@ def complex_parameter_sheet(
     g: float,
     re_grid: np.ndarray,
     im_grid: np.ndarray,
-) -> list[SheetCell]:
-    """Three near-edge eigenvalue sheets over a complex eps_d grid.
+) -> np.ndarray:
+    """Three near-edge eigenvalue sheets over a complex eps_d grid, as the
+    (im_grid.size * re_grid.size, 3) complex array of the tracked energies.
 
     Branches are continuity-tracked: within each constant-Im scan line the
     eigenvalues are matched to the previous cell by nearest energy, and the
@@ -166,8 +161,9 @@ def complex_parameter_sheet(
     at a time, then every scan line takes its step along Re eps_d at once,
     one ``_match_to`` over all rows per grid column.  A match minimizes
     (round(sum |dE| / 1e-12), sum |dlam|); on an exact tie the first
-    permutation in ``itertools`` order wins.  Cells come in grid order,
-    im_grid outer and re_grid inner.
+    permutation in ``itertools`` order wins.  Rows are the cells in grid
+    order, im_grid outer and re_grid inner, at eps_d =
+    re_grid[None, :] + 1j * im_grid[:, None]; column k is branch k.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
@@ -184,8 +180,5 @@ def complex_parameter_sheet(
         step(np.s_[i - 1, :1], np.s_[i, :1])
     for j in range(1, re_grid.size):
         step(np.s_[:, j - 1], np.s_[:, j])
-    return [
-        SheetCell(eps_d=eps, energies=tuple(E))
-        for eps, E in zip(grid.ravel().tolist(), Es.reshape(-1, 3).tolist())
-    ]
+    return Es.reshape(-1, 3)
 

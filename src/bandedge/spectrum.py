@@ -19,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +124,14 @@ def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
     so the threshold triplet is the well-scaled cluster y^3 ~ -g^2/2 and no
     digits are lost to the shift.  E = -2 - y^2 / (1 + y) avoids the
     cancellation in -lam - 1/lam.  Output arrays have shape eps_d.shape + (4,).
+    A NaN or infinite eps_d or g raises DomainError.
     """
-    d = _real_if_real(np.asarray(eps_d) + 2.0)
+    eps_d = np.asarray(eps_d)
+    finite = np.isfinite(eps_d)
+    if not (finite.all() and math.isfinite(g)):
+        name, v = ("g", g) if finite.all() else ("eps_d", eps_d[~finite][0])
+        raise DomainError(f"{name} = {v} is not finite")
+    d = _real_if_real(eps_d + 2.0)
     g2 = g * g
     lower = np.stack(
         np.broadcast_arrays(2.0 + d, 3.0 * d + g2, 2.0 * (d + g2), g2), axis=-1
@@ -137,7 +144,10 @@ def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
     """Four roots v = E - eps_d of the energy quartic for real eps_d and
-    g = 0 or g^4 a normal double, up to g = 1e38 (DomainError outside that).
+    g = 0 or g^4 a normal double, with g <= 1e38, |eps_d| <= 1e50 and
+    |eps_d| g <= 1e76 (DomainError outside that).  There the residual scale
+    max|c| max(1, |v|)^4 ~ max(eps_d^2, g^4) max(|eps_d|, g)^4 of the
+    companion solve stays below about 1e304.
 
     Here p = v^4 + a v^3 + b v^2 - g^4, with a = 2 eps_d,
     b = (eps_d - 2)(eps_d + 2) (one rounding, also near eps_d = +-2) and no
@@ -159,9 +169,14 @@ def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
     Elsewhere the companion roots stay.  E = eps_d + v keeps Im v to full
     relative precision but rounds Re v to the ulp of eps_d.
     """
-    if params.g > 1e38:  # g^8, the scale of the residual check, stays finite
+    if params.g > 1e38:
         raise DomainError(
             f"g = {params.g:.3e} is above the energy route's bound g <= 1e+38"
+        )
+    if abs(params.epsilon_d) > 1e50 or abs(params.epsilon_d) * params.g > 1e76:
+        raise DomainError(
+            f"eps_d = {params.epsilon_d}, g = {params.g:.3e} is outside the energy "
+            f"route's bounds |eps_d| <= 1e+50 and |eps_d| g <= 1e+76"
         )
     e = _real_if_real(params.epsilon_d)
     a, b, g4 = 2.0 * e, (e - 2.0) * (e + 2.0), params.g**4
@@ -406,27 +421,54 @@ def puiseux_norm_d(g: float, n_terms: int = 3, alpha: int = 0) -> complex:
 
 _SCAN_MAX_POINTS = 100_000  # eps_d points per spectrum_scan
 
-_CLASS_ORDER = {
-    StateClass.BOUND_LOWER: 0,
-    StateClass.VIRTUAL: 1,
-    StateClass.RESONANCE: 2,
-    StateClass.ANTI_RESONANCE: 3,
-}
+# the triplet's classes in scan order, by code; a bound state above the band
+# in the triplet would take code 4
+_SCAN_CLASSES = np.array([c.value for c in (
+    StateClass.BOUND_LOWER, StateClass.VIRTUAL, StateClass.RESONANCE,
+    StateClass.ANTI_RESONANCE, StateClass.BOUND_UPPER)])
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    eps_d: float
-    state: DiscreteState
+class SpectrumScan(NamedTuple):
+    """The states of a ``spectrum_scan`` as flat arrays, three per eps_d point."""
+
+    eps_d: np.ndarray  # float
+    state_class: np.ndarray  # str, the StateClass value
+    energy: np.ndarray  # complex, like lam, psi0_sq and psid_sq
+    lam: np.ndarray
+    psi0_sq: np.ndarray
+    psid_sq: np.ndarray
 
 
-def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> list[ScanRow]:
+def _cmul(a, b):
+    """CPython's complex product (``_Py_c_prod``) of (re, im) pairs of arrays."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cdiv(a, b):
+    """CPython's complex quotient a / b (``_Py_c_quot``, Smith's rule) of
+    (re, im) pairs of arrays, b nonzero."""
+    s = np.abs(b[0]) >= np.abs(b[1])
+    p, q = np.where(s, b[0], b[1]), np.where(s, b[1], b[0])
+    ratio = q / p
+    denom = p + q * ratio
+    re = np.where(s, a[0] + a[1] * ratio, a[0] * ratio + a[1])
+    im = np.where(s, a[1] - a[0] * ratio, a[1] * ratio - a[0])
+    return re / denom, im / denom
+
+
+def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> SpectrumScan:
     """Classified near-edge triplet for each eps_d on a uniform grid from
-    eps_start to eps_stop (all four arguments finite, eps_stop >= eps_start,
-    step > 0, at most 100 000 grid points; DomainError otherwise).
+    eps_start to eps_stop (all four arguments finite, g >= 0, eps_stop >=
+    eps_start, step > 0, at most 100 000 grid points; DomainError otherwise).
 
     Output ordering is deterministic: ascending eps_d, then class order
-    (bound, virtual, resonance, anti-resonance), then Im E and Re E.
+    (bound, virtual, resonance, anti-resonance), then Im E and Re E.  Each
+    entry equals the state of ``discrete_spectrum`` at its eps_d to the bit:
+    the (n, 3) block is classified and normalized in one array pass whose
+    complex products and quotients are CPython's, taken on the real and
+    imaginary parts (numpy's complex arithmetic rounds differently).  Where
+    ``discrete_spectrum`` rejects a grid point, its error is raised for the
+    first such point.
     """
     for name, v in (("g", g), ("eps_start", eps_start), ("eps_stop", eps_stop), ("step", step)):
         if not np.isfinite(v):
@@ -437,6 +479,7 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> l
         raise DomainError(
             f"scan range is reversed: eps_stop = {eps_stop} < eps_start = {eps_start}"
         )
+    ModelParams(epsilon_d=eps_start, g=g)  # g >= 0
     with np.errstate(over="ignore"):
         points = np.floor((eps_stop - eps_start) / step + 1e-9) + 1.0
     if not points <= _SCAN_MAX_POINTS:
@@ -445,12 +488,37 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> l
         )
     eps = eps_start + np.arange(int(points)) * step
     lams, Es = solve_quartic_lambda_raw(eps, g)
-    rows: list[ScanRow] = []
-    for i, e in enumerate(eps.tolist()):
-        params = ModelParams(epsilon_d=e, g=g)
+    # _check_upper on column 3; _classify_state and _normalize_state, in
+    # CPython's order of operations, on the triplet
+    mod = np.hypot(lams.real, lams.imag)
+    real = np.abs(lams.imag) < REAL_TOL * (1.0 + mod)
+    up = lams[:, 3].real
+    bad = ~(real[:, 3] & (-1.0 < up) & (up < 0.0))
+    lam, E, mod, real = lams[:, :3], Es[:, :3], mod[:, :3], real[:, :3]
+    z = (lam.real, lam.imag)
+    z2 = _cmul(z, z)
+    one_m = (1.0 - z2[0], 0.0 - z2[1])
+    num0 = _cmul(_cmul((g**2, 0.0), z), z)
+    D = _cmul(num0, (1.0 + z2[0], 0.0 + z2[1]))
+    cube = _cmul(_cmul((1.0, 0.0), one_m), _cmul(one_m, one_m))
+    D = (D[0] + cube[0], D[1] + cube[1])
+    inside = mod < 1.0
+    on_cut = np.where(z[1] == 0, mod == 1.0, np.abs(mod - 1.0) < CUT_TOL)
+    bad |= (on_cut | (inside & ~real) | (np.hypot(*D) < 1e-300)).any(axis=1)
+    if bad.any():  # the scalar checks raise the first bad point's error
+        i = int(np.argmax(bad))
+        params = ModelParams(epsilon_d=float(eps[i]), g=g)
         _check_upper(params, lams[i, 3])
-        tri = _classified(params, lams[i, :3], Es[i, :3])
-        tri.sort(key=lambda s: (_CLASS_ORDER[s.state_class], s.energy.imag, s.energy.real))
-        for s in tri:
-            rows.append(ScanRow(eps_d=e, state=s))
-    return rows
+        _classified(params, lams[i, :3], Es[i, :3])
+    code = np.where(inside, np.where(z[0] > 0, 0, 4),
+                    np.where(real, 1, np.where(E.imag < 0, 2, 3)))
+    order = np.lexsort((E.real, E.imag, code), axis=-1)
+
+    def ordered(x):
+        return np.take_along_axis(x, order, axis=1).ravel()
+
+    psi0, psid = np.empty((2,) + lam.shape, complex)
+    psi0.real, psi0.imag = _cdiv(num0, D)  # set by part, so signed zeros survive
+    psid.real, psid.imag = _cdiv(_cmul(one_m, one_m), D)
+    return SpectrumScan(np.repeat(eps, 3), _SCAN_CLASSES[ordered(code)], ordered(E),
+                        ordered(lam), ordered(psi0), ordered(psid))

@@ -468,6 +468,13 @@ class TestRunners:
         assert main(["spectrum", "--eps-d", "-2", "--g", "2e-8"]) == 1
         assert "rounds to lam = -1.0" in capsys.readouterr().err
 
+    def test_ep_sheet_with_a_nan_bound_is_a_domain_error(self, capsys, tmp_path):
+        # the NaN grid reached np.linalg.eigvals and ended in a traceback
+        out = tmp_path / "sheet.csv"
+        assert main(["ep", "--g", "0.1", "--sheet", "--re-min", "nan", "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: eps_d = (nan-0.08j) is not finite"]
+        assert not out.exists()
+
     def test_reversed_scan_range_is_an_error(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["spectrum", "--g", "0.1", "--eps-min", "-1.9", "--eps-max", "-2.1",
@@ -526,8 +533,11 @@ class TestCliBytes:
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--g", "0.1", "--eps-min", "-2.1", "--eps-max", "-1.9",
                      "--step", "0.01", "-o", str(out)]) == 0
-        rows = [(r.eps_d, *self._state_row(r.state))
-                for r in spectrum_scan(0.1, -2.1, -1.9, 0.01)]
+        s = spectrum_scan(0.1, -2.1, -1.9, 0.01)
+        rows = [(e, c, E.real, E.imag, lam.real, lam.imag, psid.real, psid.imag)
+                for e, c, E, lam, psid in zip(s.eps_d.tolist(), s.state_class.tolist(),
+                                              s.energy.tolist(), s.lam.tolist(),
+                                              s.psid_sq.tolist())]
         assert out.read_bytes() == _row_template_csv(["eps_d"] + self.STATE, rows)
 
     @pytest.mark.parametrize("g, eps_d", [(0.5, -2.0), (1e-5, -2.0), (0.2, -1.2)])
@@ -543,10 +553,11 @@ class TestCliBytes:
         assert main(["ep", "--g", "0.1", "--sheet", "--re-min", "-2.06", "--re-max", "-2.03",
                      "--im-min", "-0.01", "--im-max", "0.01", "--n-re", "5", "--n-im", "4",
                      "-o", str(out)]) == 0
-        cells = complex_parameter_sheet(
-            0.1, np.linspace(-2.06, -2.03, 5), np.linspace(-0.01, 0.01, 4))
-        rows = [(c.eps_d.real, c.eps_d.imag, str(b), E.real, E.imag)
-                for c in cells for b, E in enumerate(c.energies)]
+        re, im = np.linspace(-2.06, -2.03, 5), np.linspace(-0.01, 0.01, 4)
+        energies = complex_parameter_sheet(0.1, re, im)
+        eps = (re[None, :] + 1j * im[:, None]).ravel()
+        rows = [(e.real, e.imag, str(b), E.real, E.imag)
+                for e, row in zip(eps.tolist(), energies.tolist()) for b, E in enumerate(row)]
         assert out.read_bytes() == _row_template_csv(
             ["re_eps", "im_eps", "branch_id", "re_E", "im_E"], rows)
 

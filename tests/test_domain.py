@@ -10,7 +10,13 @@ from bandedge.bessel import bessel_j
 from bandedge.dynamics import intermediate_amplitude, kn_closed_form
 from bandedge.errors import DomainError
 from bandedge.model import ModelParams, Sheet, density_of_states, lambda_from_energy, self_energy
-from bandedge.spectrum import puiseux_energy, puiseux_lambda, puiseux_norm_d
+from bandedge.ep import complex_parameter_sheet
+from bandedge.spectrum import (
+    puiseux_energy,
+    puiseux_lambda,
+    puiseux_norm_d,
+    solve_quartic_lambda_raw,
+)
 
 _P = ModelParams(epsilon_d=-2.0, g=0.1)
 _T = np.array([0.0, 1.0])
@@ -33,6 +39,14 @@ _PROBES = {
     "puiseux_lambda-negative": (lambda: puiseux_lambda(-1.0), "g = -1.0"),
     "puiseux_norm_d-negative": (lambda: puiseux_norm_d(-3.0), "g = -3.0"),
     "intermediate_amplitude-negative": (lambda: intermediate_amplitude(-1.0, _T), "g = -1.0"),
+    # these reached np.linalg.eigvals, whose bare LinAlgError escaped
+    "solve_quartic_lambda_raw-nan-eps_d": (lambda: solve_quartic_lambda_raw(nan, 0.1),
+                                           "eps_d = nan"),
+    "solve_quartic_lambda_raw-nan-g": (lambda: solve_quartic_lambda_raw(-2.0, nan), "g = nan"),
+    "solve_quartic_lambda_raw-inf-in-array": (
+        lambda: solve_quartic_lambda_raw(np.array([-2.0, -np.inf]), 0.1), "eps_d = -inf"),
+    "complex_parameter_sheet-nan": (lambda: complex_parameter_sheet(0.1, [nan, -2.0], [0.0]),
+                                    "eps_d = (nan+0j)"),
 }
 
 

@@ -134,7 +134,8 @@ class TestDiscriminantCertification:
 def sheet():
     re = np.linspace(-2.10, -1.90, 21)
     im = np.linspace(-0.06, 0.06, 13)
-    return re, im, complex_parameter_sheet(0.1, re, im)
+    eps = (re[None, :] + 1j * im[:, None]).ravel().tolist()
+    return re, im, list(zip(eps, complex_parameter_sheet(0.1, re, im).tolist()))
 
 
 class TestComplexSheet:
@@ -144,35 +145,35 @@ class TestComplexSheet:
 
     def test_real_slice_matches_scan(self, sheet):
         re, im, cells = sheet
-        real_cells = [c for c in cells if c.eps_d.imag == 0.0]
+        real_cells = [(eps, E) for eps, E in cells if eps.imag == 0.0]
         assert len(real_cells) == len(re)
-        rows = spectrum_scan(0.1, re[0], re[-1], re[1] - re[0])
+        scan = spectrum_scan(0.1, re[0], re[-1], re[1] - re[0])
         by_eps = {}
-        for r in rows:
-            by_eps.setdefault(round(r.eps_d, 9), []).append(r.state.energy)
-        for c in real_cells:
-            want = self._ordered(by_eps[round(c.eps_d.real, 9)])
-            got = self._ordered(c.energies)
+        for eps, E in zip(scan.eps_d.tolist(), scan.energy.tolist()):
+            by_eps.setdefault(round(eps, 9), []).append(E)
+        for eps, energies in real_cells:
+            want = self._ordered(by_eps[round(eps.real, 9)])
+            got = self._ordered(energies)
             assert np.allclose(got, want, atol=1e-7)
 
     def test_conjugation_symmetry(self, sheet):
         re, im, cells = sheet
-        table = {(round(c.eps_d.real, 9), round(c.eps_d.imag, 9)): c for c in cells}
-        for c in cells:
-            mirror = table[(round(c.eps_d.real, 9), round(-c.eps_d.imag, 9))]
-            a = self._ordered(c.energies)
-            b = self._ordered([x.conjugate() for x in mirror.energies])
+        table = {(round(eps.real, 9), round(eps.imag, 9)): E for eps, E in cells}
+        for eps, energies in cells:
+            mirror = table[(round(eps.real, 9), round(-eps.imag, 9))]
+            a = self._ordered(energies)
+            b = self._ordered([x.conjugate() for x in mirror])
             assert np.allclose(a, b, atol=1e-9)
 
     def test_gap_small_at_complex_ep_cell(self, sheet):
         re, im, cells = sheet
         loc = ep_parameter(0.1, 1)
-        cell = min(cells, key=lambda c: abs(c.eps_d - loc.eps_d))
+        _, energies = min(cells, key=lambda c: abs(c[0] - loc.eps_d))
         h = abs(complex(re[1] - re[0], im[1] - im[0]))
         gaps = [
             abs(a - b)
-            for i, a in enumerate(cell.energies)
-            for b in cell.energies[i + 1:]
+            for i, a in enumerate(energies)
+            for b in energies[i + 1:]
         ]
         # square-root splitting: gap <= C sqrt(cell diagonal)
         assert min(gaps) < 2.0 * np.sqrt(h)
@@ -255,8 +256,8 @@ def test_sheet_matches_scalar_tracker(g, re, im):
     cells = complex_parameter_sheet(g, re, im)
     want = _scalar_sheet(g, re, im)
     assert len(cells) == len(want) == re.size * im.size
-    for cell, ref in zip(cells, want):
-        assert cell.energies == ref
+    for row, ref in zip(cells.tolist(), want):
+        assert tuple(row) == ref
 
 
 class TestAllLocations:
@@ -292,10 +293,10 @@ def test_scan_topology_switches_at_the_real_ep():
 
     loc = ep_parameter(0.1, 0)
     step = 1e-4
-    rows = spectrum_scan(0.1, loc.eps_d.real - 10 * step, loc.eps_d.real + 10 * step, step)
+    scan = spectrum_scan(0.1, loc.eps_d.real - 10 * step, loc.eps_d.real + 10 * step, step)
     by_eps = {}
-    for r in rows:
-        by_eps.setdefault(round(r.eps_d, 9), set()).add(r.state.state_class)
+    for eps, c in zip(scan.eps_d.tolist(), scan.state_class.tolist()):
+        by_eps.setdefault(round(eps, 9), set()).add(StateClass(c))
     switch_points = []
     keys = sorted(by_eps)
     for lo, hi in zip(keys[:-1], keys[1:]):

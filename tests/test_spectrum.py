@@ -394,6 +394,19 @@ class TestEnergyQuartic:
                 solve_energy_quartic_centred(ModelParams(epsilon_d=-2.0, g=1e100))
             assert np.all(np.isfinite(solve_energy_quartic_centred(ModelParams(-2.0, 1e38))))
 
+    @pytest.mark.parametrize("eps_d, g", [(1e50, 0.1), (-1e50, 0.1), (1e40, 1e36)], ids=str)
+    def test_detuning_at_and_past_its_bound(self, eps_d, g):
+        # at g = 0.1 the residual scale ~ eps_d^6 overflowed with a
+        # RuntimeWarning from |eps_d| = 1e52; one ulp past the bound the
+        # DomainError comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(solve_energy_quartic_centred(ModelParams(eps_d, g))))
+            past = np.nextafter(eps_d, np.copysign(np.inf, eps_d))
+            bound = f"eps_d = {past}, g = {g:.3e} is outside the energy route's bounds"
+            with pytest.raises(DomainError, match=re.escape(bound)):
+                solve_energy_quartic_centred(ModelParams(past, g))
+
     def test_conjugate_pairing(self):
         p = ModelParams(epsilon_d=-1.97, g=0.1)
         Es = [E for E in solve_energy_quartic_centred(p) + p.epsilon_d if abs(E.imag) > 1e-10]
@@ -645,14 +658,12 @@ class TestSpectrumScan:
             spectrum_scan(0.1, -1.9, -2.1, 0.01)
 
     def test_virtual_region(self):
-        rows = spectrum_scan(0.1, -2.15, -2.15, 1.0)
-        classes = [r.state.state_class for r in rows]
+        classes = [StateClass(c) for c in spectrum_scan(0.1, -2.15, -2.15, 1.0).state_class]
         assert classes.count(StateClass.VIRTUAL) == 2
         assert classes.count(StateClass.BOUND_LOWER) == 1
 
     def test_resonance_region(self):
-        rows = spectrum_scan(0.1, -1.9, -1.9, 1.0)
-        classes = {r.state.state_class for r in rows}
+        classes = {StateClass(c) for c in spectrum_scan(0.1, -1.9, -1.9, 1.0).state_class}
         assert classes == {
             StateClass.BOUND_LOWER,
             StateClass.RESONANCE,
@@ -660,11 +671,11 @@ class TestSpectrumScan:
         }
 
     def test_bound_state_stuck_below_edge(self):
-        rows = spectrum_scan(0.1, -2.15, -1.85, 0.01)
+        scan = spectrum_scan(0.1, -2.15, -1.85, 0.01)
         bound_energies = [
-            r.state.energy.real
-            for r in rows
-            if r.state.state_class is StateClass.BOUND_LOWER
+            E.real
+            for E, c in zip(scan.energy.tolist(), scan.state_class.tolist())
+            if StateClass(c) is StateClass.BOUND_LOWER
         ]
         assert len(bound_energies) == 31
         assert all(E < -2.0 for E in bound_energies)
@@ -672,9 +683,46 @@ class TestSpectrumScan:
     def test_deterministic_ordering(self):
         a = spectrum_scan(0.1, -2.05, -1.95, 0.05)
         b = spectrum_scan(0.1, -2.05, -1.95, 0.05)
-        assert [(r.eps_d, r.state.lam) for r in a] == [
-            (r.eps_d, r.state.lam) for r in b
-        ]
+        assert list(zip(a.eps_d.tolist(), a.lam.tolist())) == list(
+            zip(b.eps_d.tolist(), b.lam.tolist())
+        )
+
+    @pytest.mark.parametrize(
+        "g, lo, hi, step",
+        [(0.05, -2.15, -1.85, 0.001), (0.1, -2.15, -1.85, 0.001),
+         (0.2, -2.15, -1.85, 0.001), (0.05, -2.3, 1.9, 0.01), (1.5, -4.0, 1.9, 0.01)],
+        ids=str,
+    )
+    def test_entries_are_the_discrete_spectrum_states_to_the_bit(self, g, lo, hi, step):
+        # the array pass rounds like CPython's complex arithmetic: with numpy's
+        # complex product and quotient 40-60 % of the psid_sq cells differ
+        order = [StateClass.BOUND_LOWER, StateClass.VIRTUAL, StateClass.RESONANCE,
+                 StateClass.ANTI_RESONANCE]
+
+        def bits(z):  # hex keeps the sign of a zero
+            return z.real.hex(), z.imag.hex()
+
+        scan = spectrum_scan(g, lo, hi, step)
+        want = []
+        for eps in scan.eps_d[::3].tolist():
+            triplet = sorted(discrete_spectrum(ModelParams(eps, g))[:3], key=lambda s: (
+                order.index(s.state_class), s.energy.imag, s.energy.real))
+            want += [(eps, s.state_class.value, bits(s.energy), bits(s.lam),
+                      bits(s.psi0_sq), bits(s.psid_sq)) for s in triplet]
+        got = [(eps, c, *map(bits, zs)) for eps, c, *zs in zip(
+            scan.eps_d.tolist(), scan.state_class.tolist(), scan.energy.tolist(),
+            scan.lam.tolist(), scan.psi0_sq.tolist(), scan.psid_sq.tolist())]
+        assert got == want
+
+    def test_first_rejected_point_raises_its_error(self):
+        # a resonance within CUT_TOL of the unit circle at eps_d = -1.95
+        cut = "lam = (0.9750000000049367+0.2222048604340149j) on the unit circle"
+        with pytest.raises(BranchCutError, match=re.escape(cut)):
+            spectrum_scan(1e-6, -1.95, -1.85, 0.01)
+        with pytest.raises(LabelMatchingError, match="is not a bound state above the band"):
+            spectrum_scan(0.0, -2.1, -1.9, 0.01)
+        with pytest.raises(DomainError, match="coupling g must be >= 0, got -0.1"):
+            spectrum_scan(-0.1, -2.1, -1.9, 0.01)
 
     def test_step_validation(self):
         with pytest.raises(DomainError):
@@ -708,6 +756,6 @@ class TestSpectrumScan:
     def test_grid_at_the_cap(self, monkeypatch):
         # a grid of exactly the cap is scanned, one more point is not
         monkeypatch.setattr(spectrum, "_SCAN_MAX_POINTS", 5)
-        assert len({r.eps_d for r in spectrum_scan(0.1, -2.1, -1.9, 0.05)}) == 5
+        assert len(set(spectrum_scan(0.1, -2.1, -1.9, 0.05).eps_d.tolist())) == 5
         with pytest.raises(DomainError, match="^scan grid of 6 points"):
             spectrum_scan(0.1, -2.1, -1.85, 0.05)
