@@ -37,7 +37,7 @@ from .dynamics import (
     survival_bessel_sum,
     survival_lattice_oracle,
 )
-from .ep import complex_parameter_sheet, ep_parameter
+from .ep import _check_finite_grid, complex_parameter_sheet, ep_parameter
 from .errors import BandEdgeError, ConfigError, DomainError
 from .generic import make_model, self_energy_quadrature, sigma_closed_form
 from .jordan import (
@@ -402,6 +402,9 @@ def _run_ep(cfg: RunConfig) -> int:
             f"{loc.eps_d.imag:+.10f}i"
         )
     if p["sheet"]:
+        # the bounds before linspace, which turns an infinite one into NaNs
+        _check_finite_grid(np.array([p["re_min"], p["re_max"]]),
+                           np.array([p["im_min"], p["im_max"]]))
         re = np.linspace(p["re_min"], p["re_max"], p["n_re"])
         im = np.linspace(p["im_min"], p["im_max"], p["n_im"])
         E = complex_parameter_sheet(p["g"], re, im).ravel()

@@ -87,7 +87,14 @@ from .errors import (
 )
 from .model import ModelParams
 from .quadrature import _leggauss, adaptive_quad, panel_nodes
-from .spectrum import DiscreteState, StateClass, _monic_roots, discrete_spectrum, near_edge_triplet
+from .spectrum import (
+    DiscreteState,
+    StateClass,
+    _checked_int,
+    _monic_roots,
+    discrete_spectrum,
+    near_edge_triplet,
+)
 
 WAVEFRONT_MARGIN = 10.0
 _PANEL_TOL = 1e-10
@@ -175,17 +182,6 @@ def _checked_grid(times, positive: bool = False, upper: float = math.inf) -> np.
     if np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing")
     return times
-
-
-def _checked_count(value, name: str) -> int:
-    """value as an int; DomainError naming it unless it is an integer >= 0."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = -1
-    if n < 0 or n != value:
-        raise DomainError(f"{name} = {value!r} outside the domain: need an integer >= 0")
-    return n
 
 
 def _split(a):
@@ -471,7 +467,7 @@ def lattice_spectrum(params: ModelParams, n_sites: int):
     normal double (g >= 1.4917e-154); a subnormal g^2 has too few digits for
     the secular solve and raises DomainError before any sweep.
     """
-    n = _checked_count(n_sites, "n_sites")
+    n = _checked_int(n_sites, "n_sites", least=0)
     s, eps, g2 = n + 1, params.epsilon_d, params.g**2
     if 0.0 < g2 < _G2_MIN:
         raise DomainError(
@@ -518,7 +514,7 @@ def dense_lattice_hamiltonian(params: ModelParams, n_sites: int) -> np.ndarray:
     Reference construction used to validate the folded solver.  Domain: an
     integer n_sites >= 0 (DomainError otherwise).
     """
-    n = _checked_count(n_sites, "n_sites")
+    n = _checked_int(n_sites, "n_sites", least=0)
     dim = 2 * n + 2
     H = np.zeros((dim, dim))
     for i in range(2 * n):
@@ -570,7 +566,7 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
     rounding only, not the rounding of fl(E_m t) (up to 0.5 ulp of 2 max t).
     """
     times = _checked_grid(times)
-    n_sites = _checked_count(n_sites, "n_sites")
+    n_sites = _checked_int(n_sites, "n_sites", least=0)
     t_max = times.max(initial=0.0)
     if n_sites <= 2.0 * t_max + WAVEFRONT_MARGIN:
         raise LatticeTruncationError(
@@ -906,7 +902,7 @@ def kn_quadrature(n: int, t: float) -> complex:
     """The defining integral of kn_closed_form by adaptive quadrature, for an
     integer n >= 0 and t in [0, 6e5] (DomainError otherwise; for n < 0 the
     integral diverges at 0)."""
-    n = _checked_count(n, "n")
+    n = _checked_int(n, "n", least=0)
     t = float(_checked_times(t, upper=_BESSEL_T_MAX))
     if n == 0:
         f = lambda s: np.exp(-2j * s) * j1_over_t(s)  # t'^(-1) J1(2t')

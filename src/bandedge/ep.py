@@ -143,6 +143,15 @@ def _match_to(
     return _PERMS[np.argmin(cost_l, axis=1)]
 
 
+def _check_finite_grid(re_grid: np.ndarray, im_grid: np.ndarray) -> None:
+    """DomainError naming the first non-finite cell re + i im of the grid
+    re_grid x im_grid, in grid order (im_grid outer)."""
+    bad = ~np.isfinite(im_grid)[:, None] | ~np.isfinite(re_grid)[None, :]
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DomainError(f"eps_d = {complex(re_grid[j], im_grid[i])} is not finite")
+
+
 def complex_parameter_sheet(
     g: float,
     re_grid: np.ndarray,
@@ -163,10 +172,12 @@ def complex_parameter_sheet(
     (round(sum |dE| / 1e-12), sum |dlam|); on an exact tie the first
     permutation in ``itertools`` order wins.  Rows are the cells in grid
     order, im_grid outer and re_grid inner, at eps_d =
-    re_grid[None, :] + 1j * im_grid[:, None]; column k is branch k.
+    re_grid[None, :] + 1j * im_grid[:, None]; column k is branch k.  A
+    non-finite entry of either grid raises DomainError naming its first cell.
     """
     re_grid = np.asarray(re_grid, dtype=float)
     im_grid = np.asarray(im_grid, dtype=float)
+    _check_finite_grid(re_grid, im_grid)
     grid = re_grid[None, :] + 1j * im_grid[:, None]
     # drop the continuation of the upper-edge bound state
     lams, Es = (x[..., :3] for x in solve_quartic_lambda_raw(grid, g))

@@ -35,7 +35,8 @@ _REFINE_TOL = 1e-10  # relative step at which a refined threshold root has conve
 
 @dataclass(frozen=True)
 class GenericSelfEnergyModel:
-    """Threshold E_th, analytic parts Delta and Lam, coupling profile v(k)."""
+    """Threshold E_th, analytic parts Delta and Lam, coupling profile v(k);
+    a NaN or infinite g raises DomainError."""
 
     e_th: float
     delta: Callable[[np.ndarray], np.ndarray]
@@ -46,6 +47,10 @@ class GenericSelfEnergyModel:
     # to E_k = k^2 + E_th over the whole real line
     dispersion: Callable[[np.ndarray], np.ndarray] | None = None
     k_domain: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if not np.isfinite(self.g):
+            raise DomainError(f"g = {self.g} is not finite")
 
     def lam_at_threshold(self) -> float:
         return float(np.asarray(self.lam_coeff(np.array([self.e_th])))[0])

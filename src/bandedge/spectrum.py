@@ -11,6 +11,8 @@ the well-scaled cubic y^3 ~ -g^2/2 instead of losing two thirds of their
 digits to the shift; p is solved about the dot level, v = E - eps_d (see
 ``solve_energy_quartic_centred``).  One batched companion eigensolve plus three
 Newton steps (``_monic_roots``) serves every polynomial solve in the package.
+One array pass (``_classify``) classifies and normalizes the roots of any
+number of points: one for ``discrete_spectrum``, a grid for ``spectrum_scan``.
 """
 
 from __future__ import annotations
@@ -206,87 +208,116 @@ def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
     return v
 
 
-def is_real_root(lam: complex) -> bool:
-    return abs(lam.imag) < REAL_TOL * (1.0 + abs(lam))
+# the classes by class code; in the near-edge triplet a bound state above the
+# band (code 4) would order last
+_CLASSES = (StateClass.BOUND_LOWER, StateClass.VIRTUAL, StateClass.RESONANCE,
+            StateClass.ANTI_RESONANCE, StateClass.BOUND_UPPER)
 
 
-def _classify_state(lam: complex, energy: complex) -> StateClass:
-    """Classify a quartic root by sheet (|lam| vs 1) and reality.
+def _cmul(a, b):
+    """CPython's complex product (``_Py_c_prod``) of (re, im) pairs of arrays."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
-    |lam| < 1, lam real > 0  -> bound state below the band (first sheet)
-    |lam| < 1, lam real < 0  -> bound state above the band
-    |lam| > 1, lam real      -> virtual (anti-bound) state
-    |lam| > 1, Im E < 0      -> resonance
-    |lam| > 1, Im E > 0      -> anti-resonance
+
+def _cdiv(a, b):
+    """CPython's complex quotient a / b (``_Py_c_quot``, Smith's rule) of
+    (re, im) pairs of arrays, b nonzero."""
+    s = np.abs(b[0]) >= np.abs(b[1])
+    p, q = np.where(s, b[0], b[1]), np.where(s, b[1], b[0])
+    ratio = q / p
+    denom = p + q * ratio
+    re = np.where(s, a[0] + a[1] * ratio, a[0] * ratio + a[1])
+    im = np.where(s, a[1] - a[0] * ratio, a[1] * ratio - a[0])
+    return re / denom, im / denom
+
+
+def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray):
+    """Class codes (indices into ``_CLASSES``), psi0_sq and psid_sq, each
+    (n, 4), of the roots (lam, E) of n points: eps (n,) holds eps_d and each
+    row of lams, Es (n, 4) is in ascending Re E.
+
+    A root is classified by sheet (|lam| vs 1) and reality, a root counting
+    as real when |Im lam| < REAL_TOL (1 + |lam|):
+
+        |lam| < 1, lam real > 0  -> bound state below the band (first sheet)
+        |lam| < 1, lam real < 0  -> bound state above the band
+        |lam| > 1, lam real      -> virtual (anti-bound) state
+        |lam| > 1, Im E < 0      -> resonance
+        |lam| > 1, Im E > 0      -> anti-resonance
 
     f(+-1) = -g^2, so for g > 0 an exactly real root is never on the cut and
     |lam| against 1 places it however close to the circle it lies (at
     eps_d = -2 the bound state above the band has 1 - |lam| ~ g^2/8); only a
-    complex root within CUT_TOL of the circle, or lam = +-1 itself, raises
-    BranchCutError.
-    """
-    mod = abs(lam)
-    on_cut = mod == 1.0 if lam.imag == 0 else abs(mod - 1.0) < CUT_TOL
-    if on_cut:
-        raise BranchCutError(f"lam = {lam} on the unit circle", roots=(lam, 1 / lam))
-    if mod < 1.0:
-        if not is_real_root(lam):
-            raise DomainError(f"non-real first-sheet root {lam} is unphysical")
-        return StateClass.BOUND_LOWER if lam.real > 0 else StateClass.BOUND_UPPER
-    if is_real_root(lam):
-        return StateClass.VIRTUAL
-    return StateClass.RESONANCE if energy.imag < 0 else StateClass.ANTI_RESONANCE
-
-
-def _normalize_state(params: ModelParams, lam: complex) -> tuple[complex, complex]:
-    """Squared eigenvector components (psi0_sq, psid_sq).
+    complex root within CUT_TOL of the circle, or lam = +-1 itself, is on
+    the cut.
 
     psi0_sq = g^2 lam^2 / D and psid_sq = (1 - lam^2)^2 / D with
     D = g^2 lam^2 (1 + lam^2) + (1 - lam^2)^3, so that the bi-orthogonal
     normalization (1 + lam^2) psi0_sq + (1 - lam^2) psid_sq = 1 holds
-    identically.  Squared quantities are first-class here: no square-root
-    branch is ever chosen.
+    identically; no square-root branch is chosen.  The products and
+    quotients are CPython's, taken on the real and imaginary parts (numpy's
+    complex arithmetic rounds differently), |lam| is ``np.hypot`` and the
+    results are set by part, so every entry is the Python ``complex``
+    expression's to the bit, signed zeros included.
+
+    The first rejected point raises its error.  First the root of largest
+    Re E must be the bound state above the band, real with -1 < lam < 0:
+    DomainError where its shift from -1 is below double precision,
+    LabelMatchingError otherwise.  Then each root in turn raises
+    BranchCutError on the cut, DomainError if it is a non-real first-sheet
+    root and DegenerateNormalizationError if |D| < 1e-300.
     """
-    lam = complex(lam)
-    g2 = params.g**2
-    one_m = 1.0 - lam * lam
-    D = g2 * lam * lam * (1.0 + lam * lam) + one_m**3
-    if abs(D) < 1e-300:
-        raise DegenerateNormalizationError(
-            f"normalization denominator vanished at lam = {lam}"
-        )
-    return g2 * lam * lam / D, one_m * one_m / D
-
-
-def _classified(params: ModelParams, lams, Es) -> list[DiscreteState]:
-    """The roots (lam, E), each classified and normalized."""
-    out = []
-    for z, E in zip(lams.tolist(), Es.tolist()):
-        cls = _classify_state(z, E)
-        out.append(DiscreteState(z, E, cls, *_normalize_state(params, z)))
-    return out
-
-
-def _check_upper(params: ModelParams, lam) -> None:
-    """Raise unless lam, the root of largest Re E, is the bound state above
-    the band: real with -1 < lam < 0."""
-    lam = complex(lam)
-    # for 0 < g and eps_d < 2 the true root lies in (-1, 0); y = lam - 1 ~ -2 is
-    # stored with a spacing of 2^-52, so a shift from -1 below about 2^-53
-    # rounds to lam = -1 or past it
-    if params.g > 0.0 and params.epsilon_d < 2.0 and lam.real <= -1.0:
-        shift = params.g**2 / (4.0 - 2.0 * params.epsilon_d)
-        raise DomainError(
-            f"the bound state above the band, lam = -1 + g^2/(4 - 2 eps_d) + O(g^4), "
-            f"rounds to lam = {lam.real!r} at g = {params.g:.3e}, "
-            f"eps_d = {params.epsilon_d}: its shift {shift:.3e} is below the about "
-            f"1.1e-16 that double precision resolves (g >~ 3e-8 at eps_d = -2)"
-        )
-    if not (is_real_root(lam) and -1.0 < lam.real < 0.0):
-        raise LabelMatchingError(
-            f"the root of largest Re E, lam = {lam}, is not a bound state "
-            f"above the band (need real -1 < lam < 0)"
-        )
+    mod = np.hypot(lams.real, lams.imag)
+    real = np.abs(lams.imag) < REAL_TOL * (1.0 + mod)
+    up = lams[:, 3].real
+    upper = real[:, 3] & (-1.0 < up) & (up < 0.0)
+    z = (lams.real, lams.imag)
+    z2 = _cmul(z, z)
+    one_m = (1.0 - z2[0], 0.0 - z2[1])
+    num0, numd = _cmul(_cmul((g**2, 0.0), z), z), _cmul(one_m, one_m)
+    D = _cmul(num0, (1.0 + z2[0], 0.0 + z2[1]))
+    cube = _cmul(_cmul((1.0, 0.0), one_m), numd)  # one_m**3
+    D = (D[0] + cube[0], D[1] + cube[1])
+    inside = mod < 1.0
+    cut = np.where(z[1] == 0, mod == 1.0, np.abs(mod - 1.0) < CUT_TOL)
+    unphysical = inside & ~real
+    degenerate = np.hypot(*D) < 1e-300
+    bad = ~upper | (cut | unphysical | degenerate).any(axis=1)
+    if bad.any():  # raise the first rejected point's error
+        i = int(np.argmax(bad))
+        if not upper[i]:
+            lam, e = complex(lams[i, 3]), eps[i].item()
+            # for 0 < g and eps_d < 2 the true root lies in (-1, 0); y = lam - 1 ~ -2
+            # is stored with a spacing of 2^-52, so a shift from -1 below about
+            # 2^-53 rounds to lam = -1 or past it
+            if g > 0.0 and e < 2.0 and lam.real <= -1.0:
+                shift = g**2 / (4.0 - 2.0 * e)
+                raise DomainError(
+                    f"the bound state above the band, lam = -1 + g^2/(4 - 2 eps_d) + O(g^4), "
+                    f"rounds to lam = {lam.real!r} at g = {g:.3e}, "
+                    f"eps_d = {e}: its shift {shift:.3e} is below the about "
+                    f"1.1e-16 that double precision resolves (g >~ 3e-8 at eps_d = -2)"
+                )
+            raise LabelMatchingError(
+                f"the root of largest Re E, lam = {lam}, is not a bound state "
+                f"above the band (need real -1 < lam < 0)"
+            )
+        for lam, on_cut, off_real, zero_d in zip(
+                lams[i].tolist(), cut[i], unphysical[i], degenerate[i]):
+            if on_cut:
+                raise BranchCutError(f"lam = {lam} on the unit circle", roots=(lam, 1 / lam))
+            if off_real:
+                raise DomainError(f"non-real first-sheet root {lam} is unphysical")
+            if zero_d:
+                raise DegenerateNormalizationError(
+                    f"normalization denominator vanished at lam = {lam}"
+                )
+    code = np.where(inside, np.where(z[0] > 0, 0, 4),
+                    np.where(real, 1, np.where(Es.imag < 0, 2, 3)))
+    psi0, psid = np.empty((2,) + lams.shape, complex)
+    psi0.real, psi0.imag = _cdiv(num0, D)
+    psid.real, psid.imag = _cdiv(numd, D)
+    return code, psi0, psid
 
 
 def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
@@ -294,11 +325,14 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     the near-edge triplet, then the bound state above the band.
 
     All four residues of the dot Green's function, for sums that must be
-    exact (they add up to 1).  Same domain as ``near_edge_triplet``.
+    exact (they add up to 1).  Same domain as ``near_edge_triplet``.  The
+    states come from the one classify-and-normalize pass that also serves
+    ``spectrum_scan``, on a block of one point.
     """
     lams, Es = solve_quartic_lambda_raw(params.epsilon_d, params.g)
-    _check_upper(params, lams[3])
-    return _classified(params, lams, Es)
+    code, psi0, psid = _classify(params.g, np.array([params.epsilon_d]), lams[None], Es[None])
+    return [DiscreteState(z, E, _CLASSES[c], p0, pd) for z, E, c, p0, pd in zip(
+        lams.tolist(), Es.tolist(), code[0].tolist(), psi0[0].tolist(), psid[0].tolist())]
 
 
 def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
@@ -341,8 +375,22 @@ def threshold_labels(states) -> dict[int, DiscreteState]:
     return out
 
 
+def _checked_int(value, name: str, least: int | None = None) -> int:
+    """value as an int; DomainError naming it unless it is an integer (an
+    integral float such as 3.0 counts), and >= least where least is given."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or (least is not None and n < least):
+        need = "an integer" if least is None else f"an integer >= {least}"
+        raise DomainError(f"{name} = {value!r} outside the domain: need {need}")
+    return n
+
+
 def eigenstate_profile(state: DiscreteState, x: int) -> complex:
-    """Wave-function component <x|psi> = lam^|x| <0|psi> (x = 0 gives <0|psi>).
+    """Wave-function component <x|psi> = lam^|x| <0|psi> at the integer site
+    x (x = 0 gives <0|psi>; a non-integer x raises DomainError).
 
     The signed <0|psi> is the principal square root of psi0_sq; this global
     convention is the only place a square-root branch is taken.  A
@@ -351,7 +399,7 @@ def eigenstate_profile(state: DiscreteState, x: int) -> complex:
     """
     psi0 = cmath.sqrt(state.psi0_sq)
     try:
-        value = psi0 * state.lam ** abs(int(x))
+        value = psi0 * state.lam ** abs(_checked_int(x, "x"))
     except OverflowError:
         value = complex(math.inf)
     if not cmath.isfinite(value):
@@ -385,6 +433,7 @@ _SERIES = {
 def _series(quantity: str, g: float, n_terms: int, alpha: int) -> complex:
     """Sum of c_p (zeta_alpha g^(2/3))^p over the first n_terms nonzero terms."""
     powers, coeffs = _SERIES[quantity]
+    n_terms = _checked_int(n_terms, "n_terms")
     if not 1 <= n_terms <= len(powers):
         raise DomainError(
             f"{quantity} expansion has 1 to {len(powers)} terms, got n_terms = {n_terms}"
@@ -398,18 +447,20 @@ def _series(quantity: str, g: float, n_terms: int, alpha: int) -> complex:
 
 
 def puiseux_energy(g: float, n_terms: int = 3, alpha: int = 0) -> complex:
-    """Threshold energy of branch alpha through g^(8/3) (1 to 3 nonzero terms)."""
+    """Threshold energy of branch alpha through g^(8/3) (an integer 1 to 3
+    nonzero terms)."""
     return _series("energy", g, n_terms, alpha)
 
 
 def puiseux_lambda(g: float, n_terms: int = 5, alpha: int = 0) -> complex:
-    """Threshold lam of branch alpha through g^(8/3) (1 to 5 nonzero terms)."""
+    """Threshold lam of branch alpha through g^(8/3) (an integer 1 to 5
+    nonzero terms)."""
     return _series("lambda", g, n_terms, alpha)
 
 
 def puiseux_norm_d(g: float, n_terms: int = 3, alpha: int = 0) -> complex:
-    """Threshold <d|psi>^2 of branch alpha through g^(2/3) (1 to 3 terms);
-    diverges as g^(-2/3)."""
+    """Threshold <d|psi>^2 of branch alpha through g^(2/3) (an integer 1 to 3
+    terms); diverges as g^(-2/3)."""
     if g == 0:
         raise DomainError("<d|psi>^2 diverges at g = 0 (leading term g^(-2/3))")
     return _series("norm_d", g, n_terms, alpha)
@@ -420,12 +471,6 @@ def puiseux_norm_d(g: float, n_terms: int = 3, alpha: int = 0) -> complex:
 # ---------------------------------------------------------------------------
 
 _SCAN_MAX_POINTS = 100_000  # eps_d points per spectrum_scan
-
-# the triplet's classes in scan order, by code; a bound state above the band
-# in the triplet would take code 4
-_SCAN_CLASSES = np.array([c.value for c in (
-    StateClass.BOUND_LOWER, StateClass.VIRTUAL, StateClass.RESONANCE,
-    StateClass.ANTI_RESONANCE, StateClass.BOUND_UPPER)])
 
 
 class SpectrumScan(NamedTuple):
@@ -439,36 +484,17 @@ class SpectrumScan(NamedTuple):
     psid_sq: np.ndarray
 
 
-def _cmul(a, b):
-    """CPython's complex product (``_Py_c_prod``) of (re, im) pairs of arrays."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _cdiv(a, b):
-    """CPython's complex quotient a / b (``_Py_c_quot``, Smith's rule) of
-    (re, im) pairs of arrays, b nonzero."""
-    s = np.abs(b[0]) >= np.abs(b[1])
-    p, q = np.where(s, b[0], b[1]), np.where(s, b[1], b[0])
-    ratio = q / p
-    denom = p + q * ratio
-    re = np.where(s, a[0] + a[1] * ratio, a[0] * ratio + a[1])
-    im = np.where(s, a[1] - a[0] * ratio, a[1] * ratio - a[0])
-    return re / denom, im / denom
-
-
 def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> SpectrumScan:
     """Classified near-edge triplet for each eps_d on a uniform grid from
     eps_start to eps_stop (all four arguments finite, g >= 0, eps_stop >=
     eps_start, step > 0, at most 100 000 grid points; DomainError otherwise).
 
     Output ordering is deterministic: ascending eps_d, then class order
-    (bound, virtual, resonance, anti-resonance), then Im E and Re E.  Each
-    entry equals the state of ``discrete_spectrum`` at its eps_d to the bit:
-    the (n, 3) block is classified and normalized in one array pass whose
-    complex products and quotients are CPython's, taken on the real and
-    imaginary parts (numpy's complex arithmetic rounds differently).  Where
-    ``discrete_spectrum`` rejects a grid point, its error is raised for the
-    first such point.
+    (bound, virtual, resonance, anti-resonance), then Im E and Re E.  The
+    whole grid is classified and normalized in one pass, the one that
+    ``discrete_spectrum`` takes on a single point, so each entry is that
+    function's state at its eps_d, and a rejected grid point raises its
+    error, for the first such point.
     """
     for name, v in (("g", g), ("eps_start", eps_start), ("eps_stop", eps_stop), ("step", step)):
         if not np.isfinite(v):
@@ -488,37 +514,12 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> S
         )
     eps = eps_start + np.arange(int(points)) * step
     lams, Es = solve_quartic_lambda_raw(eps, g)
-    # _check_upper on column 3; _classify_state and _normalize_state, in
-    # CPython's order of operations, on the triplet
-    mod = np.hypot(lams.real, lams.imag)
-    real = np.abs(lams.imag) < REAL_TOL * (1.0 + mod)
-    up = lams[:, 3].real
-    bad = ~(real[:, 3] & (-1.0 < up) & (up < 0.0))
-    lam, E, mod, real = lams[:, :3], Es[:, :3], mod[:, :3], real[:, :3]
-    z = (lam.real, lam.imag)
-    z2 = _cmul(z, z)
-    one_m = (1.0 - z2[0], 0.0 - z2[1])
-    num0 = _cmul(_cmul((g**2, 0.0), z), z)
-    D = _cmul(num0, (1.0 + z2[0], 0.0 + z2[1]))
-    cube = _cmul(_cmul((1.0, 0.0), one_m), _cmul(one_m, one_m))
-    D = (D[0] + cube[0], D[1] + cube[1])
-    inside = mod < 1.0
-    on_cut = np.where(z[1] == 0, mod == 1.0, np.abs(mod - 1.0) < CUT_TOL)
-    bad |= (on_cut | (inside & ~real) | (np.hypot(*D) < 1e-300)).any(axis=1)
-    if bad.any():  # the scalar checks raise the first bad point's error
-        i = int(np.argmax(bad))
-        params = ModelParams(epsilon_d=float(eps[i]), g=g)
-        _check_upper(params, lams[i, 3])
-        _classified(params, lams[i, :3], Es[i, :3])
-    code = np.where(inside, np.where(z[0] > 0, 0, 4),
-                    np.where(real, 1, np.where(E.imag < 0, 2, 3)))
-    order = np.lexsort((E.real, E.imag, code), axis=-1)
+    code, psi0, psid = _classify(g, eps, lams, Es)
+    order = np.lexsort((Es[:, :3].real, Es[:, :3].imag, code[:, :3]), axis=-1)
 
-    def ordered(x):
-        return np.take_along_axis(x, order, axis=1).ravel()
+    def ordered(x):  # the triplet, columns 0-2
+        return np.take_along_axis(x[:, :3], order, axis=1).ravel()
 
-    psi0, psid = np.empty((2,) + lam.shape, complex)
-    psi0.real, psi0.imag = _cdiv(num0, D)  # set by part, so signed zeros survive
-    psid.real, psid.imag = _cdiv(_cmul(one_m, one_m), D)
-    return SpectrumScan(np.repeat(eps, 3), _SCAN_CLASSES[ordered(code)], ordered(E),
-                        ordered(lam), ordered(psi0), ordered(psid))
+    classes = np.array([c.value for c in _CLASSES])
+    return SpectrumScan(np.repeat(eps, 3), classes[ordered(code)], ordered(Es),
+                        ordered(lams), ordered(psi0), ordered(psid))

@@ -475,6 +475,16 @@ class TestRunners:
         assert capsys.readouterr().err.splitlines() == ["error: eps_d = (nan-0.08j) is not finite"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("bound, cell", [("--im-max", "(-2.15+infj)"),
+                                             ("--re-max", "(inf-0.08j)")])
+    def test_ep_sheet_with_an_infinite_bound_is_a_domain_error(self, capsys, tmp_path,
+                                                               bound, cell):
+        # linspace and the grid turned the bound into NaNs, with RuntimeWarnings
+        out = tmp_path / "sheet.csv"
+        assert main(["ep", "--g", "0.1", "--sheet", bound, "inf", "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: eps_d = {cell} is not finite"]
+        assert not out.exists()
+
     def test_reversed_scan_range_is_an_error(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["spectrum", "--g", "0.1", "--eps-min", "-1.9", "--eps-max", "-2.1",

@@ -11,7 +11,10 @@ from bandedge.dynamics import intermediate_amplitude, kn_closed_form
 from bandedge.errors import DomainError
 from bandedge.model import ModelParams, Sheet, density_of_states, lambda_from_energy, self_energy
 from bandedge.ep import complex_parameter_sheet
+from bandedge.generic import leading_root_approx, make_model, threshold_roots
 from bandedge.spectrum import (
+    discrete_spectrum,
+    eigenstate_profile,
     puiseux_energy,
     puiseux_lambda,
     puiseux_norm_d,
@@ -20,7 +23,8 @@ from bandedge.spectrum import (
 
 _P = ModelParams(epsilon_d=-2.0, g=0.1)
 _T = np.array([0.0, 1.0])
-nan = float("nan")
+nan, inf = float("nan"), float("inf")
+_BOUND = discrete_spectrum(_P)[0]
 
 # (call, the text that names the offending value)
 _PROBES = {
@@ -47,6 +51,18 @@ _PROBES = {
         lambda: solve_quartic_lambda_raw(np.array([-2.0, -np.inf]), 0.1), "eps_d = -inf"),
     "complex_parameter_sheet-nan": (lambda: complex_parameter_sheet(0.1, [nan, -2.0], [0.0]),
                                     "eps_d = (nan+0j)"),
+    # the grid itself held NaNs from 1j * inf, with a RuntimeWarning
+    "complex_parameter_sheet-inf-im": (
+        lambda: complex_parameter_sheet(0.1, [-2.0, -1.9], [0.0, inf]), "eps_d = (-2+infj)"),
+    # these ended in numpy's bare LinAlgError or a silent NaN
+    "threshold_roots-nan": (lambda: threshold_roots(make_model("const", nan)), "g = nan"),
+    "threshold_roots-inf": (lambda: threshold_roots(make_model("const", inf)), "g = inf"),
+    "leading_root_approx-nan": (lambda: leading_root_approx(make_model("const", nan)),
+                                "g = nan"),
+    # a non-integer site was truncated; a non-integer term count hit a slice
+    "eigenstate_profile-2.5": (lambda: eigenstate_profile(_BOUND, 2.5), "x = 2.5"),
+    "eigenstate_profile-nan": (lambda: eigenstate_profile(_BOUND, nan), "x = nan"),
+    "puiseux_energy-2.5-terms": (lambda: puiseux_energy(0.1, 2.5), "n_terms = 2.5"),
 }
 
 

@@ -15,11 +15,11 @@ from bandedge.errors import (
     DomainError,
     LabelMatchingError,
 )
-from bandedge.model import ModelParams
+from bandedge.model import CUT_TOL, ModelParams
 from bandedge.spectrum import (
-    _classify_state as classify_state,
+    _CLASSES,
+    _classify,
     _monic_roots,
-    _normalize_state as normalize_state,
     StateClass,
     discrete_spectrum,
     eigenstate_profile,
@@ -56,6 +56,31 @@ def lambda_quartic(eps_d, g):
 
 def quartic_residual(params, lam):
     return abs(np.polyval(lambda_quartic(params.epsilon_d, params.g), lam))
+
+
+# at lam = 2 the two terms of the normalization denominator D cancel exactly
+G_ZERO_D = 1.161895003862225
+
+
+def classify(g, eps_d, lams):
+    """(classes, psi0_sq, psid_sq) of the one-point pass on the given four
+    roots, E = -lam - 1/lam; the last root stands for the upper bound state."""
+    lams = np.array([lams], dtype=complex)
+    code, psi0, psid = _classify(g, np.array([eps_d]), lams, -lams - 1 / lams)
+    return [_CLASSES[c] for c in code[0]], psi0[0].tolist(), psid[0].tolist()
+
+
+def python_norms(g, lam):
+    """(psi0_sq, psid_sq) by Python complex arithmetic."""
+    g2 = g**2
+    one_m = 1 - lam * lam
+    D = g2 * lam * lam * (1 + lam * lam) + one_m**3
+    return g2 * lam * lam / D, one_m * one_m / D
+
+
+def hexes(*zs):
+    """The bits of complex numbers; .hex() keeps the sign of a zero."""
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
 
 
 class TestLambdaQuartic:
@@ -192,10 +217,16 @@ class TestQuarticSolverProperties:
     @_PROPERTY
     @given(g=_COUPLINGS, eps_d=_DETUNINGS)
     def test_biorthogonal_normalization(self, g, eps_d):
-        p = ModelParams(epsilon_d=eps_d, g=g)
-        for lam in solve_quartic_lambda_raw(p.epsilon_d, p.g)[0]:
-            psi0_sq, psid_sq = normalize_state(p, lam)
-            val = (1 + lam**2) * psi0_sq + (1 - lam**2) * psid_sq
+        try:
+            states = discrete_spectrum(ModelParams(epsilon_d=eps_d, g=g))
+        except BranchCutError as err:
+            # an in-band resonance within CUT_TOL of the unit circle (at
+            # g ~ 1e-5) is rejected before it is normalized
+            assert abs(abs(err.roots[0]) - 1.0) < CUT_TOL
+            return
+        for s in states:
+            lam = s.lam
+            val = (1 + lam**2) * s.psi0_sq + (1 - lam**2) * s.psid_sq
             assert abs(val - 1.0) <= 1e-9
 
     @_PROPERTY
@@ -416,8 +447,9 @@ class TestEnergyQuartic:
 
 class TestClassification:
     def test_bound_states(self):
-        assert classify_state(0.5, -2.5) is StateClass.BOUND_LOWER
-        assert classify_state(-0.5, 2.5) is StateClass.BOUND_UPPER
+        classes = classify(0.1, -2.0, [0.5, 2.0, 3.0, -0.5])[0]
+        assert classes[0] is StateClass.BOUND_LOWER
+        assert classes[3] is StateClass.BOUND_UPPER
 
     def test_virtual_pair_below_ep(self):
         # below the real exceptional point (~ -2.055 at g = 0.1) the
@@ -438,22 +470,33 @@ class TestClassification:
 
     def test_cut_rejected(self):
         with pytest.raises(BranchCutError):
-            classify_state(cmath.exp(0.3j), -2 * np.cos(0.3))
+            classify(0.1, -2.0, [cmath.exp(0.3j), 2.0, 3.0, -0.5])
+
+    def test_rejections_in_check_order(self):
+        # the upper state first, then each root in ascending Re E: cut,
+        # reality, then a vanishing denominator (D = 0 at lam = 2 here)
+        bad = [cmath.exp(0.3j), 0.5j, 2.0]
+        with pytest.raises(LabelMatchingError):
+            classify(G_ZERO_D, -2.0, bad + [0.5])
+        with pytest.raises(BranchCutError):
+            classify(G_ZERO_D, -2.0, bad + [-0.5])
+        with pytest.raises(DomainError, match=re.escape("non-real first-sheet root 0.5j")):
+            classify(G_ZERO_D, -2.0, bad[1:] + [3.0, -0.5])
 
 
 class TestNormalization:
     def test_decoupled_dot_state(self):
         # g = 0, E = -3: all weight on the dot up to the bound-state factor
         lam = (3 - np.sqrt(5)) / 2
-        p = ModelParams(epsilon_d=-3.0, g=0.0)
-        psi0_sq, psid_sq = normalize_state(p, lam)
+        _, psi0, psid = classify(0.0, -3.0, [lam, 1 / lam, 3.0, -0.5])
+        psi0_sq, psid_sq = psi0[0], psid[0]
         assert psi0_sq == 0.0
         assert psid_sq == pytest.approx(1.0 / (1.0 - lam**2), abs=1e-12)
 
     def test_normalization_identity(self):
         p = ModelParams(epsilon_d=-2.0, g=0.5)
-        for lam in solve_quartic_lambda_raw(p.epsilon_d, p.g)[0]:
-            psi0_sq, psid_sq = normalize_state(p, lam)
+        for s in discrete_spectrum(p):
+            lam, psi0_sq, psid_sq = s.lam, s.psi0_sq, s.psid_sq
             val = (1 + lam**2) * psi0_sq + (1 - lam**2) * psid_sq
             assert val == pytest.approx(1.0, abs=1e-12)
 
@@ -464,16 +507,30 @@ class TestNormalization:
             p = ModelParams(
                 epsilon_d=float(rng.uniform(-3, 0)), g=float(rng.uniform(0.05, 0.8))
             )
-            for lam in solve_quartic_lambda_raw(p.epsilon_d, p.g)[0]:
-                psi0_sq, psid_sq = normalize_state(p, lam)
+            for s in discrete_spectrum(p):
+                lam, psi0_sq, psid_sq = s.lam, s.psi0_sq, s.psid_sq
                 lhs = (1 - lam**2) ** 2 * psi0_sq
                 rhs = p.g**2 * lam**2 * psid_sq
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_degenerate_denominator(self):
-        p = ModelParams(epsilon_d=-2.0, g=0.0)
-        with pytest.raises(DegenerateNormalizationError):
-            normalize_state(p, 1.0)
+        with pytest.raises(DegenerateNormalizationError, match="vanished at lam = \\(2\\+0j\\)"):
+            classify(G_ZERO_D, -2.0, [0.5, 2.0, 3.0, -0.5])
+
+    def test_norms_are_python_complex_arithmetic_to_the_bit(self):
+        # psi0_sq and psid_sq round as the Python complex expressions do,
+        # signed zeros included; half the sample has eps_d inside the band
+        rng = np.random.default_rng(23)
+        points = list(zip(rng.uniform(-4.0, 4.0, 200).tolist(),
+                          (10.0 ** rng.uniform(-4.0, 0.5, 200)).tolist()))
+        for eps, g in points + [(-1.0, 0.3), (0.0, 0.1), (1.5, 0.05), (-2.0, 1e-7)]:
+            for s in discrete_spectrum(ModelParams(eps, g)):
+                assert hexes(s.psi0_sq, s.psid_sq) == hexes(*python_norms(g, s.lam))
+        # the g = 0 decoupled dot at eps_d = -3: lam = (3 -+ sqrt(5)) / 2
+        lams = [(3 - 5**0.5) / 2, (3 + 5**0.5) / 2, 3.0, -0.5]
+        _, psi0, psid = classify(0.0, -3.0, lams)
+        for lam, p0, pd in zip(lams, psi0, psid):
+            assert hexes(p0, pd) == hexes(*python_norms(0.0, complex(lam)))
 
     def test_norm_divergence_scaling(self):
         # g^{2/3} <d|psi_B>^2 -> 2^{1/3}/3 ~ 0.41997
@@ -547,6 +604,13 @@ class TestEigenstateProfile:
         q = abs(bound.lam) ** 2
         closed = abs(bound.psi0_sq) * (1 + q) / (1 - q)
         assert direct == pytest.approx(closed, rel=1e-12)
+
+
+    def test_integral_float_site_accepted(self):
+        bound = near_edge_triplet(ModelParams(epsilon_d=-2.0, g=0.1))[0]
+        assert eigenstate_profile(bound, 3.0) == eigenstate_profile(bound, 3)
+        assert eigenstate_profile(bound, -3) == eigenstate_profile(bound, 3)
+        assert puiseux_energy(0.1, n_terms=2.0) == puiseux_energy(0.1, n_terms=2)
 
 
 class TestPuiseux:
@@ -694,8 +758,8 @@ class TestSpectrumScan:
         ids=str,
     )
     def test_entries_are_the_discrete_spectrum_states_to_the_bit(self, g, lo, hi, step):
-        # the array pass rounds like CPython's complex arithmetic: with numpy's
-        # complex product and quotient 40-60 % of the psid_sq cells differ
+        # scan and point solve share one pass; this holds the scan's grid,
+        # its triplet slice and its ordering to the point solves
         order = [StateClass.BOUND_LOWER, StateClass.VIRTUAL, StateClass.RESONANCE,
                  StateClass.ANTI_RESONANCE]
 
