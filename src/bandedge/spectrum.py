@@ -9,8 +9,12 @@ E = -lam - 1/lam.  f is solved in double precision about the threshold,
 y = lam - 1, where the three roots that cluster at lam = 1 for small g form
 the well-scaled cubic y^3 ~ -g^2/2 instead of losing two thirds of their
 digits to the shift; p is solved about the dot level, v = E - eps_d (see
-``solve_energy_quartic_centred``).  One batched companion eigensolve plus three
-Newton steps (``_monic_roots``) serves every polynomial solve in the package.
+``solve_energy_quartic_centred``).  One root solver, ``_monic_roots``, serves
+every polynomial solve in the package: seeds, then three |p|-guarded Newton
+steps.  A quartic row with complex coefficients (a complex eps_d, as on the EP
+sheet) is seeded by Ferrari's closed form and kept only if its roots pass a
+certificate (disjoint inclusion discs from running error bounds); every other
+row, and every row that fails, is seeded by one batched companion eigensolve.
 One array pass (``_classify``) classifies and normalizes the roots of any
 number of points: one for ``discrete_spectrum``, a grid for ``spectrum_scan``.
 """
@@ -64,22 +68,59 @@ class DiscreteState:
 def _monic_roots(lower: np.ndarray) -> np.ndarray:
     """Roots of z^n + lower[..., 0] z^(n-1) + ... + lower[..., n-1] (monic rows).
 
-    The one root solver of the package, for any degree n = lower.shape[-1]:
-    the (..., n, n) companion matrices go through a single batched
-    eigensolve, and each eigenvalue takes three Newton steps, each kept only
-    if it lowers |p|.  Real coefficient rows stay real, so their complex
-    roots come out as exactly conjugate pairs.  Raises NumericalError if a
-    normwise residual |p(z)| / (max|c| max(1, |z|)^n) exceeds
-    ROOT_RESIDUAL_TOL.
+    The one root solver of the package, for any degree n = lower.shape[-1].
+    A quartic row with a nonzero imaginary coefficient (a complex eps_d) is
+    seeded by Ferrari's closed form (``_ferrari``), takes the three Newton
+    steps of ``_polish`` and is kept only if ``_certified`` accepts it: four
+    pairwise disjoint inclusion discs, so each holds exactly one root, each
+    |p| within its rounding bound, and the residual check.  Every other row
+    (real coefficients, other degrees, and a complex row that fails the
+    certificate, such as one at an EP, where two roots coalesce) goes
+    through ``_eig_roots``, the companion eigensolve plus the same Newton
+    steps, with the bits it has when solved alone; only that path keeps real
+    rows real, with complex roots in exactly conjugate pairs.  No row's
+    roots depend on the other rows of the batch.  Raises NumericalError if
+    a normwise residual |p(z)| / (max|c| max(1, |z|)^n) of an eigensolved
+    row exceeds ROOT_RESIDUAL_TOL.
     """
+    if lower.shape[-1] != 4 or not np.iscomplexobj(lower):
+        return _eig_roots(lower)
+    rows = lower.reshape(-1, 4)
+    out = np.empty(rows.shape, complex)
+    ok = np.any(rows.imag != 0, axis=1)  # the complex rows, until certified
+    seeded = rows[ok]
+    with np.errstate(all="ignore"):  # a non-finite seed fails the certificate
+        z = _polish(seeded, _ferrari(seeded))[0]
+        out[ok], ok[ok] = z, _certified(seeded, z)
+    if not ok.all():
+        out[~ok] = _eig_roots(rows[~ok])
+    return out.reshape(lower.shape)
+
+
+def _eig_roots(lower: np.ndarray) -> np.ndarray:
+    """``_monic_roots`` by the eigensolve alone: the (..., n, n) companion
+    matrices go through one batched eigensolve and each eigenvalue is
+    polished by ``_polish``; NumericalError past ROOT_RESIDUAL_TOL."""
     n = lower.shape[-1]
     comp = np.zeros(lower.shape[:-1] + (n, n), dtype=lower.dtype)
     comp[..., 0, :] = -lower
     comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
-    z = np.linalg.eigvals(comp).astype(complex)
+    z, p = _polish(lower, np.linalg.eigvals(comp).astype(complex))
+    worst = np.max(_residual(lower, z, p))
+    if not worst <= ROOT_RESIDUAL_TOL:
+        raise NumericalError(
+            f"polynomial roots did not converge; worst residual {worst:.3e}",
+            residual=float(worst),
+        )
+    return z
+
+
+def _polish(lower, z):
+    """(z, p(z)) after three Newton steps on the roots z of the monic rows
+    lower, each step kept only if it lowers |p|."""
     p, dp = _horner(lower, z)
     # p / dp can overflow where dp is tiny (a subnormal g^2); an inf or nan
-    # step never passes `better`, and the residual check below still raises
+    # step never passes `better`, and the residual check still raises
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
             z_new = z - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
@@ -90,14 +131,13 @@ def _monic_roots(lower: np.ndarray) -> np.ndarray:
             z = np.where(better, z_new, z)
             p = np.where(better, p_new, p)
             dp = np.where(better, dp_new, dp)
+    return z, p
+
+
+def _residual(lower, z, p):
+    """Normwise residual of each row, max |p(z)| / (max|c| max(1, |z|)^n)."""
     scale = np.maximum(1.0, np.max(np.abs(lower), axis=-1, keepdims=True))
-    worst = np.max(np.abs(p) / (scale * np.maximum(1.0, np.abs(z)) ** n))
-    if not worst <= ROOT_RESIDUAL_TOL:
-        raise NumericalError(
-            f"polynomial roots did not converge; worst residual {worst:.3e}",
-            residual=float(worst),
-        )
-    return z
+    return np.max(np.abs(p) / (scale * np.maximum(1.0, np.abs(z)) ** lower.shape[-1]), axis=-1)
 
 
 def _horner(lower, z):
@@ -107,6 +147,71 @@ def _horner(lower, z):
         dp = dp * z + p
         p = p * z + lower[..., k : k + 1]
     return p, dp
+
+
+# the cube roots of unity, the complex pair exactly conjugate; the disc
+# pairs (i, j), i < j, of four roots
+_OMEGA = np.array([1.0, complex(-0.5, 0.75**0.5), complex(-0.5, -(0.75**0.5))])
+_PAIRS = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _ferrari(lower):
+    """The four roots of each monic quartic row of lower (m, 4) by Ferrari's
+    closed form: seeds for ``_polish``, unchecked and possibly not finite."""
+    h = lower[:, 0] / 4.0
+    b, c, d = lower[:, 1], lower[:, 2], lower[:, 3]
+    # the depressed quartic t^4 + p t^2 + q t + r in t = y + a/4
+    p = b - 6.0 * h * h
+    q = c - 2.0 * b * h + 8.0 * h**3
+    r = d - c * h + b * h * h - 3.0 * h**4
+    # its resolvent m^3 - (p/2) m^2 - r m + (p r/2 - q^2/8) is w^3 + P w + Q
+    # in w = m - p/6; Cardano from the larger-modulus u^3
+    P, Q = -r - p * p / 12.0, p * r / 3.0 - p**3 / 108.0 - q * q / 8.0
+    sq = np.sqrt(Q * Q / 4.0 + P**3 / 27.0)
+    u3 = np.where(np.abs(sq - Q / 2.0) >= np.abs(sq + Q / 2.0), sq, -sq) - Q / 2.0
+    u = (u3 ** (1.0 / 3.0))[:, None] * _OMEGA
+    w = u - np.where(u != 0, P[:, None] / (3.0 * u), 0.0)
+    # of the three m, the one of largest |2m - p| = |2w - 2p/3| = |s|^2; then
+    # t^4 + p t^2 + q t + r = (t^2 + m)^2 - (s t - q/(2s))^2
+    s2 = 2.0 * w - (2.0 / 3.0) * p[:, None]
+    s2 = s2[np.arange(len(s2)), np.argmax(np.abs(s2), axis=1)]
+    s, m = np.sqrt(s2)[:, None], ((s2 + p) / 2.0)[:, None]
+    # t^2 -+ s t + m +- q/(2s): the larger-modulus root, the other by Vieta
+    B, C = s * _SIGNS, m - (q[:, None] / (2.0 * s)) * _SIGNS
+    sq = np.sqrt(B * B - 4.0 * C)
+    S = np.where(np.abs(B + sq) >= np.abs(B - sq), B + sq, B - sq)
+    return np.concatenate([-S / 2.0, -2.0 * C / S], axis=1) - h[:, None]
+
+
+def _certified(lower, z):
+    """True for each monic quartic row of lower (m, 4) whose roots z (m, 4)
+    are certified.  From p'/p = sum 1/(z - y_j), each disc
+    |y - z_i| <= 4 (|p(z_i)| + e_i) / (|p'(z_i)| - e'_i) holds a root where
+    |p'(z_i)| > e'_i, with e_i and e'_i running error bounds on the computed
+    p and p' (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 5.1, with complex products); four pairwise disjoint discs then
+    hold one root each.  Each |p(z_i)| must also be within e_i, so z_i is a
+    root of a polynomial within rounding of the row (Newton has converged),
+    and the row must pass the residual check."""
+    az = np.abs(z)
+    y, dy = np.ones_like(z), np.zeros_like(z)
+    ay, ady = np.ones(z.shape), np.zeros(z.shape)
+    mu, nu = np.zeros(z.shape), np.zeros(z.shape)
+    for k in range(4):
+        dy, y = dy * z + y, y * z + lower[:, k : k + 1]
+        # a step rounds by at most 4u (|z| |previous| + |new|) (u = 2^-53),
+        # and the error in p so far carries into p'
+        nu = az * (nu + ady) + mu + np.abs(dy)
+        mu = az * (mu + ay) + np.abs(y)
+        ady, ay = np.abs(dy), np.abs(y)
+    e, slack = 2.0**-51 * mu, ady - 2.0**-51 * nu
+    rad = 4.0 * (ay + e) / slack
+    i, j = _PAIRS
+    # 2^-48 covers the rounding of the radii and distances themselves
+    apart = np.abs(z[:, i] - z[:, j]) > (1.0 + 2.0**-48) * (rad[:, i] + rad[:, j])
+    return ((ay <= e) & (slack > 0)).all(axis=1) & apart.all(axis=1) & (
+        _residual(lower, z, y) <= ROOT_RESIDUAL_TOL)
 
 
 def _real_if_real(x) -> np.ndarray:
@@ -149,7 +254,12 @@ def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
     g = 0 or g^4 a normal double, with g <= 1e38, |eps_d| <= 1e50 and
     |eps_d| g <= 1e76 (DomainError outside that).  There the residual scale
     max|c| max(1, |v|)^4 ~ max(eps_d^2, g^4) max(|eps_d|, g)^4 of the
-    companion solve stays below about 1e304.
+    companion solve stays below about 1e304.  Inside these bounds, far from
+    the band, the companion solve fails its residual check and
+    NumericalError is raised in a band of about 1e-3 |eps_d|^(1/2) <= g <=
+    3e-12 |eps_d| (so only from |eps_d| ~ 3e17; measured on a quarter-decade
+    grid), for example at (eps_d, g) = (1.3e25, 1e10), (1.3e30, 1e14),
+    (1.3e45, 1e26) and (1e48, 1e28).
 
     Here p = v^4 + a v^3 + b v^2 - g^4, with a = 2 eps_d,
     b = (eps_d - 2)(eps_d + 2) (one rounding, also near eps_d = +-2) and no
@@ -198,8 +308,7 @@ def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
             near = near[::-1]
         v[near] = pair
     elif b == 0 and g4 > 0:
-        w = complex(-0.5, 0.75**0.5)  # e^{2 pi i/3}; its conjugate taken exactly
-        v0 = np.cbrt(g4 / a) * np.array([1.0, w, w.conjugate()])
+        v0 = np.cbrt(g4 / a) * _OMEGA
         if abs(v0[0]) <= 1e-3 * abs(a):
             triplet = v0
             for _ in range(4):
@@ -377,7 +486,10 @@ def threshold_labels(states) -> dict[int, DiscreteState]:
 
 def _checked_int(value, name: str, least: int | None = None) -> int:
     """value as an int; DomainError naming it unless it is an integer (an
-    integral float such as 3.0 counts), and >= least where least is given."""
+    integral float such as 3.0 counts), and >= least where least is given.
+    A numpy scalar is named as its Python value (0.5, not np.float64(0.5))."""
+    if isinstance(value, np.generic):
+        value = value.item()
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bandedge.bessel import bessel_j
-from bandedge.dynamics import intermediate_amplitude, kn_closed_form
+from bandedge.dynamics import intermediate_amplitude, kn_closed_form, kn_quadrature
 from bandedge.errors import DomainError
 from bandedge.model import ModelParams, Sheet, density_of_states, lambda_from_energy, self_energy
 from bandedge.ep import complex_parameter_sheet
@@ -63,6 +63,9 @@ _PROBES = {
     "eigenstate_profile-2.5": (lambda: eigenstate_profile(_BOUND, 2.5), "x = 2.5"),
     "eigenstate_profile-nan": (lambda: eigenstate_profile(_BOUND, nan), "x = nan"),
     "puiseux_energy-2.5-terms": (lambda: puiseux_energy(0.1, 2.5), "n_terms = 2.5"),
+    # a numpy scalar was named by its repr, "n = np.float64(0.5)"
+    "kn_quadrature-numpy-scalar": (lambda: kn_quadrature(np.float64(0.5), 1.0),
+                                   "n = 0.5 outside"),
 }
 
 

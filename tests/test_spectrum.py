@@ -14,11 +14,14 @@ from bandedge.errors import (
     DegenerateNormalizationError,
     DomainError,
     LabelMatchingError,
+    NumericalError,
 )
+from bandedge.ep import ep_parameter
 from bandedge.model import CUT_TOL, ModelParams
 from bandedge.spectrum import (
     _CLASSES,
     _classify,
+    _eig_roots,
     _monic_roots,
     StateClass,
     discrete_spectrum,
@@ -268,6 +271,101 @@ class TestCubicRowsThroughTheCore:
         assert cplx == sorted((z.conjugate() for z in cplx), key=lambda w: (w.real, w.imag))
 
 
+def _lam_rows(eps_d, g) -> np.ndarray:
+    """The monic rows of f in y = lam - 1 that solve_quartic_lambda_raw
+    solves, one per (eps_d, g) pair."""
+    d, g2 = np.asarray(eps_d, complex) + 2.0, np.asarray(g, float) * np.asarray(g, float)
+    return np.stack(np.broadcast_arrays(2.0 + d, 3.0 * d + g2, 2.0 * (d + g2), g2), axis=-1)
+
+
+def _closed_form_certified(rows: np.ndarray) -> np.ndarray:
+    """Whether each row's polished closed-form roots pass the certificate."""
+    with np.errstate(all="ignore"):
+        seeds = spectrum._ferrari(rows)
+        return spectrum._certified(rows, spectrum._polish(rows, seeds)[0])
+
+
+def _bits(z) -> list:
+    return [(w.real.hex(), w.imag.hex()) for w in np.ravel(z).astype(complex).tolist()]
+
+
+class TestCertifiedClosedForm:
+    def test_rows_are_independent_of_their_batch(self):
+        # sheet cells, an im = 0 cell, the two complex EPs (where two roots
+        # coalesce, so their discs overlap) and a weak-coupling cell in one
+        # batch: each row is its own solve to the bit, and the real and EP
+        # rows are the eigensolve's
+        rng = np.random.default_rng(24)
+        cells = rng.uniform(-2.15, -1.85, 12) + 1j * rng.uniform(-0.08, 0.08, 12)
+        eps = np.concatenate(
+            [cells, [-2.0], [ep_parameter(0.1, n).eps_d for n in (-1, 1)], [-2.0 + 0.01j]])
+        g = np.r_[np.full(15, 0.1), 1e-8]
+        rows = _lam_rows(eps, g)
+        certified = _closed_form_certified(rows)
+        assert certified[:12].all() and certified[15] and not certified[13:15].any()
+        batch = _monic_roots(rows)
+        for row, roots in zip(rows, batch):
+            assert _bits(_monic_roots(row)) == _bits(roots)
+        for k in (12, 13, 14):
+            assert _bits(_eig_roots(rows[k])) == _bits(batch[k])
+        # so a sheet cell equals the point solve at its eps_d
+        lams, Es = solve_quartic_lambda_raw(eps[:15], 0.1)
+        for k in [*range(12), 13, 14]:
+            lam, E = solve_quartic_lambda_raw(eps[k], 0.1)
+            assert _bits(lam) == _bits(lams[k]) and _bits(E) == _bits(Es[k])
+
+    def test_certified_roots_match_60_digit_oracle(self):
+        # sheet-domain cells: the certified roots are as accurate as the
+        # eigensolve's, to within one ulp of lam ~ 1 (at rounding level the
+        # two paths land on different doubles, each the closer about as often)
+        rng = np.random.default_rng(2024)
+        n = 120
+        eps = rng.uniform(-2.15, -1.85, n) + 1j * rng.uniform(-0.08, 0.08, n)
+        g = rng.uniform(0.05, 1.0, n)
+        rows = _lam_rows(eps, g)
+        assert _closed_form_certified(rows).all()
+        worst = np.zeros(2)
+        for e, gg, *paths in zip(eps, g, 1.0 + _monic_roots(rows), 1.0 + _eig_roots(rows)):
+            refs = [complex(r) for r in _mp_roots(complex(e), float(gg))]
+            for k, lams in enumerate(paths):
+                err = max(min(abs(w - r) for w in lams) / abs(r) for r in refs)
+                worst[k] = max(worst[k], err)
+        assert worst[1] <= 1e-15
+        assert worst[0] <= worst[1] + 2.0**-52
+
+    @pytest.mark.parametrize("n", [-1, 1])
+    def test_complex_ep_falls_back_to_the_eigensolve(self, n):
+        rows = _lam_rows([ep_parameter(0.1, n).eps_d], [0.1])
+        assert not _closed_form_certified(rows)[0]
+        assert _bits(_monic_roots(rows)) == _bits(_eig_roots(rows))
+
+    def test_unconverged_newton_fails_the_certificate(self):
+        # the threshold cluster at g = 1e-8 has a 20 % closed-form seed, and
+        # three Newton steps leave it 1e-11 off, inside disjoint discs; |p| is
+        # still above its rounding bound there, so the eigensolve takes the row
+        eps_d = -2.0 + 1e-12j
+        assert not _closed_form_certified(_lam_rows([eps_d], [1e-8]))[0]
+        lams, _ = solve_quartic_lambda_raw(eps_d, 1e-8)
+        for ref in _mp_roots(eps_d, 1e-8):
+            ref = complex(ref)
+            assert abs(complex(_nearest(ref, lams)) - ref) <= 1e-15 * abs(ref)
+
+    def test_real_row_fails_the_certificate(self):
+        # the closed form never sees a real row; here it would fail anyway
+        assert not _closed_form_certified(_lam_rows([-2.0], [1e-8]))[0]
+
+    def test_overflowing_closed_form_raises_the_eigensolve_error(self):
+        # at g = 1e30 the closed form overflows, with no RuntimeWarning; the
+        # row falls back and the eigensolve raises its own error
+        rows = _lam_rows([-2.0 + 0.01j], [1e30])
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(spectrum._ferrari(rows)).all()
+        with pytest.raises(NumericalError) as want:
+            _eig_roots(rows)
+        with pytest.raises(NumericalError, match=re.escape(str(want.value))):
+            solve_quartic_lambda_raw(-2.0 + 0.01j, 1e30)
+
+
 class TestNearEdgeTripletAtWeakCoupling:
     @pytest.mark.parametrize("g", [1e-5, 2e-5, 2.8e-5])
     def test_dropped_upper_bound_state_inside_cut_tolerance(self, g):
@@ -437,6 +535,15 @@ class TestEnergyQuartic:
             bound = f"eps_d = {past}, g = {g:.3e} is outside the energy route's bounds"
             with pytest.raises(DomainError, match=re.escape(bound)):
                 solve_energy_quartic_centred(ModelParams(past, g))
+
+    def test_fails_loudly_in_the_far_detuned_band(self):
+        # inside the stated bounds, in the band 1e-3 |eps_d|^(1/2) <~ g <~
+        # 3e-12 |eps_d| the companion solve misses its residual check: a
+        # NumericalError, not a wrong root and not a bare numpy error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="did not converge"):
+                solve_energy_quartic_centred(ModelParams(epsilon_d=1.3e25, g=1e10))
 
     def test_conjugate_pairing(self):
         p = ModelParams(epsilon_d=-1.97, g=0.1)
