@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .spectrum import _horner, solve_quartic_lambda_raw
+from .spectrum import _PAIRS, _cardano, _horner, solve_quartic_lambda_raw
 
-DOUBLE_ROOT_TOL = 1e-8
-EP_GAP_TOL = 1e-6
+DOUBLE_ROOT_TOL = 1e-8  # |p|, |p'| at a certified EP
+EP_GAP_TOL = 1e-2  # root gaps at a certified EP, relative to the triplet's spread
 
 
 @dataclass(frozen=True)
@@ -43,76 +43,76 @@ def _ep_condition_residual(E: complex, g: float) -> complex:
     return (E * E - 4.0) ** 3 - g**4 * E * E
 
 
-def ep_energy_closed_form(g: float, n: int) -> complex:
-    """Coalesced eigenvalue E_bar_n near the lower band edge, n in {-1, 0, 1}.
-
-    Cardano solution of the cubic in y = E^2 - 4:
-
-        E_bar_n = -sqrt(4 + w u + w^2 v),   w = exp(2 pi i n / 3),
-
-    with u, v the real cube roots of g^4 (2 +/- sqrt(36 - g^4/3)/3).  Both
-    radicands are positive for 0 < g^4 < 108, so the principal real cube
-    roots already satisfy Cardano's constraint u v = g^4 / 3; the result is
-    certified against the defining condition rather than assumed.
-    """
+def _coalesced(g: float, n: int) -> tuple[complex, complex]:
+    """(E_bar_n, y = E_bar_n^2 - 4); see ``ep_energy_closed_form``."""
     if n not in (-1, 0, 1):
         raise DomainError(f"branch index must be -1, 0 or 1, got {n}")
     if not (0.0 < g and g**4 < 108.0):
         raise DomainError(f"g = {g} outside the safe range 0 < g^4 < 108")
-    s = np.sqrt(36.0 - g**4 / 3.0) / 3.0
-    u = g ** (4.0 / 3.0) * np.cbrt(2.0 + s)
-    v = g ** (4.0 / 3.0) * np.cbrt(2.0 - s)
-    w1 = cmath.exp(2j * np.pi * n / 3.0)
-    w2 = cmath.exp(4j * np.pi * n / 3.0)
-    E = -cmath.sqrt(4.0 + w1 * u + w2 * v)
+    y = complex(_cardano(np.array([-(g**4)]), np.array([-4.0 * g**4]))[0, n % 3])
+    E = -cmath.sqrt(4.0 + y)
     res = abs(_ep_condition_residual(E, g))
     if res > 1e-10 * max(1.0, g**4):
         raise ConsistencyError(f"closed-form EP energy failed its own condition: {res:.3e}")
-    if n == 0:
-        E = complex(E.real, 0.0)
-    return E
+    return (complex(E.real, 0.0) if n == 0 else E), y
+
+
+def ep_energy_closed_form(g: float, n: int) -> complex:
+    """Coalesced eigenvalue E_bar_n = -sqrt(4 + y) near the lower band edge,
+    n in {-1, 0, 1}, with y = E^2 - 4 root n % 3 of ``spectrum._cardano``
+    for the cubic y^3 - g^4 y - 4 g^4 = 0 (real for n = 0; for
+    0 < g^4 < 108 root n carries the phase exp(2 pi i n / 3)).  The result
+    is checked against the defining condition rather than assumed.
+    """
+    return _coalesced(g, n)[0]
 
 
 def verify_ep_by_discriminant(g: float, eps_d: complex) -> tuple[float, float]:
-    """(min energy gap, lam gap of that pair) over the four discrete roots.
+    """(min energy gap, lam gap of that pair) over the four discrete roots,
+    the first such pair in (0, 1), (0, 2), ..., (2, 3) order.
 
     A genuine EP needs both gaps small: an energy near-degeneracy with
     distinct lam roots is a first/second sheet accident, not a coalescence.
     """
     lams, Es = solve_quartic_lambda_raw(eps_d, g)
-    best = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            gap = abs(Es[i] - Es[j])
-            if best is None or gap < best[0]:
-                best = (gap, abs(lams[i] - lams[j]))
-    return best
+    i, j = _PAIRS[:, np.argmin(np.abs(Es[_PAIRS[0]] - Es[_PAIRS[1]]))]
+    return abs(Es[i] - Es[j]), abs(lams[i] - lams[j])
+
+
+def _ep_certified(g: float, E: complex, eps: complex) -> bool:
+    """True if E is a certified double root of the energy quartic
+    p(E) = (E - eps)^2 (E^2 - 4) - g^4: |p(E)|, |p'(E)| < DOUBLE_ROOT_TOL,
+    and the quartic's nearest root pair (``verify_ep_by_discriminant``)
+    within EP_GAP_TOL |E + 2| in energy and EP_GAP_TOL |E + 2|^(1/2) in lam,
+    the spreads of the near-edge triplet.  p is even in E - eps, so only
+    the gaps reject the mirror candidate 2E - eps: for g in [1e-6, 3.2]
+    both ratios are <= 5.1e-4 at the EP and 1.2 to 3.2 at the mirror.
+    """
+    row = np.array([-2.0 * eps, eps * eps - 4.0, 8.0 * eps, -4.0 * eps * eps - g**4])
+    p, dp = _horner(row, np.array([E]))  # p as a monic row, E^4 + row[0] E^3 + ...
+    if not (abs(p[0]) < DOUBLE_ROOT_TOL and abs(dp[0]) < DOUBLE_ROOT_TOL):
+        return False
+    gap, lam_gap = verify_ep_by_discriminant(g, eps)
+    spread = abs(E + 2.0)
+    return gap < EP_GAP_TOL * spread and lam_gap < EP_GAP_TOL * spread**0.5
 
 
 def ep_parameter(g: float, n: int) -> EPLocation:
     """Locate the EP2 on branch n: the eps_d making E_bar_n a double root.
 
-    eps_d = E_bar - Sigma(E_bar) with the square-root branch chosen so that
-    the energy quartic genuinely has a double root there (certified through
-    |p| and |p'| of p(E) = (E - eps_d)^2 (E^2 - 4) - g^4, never assumed).
+    p'(E) = 2 (E - eps_d) [y + E (E - eps_d)] with y = E^2 - 4 vanishes at
+    eps_d = E + y / E, where p(E) = 0 is exactly the cubic y^3 = g^4 E^2
+    that E_bar_n solves; so eps_bar = E_bar + y / E_bar, y from the closed
+    form, certified by ``_ep_certified`` (ConsistencyError if it fails).
     For n = 0 the result is real.
     """
-    E = ep_energy_closed_form(g, n)
-    sq = cmath.sqrt(E * E - 4.0)
-    for sign in (+1.0, -1.0):
-        eps = E - sign * g**2 / sq
-        # p as a monic row: E^4 + row[0] E^3 + ... + row[3]
-        row = np.array([-2.0 * eps, eps * eps - 4.0, 8.0 * eps, -4.0 * eps * eps - g**4])
-        p, dp = _horner(row, np.array([E]))
-        if abs(p[0]) < DOUBLE_ROOT_TOL and abs(dp[0]) < DOUBLE_ROOT_TOL:
-            gap, lam_gap = verify_ep_by_discriminant(g, eps)
-            if gap < EP_GAP_TOL and lam_gap < 1e-3:
-                if n == 0:
-                    eps = complex(eps.real, 0.0)
-                return EPLocation(n=n, energy=E, eps_d=eps, g=g)
-    raise ConsistencyError(
-        f"no self-energy branch yields a certified double root for n = {n}"
-    )
+    E, y = _coalesced(g, n)
+    eps = E + y / E
+    if not _ep_certified(g, E, eps):
+        raise ConsistencyError(f"eps_d = {eps} is not a certified double root for n = {n}")
+    if n == 0:
+        eps = complex(eps.real, 0.0)
+    return EPLocation(n=n, energy=E, eps_d=eps, g=g)
 
 
 # ---------------------------------------------------------------------------

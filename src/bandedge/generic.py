@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .quadrature import adaptive_quad
-from .spectrum import _horner, _monic_roots
+from .spectrum import _cardano, _monic_roots
 
 _HALF_PI = 0.5 * np.pi
 _REFINE_TOL = 1e-10  # relative step at which a refined threshold root has converged
@@ -167,43 +167,25 @@ def leading_root_approx(model: GenericSelfEnergyModel) -> float:
 
 
 def xi_intermediates(model: GenericSelfEnergyModel):
-    """Cardano intermediates of the threshold cubic (frozen coefficients).
+    """(xi_plus, xi_minus, x): Cardano intermediates and a root of the
+    threshold cubic (frozen coefficients; Lam(E_th) != 0, else DomainError).
 
-    xi_pm = (-g^2 Lam +/- g^2 Lam sqrt(1 + 4 g^2 Delta^3 / (27 Lam^2))) / 2;
-    the root is reconstructed as x = xi_+^(1/3) + xi_-^(1/3) with the cube
-    roots paired so that their product equals -g^2 Delta / 3 (the Cardano
-    constraint); the pairing is certified by the cubic residual.
-
-    Returns (xi_plus, xi_minus, x).
+    xi_pm = (-g^2 Lam +/- g^2 Lam sqrt(1 + 4 g^2 Delta^3 / (27 Lam^2))) / 2
+    are the two u^3 of x = u - g^2 Delta / (3 u).  xi_- has no cancellation,
+    and xi_+ = -(g^2 Delta)^3 / (27 xi_-) by Vieta.  x is root 0 of
+    ``spectrum._cardano``, on the principal cube root of xi_-: for Lam < 0
+    and 27 Lam^2 + 4 g^2 Delta^3 > 0 the one real root, x > 0.
     """
     g = model.g
     d0 = complex(model.delta_at_threshold())
     l0 = complex(model.lam_at_threshold())
+    if l0 == 0:
+        raise DomainError("Lam(E_th) = 0: no inverse-square-root divergence")
     rad = np.sqrt(complex(1.0 + 4.0 * g**2 * d0**3 / (27.0 * l0**2)))
-    xi_p = 0.5 * (-(g**2) * l0 + g**2 * l0 * rad)
-    xi_m = 0.5 * (-(g**2) * l0 - g**2 * l0 * rad)
-    row = np.array([0.0, g**2 * d0, g**2 * l0])  # the cubic x^3 + row[1] x + row[2]
-    scale = np.abs(row).max()
-
-    def residual(x):
-        return abs(_horner(row, np.array([x]))[0][0])
-
-    target = -(g**2) * d0 / 3.0
-    omega = np.exp(2j * np.pi / 3.0)
-    u0 = xi_p ** (1.0 / 3.0) if xi_p != 0 else 0.0
-    for ku in range(3):
-        u = u0 * omega**ku
-        if u == 0:
-            candidates = [xi_m ** (1.0 / 3.0) * omega**kv for kv in range(3)]
-        else:
-            candidates = [target / u] if d0 != 0 else [
-                xi_m ** (1.0 / 3.0) * omega**kv for kv in range(3)
-            ]
-        for v in candidates:
-            x = u + v
-            if residual(x) < 1e-10 * max(1.0, scale):
-                return xi_p, xi_m, x
-    raise ConsistencyError("no cube-root pairing solves the threshold cubic")
+    xi_m = -0.5 * g**2 * l0 * (1.0 + rad)
+    xi_p = -((g**2 * d0) ** 3) / (27.0 * xi_m) if xi_m else 0j  # xi_m = 0 at g = 0
+    x = _cardano(np.array([g**2 * d0]), np.array([g**2 * l0]))[0, 0]
+    return xi_p, xi_m, x
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import ModelParams
-from .spectrum import _horner, near_edge_triplet, threshold_labels
+from .spectrum import _OMEGA, _horner, near_edge_triplet, threshold_labels
 
 
 def build_pencil(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +157,8 @@ def limiting_combination_vectors(g: float) -> dict[str, np.ndarray]:
     for alpha, s in labeled.items():
         v = _ratio_vector(s.lam, g)
         c1 += v / 3.0
-        c2 += np.exp(-2j * np.pi * alpha / 3.0) / w2_scale * v
-        c3 += np.exp(+2j * np.pi * alpha / 3.0) / w3_scale * v
+        c2 += _OMEGA[-alpha % 3] / w2_scale * v  # e^{-2 pi i alpha/3}
+        c3 += _OMEGA[alpha % 3] / w3_scale * v  # e^{+2 pi i alpha/3}
     return {"combo_dot": c1, "combo_pseudo": c2, "combo_band_edge": c3}
 
 

@@ -106,7 +106,7 @@ def _eig_roots(lower: np.ndarray) -> np.ndarray:
     comp[..., 0, :] = -lower
     comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
     z, p = _polish(lower, np.linalg.eigvals(comp).astype(complex))
-    worst = np.max(_residual(lower, z, p))
+    worst = np.max(_residual(lower, z, p), initial=0.0)  # 0.0 for no rows
     if not worst <= ROOT_RESIDUAL_TOL:
         raise NumericalError(
             f"polynomial roots did not converge; worst residual {worst:.3e}",
@@ -156,6 +156,17 @@ _PAIRS = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
 _SIGNS = np.array([1.0, -1.0])
 
 
+def _cardano(P, Q):
+    """Roots (m, 3) of the cubics w^3 + P w + Q for (m,) arrays P, Q: root k
+    is u_k - P / (3 u_k), u_k = _OMEGA[k] u, u the principal cube root of the
+    larger-modulus (cancellation-free) u^3 = -Q/2 +- sqrt(Q^2/4 + P^3/27)."""
+    P, Q = np.asarray(P, complex), np.asarray(Q, complex)
+    sq = np.sqrt(Q * Q / 4.0 + P**3 / 27.0)
+    u3 = np.where(np.abs(sq - Q / 2.0) >= np.abs(sq + Q / 2.0), sq, -sq) - Q / 2.0
+    u = (u3 ** (1.0 / 3.0))[:, None] * _OMEGA
+    return u - np.divide(P[:, None], 3.0 * u, out=np.zeros_like(u), where=u != 0)
+
+
 def _ferrari(lower):
     """The four roots of each monic quartic row of lower (m, 4) by Ferrari's
     closed form: seeds for ``_polish``, unchecked and possibly not finite."""
@@ -166,12 +177,8 @@ def _ferrari(lower):
     q = c - 2.0 * b * h + 8.0 * h**3
     r = d - c * h + b * h * h - 3.0 * h**4
     # its resolvent m^3 - (p/2) m^2 - r m + (p r/2 - q^2/8) is w^3 + P w + Q
-    # in w = m - p/6; Cardano from the larger-modulus u^3
-    P, Q = -r - p * p / 12.0, p * r / 3.0 - p**3 / 108.0 - q * q / 8.0
-    sq = np.sqrt(Q * Q / 4.0 + P**3 / 27.0)
-    u3 = np.where(np.abs(sq - Q / 2.0) >= np.abs(sq + Q / 2.0), sq, -sq) - Q / 2.0
-    u = (u3 ** (1.0 / 3.0))[:, None] * _OMEGA
-    w = u - np.where(u != 0, P[:, None] / (3.0 * u), 0.0)
+    # in w = m - p/6
+    w = _cardano(-r - p * p / 12.0, p * r / 3.0 - p**3 / 108.0 - q * q / 8.0)
     # of the three m, the one of largest |2m - p| = |2w - 2p/3| = |s|^2; then
     # t^4 + p t^2 + q t + r = (t^2 + m)^2 - (s t - q/(2s))^2
     s2 = 2.0 * w - (2.0 / 3.0) * p[:, None]
@@ -429,15 +436,23 @@ def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray):
     return code, psi0, psid
 
 
+def _coupled(g: float) -> None:
+    """DomainError at g = 0: the dot decouples and lam = +-1 lie on the cut."""
+    if g == 0.0:
+        raise DomainError("g = 0 is outside the domain (need g > 0): the dot decouples "
+                          "and lam = +-1, the band edges, are roots on the cut")
+
+
 def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     """All four discrete states in ascending Re E, classified and normalized:
     the near-edge triplet, then the bound state above the band.
 
     All four residues of the dot Green's function, for sums that must be
-    exact (they add up to 1).  Same domain as ``near_edge_triplet``.  The
+    exact (they add up to 1).  Same domain as ``near_edge_triplet`` (g > 0).  The
     states come from the one classify-and-normalize pass that also serves
     ``spectrum_scan``, on a block of one point.
     """
+    _coupled(params.g)
     lams, Es = solve_quartic_lambda_raw(params.epsilon_d, params.g)
     code, psi0, psid = _classify(params.g, np.array([params.epsilon_d]), lams[None], Es[None])
     return [DiscreteState(z, E, _CLASSES[c], p0, pd) for z, E, c, p0, pd in zip(
@@ -448,8 +463,8 @@ def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
     """The three states near the lower band edge, classified and normalized.
 
     The first three of ``discrete_spectrum``, the roots of smallest Re E.
-    Raises LabelMatchingError unless the fourth root is real with
-    -1 < lam < 0.  For g > 0 that root is lam = -1 + g^2/(4 - 2 eps_d)
+    Needs g > 0 (DomainError at g = 0).  Raises LabelMatchingError unless
+    the fourth root is real with -1 < lam < 0.  That root is lam = -1 + g^2/(4 - 2 eps_d)
     + O(g^4), which double precision resolves only while the shift
     g^2/(4 - 2 eps_d) exceeds about 1.1e-16 (g >~ 3e-8 near eps_d = -2,
     measured); below that it rounds to -1 and DomainError is raised.
@@ -460,7 +475,7 @@ def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
 # Branch phase zeta_alpha = e^{2 pi i alpha / 3} of the threshold triplet:
 # 0 bound, -1 resonance, +1 anti-resonance.  The three branches are the three
 # cube roots of g^2.
-_ZETA = {0: 1.0, -1: complex(-0.5, -0.75**0.5), 1: complex(-0.5, 0.75**0.5)}
+_ZETA = {0: 1.0, -1: complex(_OMEGA[2]), 1: complex(_OMEGA[1])}
 
 
 def threshold_labels(states) -> dict[int, DiscreteState]:
@@ -598,7 +613,7 @@ class SpectrumScan(NamedTuple):
 
 def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> SpectrumScan:
     """Classified near-edge triplet for each eps_d on a uniform grid from
-    eps_start to eps_stop (all four arguments finite, g >= 0, eps_stop >=
+    eps_start to eps_stop (all four arguments finite, g > 0, eps_stop >=
     eps_start, step > 0, at most 100 000 grid points; DomainError otherwise).
 
     Output ordering is deterministic: ascending eps_d, then class order
@@ -618,6 +633,7 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> S
             f"scan range is reversed: eps_stop = {eps_stop} < eps_start = {eps_start}"
         )
     ModelParams(epsilon_d=eps_start, g=g)  # g >= 0
+    _coupled(g)
     with np.errstate(over="ignore"):
         points = np.floor((eps_stop - eps_start) / step + 1e-9) + 1.0
     if not points <= _SCAN_MAX_POINTS:

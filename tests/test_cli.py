@@ -463,6 +463,10 @@ class TestRunners:
         assert main(["dynamics", "--g", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_spectrum_point_at_zero_coupling_is_a_domain_error(self, capsys):
+        assert main(["spectrum", "--g", "0", "--eps-d", "-2"]) == 1
+        assert capsys.readouterr().err.startswith("error: g = 0 is outside the domain")
+
     def test_spectrum_point_below_the_upper_state_bound_is_a_domain_error(self, capsys):
         # the bound state above the band rounds to lam = -1 at g = 2e-8
         assert main(["spectrum", "--eps-d", "-2", "--g", "2e-8"]) == 1

@@ -1,9 +1,11 @@
 import itertools
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from bandedge.ep import (
+    _ep_certified,
     _ep_condition_residual as ep_condition_residual,
     _match_to,
     complex_parameter_sheet,
@@ -18,6 +20,39 @@ from bandedge.spectrum import solve_quartic_lambda_raw, spectrum_scan
 E_BAR0_G01 = -2.0184481730424933
 EPS_BAR0_G01 = -2.05517590687716249
 EPS_BAR1_G01 = -1.9724124371864569 - 0.0479304336721714529j
+
+
+def _mp_ep(g, n):
+    """(E_bar_n, eps_bar_n) from 60-digit roots y of y^3 - g^4 y - 4 g^4 = 0:
+    n = 0 the real root, n = +1 (-1) the one with Im y > 0 (< 0);
+    E = -sqrt(4 + y) and eps = E + y / E."""
+    with mp.workdps(60):
+        g4 = mp.mpf(g) ** 4
+        ys = mp.polyroots([1, 0, -g4, -4 * g4], maxsteps=200, extraprec=200)
+        y = max(ys, key=lambda y: n * mp.im(y)) if n else min(ys, key=lambda y: abs(mp.im(y)))
+        E = -mp.sqrt(4 + y)
+        return complex(E), complex(E + y / E)
+
+
+_EP_GS = (1e-6, 1e-5, 1e-4, 1e-2, 0.1, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_closed_forms_match_60_digit_roots(n):
+    for g in _EP_GS:
+        E, eps = _mp_ep(g, n)
+        assert abs(ep_energy_closed_form(g, n) - E) < 2e-15
+        assert abs(ep_parameter(g, n).eps_d - eps) < 1e-14
+
+
+@pytest.mark.parametrize("g", [1e-5, 1e-6])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_certificate_rejects_the_mirror_candidate(g, n):
+    # p is even in E - eps_d, so E_bar - y/E_bar = 2 E_bar - eps_bar passes
+    # |p| and |p'| at small g; only the scaled root gaps reject it
+    loc = ep_parameter(g, n)
+    assert _ep_certified(g, loc.energy, loc.eps_d)
+    assert not _ep_certified(g, loc.energy, 2.0 * loc.energy - loc.eps_d)
 
 
 class TestConditionResidual:
@@ -258,6 +293,10 @@ def test_sheet_matches_scalar_tracker(g, re, im):
     assert len(cells) == len(want) == re.size * im.size
     for row, ref in zip(cells.tolist(), want):
         assert tuple(row) == ref
+
+
+def test_empty_grid_gives_no_cells():
+    assert complex_parameter_sheet(0.1, [], [0.01]).shape == (0, 3)
 
 
 class TestAllLocations:

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -260,6 +261,38 @@ class TestXiIntermediates:
         xi_p, xi_m, x = xi_intermediates(model)
         res = abs(x**3 + model.g**2 * x + model.g**2)
         assert res < 1e-10
+
+    @pytest.mark.parametrize("delta, lam", [(1.0, 1.0), (0.0, 1.0), (1.0, -np.pi), (-2.0, 0.5)])
+    def test_matches_60_digit_cardano(self, delta, lam):
+        g = 1e-4
+        model = GenericSelfEnergyModel(
+            e_th=0.0,
+            delta=lambda E: delta * np.ones_like(E),
+            lam_coeff=lambda E: lam * np.ones_like(E),
+            v=lambda k: np.ones_like(k),
+            g=g,
+        )
+        xi_p, xi_m, x = xi_intermediates(model)
+        with mp.workdps(60):
+            P, Q = mp.mpf(g) ** 2 * delta, mp.mpf(g) ** 2 * lam
+            rad = mp.sqrt(1 + 4 * mp.mpf(g) ** 2 * mp.mpf(delta) ** 3 / (27 * mp.mpf(lam) ** 2))
+            want_p, want_m = -Q * (1 - rad) / 2, -Q * (1 + rad) / 2
+            want_x = min(mp.polyroots([1, 0, P, Q], maxsteps=200, extraprec=200),
+                         key=lambda r: abs(r - mp.mpc(x)))
+            assert abs(xi_p - want_p) <= 1e-14 * abs(want_p)
+            assert abs(xi_m - want_m) <= 1e-14 * abs(want_m)
+            assert abs(x - want_x) <= 1e-14 * abs(want_x)
+
+    def test_vanishing_divergent_part_rejected(self):
+        model = GenericSelfEnergyModel(
+            e_th=0.0,
+            delta=lambda E: np.ones_like(E),
+            lam_coeff=lambda E: np.zeros_like(E),
+            v=lambda k: np.ones_like(k),
+            g=0.1,
+        )
+        with pytest.raises(DomainError, match="Lam"):
+            xi_intermediates(model)
 
     def test_intermediate_small_g_orders(self):
         # xi_- ~ -g^2 Lam while xi_+ ~ g^4 Delta^3/(27 Lam): ratio ~ g^2

@@ -87,6 +87,11 @@ def hexes(*zs):
 
 
 class TestLambdaQuartic:
+    @pytest.mark.parametrize("eps_d", [np.zeros(0), np.zeros((2, 0)) + 0.1j], ids=["real", "complex"])
+    def test_empty_batch(self, eps_d):
+        lams, Es = solve_quartic_lambda_raw(eps_d, 0.1)
+        assert lams.shape == Es.shape == eps_d.shape + (4,)
+
     def test_decoupled_at_threshold(self):
         # f(lam) = -(lam-1)^3 (lam+1): triple root at the lower edge
         p = ModelParams(epsilon_d=-2.0, g=0.0)
@@ -415,14 +420,16 @@ class TestNearEdgeTripletAtWeakCoupling:
                 discrete_spectrum(ModelParams(-2.0, 1e-155))
 
     def test_missing_upper_bound_state_rejected(self):
-        # at g = 0 the fourth root sits on the band edge lam = -1
-        with pytest.raises(LabelMatchingError):
+        # at g = 0 the fourth root sits on the band edge lam = -1: the
+        # decoupled dot is outside the domain, and the error says so
+        with pytest.raises(DomainError, match=r"^g = 0 is outside the domain \(need g > 0\)"):
             near_edge_triplet(ModelParams(-2.5, 0.0))
 
     @pytest.mark.parametrize("eps_d", [-2.5, -2.0])
     def test_all_four_states_need_the_upper_bound_state(self, eps_d):
-        # discrete_spectrum vets the fourth root as near_edge_triplet does
-        with pytest.raises(LabelMatchingError, match="not a bound state above the band"):
+        # discrete_spectrum vets g = 0, where the fourth root is lam = -1 on
+        # the cut, as near_edge_triplet does
+        with pytest.raises(DomainError, match="lam = \\+-1, the band edges, are roots on the cut"):
             discrete_spectrum(ModelParams(eps_d, 0.0))
 
     @pytest.mark.parametrize("eps_d, g", [(-2.0, 0.5), (-2.0, 1e-5), (-1.2, 0.2), (0.3, 0.2)])
@@ -890,7 +897,7 @@ class TestSpectrumScan:
         cut = "lam = (0.9750000000049367+0.2222048604340149j) on the unit circle"
         with pytest.raises(BranchCutError, match=re.escape(cut)):
             spectrum_scan(1e-6, -1.95, -1.85, 0.01)
-        with pytest.raises(LabelMatchingError, match="is not a bound state above the band"):
+        with pytest.raises(DomainError, match=r"^g = 0 is outside the domain"):
             spectrum_scan(0.0, -2.1, -1.9, 0.01)
         with pytest.raises(DomainError, match="coupling g must be >= 0, got -0.1"):
             spectrum_scan(-0.1, -2.1, -1.9, 0.01)
