@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -627,9 +628,16 @@ _RUNNERS = {
 def main(argv=None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        return _RUNNERS[cfg.subcommand](cfg)
+        code = _RUNNERS[cfg.subcommand](cfg)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except BandEdgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the flush at
+        # exit writes nothing (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

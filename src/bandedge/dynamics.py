@@ -78,6 +78,7 @@ from enum import Enum
 import numpy as np
 
 from .bessel import bessel_j, j1_over_t
+from .ep import _coalesced
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -91,6 +92,7 @@ from .spectrum import (
     DiscreteState,
     StateClass,
     _checked_int,
+    _coupled,
     _monic_roots,
     discrete_spectrum,
     near_edge_triplet,
@@ -959,22 +961,24 @@ def longtime_amplitude(params: ModelParams, t):
     that physics and removes the truncation of the asymptotic series in
     1/(t g^{4/3}), which has not converged at the first minimum of P(t).
 
-    Domain: finite t > 0, small g and |delta| << 1, with a resonance present
-    (DomainError otherwise).  The weights diverge only at the cubic's double
-    root delta = -3 (g/2)^{4/3}, which lies inside the rejected virtual-state
-    regime.  Measured against the lattice oracle: max |P - P_law| = 3.7e-4
-    over (0, 2000] at g = 0.02 (4.8e-5 at g = 0.005, 3.1e-3 at g = 0.1 over
+    Domain: finite t > 0, 0 < g < 108^(1/4) and |eps_d| < -eps_bar, where the
+    triplet has a resonance (DomainError otherwise), tested as 2 - |eps_d| >
+    eps_bar + 2 at the real EP of ``ep._coalesced``, both sides without
+    rounding loss near the edge; no quartic is solved.  The weights diverge
+    only at the cubic's double root delta = -3 (g/2)^{4/3}, just below
+    eps_bar + 2.  Against the lattice oracle: max |P - P_law| = 3.7e-4 over
+    (0, 2000] at g = 0.02 (4.8e-5 at g = 0.005, 3.1e-3 at g = 0.1 over
     t <= 600); <= 3.5e-4 over t <= 600 at g = 0.02, eps_d = -1.999, -2.002.
     """
     from scipy.special import wofz
 
     t = _checked_times(t, positive=True)
-    tri = near_edge_triplet(params)
-    if not any(s.state_class is StateClass.RESONANCE for s in tri):
-        raise DomainError(
-            "no resonance at these parameters (virtual-state regime); "
-            "the oscillatory late-time law does not apply"
-        )
+    _coupled(params.g)
+    if not params.g**4 < 108.0:
+        raise DomainError(f"g = {params.g} is past the late-time law's bound g < 108^(1/4)")
+    E, y = _coalesced(params.g, 0)  # eps_bar + 2 = y/(E - 2) + y/E, as E + 2 = y/(E - 2)
+    if not 2.0 - abs(params.epsilon_d) > (y / (E - 2.0) + y / E).real:
+        raise DomainError(f"no resonance at eps_d = {params.epsilon_d} (|eps_d| >= -eps_bar)")
     delta = params.epsilon_d + 2.0
     y = _monic_roots(np.array([0.0, delta, 0.5 * params.g**2]))
     c = y**2 / (3.0 * y**2 + delta)

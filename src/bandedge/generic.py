@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .quadrature import adaptive_quad
-from .spectrum import _cardano, _monic_roots
+from .spectrum import _cardano, _monic_roots, _polish
 
 _HALF_PI = 0.5 * np.pi
 _REFINE_TOL = 1e-10  # relative step at which a refined threshold root has converged
@@ -115,9 +115,9 @@ def threshold_roots(model: GenericSelfEnergyModel, refine: bool = False):
     """Three near-threshold energies from the cubic in x = sqrt(E_th - E).
 
     By default Delta and Lam are frozen at the threshold (leading order).
-    With refine=True each root is iterated to a fixed point of the cubic with
-    Delta(E), Lam(E) re-evaluated at the current energy; if the fixed-point
-    loop stalls the frozen-coefficient roots are returned with a warning.
+    With refine=True each root is Newton-continued (``_polish`` from its last
+    value) to a fixed point of the cubic with Delta(E), Lam(E) re-evaluated at
+    its energy; if that stalls the frozen roots return with a warning.
 
     Returns (energies, converged_flag).
     """
@@ -129,8 +129,7 @@ def threshold_roots(model: GenericSelfEnergyModel, refine: bool = False):
     energies = model.e_th - xs**2
     if not refine:
         return energies, True
-    # the three roots iterate as one row stack and a converged root stops;
-    # `energies` stays untouched as the frozen-coefficient fallback
+    # each live root steps on its own row; `energies` stays the fallback
     x, E = xs.copy(), energies.copy()
     done = np.zeros(x.size, dtype=bool)
     for _ in range(80):
@@ -138,9 +137,7 @@ def threshold_roots(model: GenericSelfEnergyModel, refine: bool = False):
         d = np.asarray(model.delta(E[live]), dtype=complex)
         l = np.asarray(model.lam_coeff(E[live]), dtype=complex)
         rows = np.stack([np.zeros_like(d), g**2 * d, g**2 * l], axis=1)
-        roots = _monic_roots(rows)
-        pick = np.argmin(np.abs(roots - x[live, None]), axis=1)
-        x_new = roots[np.arange(pick.size), pick]
+        x_new = _polish(rows, x[live, None])[0][:, 0]
         E_new = model.e_th - x_new**2
         done[live] = np.abs(E_new - E[live]) < _REFINE_TOL * (1.0 + np.abs(E_new))
         x[live], E[live] = x_new, E_new

@@ -378,19 +378,21 @@ class TestRunners:
 
     def test_dynamics_all_skips_triplet_routes_below_their_coupling_bound(self, capsys, tmp_path):
         # at g = 1e-8 the bound state above the band rounds to lam = -1, so the
-        # Bessel route and the late-time law are out of their domain; the oracle
-        # and the t^{3/2} law need no triplet and are written
+        # Bessel route is out of its domain; the oracle, the t^{3/2} law and
+        # the late-time law, which takes the real EP in closed form, need no
+        # triplet and are written
         out = tmp_path / "dyn.csv"
         assert main([
             "dynamics", "--method", "all", "--g", "1e-8", "--eps-d", "-2",
             "--t-max", "20", "-o", str(out),
         ]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert [line.split(":")[0] for line in err] == ["skipped bessel", "skipped longtime"]
+        assert [line.split(":")[0] for line in err] == ["skipped bessel"]
         assert all("rounds to lam = -1.0" in line for line in err)
         methods = [line.split(",")[4] for line in out.read_text().splitlines()[1:]]
         assert methods.count("LatticeOracle") == 41
-        assert set(methods) == {"LatticeOracle", "IntermediateLaw"}
+        assert methods.count("LongTimeLaw") == 40
+        assert set(methods) == {"LatticeOracle", "IntermediateLaw", "LongTimeLaw"}
 
     def test_dynamics_requested_route_outside_domain_fails(self, capsys, tmp_path):
         out = tmp_path / "dyn.csv"
@@ -599,6 +601,38 @@ class TestCliBytes:
             ["class", "re_E", "im_E", "re_k", "im_k"], rows)
 
 
+def _child_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(bandedge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_reader_gone_exits_one_without_a_traceback(self, unbuffered):
+        # the reader has closed the pipe before the first write, so the run
+        # meets EPIPE at its first print (unbuffered) or at the flush of its
+        # buffer (buffered); both used to end in a BrokenPipeError on stderr
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "bandedge.cli", "ep", "--g", "1e-5"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+
+
 class TestColdStart:
     """What a fresh interpreter loads: scipy.special only for the routes that
     evaluate J0/J1, the anti-resonance tail's Gamma or the Faddeeva function."""
@@ -606,11 +640,8 @@ class TestColdStart:
     @staticmethod
     def _probe(tmp_path, code, *argv) -> list[str]:
         """The stdout lines of code run in a fresh interpreter."""
-        env = dict(os.environ)
-        src = str(Path(bandedge.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         done = subprocess.run(
-            [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+            [sys.executable, "-c", code, *argv], cwd=tmp_path, env=_child_env(),
             capture_output=True, text=True, check=True, timeout=120,
         )
         return done.stdout.splitlines()

@@ -24,15 +24,17 @@ from bandedge.dynamics import (
     survival_lattice_oracle,
 )
 from bandedge.errors import (
+    BandEdgeError,
     ConsistencyError,
     DomainError,
     LatticeTruncationError,
     NumericalError,
     QuadratureError,
 )
+from bandedge.ep import _coalesced
 from bandedge.model import ModelParams
 from bandedge.quadrature import adaptive_quad, panel_nodes
-from bandedge.spectrum import discrete_spectrum, near_edge_triplet
+from bandedge.spectrum import StateClass, discrete_spectrum, near_edge_triplet
 
 # 40-digit quartic values at eps_d = -2, g = 0.02
 E_B_G002 = -2.00341897805318488
@@ -890,6 +892,133 @@ class TestLongTimeLaw:
         params = ModelParams(epsilon_d=-2.1, g=0.1)
         with pytest.raises(DomainError):
             longtime_amplitude(params, np.array([10.0]))
+
+    @pytest.mark.parametrize("g", [1e-2, 1e-3])
+    def test_collapse_onto_the_bessel_route(self, g):
+        # in tau = g^(4/3) t both routes tend to one g-free curve, so at
+        # threshold their gap shrinks as g^(4/3): max |dP| / g^(4/3) over
+        # tau <= 10 measured 0.0677 at both g; bound 0.1
+        s = g ** (4.0 / 3.0)
+        t = np.linspace(10.0 / 400, 10.0, 400) / s
+        params = ModelParams(epsilon_d=-2.0, g=g)
+        law = np.abs(longtime_amplitude(params, t)) ** 2
+        gap = np.max(np.abs(survival_bessel_sum(params, t).probability - law))
+        assert gap <= 0.1 * s
+
+
+def _has_resonance(eps_d, g):
+    """Whether near_edge_triplet has a resonance; None where it raises."""
+    try:
+        states = near_edge_triplet(ModelParams(eps_d, g))
+    except BandEdgeError:
+        return None
+    return any(st.state_class is StateClass.RESONANCE for st in states)
+
+
+def _law_applies(eps_d, g):
+    """Whether longtime_amplitude returns at (eps_d, g), rather than naming
+    the virtual-state regime."""
+    try:
+        longtime_amplitude(ModelParams(eps_d, g), np.array([1.0]))
+    except DomainError as exc:
+        assert str(exc) == f"no resonance at eps_d = {eps_d} (|eps_d| >= -eps_bar)"
+        return False
+    return True
+
+
+def _mp_resonance_bound(g):
+    """-eps_bar to 60 digits, for the real EP eps_bar = E + y/E: y the real
+    root of y^3 - g^4 y - 4 g^4 = 0 and E = -sqrt(4 + y)."""
+    with mp.workdps(60):
+        g4 = mp.mpf(g) ** 4
+        y = mp.findroot(lambda y: y**3 - g4 * y - 4 * g4, mp.cbrt(4 * g4) + g4 / 3)
+        E = -mp.sqrt(4 + y)
+        return -(E + y / E)
+
+
+class TestLongTimeLawDomain:
+    """The law needs a resonance, which exists iff |eps_d| < -eps_bar at the
+    real EP; it takes eps_bar in closed form and solves no quartic root."""
+
+    def test_accepts_where_the_triplet_has_a_resonance(self):
+        rng = np.random.default_rng(20260)
+        g = np.exp(rng.uniform(np.log(1e-8), np.log(3.2), 600))
+        eps = rng.uniform(-6.0, 6.0, 600)
+        # half the draws within a few g^(4/3) of the lower edge, across the
+        # real EP at x_c = -3 2^(-4/3); near the upper edge only from g = 1e-2,
+        # where the triplet resolves the cluster at lam = -1 (below that the
+        # cluster is solved in y = lam - 1 ~ -2, and its classification is
+        # rounding noise out to |x - x_c| >= 0.1 at g = 1e-7)
+        x = rng.uniform(-3.0, 3.0, 600)
+        near = rng.uniform(size=600) < 0.5
+        eps[near] = -2.0 + x[near] * g[near] ** (4.0 / 3.0)
+        upper = near & (g >= 1e-2) & (rng.uniform(size=600) < 0.3)
+        eps[upper] = -eps[upper]
+        solved = 0
+        for e, gg in zip(eps.tolist(), g.tolist()):
+            res = _has_resonance(e, gg)
+            if res is not None:
+                solved += 1
+                assert _law_applies(e, gg) == res, (e, gg)
+        assert solved > 500
+
+    def test_boundary_is_the_exact_real_ep(self):
+        # the law compares 2 - |eps_d|, exact near 2, with eps_bar + 2 free of
+        # cancellation, so every representable eps_d within two ulps of
+        # -+fl(eps_bar), fl(eps_bar) itself included, is decided as the
+        # 60-digit EP decides it (fl(eps_bar) was up to 1.03 ulp off that EP
+        # on these couplings).
+        # The triplet agrees from two ulps off the lower edge; nearer, it can
+        # take the other side (it takes fl(eps_bar), and one ulp below it at
+        # g = 2).  At the upper edge it is compared only on the draws above
+        rng = np.random.default_rng(3)
+        for g in np.exp(rng.uniform(np.log(1e-8), np.log(3.2), 30)).tolist():
+            E, y = _coalesced(g, 0)
+            bar = (E + y / E).real
+            exact = _mp_resonance_bound(g)
+            for edge in (bar, -bar):
+                for k in range(-2, 3):
+                    e = edge + k * abs(np.spacing(edge))
+                    assert _law_applies(e, g) == (abs(mp.mpf(e)) < exact), (e, g)
+                    if edge < 0 and abs(k) == 2 and g > 3e-8:
+                        assert _law_applies(e, g) == _has_resonance(e, g), (e, g)
+
+    def test_threshold_below_the_resolution_of_eps_bar(self):
+        # at g = 1e-13, eps_bar + 2 = -5.5e-18 rounds eps_bar to -2.0, yet
+        # eps_d = -2 (x = 0) has a resonance and the law applies
+        assert _law_applies(-2.0, 1e-13)
+        assert not _law_applies(np.nextafter(-2.0, -np.inf), 1e-13)
+
+    @pytest.mark.parametrize("g", [1e-8, 1e-9])
+    def test_returns_below_the_upper_state_bound(self, g):
+        # the bound state above the band rounds to lam = -1 here, so the
+        # triplet raises; the law needs no quartic root.  At tau = g^(4/3) t
+        # <= 1e-2 it is the t^(3/2) law to 4.17e-8 at every g
+        t = np.linspace(1e-4, 1e-2, 100) / g ** (4.0 / 3.0)
+        params = ModelParams(epsilon_d=-2.0, g=g)
+        gap = np.abs(longtime_amplitude(params, t) - intermediate_amplitude(g, t))
+        assert np.max(gap) < 1e-7
+
+    @pytest.mark.parametrize("eps_d, g", [(-1.9, 1e-6), (-1.0, 1e-5), (-1.99, 1e-6)])
+    def test_returns_where_the_quartic_meets_the_cut_tolerance(self, eps_d, g):
+        # the resonance has |lam| - 1 ~ g^2 < CUT_TOL, where the triplet's
+        # classification raises BranchCutError; the law does not classify
+        P = np.abs(longtime_amplitude(ModelParams(eps_d, g), np.array([1.0, 1e3, 1e6]))) ** 2
+        assert np.all((0.9 < P) & (P <= 1.0))
+
+    @pytest.mark.parametrize("g", [108.0**0.25 * (1 + 1e-15), 3.3, 10.0])
+    def test_coupling_past_the_real_ep_bound(self, g):
+        # from g^4 = 108 the real EP is gone; the law names its own bound
+        with pytest.raises(DomainError, match=r"past the late-time law's bound g < 108\^\(1/4\)"):
+            longtime_amplitude(ModelParams(epsilon_d=-2.0, g=g), np.array([1.0]))
+
+    def test_coupling_below_the_real_ep_bound(self):
+        g = 108.0**0.25 * (1 - 1e-12)
+        assert np.isfinite(longtime_amplitude(ModelParams(-2.0, g), np.array([1.0]))).all()
+
+    def test_zero_coupling_is_the_decoupled_dot(self):
+        with pytest.raises(DomainError, match=r"^g = 0 is outside the domain \(need g > 0\)"):
+            longtime_amplitude(ModelParams(epsilon_d=-2.0, g=0.0), np.array([1.0]))
 
 
 class TestPlateau:

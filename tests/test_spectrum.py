@@ -440,6 +440,49 @@ class TestNearEdgeTripletAtWeakCoupling:
         assert states[:3] == near_edge_triplet(ModelParams(eps_d, g))
 
 
+def _purcell_width(x: float) -> float:
+    """F(x) = 2 |Im w_R^2|, the resonance width 2 |Im E_R| in units of
+    g^(4/3): w_R is the root of w^3 + x w - 1/2 = 0 with Im w^2 > 0, the
+    threshold cubic in E = -2 - g^(4/3) w^2, x = (eps_d + 2) / g^(4/3)."""
+    w2 = _monic_roots(np.array([0.0, x, -0.5])) ** 2
+    return 2.0 * abs(w2[w2.imag > 0][0].imag)
+
+
+_X_C = -3.0 * 2.0 ** (-4.0 / 3.0)  # the cubic's double root: the real EP, F = 0
+
+
+class TestPurcellCrossover:
+    """The width F(x) carries the Purcell-enhanced g^(4/3) decay at x = 0
+    over to the golden rule 2 |Im E| = g^2 / sqrt(delta) as x -> inf."""
+
+    def test_anchors(self):
+        assert _purcell_width(-0.5) == pytest.approx(1.0, rel=1e-15)  # w = 1 is a root
+        assert _purcell_width(0.0) == pytest.approx(3**0.5 / 2 ** (2 / 3), rel=1e-15)
+        assert _purcell_width(0.0) == pytest.approx(1.0911236, abs=1e-7)
+        # F(x) sqrt(x) -> 1: 0.99984 at x = 10, 0.9999998 at x = 100
+        assert _purcell_width(10.0) * 10.0**0.5 == pytest.approx(0.99984, abs=1e-5)
+        assert _purcell_width(100.0) * 10.0 == pytest.approx(0.9999998, abs=1e-7)
+
+    # the measured C(x) = |2 |Im E_R| / g^(4/3) - F(x)| / g^(4/3), constant to
+    # three digits over g = 1e-2 ... 1e-7; each bound is 1.5 C
+    @pytest.mark.parametrize("x, c", [
+        (_X_C + 1e-2, 0.2802), (-0.5, 0.02500), (0.0, 0.05728),
+        (1.0, 0.1211), (10.0, 0.3969), (100.0, 1.303)])
+    def test_quartic_width_approaches_the_cubic_as_g_to_the_four_thirds(self, x, c):
+        # closer to x_c the approach is slower: at x - x_c = 8e-7 and g = 1e-4
+        # the quartic gives 1.315e-3 against F = 1.455e-3, so points there
+        # are left out
+        for g in 10.0 ** -np.arange(2, 8):
+            s = g ** (4.0 / 3.0)
+            eps_d = -2.0 + x * s
+            # x from the stored eps_d: the rounding of eps_d shows from g = 1e-6
+            x_stored = (eps_d + 2.0) / s
+            res = next(st for st in near_edge_triplet(ModelParams(eps_d, g))
+                       if st.state_class is StateClass.RESONANCE)
+            gap = abs(2.0 * abs(res.energy.imag) / s - _purcell_width(x_stored))
+            assert gap <= 1.5 * c * s, (x, g, gap / s)
+
+
 class TestEnergyQuartic:
     def test_triple_root_at_threshold(self):
         p = ModelParams(epsilon_d=-2.0, g=0.0)
