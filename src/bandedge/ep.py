@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .errors import ConsistencyError, DomainError
 from .spectrum import _PAIRS, _cardano, _horner, solve_quartic_lambda_raw
 
 DOUBLE_ROOT_TOL = 1e-8  # |p|, |p'| at a certified EP
-EP_GAP_TOL = 1e-2  # root gaps at a certified EP, relative to the triplet's spread
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,28 @@ def verify_ep_by_discriminant(g: float, eps_d: complex) -> tuple[float, float]:
 
 def _ep_certified(g: float, E: complex, eps: complex) -> bool:
     """True if E is a certified double root of the energy quartic
-    p(E) = (E - eps)^2 (E^2 - 4) - g^4: |p(E)|, |p'(E)| < DOUBLE_ROOT_TOL,
+    p(E) = (E - eps)^2 y - g^4, y = E^2 - 4: |p(E)|, |p'(E)| < DOUBLE_ROOT_TOL,
     and the quartic's nearest root pair (``verify_ep_by_discriminant``)
-    within EP_GAP_TOL |E + 2| in energy and EP_GAP_TOL |E + 2|^(1/2) in lam,
-    the spreads of the near-edge triplet.  p is even in E - eps, so only
-    the gaps reject the mirror candidate 2E - eps: for g in [1e-6, 3.2]
-    both ratios are <= 5.1e-4 at the EP and 1.2 to 3.2 at the mirror.
+    within 20 s in energy and 20 s / |y|^(1/2) in lam (|dlam/dE| ~ |y|^(-1/2)).
+    s = (ulp(|eps|) |dp/deps| / |p''(E)/2|)^(1/2) is the split that rounding
+    eps to a double causes at a double root, s ~ (ulp(2) |E + 2|)^(1/2) near
+    threshold.  p is even in E - eps, so only the gaps reject the mirror
+    candidate 2E - eps.  For every n and g from 1e-9 to just below
+    108^(1/4), the gaps at fl(eps_bar) are at most 5.5 s in energy and
+    8.2 s / |y|^(1/2) in lam, and at the mirror at least 68 s and
+    137 s / |y|^(1/2).  Below g ~ 4e-11 the mirror lies within a few ulps
+    of eps_bar and passes too.
     """
     row = np.array([-2.0 * eps, eps * eps - 4.0, 8.0 * eps, -4.0 * eps * eps - g**4])
     p, dp = _horner(row, np.array([E]))  # p as a monic row, E^4 + row[0] E^3 + ...
     if not (abs(p[0]) < DOUBLE_ROOT_TOL and abs(dp[0]) < DOUBLE_ROOT_TOL):
         return False
     gap, lam_gap = verify_ep_by_discriminant(g, eps)
-    spread = abs(E + 2.0)
-    return gap < EP_GAP_TOL * spread and lam_gap < EP_GAP_TOL * spread**0.5
+    u, y = E - eps, (E - 2.0) * (E + 2.0)
+    # squared, gap^2 < (20 s)^2, so that no tolerance divides by zero
+    half_dp2, dp_deps = abs(y + 4.0 * E * u + u * u), abs(2.0 * u * y)
+    tol2 = 400.0 * math.ulp(abs(eps)) * dp_deps
+    return gap**2 * half_dp2 < tol2 and lam_gap**2 * half_dp2 * abs(y) < tol2
 
 
 def ep_parameter(g: float, n: int) -> EPLocation:
@@ -103,8 +111,10 @@ def ep_parameter(g: float, n: int) -> EPLocation:
     p'(E) = 2 (E - eps_d) [y + E (E - eps_d)] with y = E^2 - 4 vanishes at
     eps_d = E + y / E, where p(E) = 0 is exactly the cubic y^3 = g^4 E^2
     that E_bar_n solves; so eps_bar = E_bar + y / E_bar, y from the closed
-    form, certified by ``_ep_certified`` (ConsistencyError if it fails).
-    For n = 0 the result is real.
+    form, certified by ``_ep_certified`` (ConsistencyError if it fails;
+    for n = 0 it does from g ~ 5e-12, where E_bar + 2 is below the
+    resolution of E_bar).  eps_bar is within 1.5e-15 of 60-digit values
+    for every n and g from 1e-9 to 3.  For n = 0 the result is real.
     """
     E, y = _coalesced(g, n)
     eps = E + y / E

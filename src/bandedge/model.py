@@ -24,10 +24,6 @@ import numpy as np
 
 from .errors import BranchCutError, BranchPointError, DomainError
 
-# |1 - |lam|| below this counts as "on the branch cut"; double precision
-# cannot meaningfully separate the two quadratic roots any closer.
-CUT_TOL = 1e-10
-
 
 class Sheet(Enum):
     FIRST = "first"
@@ -67,23 +63,22 @@ def lambda_from_energy(E: complex, sheet: Sheet) -> complex:
     DomainError
         If E is not finite.
     BranchCutError
-        If both roots sit on the unit circle within CUT_TOL (E on the cut
-        [-2, 2]); the error carries both roots.
+        If E lies on the cut, Im E == 0 and |Re E| <= 2, where both roots
+        lie on the unit circle; the error carries both roots.  The test is
+        exact: off the cut the sheets are told apart by the sign of Im E
+        (or by E itself for real E), not by |lam| against 1, so an E
+        however close to the cut gets its own sheet's root.
     """
     E = complex(E)
     if not cmath.isfinite(E):
         raise DomainError(f"E = {E} outside the domain: E must be finite")
-    sq = cmath.sqrt(E * E - 4.0)
-    r1 = 0.5 * (-E + sq)
-    r2 = 0.5 * (-E - sq)
-    # pick the better-conditioned root first, recover the other from the
-    # product r1*r2 = 1 to avoid cancellation
-    if abs(r1) >= abs(r2):
-        big = r1
-    else:
-        big = r2
+    # sqrt(E - 2) sqrt(E + 2) is sqrt(E^2 - 4) with its cut on [-2, 2], so
+    # -E - sqrt is the root outside the circle on either side of the cut
+    # however small Im E is, free of cancellation; the other root is its
+    # reciprocal (the two multiply to 1)
+    big = 0.5 * (-E - cmath.sqrt(E - 2.0) * cmath.sqrt(E + 2.0))
     small = 1.0 / big
-    if abs(abs(small) - 1.0) < CUT_TOL:
+    if E.imag == 0.0 and abs(E.real) <= 2.0:
         raise BranchCutError(
             f"E = {E} lies on the branch cut [-2, 2]; sheet roots degenerate",
             roots=(small, big),

@@ -16,7 +16,8 @@ sheet) is seeded by Ferrari's closed form and kept only if its roots pass a
 certificate (disjoint inclusion discs from running error bounds); every other
 row, and every row that fails, is seeded by one batched companion eigensolve.
 One array pass (``_classify``) classifies and normalizes the roots of any
-number of points: one for ``discrete_spectrum``, a grid for ``spectrum_scan``.
+number of points: one for ``discrete_spectrum``, a grid for ``spectrum_scan``;
+each complex root's sheet is decided against its inclusion radius (``_radius``).
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from .errors import (
     LabelMatchingError,
     NumericalError,
 )
-from .model import CUT_TOL, ModelParams
+from .model import ModelParams
 
 ROOT_RESIDUAL_TOL = 1e-12
-# a root counts as real when |Im lam| < REAL_TOL * (1 + |lam|)
-REAL_TOL = 1e-9
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 _TINY = np.finfo(float).tiny
@@ -117,7 +116,8 @@ def _eig_roots(lower: np.ndarray) -> np.ndarray:
 
 def _polish(lower, z):
     """(z, p(z)) after three Newton steps on the roots z of the monic rows
-    lower, each step kept only if it lowers |p|."""
+    lower, each step kept only if it lowers |p|; the steps stop early once
+    no root improves, as a rejected step leaves z, p and p' unchanged."""
     p, dp = _horner(lower, z)
     # p / dp can overflow where dp is tiny (a subnormal g^2); an inf or nan
     # step never passes `better`, and the residual check still raises
@@ -128,6 +128,8 @@ def _polish(lower, z):
             # at a near-double root dp is rounding noise, and an unchecked step
             # can throw the root far off (seen in the energy quartic at g ~ 1e-4)
             better = np.abs(p_new) < np.abs(p)
+            if not better.any():  # every later step would repeat this one
+                break
             z = np.where(better, z_new, z)
             p = np.where(better, p_new, p)
             dp = np.where(better, dp_new, dp)
@@ -191,39 +193,54 @@ def _ferrari(lower):
     return np.concatenate([-S / 2.0, -2.0 * C / S], axis=1) - h[:, None]
 
 
-def _certified(lower, z):
-    """True for each monic quartic row of lower (m, 4) whose roots z (m, 4)
-    are certified.  From p'/p = sum 1/(z - y_j), each disc
-    |y - z_i| <= 4 (|p(z_i)| + e_i) / (|p'(z_i)| - e'_i) holds a root where
-    |p'(z_i)| > e'_i, with e_i and e'_i running error bounds on the computed
-    p and p' (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., sec. 5.1, with complex products); four pairwise disjoint discs then
-    hold one root each.  Each |p(z_i)| must also be within e_i, so z_i is a
-    root of a polynomial within rounding of the row (Newton has converged),
-    and the row must pass the residual check."""
-    az = np.abs(z)
+def _radius(lower, z):
+    """(rad, converged, p) for the roots z (..., k) of the monic rows lower
+    (..., n), each row broadcast over its roots.  From p'/p = sum 1/(z - y_j),
+    the disc |y - z_i| <= rad_i = n (|p(z_i)| + e_i) / (|p'(z_i)| - e'_i)
+    holds a root where |p'(z_i)| > e'_i (rad_i = inf elsewhere), with e_i
+    and e'_i running error bounds on the computed p and p' (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 5.1, with complex
+    products).  converged is |p(z_i)| <= e_i: z_i is a root of a polynomial
+    within rounding of the row, so Newton has nothing left to gain."""
+    n, az = lower.shape[-1], np.abs(z)
     y, dy = np.ones_like(z), np.zeros_like(z)
     ay, ady = np.ones(z.shape), np.zeros(z.shape)
     mu, nu = np.zeros(z.shape), np.zeros(z.shape)
-    for k in range(4):
-        dy, y = dy * z + y, y * z + lower[:, k : k + 1]
+    for k in range(n):
+        dy, y = dy * z + y, y * z + lower[..., k : k + 1]
         # a step rounds by at most 4u (|z| |previous| + |new|) (u = 2^-53),
         # and the error in p so far carries into p'
         nu = az * (nu + ady) + mu + np.abs(dy)
         mu = az * (mu + ay) + np.abs(y)
         ady, ay = np.abs(dy), np.abs(y)
     e, slack = 2.0**-51 * mu, ady - 2.0**-51 * nu
-    rad = 4.0 * (ay + e) / slack
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(slack > 0, n * (ay + e) / slack, np.inf), ay <= e, y
+
+
+def _certified(lower, z):
+    """True for each monic quartic row of lower (m, 4) whose roots z (m, 4)
+    converged (``_radius``) in pairwise disjoint discs, one root in each,
+    and pass the residual check."""
+    rad, converged, p = _radius(lower, z)
     i, j = _PAIRS
     # 2^-48 covers the rounding of the radii and distances themselves
     apart = np.abs(z[:, i] - z[:, j]) > (1.0 + 2.0**-48) * (rad[:, i] + rad[:, j])
-    return ((ay <= e) & (slack > 0)).all(axis=1) & apart.all(axis=1) & (
-        _residual(lower, z, y) <= ROOT_RESIDUAL_TOL)
+    return converged.all(axis=1) & apart.all(axis=1) & (
+        _residual(lower, z, p) <= ROOT_RESIDUAL_TOL)
 
 
 def _real_if_real(x) -> np.ndarray:
     x = np.asarray(x)
     return x.real if not np.any(np.imag(x)) else x.astype(complex)
+
+
+def _lam_rows(eps_d, g: float) -> np.ndarray:
+    """The monic rows (eps_d.shape + (4,)) of f in y = lam - 1 (``solve_quartic_lambda_raw``)."""
+    d, g2 = _real_if_real(eps_d + 2.0), g * g
+    r = np.empty(d.shape + (4,), d.dtype)  # filled by column: cheaper than np.stack
+    r[..., 0], r[..., 1], r[..., 2], r[..., 3] = 2.0 + d, 3.0 * d + g2, 2.0 * (d + g2), g2
+    return r
 
 
 def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
@@ -245,12 +262,7 @@ def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
     if not (finite.all() and math.isfinite(g)):
         name, v = ("g", g) if finite.all() else ("eps_d", eps_d[~finite][0])
         raise DomainError(f"{name} = {v} is not finite")
-    d = _real_if_real(eps_d + 2.0)
-    g2 = g * g
-    lower = np.stack(
-        np.broadcast_arrays(2.0 + d, 3.0 * d + g2, 2.0 * (d + g2), g2), axis=-1
-    )
-    y = _monic_roots(lower)
+    y = _monic_roots(_lam_rows(eps_d, g))
     lams, Es = 1.0 + y, -2.0 - y * y / (1.0 + y)
     order = np.argsort(Es.real, axis=-1, kind="stable")
     return np.take_along_axis(lams, order, axis=-1), np.take_along_axis(Es, order, axis=-1)
@@ -347,13 +359,14 @@ def _cdiv(a, b):
     return re / denom, im / denom
 
 
-def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray):
+def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray, rad: np.ndarray):
     """Class codes (indices into ``_CLASSES``), psi0_sq and psid_sq, each
-    (n, 4), of the roots (lam, E) of n points: eps (n,) holds eps_d and each
-    row of lams, Es (n, 4) is in ascending Re E.
+    (n, 4), of the roots (lam, E) of n points: eps (n,) holds eps_d, each
+    row of lams, Es (n, 4) is in ascending Re E and rad (n, 4) holds each
+    root's error radius (``_radius`` on its point's rows of f in y = lam - 1).
 
-    A root is classified by sheet (|lam| vs 1) and reality, a root counting
-    as real when |Im lam| < REAL_TOL (1 + |lam|):
+    A root is classified by sheet (|lam| vs 1) and reality, Im lam == 0 (a
+    real row's eigensolve returns real roots and exactly conjugate pairs):
 
         |lam| < 1, lam real > 0  -> bound state below the band (first sheet)
         |lam| < 1, lam real < 0  -> bound state above the band
@@ -361,11 +374,11 @@ def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray):
         |lam| > 1, Im E < 0      -> resonance
         |lam| > 1, Im E > 0      -> anti-resonance
 
-    f(+-1) = -g^2, so for g > 0 an exactly real root is never on the cut and
-    |lam| against 1 places it however close to the circle it lies (at
-    eps_d = -2 the bound state above the band has 1 - |lam| ~ g^2/8); only a
-    complex root within CUT_TOL of the circle, or lam = +-1 itself, is on
-    the cut.
+    f(+-1) = -g^2, so for g > 0 a real root is never on the cut and |lam|
+    against 1 places it however close to the circle it lies (at eps_d = -2
+    the bound state above the band has 1 - |lam| ~ g^2/8); only lam = +-1
+    is.  A complex root's sheet is decided where ||lam| - 1| exceeds its
+    radius, and is undecided (on the cut) otherwise.
 
     psi0_sq = g^2 lam^2 / D and psid_sq = (1 - lam^2)^2 / D with
     D = g^2 lam^2 (1 + lam^2) + (1 - lam^2)^3, so that the bi-orthogonal
@@ -380,11 +393,12 @@ def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray):
     Re E must be the bound state above the band, real with -1 < lam < 0:
     DomainError where its shift from -1 is below double precision,
     LabelMatchingError otherwise.  Then each root in turn raises
-    BranchCutError on the cut, DomainError if it is a non-real first-sheet
-    root and DegenerateNormalizationError if |D| < 1e-300.
+    BranchCutError on the cut (naming |lam| - 1 and the radius),
+    DomainError if it is a non-real first-sheet root and
+    DegenerateNormalizationError if |D| < 1e-300.
     """
     mod = np.hypot(lams.real, lams.imag)
-    real = np.abs(lams.imag) < REAL_TOL * (1.0 + mod)
+    real = lams.imag == 0
     up = lams[:, 3].real
     upper = real[:, 3] & (-1.0 < up) & (up < 0.0)
     z = (lams.real, lams.imag)
@@ -395,7 +409,7 @@ def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray):
     cube = _cmul(_cmul((1.0, 0.0), one_m), numd)  # one_m**3
     D = (D[0] + cube[0], D[1] + cube[1])
     inside = mod < 1.0
-    cut = np.where(z[1] == 0, mod == 1.0, np.abs(mod - 1.0) < CUT_TOL)
+    cut = np.where(real, mod == 1.0, ~(np.abs(mod - 1.0) > rad))
     unphysical = inside & ~real
     degenerate = np.hypot(*D) < 1e-300
     bad = ~upper | (cut | unphysical | degenerate).any(axis=1)
@@ -418,10 +432,12 @@ def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray):
                 f"the root of largest Re E, lam = {lam}, is not a bound state "
                 f"above the band (need real -1 < lam < 0)"
             )
-        for lam, on_cut, off_real, zero_d in zip(
-                lams[i].tolist(), cut[i], unphysical[i], degenerate[i]):
+        for lam, on_cut, off_real, zero_d, r in zip(
+                lams[i].tolist(), cut[i], unphysical[i], degenerate[i], rad[i]):
             if on_cut:
-                raise BranchCutError(f"lam = {lam} on the unit circle", roots=(lam, 1 / lam))
+                raise BranchCutError(
+                    f"the sheet of lam = {lam} is undecided: |lam| - 1 = {abs(lam) - 1.0:.3e} "
+                    f"is within its root error radius {r:.3e}", roots=(lam, 1 / lam))
             if off_real:
                 raise DomainError(f"non-real first-sheet root {lam} is unphysical")
             if zero_d:
@@ -450,13 +466,21 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     All four residues of the dot Green's function, for sums that must be
     exact (they add up to 1).  Same domain as ``near_edge_triplet`` (g > 0).  The
     states come from the one classify-and-normalize pass that also serves
-    ``spectrum_scan``, on a block of one point.
+    ``spectrum_scan``, on a block of one point.  It raises BranchCutError
+    where a complex root's ||lam| - 1| does not exceed its error radius: on
+    a grid of 400 log-spaced g in [1e-9, 1e2] by 200 eps_d in [-3, 3], only
+    for g <= 4.5e-7.  E is accurate to about 1e-16 absolute (2.2e-15 at
+    (eps_d, g) = (1.5, 1e-6)), not relative: an in-band resonance at
+    g <~ 1e-5 has Im E to about 1e-16 / |Im E| relative, 7e-6 at
+    (-1.9, 1e-6) and 1.8e-4 at (1.5, 1e-6).
     """
     _coupled(params.g)
-    lams, Es = solve_quartic_lambda_raw(params.epsilon_d, params.g)
-    code, psi0, psid = _classify(params.g, np.array([params.epsilon_d]), lams[None], Es[None])
+    eps = np.array([params.epsilon_d])
+    lams, Es = solve_quartic_lambda_raw(eps, params.g)
+    rad = _radius(_lam_rows(eps, params.g), lams - 1.0)[0]
+    code, psi0, psid = _classify(params.g, eps, lams, Es, rad)
     return [DiscreteState(z, E, _CLASSES[c], p0, pd) for z, E, c, p0, pd in zip(
-        lams.tolist(), Es.tolist(), code[0].tolist(), psi0[0].tolist(), psid[0].tolist())]
+        lams[0].tolist(), Es[0].tolist(), code[0].tolist(), psi0[0].tolist(), psid[0].tolist())]
 
 
 def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
@@ -642,7 +666,7 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> S
         )
     eps = eps_start + np.arange(int(points)) * step
     lams, Es = solve_quartic_lambda_raw(eps, g)
-    code, psi0, psid = _classify(g, eps, lams, Es)
+    code, psi0, psid = _classify(g, eps, lams, Es, _radius(_lam_rows(eps, g), lams - 1.0)[0])
     order = np.lexsort((Es[:, :3].real, Es[:, :3].imag, code[:, :3]), axis=-1)
 
     def ordered(x):  # the triplet, columns 0-2

@@ -283,8 +283,8 @@ class TestRunners:
         assert len(lines) == 5
 
     def test_spectrum_point_at_weak_coupling(self, capsys, tmp_path):
-        # the upper bound state has 1 - |lam| ~ g^2/8 = 1.25e-11 here, inside
-        # CUT_TOL, but a real root cannot lie on the cut
+        # the upper bound state has 1 - |lam| ~ g^2/8 = 1.25e-11 here, but
+        # f(+-1) = -g^2, so a real root is placed by |lam| against 1 exactly
         out = tmp_path / "states.csv"
         assert main(["spectrum", "--g", "1e-5", "--eps-d", "-2", "-o", str(out)]) == 0
         classes = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]

@@ -691,6 +691,16 @@ class TestBesselSum:
         tr = survival_bessel_sum(params, times)
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-10
 
+    @pytest.mark.parametrize("eps_d, g", [(-1.99, 1e-6), (-1.0, 1e-5)], ids=str)
+    def test_in_band_resonance_at_weak_coupling_matches_oracle(self, eps_d, g):
+        # the resonance has |lam| - 1 ~ g^2, far above its root error radius,
+        # so every state is classified (measured 5.4e-15 and 1.4e-14)
+        params = ModelParams(epsilon_d=eps_d, g=g)
+        times = np.arange(0.0, 50.0 + 1e-9, 0.5)
+        oracle = survival_lattice_oracle(params, 120, times)
+        tr = survival_bessel_sum(params, times)
+        assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-13
+
     @pytest.mark.parametrize("g", [1e-7, 3e-8])
     def test_threshold_tail_takes_e_plus_2_from_lam(self, g):
         # E = -2 - O(g^(4/3)) is stored only to the ulp of 2; the tail's
@@ -1001,8 +1011,8 @@ class TestLongTimeLawDomain:
 
     @pytest.mark.parametrize("eps_d, g", [(-1.9, 1e-6), (-1.0, 1e-5), (-1.99, 1e-6)])
     def test_returns_where_the_quartic_meets_the_cut_tolerance(self, eps_d, g):
-        # the resonance has |lam| - 1 ~ g^2 < CUT_TOL, where the triplet's
-        # classification raises BranchCutError; the law does not classify
+        # the resonance has |lam| - 1 ~ g^2 <= 1e-10; the law classifies no
+        # root, so it needs no sheet decision
         P = np.abs(longtime_amplitude(ModelParams(eps_d, g), np.array([1.0, 1e3, 1e6]))) ** 2
         assert np.all((0.9 < P) & (P <= 1.0))
 

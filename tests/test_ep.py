@@ -34,7 +34,9 @@ def _mp_ep(g, n):
         return complex(E), complex(E + y / E)
 
 
-_EP_GS = (1e-6, 1e-5, 1e-4, 1e-2, 0.1, 1.0, 3.0)
+# down to g = 1e-9, where the pair's gap at fl(eps_bar) is the split that
+# rounding eps_bar causes, ~(ulp(2) |E_bar + 2|)^(1/2), well above 1e-2 |E_bar + 2|
+_EP_GS = (1e-9, 3e-9, 1e-8, 1.3e-8, 1e-6, 1e-5, 1e-4, 1e-2, 0.1, 1.0, 3.0)
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
@@ -45,7 +47,7 @@ def test_closed_forms_match_60_digit_roots(n):
         assert abs(ep_parameter(g, n).eps_d - eps) < 1e-14
 
 
-@pytest.mark.parametrize("g", [1e-5, 1e-6])
+@pytest.mark.parametrize("g", [1e-5, 1e-6, 1e-9, 3e-9, 1e-8, 1.3e-8])
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_certificate_rejects_the_mirror_candidate(g, n):
     # p is even in E - eps_d, so E_bar - y/E_bar = 2 E_bar - eps_bar passes

@@ -61,6 +61,18 @@ class TestLambdaFromEnergy:
             for r in exc.value.roots:
                 assert abs(abs(r) - 1.0) < 1e-10
 
+    def test_sheet_just_off_the_cut(self):
+        # the sheet follows the sign of Im E however small it is, not |lam|
+        # against 1 (a fixed tolerance on |lam| - 1 raised BranchCutError)
+        for x in (-1.3, 0.0, 1.9):
+            for s in (1.0, -1.0):
+                far = lambda_from_energy(complex(x, s * 1e-6), Sheet.FIRST)
+                assert abs(far) < 1.0
+                for sheet in Sheet:
+                    near = lambda_from_energy(complex(x, s * 1e-200), sheet)
+                    ref = far if sheet is Sheet.FIRST else 1.0 / far
+                    assert abs(near - ref) < 1e-5
+
     def test_bound_state_energy(self):
         lam = lambda_from_energy(E_BOUND_G05, Sheet.FIRST)
         assert lam == pytest.approx(LAM_BOUND_G05, abs=1e-12)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bandedge import spectrum
 from bandedge.errors import (
+    BandEdgeError,
     BranchCutError,
     DegenerateNormalizationError,
     DomainError,
@@ -17,7 +18,7 @@ from bandedge.errors import (
     NumericalError,
 )
 from bandedge.ep import ep_parameter
-from bandedge.model import CUT_TOL, ModelParams
+from bandedge.model import ModelParams
 from bandedge.spectrum import (
     _CLASSES,
     _classify,
@@ -67,9 +68,11 @@ G_ZERO_D = 1.161895003862225
 
 def classify(g, eps_d, lams):
     """(classes, psi0_sq, psid_sq) of the one-point pass on the given four
-    roots, E = -lam - 1/lam; the last root stands for the upper bound state."""
+    roots, E = -lam - 1/lam; the last root stands for the upper bound state.
+    The roots are exact by construction, so each radius is zero."""
     lams = np.array([lams], dtype=complex)
-    code, psi0, psid = _classify(g, np.array([eps_d]), lams, -lams - 1 / lams)
+    rad = np.zeros(lams.shape)
+    code, psi0, psid = _classify(g, np.array([eps_d]), lams, -lams - 1 / lams, rad)
     return [_CLASSES[c] for c in code[0]], psi0[0].tolist(), psid[0].tolist()
 
 
@@ -228,9 +231,10 @@ class TestQuarticSolverProperties:
         try:
             states = discrete_spectrum(ModelParams(epsilon_d=eps_d, g=g))
         except BranchCutError as err:
-            # an in-band resonance within CUT_TOL of the unit circle (at
-            # g ~ 1e-5) is rejected before it is normalized
-            assert abs(abs(err.roots[0]) - 1.0) < CUT_TOL
+            # a root whose ||lam| - 1| does not exceed its error radius is
+            # rejected before it is normalized
+            dist, rad = _undecided(err)
+            assert abs(dist) <= rad
             return
         for s in states:
             lam = s.lam
@@ -371,10 +375,75 @@ class TestCertifiedClosedForm:
             solve_quartic_lambda_raw(-2.0 + 0.01j, 1e30)
 
 
+def _mp_class(ref) -> StateClass:
+    """The class of a 60-digit root lam: sheet by |lam| against 1, reality
+    by Im lam, resonance or anti-resonance by the sign of Im E."""
+    if abs(ref) < 1:
+        return StateClass.BOUND_LOWER if mp.re(ref) > 0 else StateClass.BOUND_UPPER
+    if abs(mp.im(ref)) < mp.mpf(10) ** -40:
+        return StateClass.VIRTUAL
+    E = -ref - 1 / ref
+    return StateClass.RESONANCE if mp.im(E) < 0 else StateClass.ANTI_RESONANCE
+
+
+def _undecided(err: BranchCutError) -> tuple[float, float]:
+    """(|lam| - 1, radius) as a BranchCutError of the classify pass names them."""
+    m = re.search(r"\|lam\| - 1 = (\S+) is within its root error radius (\S+)$", str(err))
+    assert m, str(err)
+    return float(m[1]), float(m[2])
+
+
+class TestRootRadius:
+    def test_radius_holds_the_60_digit_root(self):
+        # the scan domain, g log-uniform from 1e-8 to 1e2: each root's disc
+        # holds its 60-digit root, and wherever the point is classified
+        # every class is the 60-digit root's
+        rng = np.random.default_rng(27)
+        classified = 0
+        for eps_d, g in zip(rng.uniform(-3.0, 3.0, 150).tolist(),
+                            (10.0 ** rng.uniform(-8.0, 2.0, 150)).tolist()):
+            lams, _ = solve_quartic_lambda_raw(eps_d, g)
+            rad = spectrum._radius(spectrum._lam_rows(eps_d, g), lams - 1.0)[0]
+            refs = _mp_roots(eps_d, g)
+            with mp.workdps(60):
+                for lam, r in zip(lams.tolist(), rad.tolist()):
+                    assert abs(mp.mpc(lam) - _nearest(lam, refs)) <= r, (eps_d, g, lam)
+            try:
+                states = discrete_spectrum(ModelParams(eps_d, g))
+            except BandEdgeError:  # e.g. no upper bound state past eps_d = 2
+                continue
+            classified += 1
+            for s in states:
+                assert s.state_class is _mp_class(_nearest(s.lam, refs)), (eps_d, g, s)
+        assert classified >= 125  # 130 measured; the rest raise a stated error
+
+    @pytest.mark.parametrize("eps_d, g", [(-1.9, 1e-6), (-1.0, 1e-5), (-1.99, 1e-6)], ids=str)
+    def test_in_band_resonance_at_weak_coupling(self, eps_d, g):
+        # |lam| - 1 ~ g^2, 1e-12 to 1e-10, is far above the radius (~1e-15),
+        # so every sheet is decided
+        states = discrete_spectrum(ModelParams(eps_d, g))
+        refs = _mp_roots(eps_d, g)
+        for s in states:
+            ref = _nearest(s.lam, refs)
+            assert s.state_class is _mp_class(ref)
+            assert abs(s.energy - complex(-ref - 1 / ref)) <= 1e-15
+        assert [s.state_class for s in states[1:3]] == [
+            StateClass.RESONANCE, StateClass.ANTI_RESONANCE]
+
+    def test_undecidable_sheet_names_both_numbers(self):
+        # at (1.5, 1e-7) the resonance has |lam| - 1 = 7.3e-15 against a
+        # radius of 9.2e-14
+        with pytest.raises(BranchCutError) as info:
+            discrete_spectrum(ModelParams(1.5, 1e-7))
+        dist, rad = _undecided(info.value)
+        assert 0.0 < dist <= rad < 1e-12
+        assert dist == pytest.approx(abs(info.value.roots[0]) - 1.0, rel=1e-3)
+
+
 class TestNearEdgeTripletAtWeakCoupling:
     @pytest.mark.parametrize("g", [1e-5, 2e-5, 2.8e-5])
     def test_dropped_upper_bound_state_inside_cut_tolerance(self, g):
-        # the upper bound state has 1 - |lam| ~ g^2/8 < CUT_TOL here; it is
+        # the upper bound state has 1 - |lam| ~ g^2/8 <= 1e-10 here; it is
         # dropped before classification, so it cannot raise BranchCutError
         classes = {s.state_class for s in near_edge_triplet(ModelParams(-2.0, g))}
         assert classes == {
@@ -936,10 +1005,13 @@ class TestSpectrumScan:
         assert got == want
 
     def test_first_rejected_point_raises_its_error(self):
-        # a resonance within CUT_TOL of the unit circle at eps_d = -1.95
-        cut = "lam = (0.9750000000049367+0.2222048604340149j) on the unit circle"
-        with pytest.raises(BranchCutError, match=re.escape(cut)):
-            spectrum_scan(1e-6, -1.95, -1.85, 0.01)
+        # at g = 1e-7 the resonance's sheet is undecided from eps_d = 1.45 on
+        # (|lam| - 1 within its error radius); the first such point raises
+        with pytest.raises(BranchCutError, match=re.escape("lam = (-0.725")) as info:
+            spectrum_scan(1e-7, 1.45, 1.55, 0.01)
+        with pytest.raises(BranchCutError) as first:
+            discrete_spectrum(ModelParams(1.45, 1e-7))
+        assert str(info.value) == str(first.value)
         with pytest.raises(DomainError, match=r"^g = 0 is outside the domain"):
             spectrum_scan(0.0, -2.1, -1.9, 0.01)
         with pytest.raises(DomainError, match="coupling g must be >= 0, got -0.1"):
