@@ -464,7 +464,9 @@ def _survival_traces(params, times, want, n_sites: int, optional=False):
 
     With optional set, a route outside its domain (DomainError) is left out
     with one line on stderr naming it and the reason; any other error, a
-    LatticeTruncationError included, still fails the run.
+    LatticeTruncationError included, still fails the run.  A route whose
+    probability exceeds 1 anywhere gets one line on stderr naming it and
+    max P - 1; its trace is kept as computed.
     """
     ti = times[params.g ** (4.0 / 3.0) * times <= 1.0]
     tl = times[times > 0]
@@ -486,6 +488,10 @@ def _survival_traces(params, times, want, n_sites: int, optional=False):
             if not optional:
                 raise
             print(f"skipped {name}: {exc}", file=sys.stderr)
+            continue
+        excess = np.max(traces[-1].probability, initial=1.0) - 1.0
+        if excess > 0:
+            print(f"{name}: P exceeds 1, max P - 1 = {excess:.3e}", file=sys.stderr)
     return traces
 
 

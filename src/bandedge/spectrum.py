@@ -71,16 +71,16 @@ def _monic_roots(lower: np.ndarray) -> np.ndarray:
     A quartic row with a nonzero imaginary coefficient (a complex eps_d) is
     seeded by Ferrari's closed form (``_ferrari``), takes the three Newton
     steps of ``_polish`` and is kept only if ``_certified`` accepts it: four
-    pairwise disjoint inclusion discs, so each holds exactly one root, each
-    |p| within its rounding bound, and the residual check.  Every other row
-    (real coefficients, other degrees, and a complex row that fails the
-    certificate, such as one at an EP, where two roots coalesce) goes
-    through ``_eig_roots``, the companion eigensolve plus the same Newton
-    steps, with the bits it has when solved alone; only that path keeps real
-    rows real, with complex roots in exactly conjugate pairs.  No row's
-    roots depend on the other rows of the batch.  Raises NumericalError if
-    a normwise residual |p(z)| / (max|c| max(1, |z|)^n) of an eigensolved
-    row exceeds ROOT_RESIDUAL_TOL.
+    pairwise disjoint inclusion discs, so each holds exactly one root, and
+    each |p| within its rounding bound, which implies the residual check
+    below.  Every other row (real coefficients, other degrees, and a complex
+    row that fails the certificate, such as one at an EP, where two roots
+    coalesce) goes through ``_eig_roots``, the companion eigensolve plus the
+    same Newton steps, with the bits it has when solved alone; only that
+    path keeps real rows real, with complex roots in exactly conjugate
+    pairs.  No row's roots depend on the other rows of the batch.  Raises
+    NumericalError if a normwise residual |p(z)| / (max|c| max(1, |z|)^n)
+    of an eigensolved row exceeds ROOT_RESIDUAL_TOL.
     """
     if lower.shape[-1] != 4 or not np.iscomplexobj(lower):
         return _eig_roots(lower)
@@ -220,14 +220,15 @@ def _radius(lower, z):
 
 def _certified(lower, z):
     """True for each monic quartic row of lower (m, 4) whose roots z (m, 4)
-    converged (``_radius``) in pairwise disjoint discs, one root in each,
-    and pass the residual check."""
-    rad, converged, p = _radius(lower, z)
+    converged (``_radius``) in pairwise disjoint discs, one root in each.
+    Convergence implies the residual check: |p| <= 2^-51 mu, and the
+    recurrence gives mu <= 24 max(1, |c|) max(1, |z|)^4, so the normwise
+    residual is below 1.1e-14."""
+    rad, converged, _ = _radius(lower, z)
     i, j = _PAIRS
     # 2^-48 covers the rounding of the radii and distances themselves
     apart = np.abs(z[:, i] - z[:, j]) > (1.0 + 2.0**-48) * (rad[:, i] + rad[:, j])
-    return converged.all(axis=1) & apart.all(axis=1) & (
-        _residual(lower, z, p) <= ROOT_RESIDUAL_TOL)
+    return converged.all(axis=1) & apart.all(axis=1)
 
 
 def _real_if_real(x) -> np.ndarray:
@@ -342,23 +343,6 @@ _CLASSES = (StateClass.BOUND_LOWER, StateClass.VIRTUAL, StateClass.RESONANCE,
             StateClass.ANTI_RESONANCE, StateClass.BOUND_UPPER)
 
 
-def _cmul(a, b):
-    """CPython's complex product (``_Py_c_prod``) of (re, im) pairs of arrays."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _cdiv(a, b):
-    """CPython's complex quotient a / b (``_Py_c_quot``, Smith's rule) of
-    (re, im) pairs of arrays, b nonzero."""
-    s = np.abs(b[0]) >= np.abs(b[1])
-    p, q = np.where(s, b[0], b[1]), np.where(s, b[1], b[0])
-    ratio = q / p
-    denom = p + q * ratio
-    re = np.where(s, a[0] + a[1] * ratio, a[0] * ratio + a[1])
-    im = np.where(s, a[1] - a[0] * ratio, a[1] * ratio - a[0])
-    return re / denom, im / denom
-
-
 def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray, rad: np.ndarray):
     """Class codes (indices into ``_CLASSES``), psi0_sq and psid_sq, each
     (n, 4), of the roots (lam, E) of n points: eps (n,) holds eps_d, each
@@ -383,11 +367,10 @@ def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray, rad: 
     psi0_sq = g^2 lam^2 / D and psid_sq = (1 - lam^2)^2 / D with
     D = g^2 lam^2 (1 + lam^2) + (1 - lam^2)^3, so that the bi-orthogonal
     normalization (1 + lam^2) psi0_sq + (1 - lam^2) psid_sq = 1 holds
-    identically; no square-root branch is chosen.  The products and
-    quotients are CPython's, taken on the real and imaginary parts (numpy's
-    complex arithmetic rounds differently), |lam| is ``np.hypot`` and the
-    results are set by part, so every entry is the Python ``complex``
-    expression's to the bit, signed zeros included.
+    identically; no square-root branch is chosen.  Both are taken in numpy's
+    complex arithmetic on the root arrays, the arithmetic of the arrays the
+    package returns.  |lam| is ``np.hypot`` of its parts: numpy's complex
+    abs is not libm's hypot, and can move a root on the unit circle off it.
 
     The first rejected point raises its error.  First the root of largest
     Re E must be the bound state above the band, real with -1 < lam < 0:
@@ -401,17 +384,14 @@ def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray, rad: 
     real = lams.imag == 0
     up = lams[:, 3].real
     upper = real[:, 3] & (-1.0 < up) & (up < 0.0)
-    z = (lams.real, lams.imag)
-    z2 = _cmul(z, z)
-    one_m = (1.0 - z2[0], 0.0 - z2[1])
-    num0, numd = _cmul(_cmul((g**2, 0.0), z), z), _cmul(one_m, one_m)
-    D = _cmul(num0, (1.0 + z2[0], 0.0 + z2[1]))
-    cube = _cmul(_cmul((1.0, 0.0), one_m), numd)  # one_m**3
-    D = (D[0] + cube[0], D[1] + cube[1])
+    z2 = lams * lams
+    one_m = 1 - z2
+    num0, numd = (g * g) * z2, one_m * one_m
+    D = num0 * (1 + z2) + one_m * numd
     inside = mod < 1.0
     cut = np.where(real, mod == 1.0, ~(np.abs(mod - 1.0) > rad))
     unphysical = inside & ~real
-    degenerate = np.hypot(*D) < 1e-300
+    degenerate = np.abs(D) < 1e-300
     bad = ~upper | (cut | unphysical | degenerate).any(axis=1)
     if bad.any():  # raise the first rejected point's error
         i = int(np.argmax(bad))
@@ -444,12 +424,9 @@ def _classify(g: float, eps: np.ndarray, lams: np.ndarray, Es: np.ndarray, rad: 
                 raise DegenerateNormalizationError(
                     f"normalization denominator vanished at lam = {lam}"
                 )
-    code = np.where(inside, np.where(z[0] > 0, 0, 4),
+    code = np.where(inside, np.where(lams.real > 0, 0, 4),
                     np.where(real, 1, np.where(Es.imag < 0, 2, 3)))
-    psi0, psid = np.empty((2,) + lams.shape, complex)
-    psi0.real, psi0.imag = _cdiv(num0, D)
-    psid.real, psid.imag = _cdiv(numd, D)
-    return code, psi0, psid
+    return code, num0 / D, numd / D
 
 
 def _coupled(g: float) -> None:

@@ -269,6 +269,19 @@ class TestFormatterExact:
         assert _written(tmp_path / "x.csv", values) == _fstring_csv(values)
 
 
+def _other_stderr(err: str, csv_path) -> list[str]:
+    """The stderr lines of a dynamics run other than its P > 1 notes, once
+    those notes are checked to name exactly the routes whose written P
+    exceeds 1 (rounding decides which, so a test pins no set of its own)."""
+    labels = {"oracle": "LatticeOracle", "bessel": "BesselSum",
+              "intermediate": "IntermediateLaw", "longtime": "LongTimeLaw"}
+    rows = [line.split(",") for line in Path(csv_path).read_text().splitlines()[1:]]
+    over = {r[4] for r in rows if float(r[3]) > 1.0}
+    notes = [line for line in err.splitlines() if ": P exceeds 1, max P - 1 = " in line]
+    assert sorted(labels[line.split(":")[0]] for line in notes) == sorted(over)
+    return [line for line in err.splitlines() if line not in notes]
+
+
 class TestRunners:
     def test_jordan_exit_zero(self, capsys):
         assert main(["jordan"]) == 0
@@ -370,7 +383,7 @@ class TestRunners:
             "dynamics", "--method", "all", "--g", "0.05", "--eps-d", "-2.05",
             "--t-max", "80", "-o", str(out),
         ]) == 0
-        err = capsys.readouterr().err.splitlines()
+        err = _other_stderr(capsys.readouterr().err, out)
         assert len(err) == 1
         assert err[0].startswith("skipped longtime: no resonance")
         methods = [line.split(",")[4] for line in out.read_text().splitlines()[1:]]
@@ -386,13 +399,42 @@ class TestRunners:
             "dynamics", "--method", "all", "--g", "1e-8", "--eps-d", "-2",
             "--t-max", "20", "-o", str(out),
         ]) == 0
-        err = capsys.readouterr().err.splitlines()
+        err = _other_stderr(capsys.readouterr().err, out)
         assert [line.split(":")[0] for line in err] == ["skipped bessel"]
         assert all("rounds to lam = -1.0" in line for line in err)
         methods = [line.split(",")[4] for line in out.read_text().splitlines()[1:]]
         assert methods.count("LatticeOracle") == 41
         assert methods.count("LongTimeLaw") == 40
         assert set(methods) == {"LatticeOracle", "IntermediateLaw", "LongTimeLaw"}
+
+    def test_dynamics_names_a_route_that_writes_p_above_one(self, capsys, tmp_path):
+        # one ulp above fl(eps_bar) = -2.0000000119055077 at g = 1e-6 the
+        # late-time law writes P = 1 + 7.0e-9 on every row; the rows are kept
+        out = tmp_path / "dyn.csv"
+        assert main([
+            "dynamics", "--method", "longtime", "--g", "1e-6",
+            "--eps-d", "-2.0000000119055072", "--t-max", "2", "--dt", "0.001",
+            "-o", str(out),
+        ]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("longtime: P exceeds 1, max P - 1 = ")
+        P = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+        assert len(P) == 2000
+        assert min(P) > 1.0
+        assert float(err[0].rsplit(" ", 1)[1]) == pytest.approx(max(P) - 1.0, rel=1e-3)
+
+    def test_dynamics_with_every_p_at_most_one_says_nothing(self, capsys, tmp_path):
+        out = tmp_path / "dyn.csv"
+        assert main([
+            "dynamics", "--method", "all", "--g", "0.05", "--eps-d", "-2",
+            "--t-max", "20", "-o", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert {r[4] for r in rows} == {"LatticeOracle", "BesselSum", "IntermediateLaw",
+                                        "LongTimeLaw"}
+        assert max(float(r[3]) for r in rows) <= 1.0
 
     def test_dynamics_requested_route_outside_domain_fails(self, capsys, tmp_path):
         out = tmp_path / "dyn.csv"
