@@ -50,8 +50,6 @@ from .jordan import (
 from .model import ModelParams
 from .spectrum import discrete_spectrum, spectrum_scan
 
-_UNSET = object()
-
 
 def write_csv(path, header: list[str], columns) -> None:
     """Write a CSV file from its columns, one header name per column.
@@ -318,33 +316,28 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None)
         for key, (typ, _default, _check) in schema.items():
             flag = "--" + key.replace("_", "-")
-            if typ is bool:
-                p.add_argument(flag, action="store_const", const=True,
-                               default=_UNSET, dest=key)
-            else:
-                p.add_argument(flag, type=typ, default=_UNSET, dest=key)
+            kind = {"action": "store_const", "const": True} if typ is bool else {"type": typ}
+            p.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kind)
     return parser
 
 
 def parse_config(argv) -> RunConfig:
-    """argparse front end; flags override config-file values."""
-    ns = _parser().parse_args(argv)
-    name = "jordan" if ns.subcommand == "jordan-check" else ns.subcommand
+    """argparse front end: a given flag overrides the config file, which overrides the default."""
+    flags = vars(_parser().parse_args(argv))
+    subcommand, config, output = (flags.pop(k) for k in ("subcommand", "config", "output"))
+    name = "jordan" if subcommand == "jordan-check" else subcommand
     schema = _SCHEMAS[name]
     merged = {k: d for k, (t, d, c) in schema.items()}
-    if ns.config is not None:
-        merged.update(parse_config_file(ns.config, schema))
-    for key in schema:
-        v = getattr(ns, key)
-        if v is not _UNSET:
-            merged[key] = v
+    if config is not None:
+        merged.update(parse_config_file(config, schema))
+    merged.update(flags)
     for key, (typ, _d, check) in schema.items():
         v = merged.get(key)
         if v is not None and check is not None:
             check(v)
     if name == "spectrum" and (merged["eps_min"] is None) != (merged["eps_max"] is None):
         raise ConfigError("scan mode needs both eps_min and eps_max")
-    return RunConfig(subcommand=name, params=merged, output=ns.output)
+    return RunConfig(subcommand=name, params=merged, output=output)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,20 @@ def _checked_grid(times, positive: bool = False, upper: float = math.inf) -> np.
     return times
 
 
+def _grid_step(times):
+    """(t_0, dt = (t_last - t_0) / (K - 1)) of K times from ``_checked_grid``;
+    DomainError if a t_k is more than 16 ulps of t_last off t_0 + k dt."""
+    K = times.size
+    t0 = times[0] if K else 0.0
+    dt = (times[-1] - t0) / (K - 1) if K > 1 else 0.0
+    off_grid = np.abs(times - (t0 + np.arange(K) * dt))
+    if K and off_grid.max() > 16.0 * np.finfo(float).eps * times[-1]:
+        raise DomainError(
+            f"times must be a uniform grid; t_k is {off_grid.max():.3g} off t_0 + k dt"
+        )
+    return t0, dt
+
+
 def _split(a):
     """Dekker's split of a into a 26-bit and a 27-bit half, a = hi + lo."""
     c = 134217729.0 * a  # 2^27 + 1
@@ -577,13 +591,7 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
         )
     K = times.size
     B = max(1, int(np.ceil(np.sqrt(K))))
-    t0 = times[0] if K else 0.0
-    dt = (times[-1] - t0) / (K - 1) if K > 1 else 0.0
-    off_grid = np.abs(times - (t0 + np.arange(K) * dt))
-    if K and off_grid.max() > 16.0 * np.finfo(float).eps * t_max:
-        raise DomainError(
-            f"times must be a uniform grid; t_k is {off_grid.max():.3g} off t_0 + k dt"
-        )
+    t0, dt = _grid_step(times)
     evals, weights = lattice_spectrum(params, n_sites)
     steps = _powers(np.ones_like(evals, dtype=complex), _phase(evals, dt), B)
     blocks = _powers(weights * _phase(evals, t0), _phase(evals, *_two_product(float(B), dt)),
@@ -646,8 +654,8 @@ def _panel_integrals(E, a, b, left, order):
 
 def _checked_panels(E, left, edges, a, b, order):
     """Panel integrals of every state on the grid ``edges`` and on the
-    panels [a_i, b_i] (see ``_panel_integrals``), with ``order`` nodes per
-    panel.
+    panels [a_i, b_i], with ``order`` nodes per panel, from one
+    ``_panel_integrals`` call that also takes the spot check's halves.
 
     One spot check covers both kinds for all states: min(n, _VERIFY_PANELS)
     panels of each kind, evenly spread and the last one included, are
@@ -656,15 +664,14 @@ def _checked_panels(E, left, edges, a, b, order):
     side, and a QuadratureError carrying the achieved tolerance is raised if
     any value misses its refinement by more than the per-panel budget.
     """
-    grid = _panel_integrals(E, edges[:-1], edges[1:], left, order)
-    partial = _panel_integrals(E, a, b, left, order)
-    i, j = (np.linspace(0, n - 1, min(n, _VERIFY_PANELS)).astype(int)
-            for n in (grid.shape[0], b.size))
+    n_grid = edges.size - 1
+    i, j = (np.linspace(0, n - 1, min(n, _VERIFY_PANELS)).astype(int) for n in (n_grid, b.size))
     lo, hi = np.concatenate([edges[i], a[j]]), np.concatenate([edges[i + 1], b[j]])
     mid = 0.5 * (lo + hi)
-    halves = _panel_integrals(
-        E, np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel(), left, order
-    )
+    starts = np.r_[edges[:-1], a, np.stack([lo, mid], axis=1).ravel()]
+    ends = np.r_[edges[1:], b, np.stack([mid, hi], axis=1).ravel()]
+    ints = _panel_integrals(E, starts, ends, left, order)
+    grid, partial, halves = np.split(ints, [n_grid, n_grid + b.size])
     first, second = halves[::2], halves[1::2]
     join = np.exp(0.5j * (hi - lo)[:, None] * np.where(left, E, -E))
     whole = np.where(left, first + join * second, join * first + second)
@@ -888,8 +895,7 @@ def kn_closed_form(n: int, t: float) -> complex:
     t = float(_checked_times(t, upper=_BESSEL_T_MAX))
     if t == 0.0:
         return 0.0 + 0.0j
-    J0 = bessel_j(0, 2.0 * t)
-    J1 = bessel_j(1, 2.0 * t)
+    J0, J1 = bessel_j(0, 2.0 * t), bessel_j(1, 2.0 * t)
     ph = np.exp(-2j * t)
     if n == 0:
         return 1j * (-1.0 + ph * (J0 + 1j * J1))
@@ -1013,19 +1019,6 @@ def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, compl
 # Frequency extraction
 # ---------------------------------------------------------------------------
 
-def _fast_length(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n, a length the FFT factors into small radices."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def dominant_frequency(times, signal, flatten_power: float = 0.0) -> float:
     """Angular frequency of the strongest spectral line of a real signal.
 
@@ -1041,9 +1034,7 @@ def dominant_frequency(times, signal, flatten_power: float = 0.0) -> float:
     signal = np.asarray(signal, dtype=float)
     if times.size < 2:
         raise DomainError(f"dominant_frequency needs at least 2 samples, got {times.size}")
-    dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt, rtol=1e-9):
-        raise DomainError("dominant_frequency needs a uniform time grid")
+    dt = _grid_step(times)[1]
     if signal.shape != times.shape:
         raise DomainError(
             f"signal of shape {signal.shape} does not match times of shape {times.shape}"
@@ -1055,7 +1046,8 @@ def dominant_frequency(times, signal, flatten_power: float = 0.0) -> float:
     y = signal * times**flatten_power if flatten_power else signal.copy()
     y = y - y.mean()
     y *= np.hanning(y.size)
-    n_pad = _fast_length(16 * y.size)
+    from scipy.fft import next_fast_len  # here, so that importing bandedge loads no scipy
+    n_pad = next_fast_len(16 * y.size, real=True)
     spec = np.abs(np.fft.rfft(y, n=n_pad))
     k = int(np.argmax(spec[1:]) + 1)
     if 0 < k < spec.size - 1:

@@ -7,9 +7,9 @@ eps_d.  The coalesced energies are the negative roots of the double cubic
 
     (E^2 - 4)^3 = g^4 E^2.
 
-No EP is ever trusted from the closed form alone: each candidate is certified
-by the double-root residuals of the energy quartic plus coincidence of the
-lam roots (guarding against the squaring step that produced the quartic).
+No EP is ever trusted from the closed form alone: each energy is checked
+against the double cubic, and each eps_d by two roots of the lam quartic that
+coincide in energy and in lam (guarding against the squaring step).
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .spectrum import _PAIRS, _cardano, _horner, solve_quartic_lambda_raw
-
-DOUBLE_ROOT_TOL = 1e-8  # |p|, |p'| at a certified EP
+from .spectrum import _PAIRS, _cardano, solve_quartic_lambda_raw
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,10 @@ def verify_ep_by_discriminant(g: float, eps_d: complex) -> tuple[float, float]:
 
 def _ep_certified(g: float, E: complex, eps: complex) -> bool:
     """True if E is a certified double root of the energy quartic
-    p(E) = (E - eps)^2 y - g^4, y = E^2 - 4: |p(E)|, |p'(E)| < DOUBLE_ROOT_TOL,
-    and the quartic's nearest root pair (``verify_ep_by_discriminant``)
-    within 20 s in energy and 20 s / |y|^(1/2) in lam (|dlam/dE| ~ |y|^(-1/2)).
+    p(E) = (E - eps)^2 y - g^4, y = E^2 - 4: the quartic's nearest root pair
+    (``verify_ep_by_discriminant``) within 20 s in energy and 20 s / |y|^(1/2)
+    in lam (|dlam/dE| ~ |y|^(-1/2)).  At eps = E + y/E, p'(E) = 0 and
+    p(E) = (y^3 - g^4 E^2)/E^2, the cubic ``_coalesced`` checks.
     s = (ulp(|eps|) |dp/deps| / |p''(E)/2|)^(1/2) is the split that rounding
     eps to a double causes at a double root, s ~ (ulp(2) |E + 2|)^(1/2) near
     threshold.  p is even in E - eps, so only the gaps reject the mirror
@@ -93,10 +92,6 @@ def _ep_certified(g: float, E: complex, eps: complex) -> bool:
     137 s / |y|^(1/2).  Below g ~ 4e-11 the mirror lies within a few ulps
     of eps_bar and passes too.
     """
-    row = np.array([-2.0 * eps, eps * eps - 4.0, 8.0 * eps, -4.0 * eps * eps - g**4])
-    p, dp = _horner(row, np.array([E]))  # p as a monic row, E^4 + row[0] E^3 + ...
-    if not (abs(p[0]) < DOUBLE_ROOT_TOL and abs(dp[0]) < DOUBLE_ROOT_TOL):
-        return False
     gap, lam_gap = verify_ep_by_discriminant(g, eps)
     u, y = E - eps, (E - 2.0) * (E + 2.0)
     # squared, gap^2 < (20 s)^2, so that no tolerance divides by zero

@@ -53,7 +53,11 @@ class GenericSelfEnergyModel:
             raise DomainError(f"g = {self.g} is not finite")
 
     def lam_at_threshold(self) -> float:
-        return float(np.asarray(self.lam_coeff(np.array([self.e_th])))[0])
+        """Lam(E_th); DomainError if it is 0 (no anomalous coalescence)."""
+        l0 = float(np.asarray(self.lam_coeff(np.array([self.e_th])))[0])
+        if l0 == 0:
+            raise DomainError("Lam(E_th) = 0: no inverse-square-root divergence")
+        return l0
 
     def delta_at_threshold(self) -> float:
         return float(np.asarray(self.delta(np.array([self.e_th])))[0])
@@ -123,8 +127,6 @@ def threshold_roots(model: GenericSelfEnergyModel, refine: bool = False):
     """
     g = model.g
     d0, l0 = model.delta_at_threshold(), model.lam_at_threshold()
-    if l0 == 0:
-        raise DomainError("Lam(E_th) = 0: no inverse-square-root divergence")
     xs = _monic_roots(np.array([0.0, g**2 * d0, g**2 * l0]))
     energies = model.e_th - xs**2
     if not refine:
@@ -155,12 +157,9 @@ def leading_root_approx(model: GenericSelfEnergyModel) -> float:
     """Small-g bound-state estimate E = E_th - (g^2 Lam(E_th))^(2/3).
 
     From sqrt(E_th - E) ~ -(g^2 Lam)^{1/3}, the real cube root; requires
-    Lam(E_th) != 0, otherwise the anomalous coalescence is absent.
+    Lam(E_th) != 0 (DomainError otherwise).
     """
-    l0 = model.lam_at_threshold()
-    if l0 == 0:
-        raise DomainError("Lam(E_th) = 0: no anomalous threshold point")
-    return model.e_th - (model.g**2 * abs(l0)) ** (2.0 / 3.0)
+    return model.e_th - (model.g**2 * abs(model.lam_at_threshold())) ** (2.0 / 3.0)
 
 
 def xi_intermediates(model: GenericSelfEnergyModel):
@@ -176,8 +175,6 @@ def xi_intermediates(model: GenericSelfEnergyModel):
     g = model.g
     d0 = complex(model.delta_at_threshold())
     l0 = complex(model.lam_at_threshold())
-    if l0 == 0:
-        raise DomainError("Lam(E_th) = 0: no inverse-square-root divergence")
     rad = np.sqrt(complex(1.0 + 4.0 * g**2 * d0**3 / (27.0 * l0**2)))
     xi_m = -0.5 * g**2 * l0 * (1.0 + rad)
     xi_p = -((g**2 * d0) ** 3) / (27.0 * xi_m) if xi_m else 0j  # xi_m = 0 at g = 0

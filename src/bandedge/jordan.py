@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import ModelParams
-from .spectrum import _OMEGA, _horner, near_edge_triplet, threshold_labels
+from .spectrum import _OMEGA, near_edge_triplet, threshold_labels
 
 
 def build_pencil(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +183,7 @@ def limiting_combinations(g: float) -> dict[str, float]:
 
 def pencil_determinant_ratio(params: ModelParams, lam: complex) -> complex:
     """det(A - lam B) / f(lam); equals +/-1 for every lam (pencil <-> quartic).
-    f is the monic row lam^4 + eps_d lam^3 + g^2 lam^2 - eps_d lam - 1, negated."""
+    f(lam) = -lam^4 - eps_d lam^3 - g^2 lam^2 + eps_d lam + 1."""
     A, B = build_pencil(params)
     e = params.epsilon_d
-    p, _ = _horner(np.array([e, params.g**2, -e, -1.0]), np.array([complex(lam)]))
-    return np.linalg.det(A - lam * B) / -p[0]
+    return np.linalg.det(A - lam * B) / np.polyval([-1.0, -e, -params.g**2, e, 1.0], complex(lam))

@@ -95,7 +95,7 @@ def density_of_states(E: float) -> float:
         raise DomainError(
             f"density of states defined inside the band only; need |E| < 2, got E = {E}"
         )
-    return 1.0 / np.sqrt(4.0 - E * E)
+    return 1.0 / np.sqrt((2.0 - E) * (2.0 + E))
 
 
 def self_energy(params: ModelParams, E: complex, sheet: Sheet) -> complex:
@@ -119,16 +119,16 @@ def self_energy(params: ModelParams, E: complex, sheet: Sheet) -> complex:
     DomainError
         If E is not finite.
     BranchPointError
-        At the band edges E = +/-2.
+        At the band edges E = +/-2 exactly.
     """
     E = complex(E)
     g2 = params.g**2
     if E.imag == 0.0:
         x = E.real
-        if abs(abs(x) - 2.0) < 1e-14:
+        if abs(x) == 2.0:
             raise BranchPointError(f"E = {x} is a band edge (van Hove point)")
         if abs(x) < 2.0:
-            val = -g2 / (1j * np.sqrt(4.0 - x * x))
+            val = -g2 / (1j * np.sqrt((2.0 - x) * (2.0 + x)))
             return val if sheet is Sheet.FIRST else -val
     lam = lambda_from_energy(E, sheet)
     return -g2 * lam / (1.0 - lam * lam)

@@ -34,9 +34,8 @@ _MAX_PANELS = 8192
 
 def _panels(f, lo, hi, cols):
     """The 15-point rule on every panel [lo_i, hi_i], in one call of f."""
-    h = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GL_NODES
-    return h * np.sum(_GL_WEIGHTS * f(x, *cols), axis=1)
+    x, _ = panel_nodes(lo, hi, 15)
+    return 0.5 * (hi - lo) * np.sum(_GL_WEIGHTS * f(x, *cols), axis=1)
 
 
 def adaptive_quad(f, a, b, tol: float = 1e-10, args=()):

@@ -1206,14 +1206,28 @@ class TestDominantFrequency:
                 dominant_frequency(t, np.sin(t), flatten_power=-1.0)
             assert dominant_frequency(t + 1.0, np.sin(t), flatten_power=-1.0) > 0.0
 
-    def test_fast_length(self):
-        # the least 5-smooth length at or above n, against a linear search
-        def smooth(m):
-            for f in (2, 3, 5):
-                while m % f == 0:
-                    m //= f
-            return m == 1
+    def test_pads_to_a_fast_length(self, monkeypatch):
+        # 16 x 4133 samples (the beat grid at g = 0.02) pad to the least
+        # 5-smooth length above them, 67 500 = 2^2 3^3 5^4
+        lengths = []
+        rfft = np.fft.rfft
 
-        for n in [*range(1, 400), 16 * 4133, 16 * 4096 + 1]:
-            assert dynamics._fast_length(n) == next(m for m in range(n, 2 * n + 1) if smooth(m))
-        assert dynamics._fast_length(16 * 4133) == 67500
+        def spy(y, n=None):
+            lengths.append(n)
+            return rfft(y, n=n)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        t = 800.0 + 4.0 * np.arange(4133)
+        dominant_frequency(t, np.cos(0.01 * t))
+        assert lengths == [67500]
+
+    def test_grid_check_is_the_oracles(self):
+        # one time 1e-10 off an otherwise uniform grid, which a relative
+        # 1e-9 test on the steps with numpy's default atol of 1e-8 let through
+        t = np.arange(0.0, 40.0, 0.5)
+        t[7] += 1e-10
+        msg = re.escape("times must be a uniform grid; t_k is 1e-10 off t_0 + k dt")
+        with pytest.raises(DomainError, match=msg):
+            dominant_frequency(t, np.cos(t))
+        with pytest.raises(DomainError, match=msg):
+            survival_lattice_oracle(_P002, 100, t)

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -143,6 +144,20 @@ class TestSelfEnergy:
         for E in (2.0, -2.0):
             with pytest.raises(BranchPointError):
                 self_energy(p, E, Sheet.FIRST)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", [4, 8, 10, 12, 14])
+    def test_van_hove_edge_keeps_its_digits(self, sign, k):
+        # 1/sqrt(4 - E^2) at E = +-(2 - 10^-k) to 50 digits; 4 - E*E drops
+        # the d^2 of d = 2 - |E| (relative error d/8), and a fixed 1e-14 band
+        # around the edges made E = +-(2 - 1e-14) a branch point
+        E = sign * (2.0 - 10.0**-k)
+        with mp.workdps(50):
+            ref = 1 / mp.sqrt((2 - mp.mpf(E)) * (2 + mp.mpf(E)))
+            dos_err = abs(density_of_states(E) - ref) / ref
+            sigma = self_energy(ModelParams(epsilon_d=-2.0, g=1.0), E, Sheet.FIRST)
+            sigma_err = abs(mp.mpc(sigma) - 1j * ref) / ref
+        assert dos_err < 2.2e-16 and sigma_err < 2.2e-16
 
     def test_in_band_upper_lip_convention(self):
         # documented convention: -g^2/(i sqrt(4-E^2)) on the first sheet
