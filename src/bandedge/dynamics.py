@@ -28,12 +28,17 @@ Numerical stability of route 2: the four states share one grid of panels
 of width h on [0, T], T = max(max t, 25) rounded up to a whole panel, and
 each panel integral is referenced to a contractive edge, so no
 exponentially large intermediate ever appears.  h and the n-point
-Gauss-Legendre rule of every panel are chosen once per call from max |E|
-by the remainder bound in ``_panel_rule``: the widest h = 2^-k <= 1 that
-the bound admits with n <= 15, and the fewest n for it.  That gives h = 1
-with 10 nodes at threshold (|E| ~ 2), (1/2, 15) at |E| = 20, (1/4, 13)
-at |E| = 32 and h = 1/8 from |E| = 49.5.  Times are bounded by t <= 6e5,
-up to which J1(2t) is documented, and the grid by 2.4e6 panels.  A
+Gauss-Legendre rule of every panel are chosen once per call by
+``_panel_rule``: each power of two h takes the fewest n <= 15 that its
+remainder bound admits for max |E|, and of these widths the call takes the
+one that evaluates the fewest J1 nodes at its times, counting the grid,
+a partial panel per time off the grid and the spot check.  At threshold
+(|E| ~ 2) that is width 2 with 13 nodes for the beat grid of one time every
+4 units, 1/2 with 8 for a dt = 1/2 window (every time on an edge) and 1
+with 10 for integer times; far from the band only narrower widths meet
+the bound: (1/4, 13) at |E| = 32, h <= 1/8 from |E| = 49.5.  Times are
+bounded by t <= 6e5, up to which J1(2t) is documented, and the grid by
+2.4e6 panels.  A
 requested time is read from the left edge of its panel plus the partial
 panel up to it.  Grid and partial panels alike are referenced to their left
 edge for a state with Im E > 0 and to their right edge otherwise, so a node
@@ -45,7 +50,7 @@ other panels or times the call holds.  The running integral of a state
 with Im E <= 0 is then a scan with the constant step e^{-iEh},
 |e^{-iEh}| <= 1: within blocks of 64 panels one product with the
 lower-triangular Toeplitz matrix of its powers, each the exp of an exactly
-split argument -iEhm (128 rad at h = 1, |E| = 2), and
+split argument -iEhm (256 rad at h = 2, |E| = 2), and
 block starts advanced by the one step e^{-64 iEh}.  h is a power of two,
 so E h is exact and the phases of all blocks agree.  States with Im E > 0
 (anti-resonances, where e^{-iEt} grows) are rewritten through the tail
@@ -72,6 +77,7 @@ to 1e-12; otherwise a QuadratureError is raised.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,12 +106,21 @@ from .spectrum import (
 
 WAVEFRONT_MARGIN = 10.0
 _PANEL_TOL = 1e-10
-# Bessel-route panels: the widest power-of-two width <= 1 whose Gauss-Legendre
-# remainder bound is at most _RULE_TOL per unit width with at most _RULE_MAX
-# nodes, and at most _MAX_PANELS of them (as many as width 1/4 gave at 6e5)
+# Bessel-route panels: a power-of-two width whose Gauss-Legendre remainder
+# bound is at most _RULE_TOL per unit width with at most _RULE_MAX nodes, and
+# at most _MAX_PANELS of them (as many as width 1/4 gave at 6e5); of these
+# widths a call takes the one that evaluates the fewest J1 nodes at its times
 _RULE_TOL = 1e-17
 _RULE_MAX = 15
 _MAX_PANELS = 2_400_000
+# the largest log(h (e_max + 2)) at which n = 1.._RULE_MAX nodes meet the bound
+# of ``_panel_rule``, (log _RULE_TOL - log c_n) / (2n) with the Gauss
+# coefficient c_n = (n!)^4 / ((2n + 1) ((2n)!)^3); it increases with n
+_RULE_LOG_RATE = tuple(
+    (math.log(_RULE_TOL)
+     - math.log(math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3))) / (2 * n)
+    for n in range(1, _RULE_MAX + 1)
+)
 _KN_TOL = 1e-12  # absolute tolerance of kn_quadrature
 # the Bessel route's last time: bessel.py documents J1(x) to x = 2t = 1.2e6
 _BESSEL_T_MAX = 6e5
@@ -604,28 +619,56 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
 # Route 2: pole/branch-cut (Bessel) representation
 # ---------------------------------------------------------------------------
 
-def _panel_rule(e_max):
-    """Panel width h and nodes per panel n: the widest h = 2^-k <= 1, and
-    for it the fewest n <= _RULE_MAX, whose Gauss-Legendre remainder on a
-    panel of width h (A&S 25.4.30),
+def _panel_rule(e_max, times):
+    """Panel width h and nodes per panel n for a call at ``times`` (a float
+    array): of the power-of-two widths h, each with the fewest n <= _RULE_MAX
+    whose Gauss-Legendre remainder on a panel of width h (A&S 25.4.30),
 
         h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * max |f^(2n)|,
         max |f^(2n)| <= (e_max + 2)^(2n),
 
-    is at most _RULE_TOL h.  The derivative bound holds for
+    is at most _RULE_TOL h, and whose grid on [0, T], T = max(max t,
+    _TAIL_START), holds G <= _MAX_PANELS panels, the one whose
+    ``_checked_panels`` call evaluates the fewest J1 nodes,
+
+        n (G + P + 2 min(G, _VERIFY_PANELS) + 2 min(P, _VERIFY_PANELS)),
+
+    with P the times off the grid of width h (each takes a partial panel);
+    the wider width on a tie.  The derivative bound holds for
     f(s) = e^{iE(s - ref)} J1(2s)/s with |E| <= e_max and a contractive
     reference edge: J1(2s)/s = (2/pi) int_{-1}^{1} sqrt(1 - u^2) e^{2isu} du
     mixes frequencies |2u| <= 2 with unit total weight.  Halving h always
-    meets the bound in the end, so the rule exists for every finite e_max.
+    meets the bound in the end, so widths exist for every finite e_max;
+    DomainError if even the widest needs more than _MAX_PANELS panels.
     """
-    h = 1.0
-    while True:
-        log_rate = math.log(h * (e_max + 2.0))
-        for n in range(1, _RULE_MAX + 1):
-            coef = math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
-            if math.log(coef) + 2 * n * log_rate <= math.log(_RULE_TOL):
-                return h, n
+    rate = e_max + 2.0
+    end = max(times.max(initial=0.0), _TAIL_START)
+    best = (math.inf, 0.0, 0)  # (J1 nodes, h, n)
+    # from the narrowest power of two at or above the widest h any n admits,
+    # narrowing while the grid alone takes fewer nodes than the best so far
+    h = 2.0 ** math.ceil(math.log2(math.exp(_RULE_LOG_RATE[-1]) / rate))
+    while (grid := math.ceil(end / h)) < best[0]:
+        n = bisect_left(_RULE_LOG_RATE, math.log(h * rate)) + 1
+        if n <= _RULE_MAX:
+            if grid > _MAX_PANELS:
+                if best[0] < math.inf:
+                    break
+                raise DomainError(
+                    f"t = {end:g} outside the Bessel route's domain at max |E| = "
+                    f"{e_max:.6g}: panels of width {h:g} would number {grid}, "
+                    f"more than {_MAX_PANELS}"
+                )
+            nodes = n * (grid + 2 * min(grid, _VERIFY_PANELS))
+            if nodes < best[0]:
+                # t / h is exact for a power of two h; np.fmod(times, h), whose
+                # cost grows with t / h, took 190 us on the 4133-time beat grid
+                x = times / h
+                off = np.count_nonzero(x != np.floor(x))
+                nodes += n * (off + 2 * min(off, _VERIFY_PANELS))
+                if nodes < best[0]:
+                    best = (nodes, h, n)
         h *= 0.5
+    return best[1], best[2]
 
 
 def _panel_integrals(E, a, b, left, order):
@@ -819,15 +862,8 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
     nd = np.array([s.psid_sq for s in states])
     grow = E.imag > 1e-12
     # the width is a power of two, so that E h is exact
-    e_max = float(np.max(np.abs(E)))
-    h, order = _panel_rule(e_max)
-    end = max(times.max(initial=0.0), _TAIL_START)
-    n = math.ceil(end / h)
-    if n > _MAX_PANELS:
-        raise DomainError(
-            f"t = {end:g} outside the Bessel route's domain at max |E| = {e_max:.6g}: "
-            f"panels of width {h:g} would number {n}, more than {_MAX_PANELS}"
-        )
+    h, order = _panel_rule(float(np.max(np.abs(E))), times)
+    n = math.ceil(max(times.max(initial=0.0), _TAIL_START) / h)
     edges = h * np.arange(n + 1.0)
     T = edges[-1]
     k = np.searchsorted(edges, times, side="right") - 1
@@ -857,6 +893,10 @@ def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
             x[part] -= 1j * lm * partial[:, s]
             scale = nd[s]
         terms[s] = scale * x
+    # at t = 0 every state's forward form e^{-iEt} (1 - i lam I(t)) is 1, so
+    # A(0) is the residue sum itself; a growing state's i lam W(0) is 1 only
+    # to the scan's rounding, which would otherwise enter A(0)
+    terms[:, times == 0.0] = nd[:, None]
     return terms
 
 
@@ -865,7 +905,9 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
     all four discrete states.
 
     The bound state below the band, the second-sheet pair and the bound state
-    above the band each contribute; their residues sum to 1, so A(0) = 1.
+    above the band each contribute; their residues sum to 1, so A(0) = 1,
+    and A(0) is returned as that sum itself (the anti-resonance's backward
+    scan meets its t = 0 value only to rounding).
     Errors are raised, never absorbed: on every call min(n, 512) of the n
     panels of the shared grid and of the n partial panels, evenly spread
     and the last included, are re-integrated at half step for all states,

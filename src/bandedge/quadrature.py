@@ -23,7 +23,7 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-_GL_NODES, _GL_WEIGHTS = _leggauss(15)
+_GL_WEIGHTS = _leggauss(15)[1]
 
 _MAX_DEPTH = 48
 # live panels refined in one integrand call; a larger set is refined in

@@ -258,15 +258,22 @@ def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
     cancellation in -lam - 1/lam.  Output arrays have shape eps_d.shape + (4,).
     A NaN or infinite eps_d or g raises DomainError.
     """
+    return _solve_lam_rows(eps_d, g)[1:]
+
+
+def _solve_lam_rows(eps_d, g: float):
+    """(rows, lam, E): ``solve_quartic_lambda_raw`` with the monic rows in y
+    that it solved, for callers that bound the roots' errors from them."""
     eps_d = np.asarray(eps_d)
     finite = np.isfinite(eps_d)
     if not (finite.all() and math.isfinite(g)):
         name, v = ("g", g) if finite.all() else ("eps_d", eps_d[~finite][0])
         raise DomainError(f"{name} = {v} is not finite")
-    y = _monic_roots(_lam_rows(eps_d, g))
+    rows = _lam_rows(eps_d, g)
+    y = _monic_roots(rows)
     lams, Es = 1.0 + y, -2.0 - y * y / (1.0 + y)
     order = np.argsort(Es.real, axis=-1, kind="stable")
-    return np.take_along_axis(lams, order, axis=-1), np.take_along_axis(Es, order, axis=-1)
+    return rows, np.take_along_axis(lams, order, axis=-1), np.take_along_axis(Es, order, axis=-1)
 
 
 def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
@@ -453,9 +460,8 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     """
     _coupled(params.g)
     eps = np.array([params.epsilon_d])
-    lams, Es = solve_quartic_lambda_raw(eps, params.g)
-    rad = _radius(_lam_rows(eps, params.g), lams - 1.0)[0]
-    code, psi0, psid = _classify(params.g, eps, lams, Es, rad)
+    rows, lams, Es = _solve_lam_rows(eps, params.g)
+    code, psi0, psid = _classify(params.g, eps, lams, Es, _radius(rows, lams - 1.0)[0])
     return [DiscreteState(z, E, _CLASSES[c], p0, pd) for z, E, c, p0, pd in zip(
         lams[0].tolist(), Es[0].tolist(), code[0].tolist(), psi0[0].tolist(), psid[0].tolist())]
 
@@ -642,8 +648,8 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> S
             f"scan grid of {points:g} points exceeds the cap of {_SCAN_MAX_POINTS} points"
         )
     eps = eps_start + np.arange(int(points)) * step
-    lams, Es = solve_quartic_lambda_raw(eps, g)
-    code, psi0, psid = _classify(g, eps, lams, Es, _radius(_lam_rows(eps, g), lams - 1.0)[0])
+    rows, lams, Es = _solve_lam_rows(eps, g)
+    code, psi0, psid = _classify(g, eps, lams, Es, _radius(rows, lams - 1.0)[0])
     order = np.lexsort((Es[:, :3].real, Es[:, :3].imag, code[:, :3]), axis=-1)
 
     def ordered(x):  # the triplet, columns 0-2

@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
@@ -423,13 +425,13 @@ class TestBesselSum:
             assert np.array_equal(survival_bessel_sum(params, times).amplitude, amp)
 
     def test_spot_check_samples_at_most_512_panels_per_kind(self, monkeypatch):
-        # width 1 with 10 nodes: 2000 grid panels and 2000 partial panels of
-        # width 0.5, of which 512 of each kind are integrated again as two
-        # halves, 10 * (2000 + 2000 + 2 * 2 * 512) = 60 480 J1 nodes
+        # every time is an edge of the width-1/2 grid, so 4000 grid panels of
+        # 8 nodes and no partial panel, of which 512 are integrated again as
+        # two halves, 8 * (4000 + 2 * 512) = 40 192 J1 nodes
         counted, real_j1 = [], dynamics.j1_over_t
         monkeypatch.setattr(dynamics, "j1_over_t", lambda t: counted.append(t.size) or real_j1(t))
         survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=0.02), np.arange(0.0, 2000.5, 0.5))
-        assert sum(counted) == 60_480
+        assert sum(counted) == 40_192
 
     def test_a_time_leaves_the_other_times_bits(self):
         # every panel is contracted on its own, so adding a time whose partial
@@ -451,7 +453,7 @@ class TestBesselSum:
 
         E = np.array([s.energy for s in discrete_spectrum(ModelParams(epsilon_d=eps_d, g=g))])
         left = E.imag > 0
-        h, n = dynamics._panel_rule(np.max(np.abs(E)))
+        h, n = dynamics._panel_rule(np.max(np.abs(E)), np.zeros(1))
         a = h * np.arange(40.0)
         runs = [(a, a + h), (np.append(a, 3.0), np.append(a + h, 3.0 + 0.3 * h))]
         for lo, hi in runs:
@@ -464,19 +466,20 @@ class TestBesselSum:
         assert np.array_equal(same, mixed[:-1])
 
     def test_one_grid_and_one_j1_table_for_all_states(self, monkeypatch):
-        # all four states share one grid [0, max(max t, 25)], at whose end the
-        # growing state's closed-form tail starts, and J1 is evaluated once
-        # per node for all of them (and once per node of the bisection check)
+        # all four states share one grid [0, T], T = max(max t, 25) rounded
+        # up to a whole panel, at whose end the growing state's closed-form
+        # tail starts, and J1 is evaluated once per node for all of them (and
+        # once per node of the bisection check)
         grids, rules, nodes = [], [], []
         real_panels, real_rule, real_j1 = (
             dynamics._checked_panels, dynamics._panel_rule, dynamics.j1_over_t)
 
         def panels_spy(E, left, edges, a, b, order):
-            grids.append((edges[0], edges[-1]))
+            grids.append((edges[0], edges[-1], b.size))
             return real_panels(E, left, edges, a, b, order)
 
-        def rule_spy(e_max):
-            rules.append(real_rule(e_max))
+        def rule_spy(e_max, times):
+            rules.append(real_rule(e_max, times))
             return rules[-1]
 
         def j1_spy(t):
@@ -487,20 +490,24 @@ class TestBesselSum:
         monkeypatch.setattr(dynamics, "_panel_rule", rule_spy)
         monkeypatch.setattr(dynamics, "j1_over_t", j1_spy)
         params = ModelParams(epsilon_d=-2.0, g=0.05)
-        for t_max, end in ((39.0, 39.0), (9.0, 25.0)):
+        # at threshold: to t = 39 every time is an edge of the width-1 grid,
+        # 10 nodes each; to t = 9 the bare grid [0, 25] dominates, so width 2
+        # with 13 nodes, whose 13 panels reach T = 26, and the 5 odd times
+        # take partial panels
+        for t_max, rule, end, partial in ((39.0, (1.0, 10), 39.0, 0), (9.0, (2.0, 13), 26.0, 5)):
             grids.clear()
             rules.clear()
             nodes.clear()
             survival_bessel_sum(params, np.arange(0.0, t_max + 0.5, 1.0))
-            assert grids == [(0.0, end)]
-            # panels of width 1 with 10 nodes at threshold; every time is a
-            # grid edge, so there are no partial panels, and each of the
-            # end / h panels has n nodes and is checked with 2n
-            assert rules == [(1.0, 10)]
+            assert rules == [rule]
+            assert grids == [(0.0, end, partial)]
+            # each of the end / h grid panels and the partial panels has n
+            # nodes and is checked with 2n; grid and partial nodes are distinct
             (h, n), = rules
             seen = np.concatenate(nodes)
-            assert seen.size == 3 * n * int(end / h)
-            assert np.unique(seen).size == seen.size
+            panels = int(end / h) + partial
+            assert seen.size == 3 * n * panels
+            assert np.unique(seen[: n * panels]).size == n * panels
 
     def test_long_window_initial_value(self):
         # the scan is one Toeplitz product per block and a contractive step
@@ -547,7 +554,7 @@ class TestBesselSum:
         E = np.array([s.energy for s in discrete_spectrum(ModelParams(epsilon_d=-2.0, g=0.05))])
         a = np.array([0.0, 12.25, 30.0])
         b = a + np.array([0.1, 0.2, 0.05])
-        _, n = dynamics._panel_rule(np.max(np.abs(E)))
+        _, n = dynamics._panel_rule(np.max(np.abs(E)), b)
         monkeypatch.setattr(dynamics, "_PANEL_TOL", 1e-30)
         with pytest.raises(QuadratureError) as info:
             dynamics._checked_panels(E, E.imag > 0, np.array([0.0]), a, b, n)
@@ -573,35 +580,49 @@ class TestBesselSum:
         empty = survival_bessel_sum(params, [])
         assert empty.amplitude.size == 0 and empty.probability.size == 0
 
-    @pytest.mark.parametrize("e_max, rule", [
-        (0.0, (1.0, 8)), (2.0, (1.0, 10)), (4.0, (1.0, 12)), (10.0, (1.0, 15)),
-        (20.0, (0.5, 15)), (32.0, (0.25, 13)), (45.0, (0.25, 15)), (60.0, (0.125, 13)),
-        (100.0, (0.125, 15)), (101.5, (0.0625, 12)),
+    @pytest.mark.parametrize("e_max, times, rule", [
+        (0.0, "t0", (4.0, 13)), (2.0, "t0", (2.0, 13)), (2.0, "beat", (2.0, 13)),
+        (2.0, "half", (0.5, 8)), (2.0, "integer", (1.0, 10)), (2.0, "irregular", (0.5, 8)),
+        (4.0, "t0", (2.0, 15)), (10.0, "t0", (1.0, 15)), (20.0, "t0", (0.5, 15)),
+        (32.0, "t0", (0.25, 13)), (45.0, "t0", (0.25, 15)), (60.0, "t0", (0.125, 13)),
+        (60.0, "irregular", (0.0625, 10)), (100.0, "t0", (0.125, 15)),
+        (101.5, "t0", (0.0625, 12)),
     ])
-    def test_panel_rule_is_the_widest_that_meets_the_bound(self, e_max, rule):
+    def test_panel_rule_takes_the_fewest_j1_nodes_the_bound_admits(self, e_max, times, rule):
         # the Gauss-Legendre remainder on a panel of width h (A&S 25.4.30),
         # with |f^(2n)| <= (|E| + 2)^(2n), must be at most 1e-17 h with n <= 15
-        # nodes, for the fewest such n, and no node count may meet it at 2h
-        h, n = dynamics._panel_rule(e_max)
+        # nodes, for the fewest such n; of the power-of-two widths the rule
+        # takes the one whose checked panels evaluate the fewest J1 nodes at
+        # these times, the wider on a tie.  Widths above 1 are admissible: at
+        # threshold (|E| ~ 2) width 2 takes 13 nodes, at |E| ~ 0 width 4 does
+        times = _RULE_TIMES[times]
+        h, n = dynamics._panel_rule(e_max, times)
         assert (h, n) == rule
-        assert _remainder_bound(h, n, e_max) <= 1e-17 * h
-        assert all(_remainder_bound(h, m, e_max) > 1e-17 * h for m in range(1, n))
-        if h < 1.0:
-            assert all(_remainder_bound(2 * h, m, e_max) > 2e-17 * h for m in range(1, 16))
+        assert n == _fewest_nodes(h, e_max)
+        nodes = _rule_nodes(h, n, times)
+        for k in range(-12, 5):
+            w = 2.0**k
+            m = _fewest_nodes(w, e_max)
+            if m is not None and w != h:
+                assert _rule_nodes(w, m, times) > nodes or (
+                    w < h and _rule_nodes(w, m, times) == nodes)
 
     def test_panel_rule_keeps_the_panel_integrals(self):
-        # every (h, n) the rule returns for |E| <= 100, each at the largest
-        # |E| of a 0.05 grid that gets it (where its bound is tightest) and a
-        # random phase, against a 30-node rule on the panels of [0, 2], where
-        # J1(2t)/t is largest, each panel referenced to its contractive edge.
+        # every (h, n) the rule returns for |E| <= 100 at the time sets of
+        # _RULE_TIMES, each at the largest |E| of a 0.05 grid that gets it
+        # (where its bound is tightest) and a random phase, against a 30-node
+        # rule on the panels of [0, max(2, h)], where J1(2t)/t is largest,
+        # each panel referenced to its contractive edge.
         # Both rules run at 30 digits, so the gap is the n-node truncation
         # alone (the 30-node bound is below 1e-51 h), which the bound holds to
-        # 1e-17 h in each of Re and Im (measured at most 3.4e-18 h; one node
+        # 1e-17 h in each of Re and Im (measured at most 2.2e-18 h; one node
         # fewer reaches 3.5e-16 h)
         worst = {}
-        for e in np.linspace(0.0, 100.0, 2001):
-            worst[dynamics._panel_rule(e)] = e
-        assert len(worst) == 20
+        for times in _RULE_TIMES.values():
+            for e in np.linspace(0.0, 100.0, 2001):
+                rule = dynamics._panel_rule(e, times)
+                worst[rule] = max(worst.get(rule, 0.0), e)
+        assert len(worst) == 35
         rng = np.random.default_rng(17)
         with mp.workdps(30):
             table = {}
@@ -611,7 +632,7 @@ class TestBesselSum:
                 if (h, n) not in table:
                     x, w = mp.gauss_quadrature(n, "legendre")
                     table[h, n] = []
-                    for p in range(int(2 / h)):
+                    for p in range(max(1, int(2 / h))):
                         s = [(p + (1 + xi) / 2) * h_mp for xi in x]
                         table[h, n].append([(si, wi * mp.besselj(1, 2 * si) / si)
                                             for si, wi in zip(s, w)])
@@ -628,18 +649,19 @@ class TestBesselSum:
                 assert gap <= math.sqrt(2.0) * 1e-17 * h, (h, n, E)
 
     @pytest.mark.parametrize("eps_d, g, rule", [
-        (-2.0, 1e-4, (1.0, 10)), (-30.0, 8.0, (0.25, 13)),
-        (-60.0, 1.0, (0.125, 13)), (-100.0, 1.0, (0.125, 15)),
+        (-2.0, 1e-4, (0.5, 8)), (-30.0, 8.0, (0.25, 13)),
+        (-60.0, 1.0, (0.0625, 10)), (-100.0, 1.0, (0.125, 15)),
     ])
     def test_panel_rule_matches_oracle(self, monkeypatch, eps_d, g, rule):
-        # width 1 and 10 nodes at threshold; the far-detuned states of |E| =
-        # 32, 60 and 100 take narrower panels (measured 3.4e-12, 1.6e-11,
-        # 3.7e-11 and 8.6e-11; the last two are set by the phase of the
-        # quartic's bound-state energy, e.g. 1.1e-12 off at eps_d = -100)
+        # 266 times 0.3 apart, 38 of them on the width-1/2 grid: width 1/2
+        # and 8 nodes at threshold; the far-detuned states of |E| = 32, 60
+        # and 100 take narrower panels (measured 2.8e-13, 1.6e-11, 3.7e-11 and
+        # 8.6e-11; the last two are set by the phase of the quartic's
+        # bound-state energy, e.g. 1.1e-12 off at eps_d = -100)
         rules, panel_rule = [], dynamics._panel_rule
 
-        def rule_spy(e_max):
-            rules.append(panel_rule(e_max))
+        def rule_spy(e_max, times):
+            rules.append(panel_rule(e_max, times))
             return rules[-1]
 
         monkeypatch.setattr(dynamics, "_panel_rule", rule_spy)
@@ -650,14 +672,16 @@ class TestBesselSum:
         assert rules == [rule]
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-10
 
-    def test_scan_powers_at_large_phase(self):
-        # at width 1 and |E| ~ 2 a Toeplitz block's powers e^(rate m) reach
-        # |rate m| ~ 128, where fl(rate m) alone rounds the phase by up to
-        # 0.5 ulp(128) = 1.4e-14 (measured 7.1e-15); from exactly split
-        # arguments they hold to rounding through three blocks (3.3e-16)
+    @pytest.mark.parametrize("h", [1.0, 2.0])
+    def test_scan_powers_at_large_phase(self, h):
+        # at |E h| ~ 2 and 4 (widths 1 and 2 at threshold) a Toeplitz block's
+        # powers e^(rate m) reach |rate m| ~ 128 and 256, where fl(rate m)
+        # alone rounds the phase by up to 0.5 ulp(256) = 2.8e-14; from exactly
+        # split arguments they hold to rounding through three blocks
+        # (measured 3.3e-16 and 5.0e-16)
         rng = np.random.default_rng(3)
         E = 2.0 + 0.01 * rng.random() - 1e-3j * rng.random()
-        rate = -1j * E
+        rate = -1j * E * h
         inc = np.zeros(200, dtype=complex)
         inc[0] = 1.0
         k = np.arange(1, 201)
@@ -665,6 +689,61 @@ class TestBesselSum:
         with mp.workdps(30):
             ref = np.array([complex(mp.exp(mp.mpc(rate) * int(m - 1))) for m in k])
         assert np.max(np.abs(x - ref) / np.abs(ref)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        eps_d=st.floats(-2.1, -1.9),
+        g=st.floats(-2.0, 0.0).map(lambda x: 10.0**x),
+        times=st.one_of(
+            # uniform, beat-like (t0 + 4k) and irregular windows
+            st.builds(lambda t0, dt, K: t0 + dt * np.arange(K), st.floats(0.0, 50.0),
+                      st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 2.0]), st.integers(1, 600)),
+            st.builds(lambda t0, K: t0 + 4.0 * np.arange(K), st.floats(0.0, 900.0),
+                      st.integers(1, 300)),
+            st.lists(st.floats(0.0, 400.0), min_size=1, max_size=300, unique=True).map(
+                lambda t: np.sort(np.array(t))),
+        ),
+    )
+    def test_panel_plan_never_takes_more_j1_nodes(self, eps_d, g, times):
+        # the call evaluates exactly the J1 nodes its plan counts, never more
+        # than the former rule (the widest width <= 1) would at these times,
+        # and its (h, n) meets the remainder bound
+        params = ModelParams(epsilon_d=eps_d, g=g)
+        e_max = max(abs(s.energy) for s in discrete_spectrum(params))
+        counted, rules = [], []
+        real_j1, real_rule = dynamics.j1_over_t, dynamics._panel_rule
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "j1_over_t", lambda t: counted.append(t.size) or real_j1(t))
+            patch.setattr(dynamics, "_panel_rule",
+                          lambda e, t: rules.append(real_rule(e, t)) or rules[-1])
+            survival_bessel_sum(params, times)
+        (h, n), = rules
+        assert _remainder_bound(h, n, e_max) <= 1e-17 * h
+        assert sum(counted) == _rule_nodes(h, n, times)
+        assert sum(counted) <= _rule_nodes(*_widest_rule_to_1(e_max), times)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        eps_d=st.floats(-2.1, -1.9),
+        g=st.floats(-2.0, -0.5).map(lambda x: 10.0**x),
+        last=st.integers(25, 3000),
+        dt=st.sampled_from([0.5, 1.0]),
+    )
+    def test_half_and_integer_grids_take_no_partial_panel(self, eps_d, g, last, dt):
+        # near threshold a window of step 1/2 or 1 from t = 0 to past the
+        # tail start puts every time on an edge of its grid
+        partial = []
+        real_panels = dynamics._checked_panels
+
+        def panels_spy(E, left, edges, a, b, order):
+            partial.append(b.size)
+            return real_panels(E, left, edges, a, b, order)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_checked_panels", panels_spy)
+            survival_bessel_sum(ModelParams(epsilon_d=eps_d, g=g),
+                                np.arange(0.0, last + 0.5 * dt, dt))
+        assert partial == [0]
 
     def test_strong_coupling_runs(self):
         # at g = 100 (|E| = 101) the panels are 1/8 wide with 15 nodes; the
@@ -740,6 +819,42 @@ def _remainder_bound(h, n, e_max):
     return h ** (2 * n + 1) * coef * (e_max + 2.0) ** (2 * n)
 
 
+def _fewest_nodes(h, e_max):
+    """The fewest n <= 15 whose remainder bound on width h is at most 1e-17 h, else None."""
+    return next((n for n in range(1, 16) if _remainder_bound(h, n, e_max) <= 1e-17 * h), None)
+
+
+def _rule_nodes(h, n, times):
+    """J1 nodes of one checked-panel call of the Bessel route at ``times``:
+    n per panel of the width-h grid on [0, max(max t, 25)], n per partial
+    panel of a time off that grid, and 2n per panel of the spot check,
+    which takes up to 512 panels of each kind."""
+    grid = math.ceil(max(np.max(times, initial=0.0), 25.0) / h)
+    off = np.count_nonzero(np.fmod(times, h))
+    return n * (grid + off + 2 * min(grid, 512) + 2 * min(off, 512))
+
+
+def _widest_rule_to_1(e_max):
+    """The former panel rule: the widest power of two h <= 1 whose bound
+    some n <= 15 meets, with the fewest such n."""
+    h = 1.0
+    while _fewest_nodes(h, e_max) is None:
+        h *= 0.5
+    return h, _fewest_nodes(h, e_max)
+
+
+# time sets of the panel-rule tests: t = 0 alone (the bare grid on [0, 25]),
+# the CLI's dt = 0.5 window to t = 2000, integer times, times 0.3 apart and
+# the beat grid of one time every 4 units to t = 17 338
+_RULE_TIMES = {
+    "t0": np.zeros(1),
+    "half": np.arange(0.0, 2000.5, 0.5),
+    "integer": np.arange(0.0, 2001.0),
+    "irregular": 0.1 + 0.3 * np.arange(266),
+    "beat": 810.3 + 4.0 * np.arange(4133),
+}
+
+
 def _mp_hankel_tail(lam, T, terms=40):
     """30-digit int_T^inf e^{iE(s - T)} J1(2s)/s ds, E = -lam - 1/lam, from
     40 Hankel terms, each integrated with mpmath's generalised exponential
@@ -790,7 +905,7 @@ class TestHankelTail:
         s, T = _growing_state(eps_d, g), 25.0
         E = s.energy
         L = 40.0 / E.imag
-        h, n = dynamics._panel_rule(abs(E))
+        h, n = dynamics._panel_rule(abs(E), np.array([T + L]))
         edges = np.linspace(T, T + L, int(np.ceil(L / h)) + 1)
         none = np.empty(0)
         panels, _ = dynamics._checked_panels(

@@ -13,13 +13,15 @@ import pytest
 
 from bandedge import dynamics, generic
 from bandedge.errors import QuadratureError
-from bandedge.quadrature import _GL_NODES, _GL_WEIGHTS, _MAX_PANELS, adaptive_quad
+from bandedge.quadrature import _MAX_PANELS, _leggauss, adaptive_quad
+
+_NODES, _WEIGHTS = _leggauss(15)
 
 
 def _reference_quad(f, a, b, tol):
     def panel(a, b):
         h = 0.5 * (b - a)
-        return h * np.sum(_GL_WEIGHTS * f(0.5 * (a + b) + h * _GL_NODES))
+        return h * np.sum(_WEIGHTS * f(0.5 * (a + b) + h * _NODES))
 
     total = 0.0 + 0.0j
     stack = [(float(a), float(b), panel(a, b), tol, 0)]
