@@ -15,6 +15,9 @@ x = sqrt(E_th - E) into the on-threshold dispersion equation gives the cubic
 whose three roots converge on E_th as g^{4/3}: the same triple coalescence
 the tight-binding chain shows at its band edge.  ``Lam`` is the coefficient
 function of the divergent part (the eigenvalue variable lam is unrelated).
+``self_energy_quadrature`` integrates Sigma from v(k) alone, one folded
+integrand for the regular profiles and the singular |k|^(-1/4)
+counterexample, whose Sigma diverges as (E_th - E)^(-3/4) instead.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .quadrature import adaptive_quad
 from .spectrum import _cardano, _monic_roots, _polish
 
@@ -77,9 +80,15 @@ def self_energy_quadrature(model: GenericSelfEnergyModel, E):
     """Sigma(E) = g^2 int dk |v_k|^2 / (E - E_k) for real E below threshold.
 
     E is a scalar, giving a float, or an array, giving an array of its shape
-    from one batched quadrature.  The infinite k line is mapped through
-    k = tan(u); the mapped integrand is bounded at u = +/- pi/2 whenever
-    |v_k|^2 decays no slower than the 1/k^2 of the denominator.
+    from one batched quadrature.  The whole k line is folded onto
+    u in (0, pi/2) by k = +/- s^2, s = tan(u):
+
+        int dk |v_k|^2 / (E - E_th - k^2)
+            = int du 2 s (1 + s^2) (|v(s^2)|^2 + |v(-s^2)|^2) / (E - E_th - s^4),
+
+    bounded on (0, pi/2) whenever |v_k|^2 = O(|k|^(-1/2)) at k = 0 and
+    O(|k|^(1/2)) as |k| -> oo, the regular profiles and the |k|^(-1/4)
+    counterexample alike.  Both ends are panel edges, so no node sits at k = 0.
     """
     E = _below_threshold(model, E)
     if model.dispersion is not None:
@@ -93,14 +102,13 @@ def self_energy_quadrature(model: GenericSelfEnergyModel, E):
         val = adaptive_quad(integrand, lo, hi, tol=1e-11, args=(E,))
         return model.g**2 * val.real
 
-    def mapped(u, E):
-        k = np.tan(u)
-        vk = model.v(k)
-        return np.abs(vk) ** 2 * (1.0 + k * k) / (E - model.e_th - k * k)
+    def folded(u, E):
+        s = np.tan(u)
+        k = s * s
+        weight = np.abs(model.v(k)) ** 2 + np.abs(model.v(-k)) ** 2
+        return 2.0 * s * (1.0 + k) * weight / (E - model.e_th - k * k)
 
-    val = adaptive_quad(mapped, -_HALF_PI, _HALF_PI, tol=1e-11, args=(E,))
-    if np.any(np.abs(val.imag) > 1e-9):
-        raise NumericalError("self-energy quadrature produced an imaginary part")
+    val = adaptive_quad(folded, 0.0, _HALF_PI, tol=1e-11, args=(E,))
     return model.g**2 * val.real
 
 
@@ -233,8 +241,9 @@ def make_singular_v_model(g: float) -> GenericSelfEnergyModel:
 
     Its self-energy diverges like (E_th - E)^(-3/4) rather than the inverse
     square root, so Sigma * sqrt(E_th - E) has no finite threshold limit and
-    the anomalous coalescence disappears.  Delta/Lam are placeholders; only
-    the quadrature route is meaningful here.
+    the anomalous coalescence disappears.  Delta/Lam are placeholders, so
+    sigma_closed_form means nothing here; self_energy_quadrature gives
+    Sigma(E) = -sqrt(2) pi g^2 (E_th - E)^(-3/4).
     """
     return GenericSelfEnergyModel(
         e_th=0.0,
@@ -243,24 +252,3 @@ def make_singular_v_model(g: float) -> GenericSelfEnergyModel:
         v=lambda k: np.abs(k) ** -0.25,
         g=g,
     )
-
-
-def singular_v_quadrature(model: GenericSelfEnergyModel, E):
-    """Sigma(E) for the |k|^(-1/4) profile; substitutes k = s^2 to absorb the
-    integrable |k|^(-1/2) singularity of |v|^2 at k = 0.  A float for a
-    scalar E, else an array of E's shape from one batched quadrature."""
-    E = _below_threshold(model, E)
-
-    def mapped(s, E):
-        k = s * s
-        return 2.0 / (E - model.e_th - k * k)
-
-    # |v|^2 = k^(-1/2); int_0^inf k^(-1/2) f(k) dk = 2 int_0^inf f(s^2) ds,
-    # then double for the k < 0 half line.  The cut-off is taken with
-    # Python's float power, E by E, so it does not depend on numpy's pow.
-    upper = np.reshape(
-        [40.0 / max(abs(e - model.e_th) ** 0.25, 1e-3) for e in E.ravel().tolist()],
-        E.shape,
-    )
-    val = adaptive_quad(mapped, 0.0, upper, tol=1e-10, args=(E,))
-    return 2.0 * model.g**2 * val.real

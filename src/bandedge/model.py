@@ -38,10 +38,12 @@ class ModelParams:
     g: float
 
     def __post_init__(self):
-        if not (self.g >= 0.0):
+        for name in ("epsilon_d", "g"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise DomainError(f"{name} = {v} is not finite")
+        if not self.g >= 0.0:
             raise DomainError(f"coupling g must be >= 0, got {self.g}")
-        if not (np.isfinite(self.epsilon_d) and np.isfinite(self.g)):
-            raise DomainError("model parameters must be finite")
 
 
 def energy_from_lambda(lam: complex) -> complex:

@@ -533,6 +533,29 @@ class TestRunners:
         assert capsys.readouterr().err.splitlines() == [f"error: eps_d = {cell} is not finite"]
         assert not out.exists()
 
+    def test_zero_time_step_is_a_config_error(self, capsys):
+        assert main(["dynamics", "--dt", "0"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: dt must be > 0, got 0.0"]
+
+    def test_config_line_without_equals_is_a_config_error(self, capsys, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("g = 0.1\ngnuplot\n")
+        assert main(["dynamics", "--config", str(f)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config file errors:", "  line 2: expected 'key = value', got 'gnuplot'"]
+
+    def test_config_file_yes_is_true(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("gnuplot = yes\n")
+        assert parse_config(["dynamics", "--config", str(f)]).params["gnuplot"] is True
+
+    def test_reversed_generic_range_is_an_error(self, capsys, tmp_path):
+        out = tmp_path / "gen.csv"
+        assert main(["generic", "--e-min", "-1", "--e-max", "-2", "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: need e_min < e_max < E_th = 0.0; got [-1.0, -2.0]"]
+        assert not out.exists()
+
     def test_reversed_scan_range_is_an_error(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
         assert main(["spectrum", "--g", "0.1", "--eps-min", "-1.9", "--eps-max", "-2.1",

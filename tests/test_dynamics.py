@@ -607,6 +607,22 @@ class TestBesselSum:
                 assert _rule_nodes(w, m, times) > nodes or (
                     w < h and _rule_nodes(w, m, times) == nodes)
 
+    @pytest.mark.parametrize("e_max, t, rule, capped", [
+        (30.0, 1e5, (0.25, 13), 1 / 32), (10.0, 6e5, (1.0, 15), 1 / 8),
+    ])
+    def test_panel_rule_stops_at_the_panel_cap(self, e_max, t, rule, capped):
+        # the search narrows while a width's grid alone takes fewer J1 nodes
+        # than the best plan so far.  ``capped`` is the widest admissible
+        # width whose grid exceeds _MAX_PANELS; its grid is still below the
+        # best plan's nodes, so the cap ends the search, and it returns its
+        # best plan instead of raising
+        times = np.array([t])
+        assert dynamics._panel_rule(e_max, times) == rule
+        grid = math.ceil(t / capped)
+        assert math.ceil(t / (2 * capped)) <= dynamics._MAX_PANELS < grid
+        assert _fewest_nodes(capped, e_max) is not None
+        assert grid < _rule_nodes(*rule, times)
+
     def test_panel_rule_keeps_the_panel_integrals(self):
         # every (h, n) the rule returns for |E| <= 100 at the time sets of
         # _RULE_TIMES, each at the largest |E| of a 0.05 grid that gets it

@@ -10,7 +10,6 @@ from bandedge.generic import (
     make_singular_v_model,
     self_energy_quadrature,
     sigma_closed_form,
-    singular_v_quadrature,
     threshold_roots,
     xi_intermediates,
 )
@@ -78,7 +77,7 @@ class TestSelfEnergyQuadrature:
             with pytest.raises(DomainError, match="got nan"):
                 fn(model, np.array([-1.0, np.nan]))
         with pytest.raises(DomainError, match="got nan"):
-            singular_v_quadrature(make_singular_v_model(0.2), np.nan)
+            self_energy_quadrature(make_singular_v_model(0.2), np.nan)
 
 
 class TestSquareRootReproduction:
@@ -106,7 +105,7 @@ class TestSquareRootReproduction:
     def test_singular_profile_breaks_the_limit(self):
         model = make_singular_v_model(0.2)
         vals = [
-            singular_v_quadrature(model, model.e_th - dE) * np.sqrt(dE)
+            self_energy_quadrature(model, model.e_th - dE) * np.sqrt(dE)
             for dE in (1e-2, 1e-4, 1e-6)
         ]
         # for a regular profile these would stabilize; here they grow ~dE^-1/4
@@ -116,10 +115,18 @@ class TestSquareRootReproduction:
         model = make_singular_v_model(0.2)
         dEs = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         vals = np.array(
-            [abs(singular_v_quadrature(model, -dE)) * np.sqrt(dE) for dE in dEs]
+            [abs(self_energy_quadrature(model, -dE)) * np.sqrt(dE) for dE in dEs]
         )
         slope = np.polyfit(np.log(dEs), np.log(vals), 1)[0]
         assert slope == pytest.approx(-0.25, abs=0.01)
+
+    def test_singular_profile_closed_form(self):
+        # int dk |k|^(-1/2) / (E - k^2) = -sqrt(2) pi (E_th - E)^(-3/4)
+        model = make_singular_v_model(0.2)
+        dE = np.geomspace(1e-8, 1e-1, 29)
+        want = -np.sqrt(2.0) * np.pi * model.g**2 * dE**-0.75
+        got = self_energy_quadrature(model, model.e_th - dE)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestThresholdRoots:
@@ -190,6 +197,23 @@ class TestThresholdRoots:
         # refinement moves the roots but stays within the leading-order scale
         shift = np.max(np.abs(np.sort_complex(frozen) - np.sort_complex(refined)))
         assert 0.0 < shift < model.g ** (8.0 / 3.0) * 10
+
+    def test_cycling_refinement_returns_the_frozen_roots(self):
+        # Lam jumps across the real root: the refined root moves above
+        # E = -0.13, where Lam doubles and sends it back below, so the
+        # Newton continuation cycles
+        model = GenericSelfEnergyModel(
+            e_th=0.0,
+            delta=lambda E: np.zeros_like(E),
+            lam_coeff=lambda E: np.where(np.real(E) > -0.13, -2 * np.pi, -np.pi) * np.ones_like(E),
+            v=lambda k: np.ones_like(k),
+            g=0.1,
+        )
+        frozen, _ = threshold_roots(model)
+        with pytest.warns(UserWarning, match="did not converge"):
+            roots, ok = threshold_roots(model, refine=True)
+        assert ok is False
+        np.testing.assert_array_equal(roots, frozen)
 
     def test_lam_zero_rejected(self):
         model = GenericSelfEnergyModel(

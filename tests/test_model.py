@@ -220,3 +220,15 @@ class TestEffectiveHamiltonian:
             H = effective_hamiltonian(p, lam)
             det = np.linalg.det(H - E * np.eye(2))
             assert abs(det) < 1e-10
+
+
+class TestModelParams:
+    @pytest.mark.parametrize(
+        "eps_d, g, message",
+        [(np.nan, 0.1, "epsilon_d = nan is not finite"),
+         (-2.0, np.inf, "g = inf is not finite")],
+        ids=str,
+    )
+    def test_non_finite_field_is_named(self, eps_d, g, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ModelParams(epsilon_d=eps_d, g=g)
