@@ -270,6 +270,10 @@ _SCHEMAS = {
     },
 }
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def parse_config_file(path: str, schema: dict) -> dict:
     values = {}
     errors = []
@@ -288,11 +292,8 @@ def parse_config_file(path: str, schema: dict) -> dict:
             continue
         typ = schema[key][0]
         try:
-            if typ is bool:
-                values[key] = val.lower() in ("1", "true", "yes", "on")
-            else:
-                values[key] = typ(val)
-        except ValueError:
+            values[key] = _BOOL_WORDS[val.lower()] if typ is bool else typ(val)
+        except (KeyError, ValueError):
             errors.append(f"line {lineno}: cannot parse {val!r} as {typ.__name__}")
     if errors:
         raise ConfigError("config file errors:\n  " + "\n  ".join(errors))
@@ -437,7 +438,7 @@ def _run_dynamics(cfg: RunConfig) -> int:
     params = ModelParams(epsilon_d=p["eps_d"], g=p["g"])
     times = np.arange(0.0, p["t_max"] + 1e-9, p["dt"])
     want = _METHODS if p["method"] == "all" else {p["method"]}
-    n_sites = p["n_sites"] or int(2 * p["t_max"] + 50)
+    n_sites = int(2 * p["t_max"] + 50) if p["n_sites"] is None else p["n_sites"]
     traces = _survival_traces(params, times, want, n_sites, optional=p["method"] == "all")
     out = cfg.output or "dynamics.csv"
     t, A, P, method = _trace_columns(traces, lambda tr: tr.method.value)

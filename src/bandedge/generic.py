@@ -1,8 +1,9 @@
 """Generic near-threshold self-energy models and the cubic threshold equation.
 
-A quantum emitter tuned to the edge E_th of a continuum with dispersion
-E_k = k^2 + E_th and non-singular coupling profile v(k) picks up the
-self-energy
+A quantum emitter tuned to the edge E_th of a continuum with an even
+dispersion E_k = E_th + w(k) on |k| <= k_max, w(k) ~ k^2 at k = 0 (k^2 on
+the whole line by default), and non-singular coupling profile v(k) picks
+up the self-energy
 
     Sigma(E) = g^2 Delta(E) + g^2 Lam(E) / sqrt(E_th - E),
 
@@ -15,9 +16,10 @@ x = sqrt(E_th - E) into the on-threshold dispersion equation gives the cubic
 whose three roots converge on E_th as g^{4/3}: the same triple coalescence
 the tight-binding chain shows at its band edge.  ``Lam`` is the coefficient
 function of the divergent part (the eigenvalue variable lam is unrelated).
-``self_energy_quadrature`` integrates Sigma from v(k) alone, one folded
-integrand for the regular profiles and the singular |k|^(-1/4)
-counterexample, whose Sigma diverges as (E_th - E)^(-3/4) instead.
+``self_energy_quadrature`` integrates Sigma from v(k) and w(k) alone, one
+folded integrand for the regular profiles, the chain's Brillouin zone and
+the singular |k|^(-1/4) counterexample, whose Sigma diverges as
+(E_th - E)^(-3/4) instead.
 """
 
 from __future__ import annotations
@@ -32,38 +34,47 @@ from .errors import DomainError
 from .quadrature import adaptive_quad
 from .spectrum import _cardano, _monic_roots, _polish
 
-_HALF_PI = 0.5 * np.pi
 _REFINE_TOL = 1e-10  # relative step at which a refined threshold root has converged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GenericSelfEnergyModel:
-    """Threshold E_th, analytic parts Delta and Lam, coupling profile v(k);
-    a NaN or infinite g raises DomainError."""
+    """Threshold E_th, closed-form parts Delta and Lam (omitted for a model
+    without them), coupling profile v(k), coupling g, and the zone: an even
+    dispersion w(k) = E_k - E_th on |k| <= k_max, by default k^2 on the
+    whole line.  A NaN or infinite g, or a k_max that is not > 0, raises
+    DomainError."""
 
     e_th: float
-    delta: Callable[[np.ndarray], np.ndarray]
-    lam_coeff: Callable[[np.ndarray], np.ndarray]
+    delta: Callable[[np.ndarray], np.ndarray] | None = None
+    lam_coeff: Callable[[np.ndarray], np.ndarray] | None = None
     v: Callable[[np.ndarray], np.ndarray]
     g: float
-    # override for a finite Brillouin zone with its own dispersion; defaults
-    # to E_k = k^2 + E_th over the whole real line
-    dispersion: Callable[[np.ndarray], np.ndarray] | None = None
-    k_domain: tuple[float, float] | None = None
+    dispersion: Callable[[np.ndarray], np.ndarray] = np.square
+    k_max: float = np.inf
 
     def __post_init__(self):
         if not np.isfinite(self.g):
             raise DomainError(f"g = {self.g} is not finite")
+        if not self.k_max > 0:
+            raise DomainError(f"k_max must be > 0, got {self.k_max}")
+
+    def _coefficient(self, name: str) -> Callable[[np.ndarray], np.ndarray]:
+        """The closed-form part "delta" or "lam_coeff"; DomainError if absent."""
+        fn = getattr(self, name)
+        if fn is None:
+            raise DomainError(f"the model has no closed-form coefficient {name}")
+        return fn
 
     def lam_at_threshold(self) -> float:
         """Lam(E_th); DomainError if it is 0 (no anomalous coalescence)."""
-        l0 = float(np.asarray(self.lam_coeff(np.array([self.e_th])))[0])
+        l0 = float(np.asarray(self._coefficient("lam_coeff")(np.array([self.e_th])))[0])
         if l0 == 0:
             raise DomainError("Lam(E_th) = 0: no inverse-square-root divergence")
         return l0
 
     def delta_at_threshold(self) -> float:
-        return float(np.asarray(self.delta(np.array([self.e_th])))[0])
+        return float(np.asarray(self._coefficient("delta")(np.array([self.e_th])))[0])
 
 
 def _below_threshold(model: GenericSelfEnergyModel, E) -> np.ndarray:
@@ -80,35 +91,27 @@ def self_energy_quadrature(model: GenericSelfEnergyModel, E):
     """Sigma(E) = g^2 int dk |v_k|^2 / (E - E_k) for real E below threshold.
 
     E is a scalar, giving a float, or an array, giving an array of its shape
-    from one batched quadrature.  The whole k line is folded onto
-    u in (0, pi/2) by k = +/- s^2, s = tan(u):
+    from one batched quadrature.  The zone |k| <= k_max is folded at k = 0
+    onto u in (0, arctan sqrt(k_max)) by k = +/- s^2, s = tan(u), with the
+    even dispersion w(k) = E_k - E_th:
 
-        int dk |v_k|^2 / (E - E_th - k^2)
-            = int du 2 s (1 + s^2) (|v(s^2)|^2 + |v(-s^2)|^2) / (E - E_th - s^4),
+        int dk |v_k|^2 / (E - E_th - w(k))
+            = int du 2 s (1 + s^2) (|v(s^2)|^2 + |v(-s^2)|^2) / (E - E_th - w(s^2)).
 
-    bounded on (0, pi/2) whenever |v_k|^2 = O(|k|^(-1/2)) at k = 0 and
-    O(|k|^(1/2)) as |k| -> oo, the regular profiles and the |k|^(-1/4)
-    counterexample alike.  Both ends are panel edges, so no node sits at k = 0.
+    It is bounded whenever |v_k|^2 = O(|k|^(-1/2)) at k = 0 and, on the
+    whole line (upper end fl(pi/2)), O(|k|^(1/2)) as |k| -> oo: the regular
+    profiles, the chain and the |k|^(-1/4) counterexample alike.  Both ends
+    are panel edges, so no node sits at k = 0.
     """
     E = _below_threshold(model, E)
-    if model.dispersion is not None:
-        disp = model.dispersion
-        lo, hi = model.k_domain
-
-        def integrand(k, E):
-            vk = model.v(k)
-            return np.abs(vk) ** 2 / (E - disp(k))
-
-        val = adaptive_quad(integrand, lo, hi, tol=1e-11, args=(E,))
-        return model.g**2 * val.real
 
     def folded(u, E):
         s = np.tan(u)
         k = s * s
         weight = np.abs(model.v(k)) ** 2 + np.abs(model.v(-k)) ** 2
-        return 2.0 * s * (1.0 + k) * weight / (E - model.e_th - k * k)
+        return 2.0 * s * (1.0 + k) * weight / (E - model.e_th - model.dispersion(k))
 
-    val = adaptive_quad(folded, 0.0, _HALF_PI, tol=1e-11, args=(E,))
+    val = adaptive_quad(folded, 0.0, np.arctan(np.sqrt(model.k_max)), tol=1e-11, args=(E,))
     return model.g**2 * val.real
 
 
@@ -117,8 +120,8 @@ def sigma_closed_form(model: GenericSelfEnergyModel, E):
     a float for a scalar E, else an array of E's shape."""
     E = _below_threshold(model, E)
     E1 = np.atleast_1d(E)
-    d = np.asarray(model.delta(E1), dtype=float)
-    l = np.asarray(model.lam_coeff(E1), dtype=float)
+    d = np.asarray(model._coefficient("delta")(E1), dtype=float)
+    l = np.asarray(model._coefficient("lam_coeff")(E1), dtype=float)
     sigma = model.g**2 * d + model.g**2 * l / np.sqrt(model.e_th - E1)
     return float(sigma[0]) if E.ndim == 0 else sigma
 
@@ -144,8 +147,8 @@ def threshold_roots(model: GenericSelfEnergyModel, refine: bool = False):
     done = np.zeros(x.size, dtype=bool)
     for _ in range(80):
         live = ~done
-        d = np.asarray(model.delta(E[live]), dtype=complex)
-        l = np.asarray(model.lam_coeff(E[live]), dtype=complex)
+        d = np.asarray(model._coefficient("delta")(E[live]), dtype=complex)
+        l = np.asarray(model._coefficient("lam_coeff")(E[live]), dtype=complex)
         rows = np.stack([np.zeros_like(d), g**2 * d, g**2 * l], axis=1)
         x_new = _polish(rows, x[live, None])[0][:, 0]
         E_new = model.e_th - x_new**2
@@ -202,7 +205,8 @@ def make_model(name: str, g: float) -> GenericSelfEnergyModel:
                 double pole at k = i give
                 Delta(E) = pi (1/(2(E+1)) + 1/(E+1)^2), Lam(E) = -pi/(1+E)^2
     main-text   the tight-binding chain near its lower edge: E_k = -2 cos k
-                over one Brillouin zone with weight 1/(2 pi),
+                over one Brillouin zone, |k| <= pi, with weight 1/(2 pi),
+                so w(k) = 4 sin^2(k/2), which keeps its digits as k -> 0;
                 Delta = 0, Lam(E) = -1/sqrt(2 - E), E_th = -2.
     """
     ones = np.ones_like
@@ -230,8 +234,8 @@ def make_model(name: str, g: float) -> GenericSelfEnergyModel:
             lam_coeff=lambda E: -1.0 / np.sqrt(2.0 - E),
             v=lambda k: ones(k) / np.sqrt(2.0 * np.pi),
             g=g,
-            dispersion=lambda k: -2.0 * np.cos(k),
-            k_domain=(-np.pi, np.pi),
+            dispersion=lambda k: 4.0 * np.sin(0.5 * k) ** 2,
+            k_max=np.pi,
         )
     raise DomainError(f"unknown builtin model '{name}'")
 
@@ -241,14 +245,12 @@ def make_singular_v_model(g: float) -> GenericSelfEnergyModel:
 
     Its self-energy diverges like (E_th - E)^(-3/4) rather than the inverse
     square root, so Sigma * sqrt(E_th - E) has no finite threshold limit and
-    the anomalous coalescence disappears.  Delta/Lam are placeholders, so
-    sigma_closed_form means nothing here; self_energy_quadrature gives
-    Sigma(E) = -sqrt(2) pi g^2 (E_th - E)^(-3/4).
+    the anomalous coalescence disappears.  The model has no Delta or Lam, so
+    sigma_closed_form and the threshold cubic raise DomainError;
+    self_energy_quadrature gives Sigma(E) = -sqrt(2) pi g^2 (E_th - E)^(-3/4).
     """
     return GenericSelfEnergyModel(
         e_th=0.0,
-        delta=lambda E: np.zeros_like(E),
-        lam_coeff=lambda E: -np.pi * np.ones_like(E),
         v=lambda k: np.abs(k) ** -0.25,
         g=g,
     )

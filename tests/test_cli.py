@@ -476,6 +476,18 @@ class TestRunners:
         errs = [float(l.split(",")[3]) for l in lines[1:]]
         assert max(errs) < 1e-8
 
+    def test_generic_main_text_near_threshold(self, capsys, tmp_path):
+        # E_th - E from 1e-2 down to 1e-5, the g -> 0 threshold regime
+        out = tmp_path / "gen.csv"
+        assert main([
+            "generic", "--model", "main-text", "--g", "0.1",
+            "--e-min=-2.01", "--e-max=-2.00001", "-o", str(out),
+        ]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert len(rows) == 81
+        assert max(float(r[3]) / -float(r[2]) for r in rows) < 1e-15
+        assert capsys.readouterr().err == ""
+
     def test_figures_preset(self, tmp_path):
         assert main(["figures", "--name", "fig1", "-o", str(tmp_path)]) == 0
         assert (tmp_path / "fig1_states.csv").exists()
@@ -548,6 +560,33 @@ class TestRunners:
         f = tmp_path / "run.cfg"
         f.write_text("gnuplot = yes\n")
         assert parse_config(["dynamics", "--config", str(f)]).params["gnuplot"] is True
+
+    def test_config_file_bool_words(self, capsys, tmp_path):
+        f = tmp_path / "run.cfg"
+        for word in ("0", "false", "No", "OFF"):
+            f.write_text(f"gnuplot = {word}\n")
+            assert parse_config(["dynamics", "--config", str(f)]).params["gnuplot"] is False
+        # any other word is an error, not a flag turned off
+        f.write_text("sheet = ture\nn_re = 5\n")
+        assert main(["ep", "--config", str(f)]) == 1
+        f.write_text("gnuplot = 2\n")
+        assert main(["dynamics", "--config", str(f)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config file errors:", "  line 1: cannot parse 'ture' as bool",
+            "error: config file errors:", "  line 1: cannot parse '2' as bool"]
+
+    def test_zero_sites_is_the_lattice_asked_for(self, capsys, tmp_path):
+        # only an absent n_sites defaults to 2 t_max + 50
+        out = tmp_path / "dyn.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_sites = 0\n")
+        for how in (["--n-sites", "0"], ["--config", str(cfg)]):
+            assert main(["dynamics", "--method", "oracle", "--g", "0.1", "--t-max", "10",
+                         *how, "-o", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "error: N = 0 too small for t_max = 10.0; "
+                "need N > 2 t_max + 10 to outrun the wavefront"]
+            assert not out.exists()
 
     def test_reversed_generic_range_is_an_error(self, capsys, tmp_path):
         out = tmp_path / "gen.csv"

@@ -64,6 +64,31 @@ class TestSelfEnergyQuadrature:
             assert abs(q - want) < 1e-8
             assert abs(sigma_closed_form(model, E) - want) < 1e-12
 
+    def test_main_text_chain_at_threshold(self):
+        # E_th - E from 1e-1 to 1e-10; the reference factors
+        # E^2 - 4 = (E - 2)(E + 2) at 40 digits
+        model = make_model("main-text", 0.1)
+        E = model.e_th - np.geomspace(1e-1, 1e-10, 19)
+        got = self_energy_quadrature(model, E)
+        with mp.workdps(40):
+            want = [-mp.mpf(model.g) ** 2 / mp.sqrt((mp.mpf(e) - 2) * (mp.mpf(e) + 2)) for e in E]
+            rel = [abs((q - w) / w) for q, w in zip(got, want)]
+        assert max(rel) <= 1e-15
+
+    def test_refined_main_text_bound_root_solves_the_pole_equation(self):
+        # the bound state sits g^(4/3) / 2^(2/3) below E_th: 1.4e-7 at g = 1e-5
+        for g in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+            model = make_model("main-text", g)
+            roots, ok = threshold_roots(model, refine=True)
+            assert ok
+            E = min(roots, key=lambda z: abs(z.imag)).real
+            assert abs(E - model.e_th - self_energy_quadrature(model, E)) <= 1e-14, g
+
+    @pytest.mark.parametrize("k_max", [0.0, -np.pi, np.nan])
+    def test_k_max_must_be_positive(self, k_max):
+        with pytest.raises(DomainError, match=f"k_max must be > 0, got {k_max}"):
+            GenericSelfEnergyModel(e_th=0.0, v=np.ones_like, g=0.1, k_max=k_max)
+
     def test_domain_guard(self):
         model = make_model("const", 0.1)
         with pytest.raises(DomainError):
@@ -119,6 +144,18 @@ class TestSquareRootReproduction:
         )
         slope = np.polyfit(np.log(dEs), np.log(vals), 1)[0]
         assert slope == pytest.approx(-0.25, abs=0.01)
+
+    @pytest.mark.parametrize("fn, name", [
+        (lambda m: sigma_closed_form(m, -1e-4), "delta"),
+        (threshold_roots, "delta"),
+        (leading_root_approx, "lam_coeff"),
+        (xi_intermediates, "delta"),
+    ], ids=["sigma_closed_form", "threshold_roots", "leading_root_approx", "xi_intermediates"])
+    def test_singular_profile_has_no_closed_form_coefficients(self, fn, name):
+        # its Sigma is not g^2 Delta + g^2 Lam / sqrt(E_th - E), so the
+        # closed form and the threshold cubic have nothing to stand on
+        with pytest.raises(DomainError, match=f"no closed-form coefficient {name}"):
+            fn(make_singular_v_model(0.2))
 
     def test_singular_profile_closed_form(self):
         # int dk |k|^(-1/2) / (E - k^2) = -sqrt(2) pi (E_th - E)^(-3/4)
