@@ -300,11 +300,22 @@ def parse_config_file(path: str, schema: dict) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every float() token as a value, where argparse takes -1e-6 for a flag."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argparse tree, built on first use and then reused: parsing keeps
     no state in it, and each add_argument queries the terminal size."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bandedge",
         description="Spectral structure and decay dynamics of a quantum "
         "emitter at a 1-D band edge",

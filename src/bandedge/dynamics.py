@@ -38,23 +38,22 @@ a partial panel per time off the grid and the spot check.  At threshold
 with 10 for integer times; far from the band only narrower widths meet
 the bound: (1/4, 13) at |E| = 32, h <= 1/8 from |E| = 49.5.  Times are
 bounded by t <= 6e5, up to which J1(2t) is documented, and the grid by
-2.4e6 panels.  A
-requested time is read from the left edge of its panel plus the partial
-panel up to it.  Grid and partial panels alike are referenced to their left
-edge for a state with Im E > 0 and to their right edge otherwise, so a node
-mid + half x_j lies half (x_j +- 1) from its reference edge: its phases come
-from one table per distinct half-width, with no exp per panel, and J1 is
-evaluated once per node for all states.  Each panel is contracted with
-its gathered table on its own, so its value does not depend on which
-other panels or times the call holds.  The running integral of a state
-with Im E <= 0 is then a scan with the constant step e^{-iEh},
-|e^{-iEh}| <= 1: within blocks of 64 panels one product with the
-lower-triangular Toeplitz matrix of its powers, each the exp of an exactly
-split argument -iEhm (256 rad at h = 2, |E| = 2), and
-block starts advanced by the one step e^{-64 iEh}.  h is a power of two,
-so E h is exact and the phases of all blocks agree.  States with Im E > 0
-(anti-resonances, where e^{-iEt} grows) are rewritten through the tail
-integral
+2.4e6 panels.  A requested time is read from the left edge of its panel
+plus the partial panel up to it.  Grid and partial panels alike are
+referenced to their left edge for an anti-resonance and to their right
+edge otherwise, so a node mid + half x_j lies half (x_j +- 1) from its
+reference edge: its phases come from one table per distinct half-width,
+with no exp per panel, and J1 is evaluated once per node for all states.
+Each panel is contracted with its gathered table on its own, so its value
+does not depend on which other panels or times the call holds.  The
+running integral of every other state is then a scan with the constant
+step e^{-iEh}, |e^{-iEh}| <= 1: within blocks of 64 panels one product
+with the lower-triangular Toeplitz matrix of its powers, each the exp of
+an exactly split argument -iEhm (256 rad at h = 2, |E| = 2), and block
+starts advanced by the one step e^{-64 iEh}.  h is a power of two, so E h
+is exact and the phases of all blocks agree.  The anti-resonance class of
+``spectrum._classify`` (second sheet, Im E > 0, where e^{-iEt} grows) is
+the growing set, rewritten through the tail integral
 
     e^{-iEt} (1 - i lam I(t)) = i lam e^{-iEt} int_t^inf e^{iEt'} J1(2t')/t' dt'
 
@@ -94,15 +93,7 @@ from .errors import (
 )
 from .model import ModelParams
 from .quadrature import _leggauss, adaptive_quad, panel_nodes
-from .spectrum import (
-    DiscreteState,
-    StateClass,
-    _checked_int,
-    _coupled,
-    _monic_roots,
-    discrete_spectrum,
-    near_edge_triplet,
-)
+from .spectrum import _CLASSES, StateClass, _checked_int, _coupled, _monic_roots, _states
 
 WAVEFRONT_MARGIN = 10.0
 _PANEL_TOL = 1e-10
@@ -849,18 +840,16 @@ def _hankel_tail(E, lam, T):
     return W
 
 
-def _bessel_sum_terms(states: list[DiscreteState], times: np.ndarray):
-    """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)), shape (S, K).
+def _bessel_sum_terms(lam, E, code, nd, times: np.ndarray):
+    """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)), shape (S, K),
+    of the states lam, E, class code and nd = psid_sq (arrays (S,), ``_states``).
 
     All states share one uniform grid on [0, T], T = max(max t, _TAIL_START)
-    rounded up to a whole panel, so a growing state's backward scan starts
-    from the closed-form tail at T.  Each time is read from the left edge of
-    its panel plus the partial panel up to it.
+    rounded up to a whole panel; the growing set, exactly the anti-resonance
+    class, is scanned backward from the closed-form tail at T.  Each time is
+    read from the left edge of its panel plus the partial panel up to it.
     """
-    E = np.array([s.energy for s in states])
-    lam = np.array([s.lam for s in states])
-    nd = np.array([s.psid_sq for s in states])
-    grow = E.imag > 1e-12
+    grow = code == _CLASSES.index(StateClass.ANTI_RESONANCE)
     # the width is a power of two, so that E h is exact
     h, order = _panel_rule(float(np.max(np.abs(E))), times)
     n = math.ceil(max(times.max(initial=0.0), _TAIL_START) / h)
@@ -923,7 +912,8 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
     the cap a DomainError is raised.
     """
     times = _checked_grid(times, upper=_BESSEL_T_MAX)
-    amp = _bessel_sum_terms(discrete_spectrum(params), times).sum(axis=0)
+    lam, E, code, _, nd = (x[0] for x in _states(params.epsilon_d, params.g))
+    amp = _bessel_sum_terms(lam, E, code, nd, times).sum(axis=0)
     return SurvivalTrace.from_amplitude(times, amp, Method.BESSEL_SUM)
 
 
@@ -934,6 +924,8 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
 def kn_closed_form(n: int, t: float) -> complex:
     """Closed form of int_0^t e^{-2it'} t'^(n-1) J1(2t') dt' for n in {0,1,2}
     and t in [0, 6e5], where J1(2t) is documented (DomainError otherwise)."""
+    if n not in (0, 1, 2):
+        raise DomainError(f"closed forms known for n in {{0, 1, 2}}, got {n}")
     t = float(_checked_times(t, upper=_BESSEL_T_MAX))
     if t == 0.0:
         return 0.0 + 0.0j
@@ -943,9 +935,7 @@ def kn_closed_form(n: int, t: float) -> complex:
         return 1j * (-1.0 + ph * (J0 + 1j * J1))
     if n == 1:
         return 0.5 * (1.0 - ph * ((1.0 + 2j * t) * J0 - 2.0 * t * J1))
-    if n == 2:
-        return (t / 3.0) * ph * (-1j * t * J0 + (1j + t) * J1)
-    raise DomainError(f"closed forms known for n in {{0, 1, 2}}, got {n}")
+    return (t / 3.0) * ph * (-1j * t * J0 + (1j + t) * J1)
 
 
 def kn_quadrature(n: int, t: float) -> complex:
@@ -1036,8 +1026,9 @@ def longtime_amplitude(params: ModelParams, t):
 
 def asymptotic_plateau(params: ModelParams) -> float:
     """P(inf) = |<d|psi_B>^2 (1 - lam_B^2)|^2, the trapped bound-state weight."""
-    bound = next(s for s in near_edge_triplet(params) if s.state_class is StateClass.BOUND_LOWER)
-    return float(abs(bound.psid_sq * (1.0 - bound.lam**2)) ** 2)
+    lam, _, code, _, nd = (x[0].tolist() for x in _states(params.epsilon_d, params.g))
+    k = code.index(_CLASSES.index(StateClass.BOUND_LOWER))
+    return float(abs(nd[k] * (1.0 - lam[k] ** 2)) ** 2)
 
 
 def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, complex]:
@@ -1051,9 +1042,9 @@ def expansion_term_checks(params: ModelParams, t: float) -> tuple[complex, compl
     [0, 6e5], as for ``survival_bessel_sum`` (DomainError otherwise).
     """
     t = float(_checked_times(t, upper=_BESSEL_T_MAX))
-    states = discrete_spectrum(params)
-    pole_sum = sum(s.psid_sq * np.exp(-1j * s.energy * t) for s in states)
-    total = _bessel_sum_terms(states, np.array([t]))[:, 0].sum()
+    lam, E, code, _, nd = (x[0] for x in _states(params.epsilon_d, params.g))
+    pole_sum = sum(d * np.exp(-1j * e * t) for e, d in zip(E.tolist(), nd.tolist()))
+    total = _bessel_sum_terms(lam, E, code, nd, np.array([t]))[:, 0].sum()
     return complex(pole_sum), complex(total - pole_sum)
 
 

@@ -9,15 +9,16 @@ E = -lam - 1/lam.  f is solved in double precision about the threshold,
 y = lam - 1, where the three roots that cluster at lam = 1 for small g form
 the well-scaled cubic y^3 ~ -g^2/2 instead of losing two thirds of their
 digits to the shift; p is solved about the dot level, v = E - eps_d (see
-``solve_energy_quartic_centred``).  One root solver, ``_monic_roots``, serves
-every polynomial solve in the package: seeds, then three |p|-guarded Newton
-steps.  A quartic row with complex coefficients (a complex eps_d, as on the EP
-sheet) is seeded by Ferrari's closed form and kept only if its roots pass a
-certificate (disjoint inclusion discs from running error bounds); every other
-row, and every row that fails, is seeded by one batched companion eigensolve.
-One array pass (``_classify``) classifies and normalizes the roots of any
-number of points: one for ``discrete_spectrum``, a grid for ``spectrum_scan``;
-each complex root's sheet is decided against its inclusion radius (``_radius``).
+``solve_energy_quartic_centred``).  ``_monic_roots`` serves every iterative
+root solve (seeds, then three |p|-guarded Newton steps), the closed-form
+cubic ``_cardano`` the EP energies, xi+- and Ferrari's resolvent.  A quartic
+row with complex coefficients (a complex eps_d) is seeded by Ferrari's closed
+form and kept only if its roots pass a certificate (disjoint inclusion discs
+from running error bounds); every other row, and every row that fails, is
+seeded by one batched companion eigensolve.  One pass, ``_states``, classifies
+and normalizes (``_classify``) the roots of ``solve_quartic_lambda_raw`` at
+one point or a grid; each complex root's sheet is decided against its
+inclusion radius (``_radius``).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class DiscreteState:
 def _monic_roots(lower: np.ndarray) -> np.ndarray:
     """Roots of z^n + lower[..., 0] z^(n-1) + ... + lower[..., n-1] (monic rows).
 
-    The one root solver of the package, for any degree n = lower.shape[-1].
+    The one iterative root solver of the package, for any degree n = lower.shape[-1].
     A quartic row with a nonzero imaginary coefficient (a complex eps_d) is
     seeded by Ferrari's closed form (``_ferrari``), takes the three Newton
     steps of ``_polish`` and is kept only if ``_certified`` accepts it: four
@@ -258,22 +259,15 @@ def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
     cancellation in -lam - 1/lam.  Output arrays have shape eps_d.shape + (4,).
     A NaN or infinite eps_d or g raises DomainError.
     """
-    return _solve_lam_rows(eps_d, g)[1:]
-
-
-def _solve_lam_rows(eps_d, g: float):
-    """(rows, lam, E): ``solve_quartic_lambda_raw`` with the monic rows in y
-    that it solved, for callers that bound the roots' errors from them."""
     eps_d = np.asarray(eps_d)
     finite = np.isfinite(eps_d)
     if not (finite.all() and math.isfinite(g)):
         name, v = ("g", g) if finite.all() else ("eps_d", eps_d[~finite][0])
         raise DomainError(f"{name} = {v} is not finite")
-    rows = _lam_rows(eps_d, g)
-    y = _monic_roots(rows)
+    y = _monic_roots(_lam_rows(eps_d, g))
     lams, Es = 1.0 + y, -2.0 - y * y / (1.0 + y)
     order = np.argsort(Es.real, axis=-1, kind="stable")
-    return rows, np.take_along_axis(lams, order, axis=-1), np.take_along_axis(Es, order, axis=-1)
+    return np.take_along_axis(lams, order, axis=-1), np.take_along_axis(Es, order, axis=-1)
 
 
 def solve_energy_quartic_centred(params: ModelParams) -> np.ndarray:
@@ -443,14 +437,23 @@ def _coupled(g: float) -> None:
                           "and lam = +-1, the band edges, are roots on the cut")
 
 
+def _states(eps_d, g: float):
+    """(lam, E, code, psi0_sq, psid_sq), each (n, 4), for g > 0 and a float or (n,) eps_d:
+    ``solve_quartic_lambda_raw``, then ``_classify`` on radii from the rows it solved."""
+    _coupled(g)
+    eps = np.atleast_1d(eps_d)
+    lams, Es = solve_quartic_lambda_raw(eps, g)
+    return (lams, Es) + _classify(g, eps, lams, Es, _radius(_lam_rows(eps, g), lams - 1.0)[0])
+
+
 def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     """All four discrete states in ascending Re E, classified and normalized:
     the near-edge triplet, then the bound state above the band.
 
     All four residues of the dot Green's function, for sums that must be
     exact (they add up to 1).  Same domain as ``near_edge_triplet`` (g > 0).  The
-    states come from the one classify-and-normalize pass that also serves
-    ``spectrum_scan``, on a block of one point.  It raises BranchCutError
+    states come from ``_states``, the pass that also serves ``spectrum_scan``
+    and the Bessel route, on a block of one point.  It raises BranchCutError
     where a complex root's ||lam| - 1| does not exceed its error radius: on
     a grid of 400 log-spaced g in [1e-9, 1e2] by 200 eps_d in [-3, 3], only
     for g <= 4.5e-7.  E is accurate to about 1e-16 absolute (2.2e-15 at
@@ -458,12 +461,8 @@ def discrete_spectrum(params: ModelParams) -> list[DiscreteState]:
     g <~ 1e-5 has Im E to about 1e-16 / |Im E| relative, 7e-6 at
     (-1.9, 1e-6) and 1.8e-4 at (1.5, 1e-6).
     """
-    _coupled(params.g)
-    eps = np.array([params.epsilon_d])
-    rows, lams, Es = _solve_lam_rows(eps, params.g)
-    code, psi0, psid = _classify(params.g, eps, lams, Es, _radius(rows, lams - 1.0)[0])
     return [DiscreteState(z, E, _CLASSES[c], p0, pd) for z, E, c, p0, pd in zip(
-        lams[0].tolist(), Es[0].tolist(), code[0].tolist(), psi0[0].tolist(), psid[0].tolist())]
+        *(x[0].tolist() for x in _states(params.epsilon_d, params.g)))]
 
 
 def near_edge_triplet(params: ModelParams) -> list[DiscreteState]:
@@ -639,8 +638,7 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> S
         raise DomainError(
             f"scan range is reversed: eps_stop = {eps_stop} < eps_start = {eps_start}"
         )
-    ModelParams(epsilon_d=eps_start, g=g)  # g >= 0
-    _coupled(g)
+    ModelParams(epsilon_d=eps_start, g=g)  # g >= 0; g = 0 raises in _states
     with np.errstate(over="ignore"):
         points = np.floor((eps_stop - eps_start) / step + 1e-9) + 1.0
     if not points <= _SCAN_MAX_POINTS:
@@ -648,8 +646,7 @@ def spectrum_scan(g: float, eps_start: float, eps_stop: float, step: float) -> S
             f"scan grid of {points:g} points exceeds the cap of {_SCAN_MAX_POINTS} points"
         )
     eps = eps_start + np.arange(int(points)) * step
-    rows, lams, Es = _solve_lam_rows(eps, g)
-    code, psi0, psid = _classify(g, eps, lams, Es, _radius(rows, lams - 1.0)[0])
+    lams, Es, code, psi0, psid = _states(eps, g)
     order = np.lexsort((Es[:, :3].real, Es[:, :3].imag, code[:, :3]), axis=-1)
 
     def ordered(x):  # the triplet, columns 0-2

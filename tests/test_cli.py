@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,18 @@ class TestParsing:
         f.write_text("g = fast\n")
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(["dynamics", "--config", str(f)])
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["generic", "--model", "const", "--e-min", "-1", "--e-max", "-1e-6"], "e_max", -1e-6),
+        (["spectrum", "--g", "0.1", "--eps-d", "-2e0"], "eps_d", -2.0),
+        (["ep", "--g", "0.1", "--sheet", "--im-min", "-inf"], "im_min", -math.inf),
+        (["dynamics", "--eps-d", "-.5E+1"], "eps_d", -5.0),
+        (["dynamics", "--eps-d", "-Infinity"], "eps_d", -math.inf),
+        (["dynamics", "--eps-d", "-nan"], "eps_d", math.nan),
+    ])
+    def test_negative_number_in_any_float_form_is_a_value(self, argv, key, value):
+        # argparse takes only -123 and -1.5 for numbers, and read these as flags
+        np.testing.assert_equal(parse_config(argv).params[key], value)
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ConfigError, match="g must be >= 0"):
@@ -543,6 +556,14 @@ class TestRunners:
         out = tmp_path / "sheet.csv"
         assert main(["ep", "--g", "0.1", "--sheet", bound, "inf", "-o", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: eps_d = {cell} is not finite"]
+        assert not out.exists()
+
+    def test_ep_sheet_with_a_negative_infinite_bound_is_a_domain_error(self, capsys, tmp_path):
+        # -inf was read as a flag, and the run exited 2 with "expected one argument"
+        out = tmp_path / "sheet.csv"
+        assert main(["ep", "--g", "0.1", "--sheet", "--im-min", "-inf", "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: eps_d = (-2.15-infj) is not finite"]
         assert not out.exists()
 
     def test_zero_time_step_is_a_config_error(self, capsys):

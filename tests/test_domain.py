@@ -9,8 +9,15 @@ import pytest
 from bandedge.bessel import bessel_j
 from bandedge.dynamics import intermediate_amplitude, kn_closed_form, kn_quadrature
 from bandedge.errors import DomainError
-from bandedge.model import ModelParams, Sheet, density_of_states, lambda_from_energy, self_energy
-from bandedge.ep import complex_parameter_sheet
+from bandedge.model import (
+    ModelParams,
+    Sheet,
+    density_of_states,
+    effective_hamiltonian,
+    lambda_from_energy,
+    self_energy,
+)
+from bandedge.ep import complex_parameter_sheet, ep_energy_closed_form
 from bandedge.generic import leading_root_approx, make_model, threshold_roots
 from bandedge.spectrum import (
     discrete_spectrum,
@@ -35,6 +42,9 @@ _PROBES = {
     "bessel_j-nan-in-array": (lambda: bessel_j(0, np.array([1.0, nan, 2.0])), "x = nan"),
     "bessel_j-past-1.2e6": (lambda: bessel_j(0, 1.3e6), "x = 1300000.0"),
     "kn_closed_form-1e300": (lambda: kn_closed_form(0, 1e300), "t = 1e+300"),
+    "ep_energy_closed_form-branch-2": (lambda: ep_energy_closed_form(0.1, 2),
+                                       "branch index must be -1, 0 or 1, got 2"),
+    "effective_hamiltonian-lam-0": (lambda: effective_hamiltonian(_P, 0), "lam = 0"),
     "puiseux_energy-nan": (lambda: puiseux_energy(nan), "g = nan"),
     "puiseux_lambda-nan": (lambda: puiseux_lambda(nan), "g = nan"),
     "puiseux_norm_d-nan": (lambda: puiseux_norm_d(nan), "g = nan"),

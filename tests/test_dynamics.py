@@ -568,6 +568,20 @@ class TestBesselSum:
             survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=0.05), [0.0, 30.0])
         assert 0.0 < info.value.residual < 1e-12
 
+    def test_anti_resonance_below_1e_12_takes_the_backward_scan(self, monkeypatch):
+        # at (-1.9, 6e-7) the anti-resonance has Im E = 5.8e-13; its class,
+        # not a tolerance on Im E, sends it backward from the closed-form tail
+        params = ModelParams(epsilon_d=-1.9, g=6e-7)
+        grow = [s for s in discrete_spectrum(params) if s.state_class is StateClass.ANTI_RESONANCE]
+        assert len(grow) == 1 and 0.0 < grow[0].energy.imag < 1e-12
+        tails, tail = [], dynamics._hankel_tail
+        monkeypatch.setattr(dynamics, "_hankel_tail", lambda *a: tails.append(a) or tail(*a))
+        t = np.arange(0.0, 200.25, 0.5)
+        amp = survival_bessel_sum(params, t).amplitude
+        assert len(tails) == 1 and tails[0][0] == grow[0].energy
+        oracle = survival_lattice_oracle(params, 500, t).amplitude
+        assert np.max(np.abs(amp - oracle)) < 1e-13
+
     def test_window_without_panels(self):
         # no state grows at these parameters, so at t = 0 every state gives
         # exactly its residue; no time at all gives an empty trace
@@ -955,6 +969,14 @@ class TestKnIntegrals:
         im = quad(lambda s: -np.sin(2 * s) * s ** (n - 1) * sp_j1(2 * s), 0, t,
                   limit=300)[0]
         assert kn_closed_form(n, t) == pytest.approx(re + 1j * im, abs=1e-11)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_closed_form_rejects_n_before_any_arithmetic(self, monkeypatch, t):
+        # at t = 0 the closed form returned 0 for any n; elsewhere it raised
+        # only after evaluating J0(2t) and J1(2t)
+        monkeypatch.setattr(dynamics, "bessel_j", None)
+        with pytest.raises(DomainError, match=re.escape("n in {0, 1, 2}, got 3")):
+            kn_closed_form(3, t)
 
     @pytest.mark.parametrize("n", [-1, 0.5, np.nan], ids=str)
     def test_quadrature_needs_an_integer_n_at_least_0(self, n):

@@ -13,7 +13,7 @@ from bandedge.ep import (
     ep_parameter,
     verify_ep_by_discriminant,
 )
-from bandedge.errors import DomainError
+from bandedge.errors import ConsistencyError, DomainError
 from bandedge.spectrum import solve_quartic_lambda_raw, spectrum_scan
 
 # 40-digit reference values at g = 0.1
@@ -125,6 +125,13 @@ class TestEPParameter:
         for n in (-1, 0, 1):
             loc = ep_parameter(1e-4, n)
             assert loc.eps_d == pytest.approx(-2.0, abs=1e-4)
+
+    def test_real_ep_is_certified_down_to_5e_12(self):
+        # below, E_bar + 2 is under the resolution of E_bar and the certificate
+        # fails, as the docstring states
+        assert ep_parameter(5e-12, 0).eps_d.imag == 0.0
+        with pytest.raises(ConsistencyError, match="not a certified double root for n = 0"):
+            ep_parameter(3e-12, 0)
 
     def test_double_root_certificate(self):
         for n in (-1, 0, 1):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandedge import spectrum
+from bandedge.dynamics import asymptotic_plateau, survival_bessel_sum
 from bandedge.errors import (
     BandEdgeError,
     BranchCutError,
@@ -927,6 +928,16 @@ class TestPuiseux:
 
 
 class TestThresholdLabels:
+    def test_needs_three_states(self):
+        with pytest.raises(LabelMatchingError, match="need exactly three states"):
+            threshold_labels([])
+
+    def test_far_from_threshold_two_states_share_a_branch(self):
+        # a dot level mid-band at g = 1: the triplet is not the threshold
+        # cluster, and arg(lam - 1) puts two of its states on alpha = 0
+        with pytest.raises(LabelMatchingError, match="two states map to alpha = 0"):
+            threshold_labels(near_edge_triplet(ModelParams(epsilon_d=0.0, g=1.0)))
+
     def test_bijection_small_and_moderate_g(self):
         for g in (1e-4, 0.02, 0.5):
             p = ModelParams(epsilon_d=-2.0, g=g)
@@ -998,6 +1009,19 @@ class TestSpectrumScan:
             scan.eps_d.tolist(), scan.state_class.tolist(), scan.energy.tolist(),
             scan.lam.tolist(), scan.psi0_sq.tolist(), scan.psid_sq.tolist())]
         assert got == want
+
+    def test_every_pass_enters_the_quartic_through_its_public_solver(self, monkeypatch):
+        # the point solve, the scan, the Bessel route and the plateau each take
+        # their roots from one solve_quartic_lambda_raw call, and so the same bits
+        calls, solve = [], spectrum.solve_quartic_lambda_raw
+        monkeypatch.setattr(spectrum, "solve_quartic_lambda_raw",
+                            lambda *a: calls.append(a) or solve(*a))
+        p = ModelParams(-2.0, 0.1)
+        for run in (lambda: discrete_spectrum(p), lambda: spectrum_scan(0.1, -2.1, -1.9, 0.1),
+                    lambda: survival_bessel_sum(p, [0.0, 1.0]), lambda: asymptotic_plateau(p)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
     def test_first_rejected_point_raises_its_error(self):
         # at g = 1e-7 the resonance's sheet is undecided from eps_d = 1.45 on
