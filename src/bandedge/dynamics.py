@@ -9,8 +9,12 @@ Routes
    closed-form residues of the dot Green's function.  Spectrally exact for
    all t at once; the guard N > 2 max(t) + 10 keeps the wavefront (group
    velocity at most 2) from returning within the requested window.  The
-   phase sum over a uniform grid of K times is one matrix product of two
+   phase sum over a uniform grid of K times is a matrix product of two
    tables of powers, filled by doubling from three exponentials per level.
+   It runs over blocks of 1024 levels, so besides the spectrum itself the
+   tables take one block's 16 (B + K/B) bytes per level, B ~ sqrt(K): 164 MB
+   peak at N = 400 012 and K = 10 001, where one product over all levels
+   took 1.29 GB.
 2. ``survival_bessel_sum``: the exact pole/branch-cut representation.  Each
    of the four discrete states j contributes
 
@@ -25,23 +29,29 @@ Routes
    and the exact asymptotic plateau.
 
 Numerical stability of route 2: the four states share one grid of panels
-of width h on [0, T], T = max(max t, 25) rounded up to a whole panel, and
-each panel integral is referenced to a contractive edge, so no
-exponentially large intermediate ever appears.  h and the n-point
-Gauss-Legendre rule of every panel are chosen once per call by
-``_panel_rule``: each power of two h takes the fewest n <= 15 that its
-remainder bound admits for max |E|, and of these widths the call takes the
-one that evaluates the fewest J1 nodes at its times, counting the grid,
-a partial panel per time off the grid and the spot check.  At threshold
-(|E| ~ 2) that is width 2 with 13 nodes for the beat grid of one time every
-4 units, 1/2 with 8 for a dt = 1/2 window (every time on an edge) and 1
-with 10 for integer times; far from the band only narrower widths meet
-the bound: (1/4, 13) at |E| = 32, h <= 1/8 from |E| = 49.5.  Times are
-bounded by t <= 6e5, up to which J1(2t) is documented, and the grid by
-2.4e6 panels.  A requested time is read from the left edge of its panel
-plus the partial panel up to it.  Grid and partial panels alike are
-referenced to their left edge for an anti-resonance and to their right
-edge otherwise, so a node mid + half x_j lies half (x_j +- 1) from its
+of width h with edges o + m h up to T, the first edge at or past
+max(max t, 25), and each panel integral is referenced to a contractive
+edge, so no exponentially large intermediate ever appears.  The origin o
+is 0 or fmod(min t, h); for o > 0 the interval [0, o] is one leading
+panel, which starts the forward scans and ends the backward one.  h and
+the n-point Gauss-Legendre rule of every panel are chosen once per call by
+``_panel_rule``: each power of two h takes the fewest n <= 17 that its
+remainder bound admits for max |E|, and the origin of ``_grid_origin``
+(the one that takes fewer J1 nodes, 0 on a tie, so a window from t = 0
+keeps o = 0); of these widths the call takes the one that evaluates the
+fewest J1 nodes at its times, counting the grid, a partial panel per time
+off the grid and the spot check.  At threshold (|E| ~ 2) that is width 4
+with 17 nodes for the beat grid of one time every 4 units, every time an
+edge from o = fmod(t_0, 4), 1/2 with 8 for a dt = 1/2 window (every time
+on an edge) and 1 with 10 for integer times; far from the band only
+narrower widths meet the bound: (1/4, 13) at |E| = 32, h <= 1/8 from
+|E| = 65.6.  Times are bounded by t <= 6e5, up to which J1(2t) is
+documented, and the grid by 2.4e6 panels of width h.  A requested time is
+read from the left edge of its panel plus the partial panel up to it; it
+lies on an edge only if it equals fl(o + m h) bit for bit.  Grid and
+partial panels alike are referenced to their left edge for an
+anti-resonance and to their right edge otherwise, so a node mid + half x_j
+lies half (x_j +- 1) from its
 reference edge: its phases come from one table per distinct half-width,
 with no exp per panel, and J1 is evaluated once per node for all states.
 Each panel is contracted with its gathered table on its own, so its value
@@ -49,7 +59,7 @@ does not depend on which other panels or times the call holds.  The
 running integral of every other state is then a scan with the constant
 step e^{-iEh}, |e^{-iEh}| <= 1: within blocks of 64 panels one product
 with the lower-triangular Toeplitz matrix of its powers, each the exp of
-an exactly split argument -iEhm (256 rad at h = 2, |E| = 2), and block
+an exactly split argument -iEhm (512 rad at h = 4, |E| = 2), and block
 starts advanced by the one step e^{-64 iEh}.  h is a power of two, so E h
 is exact and the phases of all blocks agree.  The anti-resonance class of
 ``spectrum._classify`` (second sheet, Im E > 0, where e^{-iEt} grows) is
@@ -102,7 +112,7 @@ _PANEL_TOL = 1e-10
 # at most _MAX_PANELS of them (as many as width 1/4 gave at 6e5); of these
 # widths a call takes the one that evaluates the fewest J1 nodes at its times
 _RULE_TOL = 1e-17
-_RULE_MAX = 15
+_RULE_MAX = 17
 _MAX_PANELS = 2_400_000
 # the largest log(h (e_max + 2)) at which n = 1.._RULE_MAX nodes meet the bound
 # of ``_panel_rule``, (log _RULE_TOL - log c_n) / (2n) with the Gauss
@@ -118,6 +128,7 @@ _BESSEL_T_MAX = 6e5
 _G2_MIN = np.finfo(float).tiny  # smallest g^2 the secular solve accepts, besides 0
 _VERIFY_PANELS = 512
 _BLOCK_PANELS = 4096  # panels per vectorized block, so temporaries stay one size
+_ORACLE_LEVELS = 1024  # lattice levels per block of the oracle's phase sum
 _SCAN_BLOCK = 64  # steps per Toeplitz block of the panel scan
 _IDENTITY_TOL = 1e-12  # budget on |i lam W(0) - 1| of a growing state
 # a growing state's tail past max(t, _TAIL_START) is a Hankel series with
@@ -576,8 +587,8 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
     finite t_0 >= 0 (as from ``np.arange`` or ``np.linspace``; any t_k more
     than 16 ulps of the largest time off t_0 + k dt raises DomainError), N
     an integer (DomainError otherwise), and N must outrun the wavefront,
-    N > 2 max(t) + 10 (LatticeTruncationError otherwise).  With k = bB + r and B = ceil(sqrt(K)) for K times, the sum
-    factors into one matrix product,
+    N > 2 max(t) + 10 (LatticeTruncationError otherwise).  With k = bB + r
+    and B = ceil(sqrt(K)) for K times, the sum factors into a matrix product,
 
         A(t_{bB + r}) = sum_m [w_m e^{-i E_m t_0} z_B^b] z_1^r,
         z_1 = e^{-i E_m dt},  z_B = e^{-i E_m B dt},
@@ -586,6 +597,10 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
     each of an exactly split argument E_m t.  The block and step tables are
     their powers, filled by doubling, so the phases carry multiplication
     rounding only, not the rounding of fl(E_m t) (up to 0.5 ulp of 2 max t).
+    The product is summed over blocks of _ORACLE_LEVELS = 1024 levels, the
+    first block's product starting the sum, so the tables never hold more
+    than one block and a lattice of at most 1024 levels keeps the bits of
+    one product over all of them.
     """
     times = _checked_grid(times)
     n_sites = _checked_int(n_sites, "n_sites", least=0)
@@ -599,10 +614,17 @@ def survival_lattice_oracle(params: ModelParams, n_sites: int, times) -> Surviva
     B = max(1, int(np.ceil(np.sqrt(K))))
     t0, dt = _grid_step(times)
     evals, weights = lattice_spectrum(params, n_sites)
-    steps = _powers(np.ones_like(evals, dtype=complex), _phase(evals, dt), B)
-    blocks = _powers(weights * _phase(evals, t0), _phase(evals, *_two_product(float(B), dt)),
-                     -(-K // B))
-    amp = (blocks @ steps.T).ravel()[:K]
+    block_dt = _two_product(float(B), dt)
+    for i in range(0, evals.size, _ORACLE_LEVELS):
+        e = evals[i : i + _ORACLE_LEVELS]
+        steps = _powers(np.ones_like(e, dtype=complex), _phase(e, dt), B)
+        blocks = _powers(weights[i : i + _ORACLE_LEVELS] * _phase(e, t0), _phase(e, *block_dt),
+                         -(-K // B))
+        if i:
+            amp += blocks @ steps.T
+        else:
+            amp = blocks @ steps.T
+    amp = amp.ravel()[:K]
     return SurvivalTrace.from_amplitude(times, amp, Method.LATTICE_ORACLE)
 
 
@@ -618,14 +640,16 @@ def _panel_rule(e_max, times):
         h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * max |f^(2n)|,
         max |f^(2n)| <= (e_max + 2)^(2n),
 
-    is at most _RULE_TOL h, and whose grid on [0, T], T = max(max t,
-    _TAIL_START), holds G <= _MAX_PANELS panels, the one whose
+    is at most _RULE_TOL h, and whose grid from 0 to max(max t,
+    _TAIL_START) holds at most _MAX_PANELS panels of width h, the one whose
     ``_checked_panels`` call evaluates the fewest J1 nodes,
 
         n (G + P + 2 min(G, _VERIFY_PANELS) + 2 min(P, _VERIFY_PANELS)),
 
-    with P the times off the grid of width h (each takes a partial panel);
-    the wider width on a tie.  The derivative bound holds for
+    with G the panels and P the times off the grid (each takes a partial
+    panel) on the origin that ``_grid_origin`` gives width h; the wider
+    width on a tie.  The leading panel [0, o] is narrower than h, so the
+    rule of width h covers it.  The derivative bound holds for
     f(s) = e^{iE(s - ref)} J1(2s)/s with |E| <= e_max and a contractive
     reference edge: J1(2s)/s = (2/pi) int_{-1}^{1} sqrt(1 - u^2) e^{2isu} du
     mixes frequencies |2u| <= 2 with unit total weight.  Halving h always
@@ -649,17 +673,36 @@ def _panel_rule(e_max, times):
                     f"{e_max:.6g}: panels of width {h:g} would number {grid}, "
                     f"more than {_MAX_PANELS}"
                 )
-            nodes = n * (grid + 2 * min(grid, _VERIFY_PANELS))
-            if nodes < best[0]:
-                # t / h is exact for a power of two h; np.fmod(times, h), whose
-                # cost grows with t / h, took 190 us on the 4133-time beat grid
-                x = times / h
-                off = np.count_nonzero(x != np.floor(x))
-                nodes += n * (off + 2 * min(off, _VERIFY_PANELS))
+            if n * _checked_count(grid) < best[0]:
+                _, panels, off = _grid_origin(times, h, end)
+                nodes = n * (_checked_count(panels) + _checked_count(off))
                 if nodes < best[0]:
                     best = (nodes, h, n)
         h *= 0.5
     return best[1], best[2]
+
+
+def _checked_count(panels):
+    """Panels that ``_checked_panels`` integrates for ``panels`` of one kind:
+    each once, and min(panels, _VERIFY_PANELS) again as two halves."""
+    return panels + 2 * min(panels, _VERIFY_PANELS)
+
+
+def _grid_origin(times, h, end):
+    """(o, G, P) of the width-h grid for ``times``: its origin o, its G panels
+    on [0, T], T the first edge o + m h at or past ``end``, and the P times
+    off it.  o is 0 or fmod(min t, h), whichever takes fewer checked panels,
+    0 on a tie; for o > 0 the interval [0, o] is one leading panel.  A time
+    is on the grid only if it equals its edge fl(o + m h) bit for bit."""
+    # t / h is exact for a power of two h; np.fmod(times, h), whose cost grows
+    # with t / h, took 190 us on the 4133-time beat grid
+    x = times / h
+    plans = [(0.0, math.ceil(end / h), int(np.count_nonzero(x != np.floor(x))))]
+    o = float(np.fmod(times.min(), h)) if times.size else 0.0
+    if o > 0.0:
+        on = o + h * np.rint((times - o) / h) == times
+        plans.append((o, 1 + math.ceil((end - o) / h), times.size - int(np.count_nonzero(on))))
+    return min(plans, key=lambda plan: _checked_count(plan[1]) + _checked_count(plan[2]))
 
 
 def _panel_integrals(E, a, b, left, order):
@@ -692,7 +735,7 @@ def _checked_panels(E, left, edges, a, b, order):
     ``_panel_integrals`` call that also takes the spot check's halves.
 
     One spot check covers both kinds for all states: min(n, _VERIFY_PANELS)
-    panels of each kind, evenly spread and the last one included, are
+    panels of each kind, evenly spread and the first and last included, are
     integrated again as two halves, each referenced to its own edge on the
     same side.  The halves are joined by e^{+-iE half}, contractive on that
     side, and a QuadratureError carrying the achieved tolerance is raised if
@@ -844,30 +887,41 @@ def _bessel_sum_terms(lam, E, code, nd, times: np.ndarray):
     """Per-state contributions <d|psi>^2 e^{-iEt} (1 - i lam I(t)), shape (S, K),
     of the states lam, E, class code and nd = psid_sq (arrays (S,), ``_states``).
 
-    All states share one uniform grid on [0, T], T = max(max t, _TAIL_START)
-    rounded up to a whole panel; the growing set, exactly the anti-resonance
-    class, is scanned backward from the closed-form tail at T.  Each time is
-    read from the left edge of its panel plus the partial panel up to it.
+    All states share one grid: edges o + m h from the origin o of
+    ``_grid_origin`` up to T, the first edge at or past max(max t,
+    _TAIL_START), and for o > 0 the leading panel [0, o] before them.  The
+    forward scans start at o from e^{-iEo} - i lam P_0, P_0 that panel's
+    integral; the growing set, exactly the anti-resonance class, is scanned
+    backward from the closed-form tail at T to o and over the leading panel
+    to W(0) = P_0 + e^{iEo} W(o).  Each time is read from the left edge of
+    its panel plus the partial panel up to it.
     """
     grow = code == _CLASSES.index(StateClass.ANTI_RESONANCE)
     # the width is a power of two, so that E h is exact
     h, order = _panel_rule(float(np.max(np.abs(E))), times)
-    n = math.ceil(max(times.max(initial=0.0), _TAIL_START) / h)
-    edges = h * np.arange(n + 1.0)
+    o, panels, _ = _grid_origin(times, h, max(times.max(initial=0.0), _TAIL_START))
+    lead = int(o > 0.0)  # the leading panel [0, o], if any
+    n = panels - lead
+    edges = o + h * np.arange(n + 1.0)
+    if lead:
+        edges = np.insert(edges, 0, 0.0)
     T = edges[-1]
     k = np.searchsorted(edges, times, side="right") - 1
     delta = times - edges[k]
     part = delta > 0.0
     # panels referenced to their left edge for a growing state, else the right
     uniform, partial = _checked_panels(E, grow, edges, edges[k[part]], times[part], order)
+    first, uniform, k = uniform[0], uniform[lead:], k - lead
     terms = np.empty((E.size, times.size), dtype=complex)
     for s in range(E.size):
         e, lm = E[s], lam[s]
         if grow[s]:
-            # backward from the closed-form tail at T; the infinite-time
-            # bracket vanishes, so i lam W(0) = 1 checks the whole scan
+            # backward from the closed-form tail at T to o, then over the
+            # leading panel to 0; the infinite-time bracket vanishes, so
+            # i lam W(0) = 1 checks the whole scan
             W = _scan(_hankel_tail(e, lm, T), 1j * e * h, uniform[::-1, s], np.append(n - k, n))
-            residual = abs(1j * lm * W[-1] - 1.0)
+            w0 = first[s] + _phase(-e, o) * W[-1] if lead else W[-1]
+            residual = abs(1j * lm * w0 - 1.0)
             if residual > _IDENTITY_TOL:
                 raise QuadratureError(
                     f"anti-resonance scan misses i lam W(0) = 1 by more than {_IDENTITY_TOL:g}",
@@ -878,7 +932,9 @@ def _bessel_sum_terms(lam, E, code, nd, times: np.ndarray):
             x[part] -= partial[:, s]
             x, scale = x * np.exp(-1j * e * delta), 1j * lm * nd[s]
         else:
-            x = _scan(1.0, -1j * e * h, -1j * lm * uniform[:, s], k) * np.exp(-1j * e * delta)
+            # forward from e^{-iEo} (1 - i lam I(o)), the leading panel's value
+            start = _phase(e, o) - 1j * lm * first[s] if lead else 1.0
+            x = _scan(start, -1j * e * h, -1j * lm * uniform[:, s], k) * np.exp(-1j * e * delta)
             x[part] -= 1j * lm * partial[:, s]
             scale = nd[s]
         terms[s] = scale * x
@@ -897,19 +953,22 @@ def survival_bessel_sum(params: ModelParams, times) -> SurvivalTrace:
     above the band each contribute; their residues sum to 1, so A(0) = 1,
     and A(0) is returned as that sum itself (the anti-resonance's backward
     scan meets its t = 0 value only to rounding).
+    The grid's panels start at 0, or after one leading panel at
+    fmod(t_0, h) of the first time where that takes fewer J1 nodes, as on
+    the beat grid t_0 + 4k, whose times all become edges.
     Errors are raised, never absorbed: on every call min(n, 512) of the n
     panels of the shared grid and of the n partial panels, evenly spread
-    and the last included, are re-integrated at half step for all states,
-    and a QuadratureError carrying the achieved tolerance is raised on
+    and the first and last included, are re-integrated at half step for all
+    states, and a QuadratureError carrying the achieved tolerance is raised on
     disagreement beyond 1e-10; the closed-form tail of a growing state
     raises one if its truncation exceeds 1e-16 of the tail, and its
     backward scan if i lam W(0) misses 1 by more than 1e-12.
 
     Domain: finite, strictly increasing 1-D times in [0, 6e5] (DomainError
     otherwise); J1(2t) is documented only to 2t = 1.2e6.  The grid of
-    panels is capped at 2.4e6 (the width-1/4 grid of t = 6e5), so for
-    max |E| above 49.5 the last time is lower: 3e5 at |E| = 60; beyond
-    the cap a DomainError is raised.
+    panels is capped at 2.4e6 of width h (the width-1/4 grid of t = 6e5),
+    so for max |E| above 65.6 the last time is lower: 3e5 at |E| = 70;
+    beyond the cap a DomainError is raised.
     """
     times = _checked_grid(times, upper=_BESSEL_T_MAX)
     lam, E, code, _, nd = (x[0] for x in _states(params.epsilon_d, params.g))

@@ -44,6 +44,7 @@ ROOT_RESIDUAL_TOL = 1e-12
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 _TINY = np.finfo(float).tiny
+_HUGE = float(np.finfo(float).max)
 
 
 class StateClass(Enum):
@@ -257,13 +258,28 @@ def solve_quartic_lambda_raw(eps_d, g: float) -> tuple[np.ndarray, np.ndarray]:
     so the threshold triplet is the well-scaled cluster y^3 ~ -g^2/2 and no
     digits are lost to the shift.  E = -2 - y^2 / (1 + y) avoids the
     cancellation in -lam - 1/lam.  Output arrays have shape eps_d.shape + (4,).
-    A NaN or infinite eps_d or g raises DomainError.
+    A NaN or infinite eps_d or g raises DomainError, and so does a pair whose
+    rows could overflow, 3 |eps_d + 2| + 2 g^2 above the largest double (from
+    g = 9.48e153 or |eps_d + 2| = 5.99e307), before the eigensolve.
     """
-    eps_d = np.asarray(eps_d)
-    finite = np.isfinite(eps_d)
-    if not (finite.all() and math.isfinite(g)):
-        name, v = ("g", g) if finite.all() else ("eps_d", eps_d[~finite][0])
-        raise DomainError(f"{name} = {v} is not finite")
+    eps_d, g = np.asarray(eps_d), float(g)
+    size = np.abs(eps_d + 2.0)
+    top = float(size.max(initial=0.0))
+    # one scalar test bounds every row coefficient, NaN and inf included
+    if not 3.0 * top + 2.0 * g * g <= _HUGE:
+        finite = np.isfinite(eps_d)
+        if not (finite.all() and math.isfinite(g)):
+            name, v = ("g", g) if finite.all() else ("eps_d", eps_d[~finite][0])
+            raise DomainError(f"{name} = {v} is not finite")
+        if 2.0 * g * g > 3.0 * top:
+            name, v, bound = "g", g, f"g <= {math.sqrt(0.5 * (_HUGE - 3.0 * top)):.6e}"
+        else:
+            name, v = "eps_d", eps_d.flat[np.argmax(size)]
+            bound = f"|eps_d + 2| <= {(_HUGE - 2.0 * g * g) / 3.0:.6e}"
+        raise DomainError(
+            f"{name} = {v} outside the quartic's domain: its rows overflow unless "
+            f"3 |eps_d + 2| + 2 g^2 <= {_HUGE:.6e}, here {bound}"
+        )
     y = _monic_roots(_lam_rows(eps_d, g))
     lams, Es = 1.0 + y, -2.0 - y * y / (1.0 + y)
     order = np.argsort(Es.real, axis=-1, kind="stable")

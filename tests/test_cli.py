@@ -541,6 +541,15 @@ class TestRunners:
         assert main(["spectrum", "--eps-d", "-2", "--g", "2e-8"]) == 1
         assert "rounds to lam = -1.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("g", ["1e200", "1e155"])
+    def test_spectrum_point_whose_rows_overflow_is_a_domain_error(self, capsys, g):
+        # 2 (delta + g^2) overflowed, and numpy's LinAlgError ended the run
+        # in a traceback
+        assert main(["spectrum", "--eps-d", "-2", "--g", g]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: g = {float(g)} outside the quartic's domain")
+        assert "g <= 9.480752e+153" in err
+
     def test_ep_sheet_with_a_nan_bound_is_a_domain_error(self, capsys, tmp_path):
         # the NaN grid reached np.linalg.eigvals and ended in a traceback
         out = tmp_path / "sheet.csv"

@@ -332,6 +332,55 @@ class TestLatticeOracle:
         with pytest.raises(DomainError, match="off t_0 \\+ k dt"):
             survival_lattice_oracle(ModelParams(epsilon_d=-2.0, g=0.3), 250, times)
 
+    def test_one_block_keeps_the_bits_of_the_unblocked_sum(self):
+        # the levels are summed in blocks of 1024; a lattice of 252 levels is
+        # one block, whose product starts the sum, so its amplitudes equal
+        # the product over all levels at once by .hex()
+        params, n = ModelParams(epsilon_d=-2.0, g=5e-3), 250
+        times = np.arange(0.0, 100.5, 0.5)
+        evals, weights = lattice_spectrum(params, n)
+        assert evals.size <= dynamics._ORACLE_LEVELS
+        B = math.ceil(math.sqrt(times.size))
+        steps = dynamics._powers(np.ones(evals.size, complex), dynamics._phase(evals, 0.5), B)
+        blocks = dynamics._powers(weights * dynamics._phase(evals, 0.0),
+                                  dynamics._phase(evals, *dynamics._two_product(float(B), 0.5)),
+                                  -(-times.size // B))
+        whole = (blocks @ steps.T).ravel()[: times.size]
+        amp = survival_lattice_oracle(params, n, times).amplitude
+        assert [(a.real.hex(), a.imag.hex()) for a in amp] == [
+            (a.real.hex(), a.imag.hex()) for a in whole]
+
+    def test_level_blocks_only_reorder_the_sum(self, monkeypatch):
+        # blocks of 7 levels, a short last block included, change the sum's
+        # order only (measured 1.4e-15)
+        params, times = ModelParams(epsilon_d=-2.0, g=0.05), np.arange(0.0, 100.5, 0.5)
+        whole = survival_lattice_oracle(params, 250, times).amplitude
+        monkeypatch.setattr(dynamics, "_ORACLE_LEVELS", 7)
+        blocked = survival_lattice_oracle(params, 250, times).amplitude
+        assert np.max(np.abs(blocked - whole)) < 5e-15
+
+    def test_peak_memory_stays_within_one_block_of_the_spectrum(self):
+        # at N = 40 012 and 1001 times the tables of all 40 014 levels took
+        # 43.5 MB; by blocks of 1024 levels the oracle's peak stays within
+        # one block's tables of lattice_spectrum's own (measured 13.6 MB,
+        # the spectrum's own peak)
+        import tracemalloc
+
+        params, n = ModelParams(epsilon_d=-2.0, g=1e-3), 40_012
+        times = np.arange(0.0, 20_000.5, 20.0)
+        peaks = []
+        for call in (lambda: lattice_spectrum(params, n),
+                     lambda: survival_lattice_oracle(params, n, times)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        B = math.ceil(math.sqrt(times.size))
+        tables = (B + -(-times.size // B)) * dynamics._ORACLE_LEVELS * 16
+        assert peaks[1] <= peaks[0] + tables
+
     def test_decoupled_stays_put(self):
         tr = survival_lattice_oracle(
             ModelParams(epsilon_d=-2.0, g=0.0), 64, np.linspace(0, 20, 41)
@@ -530,12 +579,63 @@ class TestBesselSum:
     @pytest.mark.parametrize("g", [0.02, 1e-3, 1e-4])
     def test_matches_large_oracle_over_the_beat(self, g):
         # about nine beat periods of g = 0.02 to t = 17 338, against a
-        # lattice of N = 34 696 (measured 9.2e-13, 1.4e-12, 5.6e-12)
+        # lattice of N = 34 696 (measured 3.1e-14, 3.8e-13, 3.9e-12)
         params = ModelParams(epsilon_d=-2.0, g=g)
         times = 810.3 + 4.0 * np.arange(4133)
         oracle = survival_lattice_oracle(params, 34696, times)
         tr = survival_bessel_sum(params, times)
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-11
+
+    @pytest.mark.parametrize("t0", [810.3, 803.7, 37.77, 2.9])
+    def test_beat_window_aligns_the_grid_to_its_first_time(self, monkeypatch, t0):
+        # t0 + 4k lies off every power-of-two grid from 0; its width-4 panels
+        # start at o = fmod(t0, 4) after the one leading panel [0, o], so
+        # every time is an edge and no partial panel is taken.  The call
+        # evaluates the J1 nodes its plan counts, and it agrees with the
+        # oracle within 1e-11 (measured at most 2.1e-14)
+        params = ModelParams(epsilon_d=-2.0, g=0.02)
+        times = t0 + 4.0 * np.arange(300)
+        grids, counted = [], []
+        real_panels, real_j1 = dynamics._checked_panels, dynamics.j1_over_t
+
+        def panels_spy(E, left, edges, a, b, order):
+            grids.append((edges, b.size, order))
+            return real_panels(E, left, edges, a, b, order)
+
+        monkeypatch.setattr(dynamics, "_checked_panels", panels_spy)
+        monkeypatch.setattr(dynamics, "j1_over_t", lambda t: counted.append(t.size) or real_j1(t))
+        amp = survival_bessel_sum(params, times).amplitude
+        (edges, partial, n), = grids
+        o = math.fmod(t0, 4.0)
+        assert edges[0] == 0.0 and partial == 0 and n == 17
+        assert np.array_equal(edges[1:], o + 4.0 * np.arange(edges.size - 1.0))
+        assert np.isin(times, edges).all()
+        assert sum(counted) == _rule_nodes(4.0, 17, times)
+        oracle = survival_lattice_oracle(params, math.ceil(2.0 * times[-1] + 11.0), times)
+        assert np.max(np.abs(amp - oracle.amplitude)) < 1e-11
+
+    @pytest.mark.parametrize("times, rule", [
+        (np.arange(0.0, 2000.5, 0.5), (0.5, 8)), (np.arange(0.0, 80.0, 0.3), (0.5, 8)),
+        (np.arange(0.0, 2001.0), (1.0, 10)), (np.arange(0.0, 2001.0, 4.0), (4.0, 17)),
+    ], ids=["dt=0.5", "dt=0.3", "dt=1", "dt=4"])
+    def test_windows_from_zero_keep_the_grid_at_zero(self, monkeypatch, times, rule):
+        # fmod(0, h) = 0, so a window from t = 0 keeps its grid's edges at
+        # m h and the plan of that grid: the CLI's windows at threshold.  The
+        # dt = 4 window takes width 4 since 17 nodes are admitted
+        grids, rules = [], []
+        real_panels, real_rule = dynamics._checked_panels, dynamics._panel_rule
+
+        def panels_spy(E, left, edges, a, b, order):
+            grids.append(edges)
+            return real_panels(E, left, edges, a, b, order)
+
+        monkeypatch.setattr(dynamics, "_checked_panels", panels_spy)
+        monkeypatch.setattr(dynamics, "_panel_rule",
+                            lambda e, t: rules.append(real_rule(e, t)) or rules[-1])
+        survival_bessel_sum(ModelParams(epsilon_d=-2.0, g=0.02), times)
+        (edges,), ((h, _),) = grids, rules
+        assert rules == [rule]
+        assert edges[0] == 0.0 and np.array_equal(edges, h * np.arange(edges.size))
 
     def test_window_end_leaves_earlier_times(self):
         # the panel width is a power of two, so E h is exact and A(t) does not
@@ -595,20 +695,21 @@ class TestBesselSum:
         assert empty.amplitude.size == 0 and empty.probability.size == 0
 
     @pytest.mark.parametrize("e_max, times, rule", [
-        (0.0, "t0", (4.0, 13)), (2.0, "t0", (2.0, 13)), (2.0, "beat", (2.0, 13)),
+        (0.0, "t0", (8.0, 17)), (2.0, "t0", (4.0, 17)), (2.0, "beat", (4.0, 17)),
         (2.0, "half", (0.5, 8)), (2.0, "integer", (1.0, 10)), (2.0, "irregular", (0.5, 8)),
         (4.0, "t0", (2.0, 15)), (10.0, "t0", (1.0, 15)), (20.0, "t0", (0.5, 15)),
-        (32.0, "t0", (0.25, 13)), (45.0, "t0", (0.25, 15)), (60.0, "t0", (0.125, 13)),
-        (60.0, "irregular", (0.0625, 10)), (100.0, "t0", (0.125, 15)),
-        (101.5, "t0", (0.0625, 12)),
+        (32.0, "t0", (0.25, 13)), (45.0, "t0", (0.25, 15)), (60.0, "t0", (0.25, 17)),
+        (60.0, "irregular", (0.25, 17)), (100.0, "t0", (0.125, 15)),
+        (101.5, "t0", (0.125, 16)),
     ])
     def test_panel_rule_takes_the_fewest_j1_nodes_the_bound_admits(self, e_max, times, rule):
         # the Gauss-Legendre remainder on a panel of width h (A&S 25.4.30),
-        # with |f^(2n)| <= (|E| + 2)^(2n), must be at most 1e-17 h with n <= 15
+        # with |f^(2n)| <= (|E| + 2)^(2n), must be at most 1e-17 h with n <= 17
         # nodes, for the fewest such n; of the power-of-two widths the rule
         # takes the one whose checked panels evaluate the fewest J1 nodes at
-        # these times, the wider on a tie.  Widths above 1 are admissible: at
-        # threshold (|E| ~ 2) width 2 takes 13 nodes, at |E| ~ 0 width 4 does
+        # these times, each on its better origin, the wider on a tie.  Widths
+        # above 1 are admissible: at threshold (|E| ~ 2) width 4 takes 17
+        # nodes, at |E| ~ 0 width 8 does
         times = _RULE_TIMES[times]
         h, n = dynamics._panel_rule(e_max, times)
         assert (h, n) == rule
@@ -622,7 +723,7 @@ class TestBesselSum:
                     w < h and _rule_nodes(w, m, times) == nodes)
 
     @pytest.mark.parametrize("e_max, t, rule, capped", [
-        (30.0, 1e5, (0.25, 13), 1 / 32), (10.0, 6e5, (1.0, 15), 1 / 8),
+        (30.0, 1e5, (0.5, 17), 1 / 32), (10.0, 6e5, (1.0, 15), 1 / 8),
     ])
     def test_panel_rule_stops_at_the_panel_cap(self, e_max, t, rule, capped):
         # the search narrows while a width's grid alone takes fewer J1 nodes
@@ -644,15 +745,15 @@ class TestBesselSum:
         # rule on the panels of [0, max(2, h)], where J1(2t)/t is largest,
         # each panel referenced to its contractive edge.
         # Both rules run at 30 digits, so the gap is the n-node truncation
-        # alone (the 30-node bound is below 1e-51 h), which the bound holds to
-        # 1e-17 h in each of Re and Im (measured at most 2.2e-18 h; one node
-        # fewer reaches 3.5e-16 h)
+        # alone (the 30-node bound is below 1e-44 h), which the bound holds to
+        # 1e-17 h in each of Re and Im (measured at most 2.7e-18 h; one node
+        # fewer reaches 5.8e-16 h)
         worst = {}
         for times in _RULE_TIMES.values():
             for e in np.linspace(0.0, 100.0, 2001):
                 rule = dynamics._panel_rule(e, times)
                 worst[rule] = max(worst.get(rule, 0.0), e)
-        assert len(worst) == 35
+        assert len(worst) == 42
         rng = np.random.default_rng(17)
         with mp.workdps(30):
             table = {}
@@ -680,14 +781,15 @@ class TestBesselSum:
 
     @pytest.mark.parametrize("eps_d, g, rule", [
         (-2.0, 1e-4, (0.5, 8)), (-30.0, 8.0, (0.25, 13)),
-        (-60.0, 1.0, (0.0625, 10)), (-100.0, 1.0, (0.125, 15)),
+        (-60.0, 1.0, (0.25, 17)), (-100.0, 1.0, (0.125, 15)),
     ])
     def test_panel_rule_matches_oracle(self, monkeypatch, eps_d, g, rule):
-        # 266 times 0.3 apart, 38 of them on the width-1/2 grid: width 1/2
-        # and 8 nodes at threshold; the far-detuned states of |E| = 32, 60
-        # and 100 take narrower panels (measured 2.8e-13, 1.6e-11, 3.7e-11 and
-        # 8.6e-11; the last two are set by the phase of the quartic's
-        # bound-state energy, e.g. 1.1e-12 off at eps_d = -100)
+        # 266 times 0.3 apart from 0.1, 54 of them on the width-1/2 grid from
+        # o = 0.1 (38 on the one from 0): width 1/2 and 8 nodes at threshold;
+        # the far-detuned states of |E| = 32, 60 and 100 take narrower panels
+        # (measured 5.0e-13, 1.6e-11, 3.7e-11 and 8.6e-11; the last two are
+        # set by the phase of the quartic's bound-state energy, e.g. 1.1e-12
+        # off at eps_d = -100, and the first by residues of 195)
         rules, panel_rule = [], dynamics._panel_rule
 
         def rule_spy(e_max, times):
@@ -702,13 +804,13 @@ class TestBesselSum:
         assert rules == [rule]
         assert np.max(np.abs(tr.amplitude - oracle.amplitude)) < 1e-10
 
-    @pytest.mark.parametrize("h", [1.0, 2.0])
+    @pytest.mark.parametrize("h", [1.0, 2.0, 4.0])
     def test_scan_powers_at_large_phase(self, h):
-        # at |E h| ~ 2 and 4 (widths 1 and 2 at threshold) a Toeplitz block's
-        # powers e^(rate m) reach |rate m| ~ 128 and 256, where fl(rate m)
-        # alone rounds the phase by up to 0.5 ulp(256) = 2.8e-14; from exactly
-        # split arguments they hold to rounding through three blocks
-        # (measured 3.3e-16 and 5.0e-16)
+        # at |E h| ~ 2, 4 and 8 (widths 1, 2 and 4 at threshold) a Toeplitz
+        # block's powers e^(rate m) reach |rate m| ~ 128, 256 and 512, where
+        # fl(rate m) alone rounds the phase by up to 0.5 ulp(512) = 5.7e-14;
+        # from exactly split arguments they hold to rounding through three
+        # blocks (measured 3.3e-16, 5.0e-16 and 3.8e-16)
         rng = np.random.default_rng(3)
         E = 2.0 + 0.01 * rng.random() - 1e-3j * rng.random()
         rate = -1j * E * h
@@ -850,23 +952,34 @@ def _remainder_bound(h, n, e_max):
 
 
 def _fewest_nodes(h, e_max):
-    """The fewest n <= 15 whose remainder bound on width h is at most 1e-17 h, else None."""
-    return next((n for n in range(1, 16) if _remainder_bound(h, n, e_max) <= 1e-17 * h), None)
+    """The fewest n <= 17 whose remainder bound on width h is at most 1e-17 h, else None."""
+    return next((n for n in range(1, 18) if _remainder_bound(h, n, e_max) <= 1e-17 * h), None)
 
 
 def _rule_nodes(h, n, times):
     """J1 nodes of one checked-panel call of the Bessel route at ``times``:
     n per panel of the width-h grid on [0, max(max t, 25)], n per partial
     panel of a time off that grid, and 2n per panel of the spot check,
-    which takes up to 512 panels of each kind."""
-    grid = math.ceil(max(np.max(times, initial=0.0), 25.0) / h)
-    off = np.count_nonzero(np.fmod(times, h))
-    return n * (grid + off + 2 * min(grid, 512) + 2 * min(off, 512))
+    which takes up to 512 panels of each kind.  The grid has its edges at
+    0 + m h, or at o + m h, o = fmod(min t, h), with [0, o] one more panel,
+    whichever takes fewer nodes; a time is on it if it equals an edge."""
+    end = max(np.max(times, initial=0.0), 25.0)
+
+    def nodes(grid, off):
+        return n * (grid + off + 2 * min(grid, 512) + 2 * min(off, 512))
+
+    fewest = nodes(math.ceil(end / h), np.count_nonzero(np.fmod(times, h)))
+    o = np.fmod(np.min(times), h) if times.size else 0.0
+    if o > 0.0:
+        grid = math.ceil((end - o) / h)
+        off = np.count_nonzero(~np.isin(times, o + h * np.arange(grid + 1.0)))
+        fewest = min(fewest, nodes(1 + grid, off))
+    return fewest
 
 
 def _widest_rule_to_1(e_max):
     """The former panel rule: the widest power of two h <= 1 whose bound
-    some n <= 15 meets, with the fewest such n."""
+    some n <= 17 meets, with the fewest such n."""
     h = 1.0
     while _fewest_nodes(h, e_max) is None:
         h *= 0.5

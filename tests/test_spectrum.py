@@ -83,6 +83,22 @@ class TestLambdaQuartic:
         lams, Es = solve_quartic_lambda_raw(eps_d, 0.1)
         assert lams.shape == Es.shape == eps_d.shape + (4,)
 
+    @pytest.mark.parametrize("eps_d, g, name, bound", [
+        (-2.0, 1e200, "g = 1e+200", "g <= 9.480752e+153"),
+        (-2.0, 1e155, "g = 1e+155", "g <= 9.480752e+153"),
+        (-2.0, 9.49e153, "g = 9.49e+153", "g <= 9.480752e+153"),
+        (-7e307, 0.1, "eps_d = -7e+307", "|eps_d + 2| <= 5.992310e+307"),
+        (np.array([-2.0, 6e307, -1.9]), 0.1, "eps_d = 6e+307", "|eps_d + 2| <= 5.992310e+307"),
+    ], ids=["g=1e200", "g=1e155", "g=9.49e153", "eps_d=-7e307", "batch"])
+    def test_rows_that_overflow_are_a_domain_error(self, eps_d, g, name, bound):
+        # from g = 9.48e153 the row coefficient 2 (delta + g^2) is inf, from
+        # |delta| = 5.99e307 so is 3 delta + g^2; numpy's eigensolve then
+        # raised a bare LinAlgError.  Named before any row is formed, so no
+        # RuntimeWarning (an error here) is raised on the way
+        with pytest.raises(DomainError, match="outside the quartic's domain") as info:
+            solve_quartic_lambda_raw(eps_d, g)
+        assert str(info.value).startswith(name) and str(info.value).endswith(bound)
+
     def test_decoupled_at_threshold(self):
         # f(lam) = -(lam-1)^3 (lam+1): triple root at the lower edge
         p = ModelParams(epsilon_d=-2.0, g=0.0)
